@@ -10,10 +10,10 @@
 //! schedules derived once per device — and reports wall-clock throughput.
 //!
 //! The fleet is partitioned into per-thread **shards** (the private `shard`
-//! module): each
-//! scoped `std::thread` worker owns its `(Prover, Verifier)` pairs outright
-//! and drives them through its own [`erasmus_sim::Engine`] as one
-//! event-driven timeline. Measurements fire at their staggered
+//! module): each scoped `std::thread` worker provisions its
+//! `(Prover, Verifier)` pairs, owns them outright and drives them through
+//! its own [`erasmus_sim::Engine`] as one event-driven timeline.
+//! Measurements fire at their staggered
 //! [`erasmus_swarm::StaggeredSchedule`] instants (the Section 6 availability
 //! argument); collection responses travel through a deterministic
 //! [`erasmus_sim::NetworkModel`] (latency, jitter, loss — all drawn per device from the
@@ -76,6 +76,7 @@ pub use lanes::LaneSpeedup;
 pub use reservoir::{LatencyReservoir, RESERVOIR_CAP};
 pub use shard::ShardReport;
 
+use std::ops::Range;
 use std::time::Duration;
 
 use erasmus_core::{DeviceHistory, HistoryEntry, HistoryMode, VerifierHub};
@@ -286,11 +287,14 @@ pub struct FleetReport {
     /// Individual measurement MACs verified across all delivered reports.
     pub verifications_total: u64,
     /// Wall-clock time of the measurement work: the *slowest shard's*
-    /// accumulated measurement time, since shards run concurrently
-    /// (provisioning is excluded; key schedules are derived once).
+    /// accumulated measurement time, since shards run concurrently. Only
+    /// self-measurements and on-demand exchanges count; provisioning (which
+    /// derives every key schedule once) is not measurement work.
     pub measure_wall: Duration,
-    /// Wall-clock time of the collection/verification work, same
-    /// slowest-shard convention.
+    /// Wall-clock time of the verifier-side work — frame ingest (decode,
+    /// MAC verify, hub fold) and on-demand verification — same
+    /// slowest-shard convention. The prover answering a collection is not
+    /// charged here.
     pub verify_wall: Duration,
     /// Aggregate *simulated* prover busy time, for cross-checking against
     /// the paper's cost model.
@@ -491,9 +495,9 @@ pub fn run(config: &FleetConfig) -> FleetReport {
     run_threaded(config, 1)
 }
 
-/// Provisions a sharded fleet and drives it on `threads` scoped worker
-/// threads — each running its own event-driven engine — then merges the
-/// shard results.
+/// Partitions the fleet into `threads` shards and runs each on a scoped
+/// worker thread, which provisions the shard's devices and drives them
+/// through its own event-driven engine; then merges the shard results.
 ///
 /// The partition only changes *which worker* drives a device; every device
 /// performs identical simulated work, and every packet suffers the same
@@ -511,32 +515,43 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
     let schedule = config.schedule();
     let plan = on_demand_plan(config);
 
-    // Provisioning: per-device keys, precomputed MAC schedules, reference
-    // digests, scenario plans. Deliberately outside the timed sections —
-    // this happens once per device lifetime. The partition is balanced: the
-    // remainder is spread over the first shards, so no worker idles while
-    // another owns two extra devices.
+    // The partition is balanced: the remainder is spread over the first
+    // shards, so no worker idles while another owns two extra devices.
     let base = config.provers / threads;
     let remainder = config.provers % threads;
     let mut start = 0usize;
-    let mut shards: Vec<Shard> = (0..threads)
+    let ranges: Vec<Range<usize>> = (0..threads)
         .map(|index| {
             let size = base + usize::from(index < remainder);
             let range = start..start + size;
             start += size;
-            Shard::provision(index, config, &schedule, range, &plan)
+            range
         })
         .collect();
 
-    let shard_reports: Vec<ShardReport> = if shards.len() == 1 {
+    // Each worker provisions its own devices (keys, MAC schedules, reference
+    // digests, scenario plans), drives them and hands back its hub.
+    // Provisioning is part of the run's wall time; done on the workers, it
+    // runs in parallel like the event loops.
+    let drive = |index: usize, range: Range<usize>| {
+        let mut shard = Shard::provision(index, config, &schedule, range, &plan);
+        let report = shard.run(config);
+        (report, shard.into_hub())
+    };
+    let finished: Vec<(ShardReport, VerifierHub)> = if threads == 1 {
         // Keep a single-threaded run literally single-threaded so its
         // timings carry no spawn/join overhead.
-        vec![shards[0].run(config)]
+        ranges
+            .into_iter()
+            .enumerate()
+            .map(|(index, range)| drive(index, range))
+            .collect()
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter_mut()
-                .map(|shard| scope.spawn(move || shard.run(config)))
+            let handles: Vec<_> = ranges
+                .into_iter()
+                .enumerate()
+                .map(|(index, range)| scope.spawn(move || drive(index, range)))
                 .collect();
             handles
                 .into_iter()
@@ -545,10 +560,13 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         })
     };
 
+    // Hubs merge in shard-index order, whatever order the workers finished.
     let mut hub = VerifierHub::with_history(config.history);
-    for shard in shards {
-        let merged = hub.merge(shard.into_hub());
+    let mut shard_reports = Vec::with_capacity(finished.len());
+    for (report, shard_hub) in finished {
+        let merged = hub.merge(shard_hub);
         assert!(merged, "every shard hub uses the fleet's ring capacity");
+        shard_reports.push(report);
     }
 
     let mut measurements_total = 0u64;

@@ -462,7 +462,8 @@ pub struct ShardReport {
     pub verifications: u64,
     /// Wall-clock time this shard spent taking measurements.
     pub measure_wall: Duration,
-    /// Wall-clock time this shard spent collecting and verifying.
+    /// Wall-clock time this shard spent on verifier-side work: frame
+    /// ingest and on-demand verification.
     pub verify_wall: Duration,
     /// Simulated busy time accumulated by this shard's provers.
     pub simulated_busy: SimDuration,
@@ -938,9 +939,7 @@ impl Shard {
                     self.devices.next_due[device] =
                         drain_due_measurements(&mut self.devices.provers[device], now, state);
                 }
-                let started = Instant::now();
                 let response = self.devices.provers[device].handle_collection(&state.request, now);
-                state.verify_wall += started.elapsed();
                 let seq = self.devices.collect_seqs[device];
                 self.devices.collect_seqs[device] += 1;
                 let epoch = self.devices.epochs[device];

@@ -47,6 +47,10 @@ impl fmt::Display for ScheduleKind {
 
 /// Stateful scheduler deciding when the prover self-measures.
 ///
+/// Only an irregular schedule holds a CSPRNG ([`HmacDrbg`], seeded with the
+/// device key). Regular and lenient schedules never draw from one, so they
+/// are built without it and cost a fleet nothing at provisioning.
+///
 /// # Example
 ///
 /// ```
@@ -70,7 +74,9 @@ pub struct MeasurementScheduler {
     /// so a fleet can stagger its devices' measurement instants (Section 6
     /// availability — see `erasmus_swarm::StaggeredSchedule`).
     phase: SimDuration,
-    drbg: HmacDrbg,
+    /// The CSPRNG behind irregular intervals, seeded with the device key.
+    /// Only irregular schedules draw from it, so only they carry one.
+    drbg: Option<HmacDrbg>,
     next_due: SimTime,
     /// Nominal due time of the pending measurement (lenient schedules only);
     /// deferral may push `next_due` past it, up to
@@ -85,7 +91,7 @@ impl MeasurementScheduler {
     ///
     /// `key` seeds the CSPRNG used by irregular schedules (the paper seeds it
     /// with the device key so the timer values are unpredictable to malware);
-    /// regular and lenient schedules ignore it.
+    /// regular and lenient schedules ignore it and build no CSPRNG.
     ///
     /// # Panics
     ///
@@ -121,30 +127,27 @@ impl MeasurementScheduler {
         if let ScheduleKind::Lenient { window_factor } = &kind {
             assert!(*window_factor >= 1.0, "lenient window factor must be >= 1");
         }
-        let mut scheduler = Self {
+        // The first due time: `T_M` for regular and lenient schedules, the
+        // DRBG's first draw for irregular ones.
+        let (drbg, first) = match &kind {
+            ScheduleKind::Irregular { lower, upper } => {
+                let mut drbg = HmacDrbg::new(key, b"erasmus-irregular-schedule");
+                let nanos = drbg.next_in_range(lower.as_nanos(), upper.as_nanos());
+                (Some(drbg), SimDuration::from_nanos(nanos))
+            }
+            ScheduleKind::Regular | ScheduleKind::Lenient { .. } => (None, interval),
+        };
+        let next_due = SimTime::ZERO + first + phase;
+        Self {
             kind,
             interval,
             phase,
-            drbg: HmacDrbg::new(key, b"erasmus-irregular-schedule"),
-            next_due: SimTime::ZERO,
-            nominal_due: SimTime::ZERO,
+            drbg,
+            next_due,
+            nominal_due: next_due,
             deferrals: 0,
             completed: 0,
-        };
-        scheduler.next_due = scheduler.first_due();
-        scheduler.nominal_due = scheduler.next_due;
-        scheduler
-    }
-
-    fn first_due(&mut self) -> SimTime {
-        let base = match &self.kind {
-            ScheduleKind::Regular | ScheduleKind::Lenient { .. } => SimTime::ZERO + self.interval,
-            ScheduleKind::Irregular { lower, upper } => {
-                let nanos = self.drbg.next_in_range(lower.as_nanos(), upper.as_nanos());
-                SimTime::ZERO + SimDuration::from_nanos(nanos)
-            }
-        };
-        base + self.phase
+        }
     }
 
     /// The scheduling policy.
@@ -182,32 +185,7 @@ impl MeasurementScheduler {
     /// and computes the next due time.
     pub fn mark_completed(&mut self, now: SimTime) {
         self.completed += 1;
-        match &self.kind {
-            ScheduleKind::Regular => {
-                self.next_due += self.interval;
-                // If the prover fell behind (e.g. it was busy), skip forward
-                // so the next due time is in the future of `now`.
-                while self.next_due <= now {
-                    self.next_due += self.interval;
-                }
-            }
-            ScheduleKind::Irregular { lower, upper } => {
-                // T_next = map(CSPRNG_K(t_i)) with map(x) = x mod (U − L) + L.
-                self.drbg.reseed(&now.as_nanos().to_be_bytes());
-                let nanos = self.drbg.next_in_range(lower.as_nanos(), upper.as_nanos());
-                self.next_due = now + SimDuration::from_nanos(nanos);
-            }
-            ScheduleKind::Lenient { .. } => {
-                // The next nominal measurement is at the next multiple of
-                // T_M past the phase offset.
-                let origin = SimTime::ZERO + self.phase;
-                let since_origin = now.saturating_duration_since(origin);
-                let periods = since_origin.as_nanos() / self.interval.as_nanos() + 1;
-                self.nominal_due =
-                    origin + SimDuration::from_nanos(periods * self.interval.as_nanos());
-                self.next_due = self.nominal_due;
-            }
-        }
+        self.advance_past(now);
     }
 
     /// Fast-forwards the schedule past `now` *without* recording any
@@ -222,24 +200,38 @@ impl MeasurementScheduler {
         if self.next_due > now {
             return;
         }
-        match &self.kind {
-            ScheduleKind::Regular => {
-                while self.next_due <= now {
-                    self.next_due += self.interval;
-                }
-            }
-            ScheduleKind::Irregular { lower, upper } => {
-                self.drbg.reseed(&now.as_nanos().to_be_bytes());
-                let nanos = self.drbg.next_in_range(lower.as_nanos(), upper.as_nanos());
+        self.advance_past(now);
+    }
+
+    /// Moves `next_due` past `now`: the step shared by completing a
+    /// measurement and skipping missed ones.
+    fn advance_past(&mut self, now: SimTime) {
+        match (&self.kind, &mut self.drbg) {
+            (ScheduleKind::Irregular { lower, upper }, Some(drbg)) => {
+                // T_next = map(CSPRNG_K(t_i)) with map(x) = x mod (U − L) + L.
+                drbg.reseed(&now.as_nanos().to_be_bytes());
+                let nanos = drbg.next_in_range(lower.as_nanos(), upper.as_nanos());
                 self.next_due = now + SimDuration::from_nanos(nanos);
             }
-            ScheduleKind::Lenient { .. } => {
+            (ScheduleKind::Lenient { .. }, _) => {
+                // The next nominal measurement is at the next multiple of
+                // T_M past the phase offset.
                 let origin = SimTime::ZERO + self.phase;
                 let since_origin = now.saturating_duration_since(origin);
                 let periods = since_origin.as_nanos() / self.interval.as_nanos() + 1;
                 self.nominal_due =
                     origin + SimDuration::from_nanos(periods * self.interval.as_nanos());
                 self.next_due = self.nominal_due;
+            }
+            // Regular. An irregular schedule always carries its DRBG (the
+            // constructor pairs them), so it never reaches this arm.
+            _ => {
+                self.next_due += self.interval;
+                // If the prover fell behind (e.g. it was busy), skip forward
+                // so the next due time is in the future of `now`.
+                while self.next_due <= now {
+                    self.next_due += self.interval;
+                }
             }
         }
     }
@@ -377,6 +369,56 @@ mod tests {
             c.mark_completed(due_c);
         }
         assert_ne!(a_intervals, c_intervals);
+    }
+
+    #[test]
+    fn irregular_stream_is_pinned() {
+        // The initial draw, then completions with one skip in the middle. A
+        // change here moves every irregular device's measurement instants.
+        const PINNED: [u64; 8] = [
+            9_020_324_976,
+            15_844_696_799,
+            27_779_132_997,
+            37_017_075_150,
+            87_799_731_625,
+            96_888_050_972,
+            107_327_516_746,
+            119_200_489_825,
+        ];
+        let kind = ScheduleKind::Irregular {
+            lower: SimDuration::from_secs(5),
+            upper: SimDuration::from_secs(15),
+        };
+        let mut s = MeasurementScheduler::new_with_phase(
+            kind,
+            TM,
+            &[0x5a; 32],
+            SimDuration::from_millis(1500),
+        );
+        let step = |s: &mut MeasurementScheduler, index: usize| {
+            if index == 3 {
+                let at = s.next_due() + SimDuration::from_secs(40);
+                s.skip_until(at);
+            } else {
+                let due = s.next_due();
+                s.mark_completed(due);
+            }
+            s.next_due().as_nanos()
+        };
+        let mut dues = vec![s.next_due().as_nanos()];
+        let mut fork = None;
+        for index in 0..7 {
+            if index == 2 {
+                fork = Some((s.clone(), dues.clone()));
+            }
+            dues.push(step(&mut s, index));
+        }
+        assert_eq!(dues, PINNED);
+        let (mut clone, mut cloned_dues) = fork.expect("forked mid-stream");
+        for index in 2..7 {
+            cloned_dues.push(step(&mut clone, index));
+        }
+        assert_eq!(cloned_dues, PINNED);
     }
 
     #[test]

@@ -73,15 +73,20 @@ impl HmacDrbg {
         self.update(Some(&[additional]));
     }
 
-    /// Generates `len` pseudo-random bytes.
-    pub fn generate(&mut self, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
-        while out.len() < len {
+    /// Fills `out` with pseudo-random bytes, without heap allocation: one
+    /// generate call of `out.len()` bytes.
+    pub fn fill(&mut self, out: &mut [u8]) {
+        for chunk in out.chunks_mut(self.value.len()) {
             self.value = self.schedule.mac(&self.value);
-            let take = (len - out.len()).min(self.value.len());
-            out.extend_from_slice(&self.value[..take]);
+            chunk.copy_from_slice(&self.value[..chunk.len()]);
         }
         self.update(None);
+    }
+
+    /// Generates `len` pseudo-random bytes.
+    pub fn generate(&mut self, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        self.fill(&mut out);
         out
     }
 

@@ -39,9 +39,8 @@ impl DeviceKey {
     pub fn derive(master_seed: &[u8], device_id: u64) -> Self {
         let mut drbg = HmacDrbg::new(master_seed, b"erasmus-device-key");
         drbg.reseed(&device_id.to_be_bytes());
-        let material = drbg.generate(32);
         let mut bytes = [0u8; 32];
-        bytes.copy_from_slice(&material);
+        drbg.fill(&mut bytes);
         Self { bytes }
     }
 
@@ -87,6 +86,31 @@ mod tests {
         assert_eq!(a1, a2);
         assert_ne!(a1, b);
         assert_ne!(a1, c);
+    }
+
+    #[test]
+    fn fleet_keys_are_pinned() {
+        // The keys every fleet run provisions: a change here changes every
+        // MAC, chain head and aggregation root downstream.
+        let pinned = [
+            (
+                0,
+                "d0646269dff6cc4a05c4e90899c25f375f7e4cdbb1991cbab5230514d364b977",
+            ),
+            (
+                1,
+                "3a9ef49d18040d55942e0300b66d625d29607f19f221780020fd6a829337c14d",
+            ),
+            (
+                1 << 40,
+                "f4a7ec3c544aa9c0908ee6ccf9a8ce9fa7a60275f3bec2c21882954833f97a0f",
+            ),
+        ];
+        for (device, expected) in pinned {
+            let key = DeviceKey::derive(b"erasmus-fleet", device);
+            let hex: String = key.as_bytes().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, expected, "device {device}");
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use mcu::{Mcu, TrustedContext};
 pub use mem::{MemoryMap, MemoryRegion, RegionKind};
 pub use mpu::{AccessKind, MpuConfig, MpuRule, Subject};
 pub use profile::{DeviceProfile, SecurityArchitecture};
-pub use rom::Rom;
+pub use rom::{Rom, ATTESTATION_CODE_SIZE};
 pub use rroc::Rroc;
 pub use secure_boot::SecureBoot;
 pub use timer::PeriodicTimer;

@@ -56,7 +56,10 @@ impl Mcu {
     /// Builds a device from a profile and its provisioned key.
     ///
     /// The memory map, MPU rule table and (for HYDRA) secure-boot reference
-    /// are derived from the profile's architecture.
+    /// are derived from the profile's architecture. The ROM carries the
+    /// synthetic [`crate::ATTESTATION_CODE_SIZE`]-byte attestation image:
+    /// one process-wide copy, built and hashed on first use and shared by
+    /// every device, with this device's `key` attached.
     pub fn new(profile: DeviceProfile, key: DeviceKey) -> Self {
         let app_size = profile.app_memory_bytes();
         // Reserve a comfortable measurement store; its exact size does not
@@ -73,7 +76,7 @@ impl Mcu {
                 MpuConfig::hydra(),
             ),
         };
-        let rom = Rom::with_synthetic_code(key, 5 * 1024);
+        let rom = Rom::attestation(key);
         let secure_boot = match profile.architecture() {
             SecurityArchitecture::SmartPlus => None,
             SecurityArchitecture::Hydra => Some(SecureBoot::provision(&rom)),
@@ -356,6 +359,41 @@ mod tests {
         );
         assert!(hydra.secure_boot().is_some());
         assert_eq!(hydra.profile().architecture(), SecurityArchitecture::Hydra);
+    }
+
+    #[test]
+    fn devices_share_one_attestation_image() {
+        let a = device();
+        let b = Mcu::new(
+            DeviceProfile::msp430_8mhz(1024),
+            DeviceKey::from_bytes([8; 32]),
+        );
+        assert!(std::ptr::eq(a.rom().code(), b.rom().code()));
+        assert_eq!(a.rom().code_size(), crate::ATTESTATION_CODE_SIZE);
+        // The digest of `Rom::with_synthetic_code(_, 5 * 1024)`: the shared
+        // image holds exactly the bytes a device's own copy would.
+        let digest: String = a
+            .rom()
+            .code_digest()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            digest,
+            "2d3fb9161493509e3fa3f5472d8a284ee687f64524f0925be67e132ef43f43e0"
+        );
+
+        let hydra = Mcu::new(
+            DeviceProfile::imx6_sabre_lite(2048),
+            DeviceKey::from_bytes([9; 32]),
+        );
+        let boot = hydra.secure_boot().expect("HYDRA has secure boot");
+        assert!(boot.verify(hydra.rom()).is_ok());
+        let foreign = Rom::new(DeviceKey::from_bytes([9; 32]), b"other code".to_vec());
+        assert!(matches!(
+            boot.verify(&foreign),
+            Err(HwError::SecureBootFailure { .. })
+        ));
     }
 
     #[test]

@@ -1,8 +1,14 @@
 //! ROM image: the attestation code and (on SMART+) the device key.
 
+use std::sync::{Arc, OnceLock};
+
 use erasmus_crypto::{Digest, Sha256};
 
 use crate::key::DeviceKey;
+
+/// Size in bytes of the synthetic attestation-code image every
+/// [`crate::Mcu`] carries in ROM.
+pub const ATTESTATION_CODE_SIZE: usize = 5 * 1024;
 
 /// The immutable ROM contents of a SMART+ device, or the secure-boot-
 /// protected `PrAtt` image of a HYDRA device.
@@ -10,6 +16,11 @@ use crate::key::DeviceKey;
 /// The ROM holds (a) the attestation/measurement code and (b) the device key
 /// `K`. Neither can be modified at runtime; the [`Rom::code_digest`] is what
 /// secure boot (HYDRA) checks before handing control to the system.
+///
+/// The code bytes sit behind an [`Arc`]: every device of a deployment runs
+/// the same attestation image, so [`crate::Mcu::new`] hands all of them one
+/// process-wide copy, built and hashed once, and only the key is per
+/// device.
 ///
 /// # Example
 ///
@@ -23,27 +34,52 @@ use crate::key::DeviceKey;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rom {
     key: DeviceKey,
-    code: Vec<u8>,
+    code: Arc<[u8]>,
     code_digest: [u8; 32],
+}
+
+/// Deterministic, compressible-looking filler: a repeating counter.
+fn synthetic_code(code_size: usize) -> Arc<[u8]> {
+    (0..code_size).map(|i| (i % 251) as u8).collect()
 }
 
 impl Rom {
     /// Creates a ROM image holding `key` and the attestation `code` bytes.
     pub fn new(key: DeviceKey, code: Vec<u8>) -> Self {
+        Self::hashed(key, code.into())
+    }
+
+    /// Creates a ROM with a synthetic attestation-code image of `code_size`
+    /// bytes (used when only the *size* matters, e.g. for Table 1 models).
+    pub fn with_synthetic_code(key: DeviceKey, code_size: usize) -> Self {
+        Self::hashed(key, synthetic_code(code_size))
+    }
+
+    /// The synthetic [`ATTESTATION_CODE_SIZE`]-byte image, holding `key`.
+    /// The image and its digest are built once per process and shared by
+    /// every ROM made here; the result equals
+    /// `Rom::with_synthetic_code(key, ATTESTATION_CODE_SIZE)`.
+    pub(crate) fn attestation(key: DeviceKey) -> Self {
+        static IMAGE: OnceLock<(Arc<[u8]>, [u8; 32])> = OnceLock::new();
+        let (code, code_digest) = IMAGE.get_or_init(|| {
+            let code = synthetic_code(ATTESTATION_CODE_SIZE);
+            let digest = Sha256::digest(&code);
+            (code, digest)
+        });
+        Self {
+            key,
+            code: Arc::clone(code),
+            code_digest: *code_digest,
+        }
+    }
+
+    fn hashed(key: DeviceKey, code: Arc<[u8]>) -> Self {
         let code_digest = Sha256::digest(&code);
         Self {
             key,
             code,
             code_digest,
         }
-    }
-
-    /// Creates a ROM with a synthetic attestation-code image of `code_size`
-    /// bytes (used when only the *size* matters, e.g. for Table 1 models).
-    pub fn with_synthetic_code(key: DeviceKey, code_size: usize) -> Self {
-        // Deterministic, compressible-looking filler: a repeating counter.
-        let code: Vec<u8> = (0..code_size).map(|i| (i % 251) as u8).collect();
-        Self::new(key, code)
     }
 
     /// The device key. Access control is enforced by the MCU, not here; see
