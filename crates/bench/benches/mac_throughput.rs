@@ -1,15 +1,19 @@
 //! Raw throughput of the from-scratch MAC implementations (the primitive
 //! behind Figures 6 and 8): bytes per second of SHA-256, HMAC-SHA256 and
 //! keyed BLAKE2s on the host, the re-keyed vs precomputed key-schedule
-//! comparison on measurement-sized inputs, and the scalar vs 4-lane vs
+//! comparison on measurement-sized inputs, the scalar vs 4-lane vs
 //! 8-lane multi-buffer comparison behind the fleet's lane-batched
-//! measurement path.
+//! measurement path, and the verifier's check of a whole collection
+//! response.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use erasmus_core::{CollectionRequest, DeviceId, Prover, ProverConfig, Verifier};
 use erasmus_crypto::{
     Blake2s, Blake2sx4, Blake2sx8, Digest, HmacSha256, MacAlgorithm, MultiDigest, Sha256, Sha256x4,
     Sha256x8,
 };
+use erasmus_hw::{DeviceKey, DeviceProfile};
+use erasmus_sim::{SimDuration, SimTime};
 
 fn bench_mac_throughput(c: &mut Criterion) {
     let key = [0x42u8; 32];
@@ -114,10 +118,45 @@ fn bench_multi_buffer(c: &mut Criterion) {
     group.finish();
 }
 
+/// `Verifier::verify_collection` of one 16-measurement response, priced
+/// per measurement. HMAC-SHA256 checks the tags 8 lanes wide (two passes);
+/// HMAC-SHA1 has no lane core, so it checks them one at a time.
+fn bench_verify_collection(c: &mut Criterion) {
+    const MEASUREMENTS: usize = 16;
+    let mut group = c.benchmark_group("verify_collection");
+    group.throughput(Throughput::Elements(MEASUREMENTS as u64));
+    for alg in [MacAlgorithm::HmacSha256, MacAlgorithm::HmacSha1] {
+        let key = DeviceKey::from_bytes([0x42; 32]);
+        let config = ProverConfig::builder()
+            .mac_algorithm(alg)
+            .measurement_interval(SimDuration::from_secs(10))
+            .buffer_slots(MEASUREMENTS)
+            .build()
+            .expect("valid config");
+        let mut prover = Prover::new(
+            DeviceId::new(1),
+            DeviceProfile::msp430_8mhz(64),
+            key.clone(),
+            config,
+        )
+        .expect("provisioning");
+        let mut verifier = Verifier::new(key, alg);
+        verifier.learn_reference_image(prover.mcu().app_memory());
+        let now = SimTime::from_secs(10 * MEASUREMENTS as u64);
+        prover.run_until(now).expect("measurements");
+        let response = prover.handle_collection(&CollectionRequest::latest(MEASUREMENTS), now);
+        group.bench_function(BenchmarkId::new("x16", alg.to_string()), |b| {
+            b.iter(|| std::hint::black_box(verifier.verify_collection(&response, now)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_mac_throughput,
     bench_key_schedule,
-    bench_multi_buffer
+    bench_multi_buffer,
+    bench_verify_collection
 );
 criterion_main!(benches);

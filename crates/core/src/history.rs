@@ -35,7 +35,7 @@ use erasmus_crypto::{Digest, Sha256};
 use erasmus_sim::{SimDuration, SimTime};
 
 use crate::ids::DeviceId;
-use crate::report::{CollectionReport, MeasurementVerdict};
+use crate::report::{CollectionReport, MeasurementVerdict, VerifiedMeasurement};
 
 /// One point of the reconstructed timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -315,22 +315,39 @@ impl DeviceHistory {
             return false;
         }
         self.collections += 1;
-        // Provers answer `latest k` newest-first; replay the report oldest-
-        // first so the ring never mistakes an in-report older entry for one
-        // behind the sealed window.
-        let mut entries: Vec<HistoryEntry> = report
-            .measurements()
+        let measurements = report.measurements();
+        let entry = |vm: &VerifiedMeasurement| HistoryEntry {
+            timestamp: vm.measurement.timestamp(),
+            verdict: vm.verdict,
+            collected_at: report.collected_at(),
+        };
+        let newest_first = measurements
             .iter()
-            .map(|vm| HistoryEntry {
-                timestamp: vm.measurement.timestamp(),
-                verdict: vm.verdict,
-                collected_at: report.collected_at(),
-            })
-            .collect();
-        entries.sort_by_key(|entry| entry.timestamp);
-        for entry in entries {
-            self.observe(entry);
+            .zip(measurements.iter().skip(1))
+            .all(|(newer, older)| newer.measurement.timestamp() > older.measurement.timestamp());
+        if !newest_first {
+            // Shuffled or repeated timestamps: sort a copy so the ring never
+            // mistakes an in-report older entry for one behind the sealed
+            // window.
+            let mut entries: Vec<HistoryEntry> = measurements.iter().map(entry).collect();
+            entries.sort_by_key(|entry| entry.timestamp);
+            for entry in entries {
+                self.observe(entry);
+            }
+            return true;
         }
+        // Provers answer `latest k` strictly newest-first, so reverse order
+        // is oldest-first. Entries no newer than the newest resident go
+        // through `observe` (dedup, downgrade, gap fill or stale discard);
+        // the rest are all newer than every resident and are appended.
+        let newest_resident = self.last_timestamp();
+        let mut oldest_first = measurements.iter().rev().map(entry).peekable();
+        while let Some(known) =
+            oldest_first.next_if(|e| newest_resident.is_some_and(|newest| e.timestamp <= newest))
+        {
+            self.observe(known);
+        }
+        self.append(oldest_first);
         true
     }
 
@@ -360,31 +377,20 @@ impl DeviceHistory {
                     self.head = self.fold_resident();
                 }
             }
+            Err(index) if index == self.ring.len() => {
+                // In-order arrival is a pure PCR extend.
+                self.append(std::iter::once(entry));
+            }
             Err(index) => {
-                if index == 0 && self.rollup.evictions > 0 && !self.ring.is_empty() {
+                if index == 0 && self.rollup.evictions > 0 {
                     // The entry predates the retained window: the chain has
                     // already sealed past it.
                     self.rollup.stale_discards += 1;
                     return;
                 }
-                self.rollup.entries += 1;
-                *self.rollup.verdict_count_mut(entry.verdict) += 1;
-                self.rollup.first_timestamp = Some(match self.rollup.first_timestamp {
-                    Some(at) => at.min(entry.timestamp),
-                    None => entry.timestamp,
-                });
-                if entry.verdict != MeasurementVerdict::Healthy {
-                    self.rollup
-                        .note_compromise(entry.timestamp, entry.collected_at);
-                }
-                if index == self.ring.len() {
-                    // Fast path: in-order arrival is a pure PCR extend.
-                    self.head = extend_with_entry(&self.head, &entry);
-                    self.ring.push_back(entry);
-                } else {
-                    self.ring.insert(index, entry);
-                    self.head = self.fold_resident();
-                }
+                self.record_new(&entry);
+                self.ring.insert(index, entry);
+                self.head = self.fold_resident();
                 while self.ring.len() > self.capacity {
                     let Some(evicted) = self.ring.pop_front() else {
                         break;
@@ -393,6 +399,53 @@ impl DeviceHistory {
                     self.rollup.evictions += 1;
                 }
             }
+        }
+    }
+
+    /// Appends entries that are strictly ascending and newer than every
+    /// resident, with one `extend_digest` each.
+    ///
+    /// The ring evicts in timestamp order: first the old residents, then
+    /// the new entries. So the sealed chain needs no hashing of its own.
+    /// Once every old resident is sealed, the chain equals the head before
+    /// the append. Once new entry `j` is sealed, it equals the head right
+    /// after `j` was appended. Only a partial seal of the old residents
+    /// folds them into the chain one by one.
+    fn append(&mut self, entries: impl ExactSizeIterator<Item = HistoryEntry>) {
+        let resident = self.ring.len();
+        let evicted = (resident + entries.len()).saturating_sub(self.capacity);
+        if evicted >= resident {
+            self.chain = self.head;
+        } else {
+            for sealed in self.ring.iter().take(evicted) {
+                self.chain = extend_with_entry(&self.chain, sealed);
+            }
+        }
+        let sealed_new = evicted.saturating_sub(resident);
+        for (appended, entry) in (1..).zip(entries) {
+            self.record_new(&entry);
+            self.head = extend_with_entry(&self.head, &entry);
+            self.ring.push_back(entry);
+            while self.ring.len() > self.capacity && self.ring.pop_front().is_some() {
+                self.rollup.evictions += 1;
+            }
+            if appended == sealed_new {
+                self.chain = self.head;
+            }
+        }
+    }
+
+    /// Rollup bookkeeping for a timestamp the history has not seen before.
+    fn record_new(&mut self, entry: &HistoryEntry) {
+        self.rollup.entries += 1;
+        *self.rollup.verdict_count_mut(entry.verdict) += 1;
+        self.rollup.first_timestamp = Some(match self.rollup.first_timestamp {
+            Some(at) => at.min(entry.timestamp),
+            None => entry.timestamp,
+        });
+        if entry.verdict != MeasurementVerdict::Healthy {
+            self.rollup
+                .note_compromise(entry.timestamp, entry.collected_at);
         }
     }
 
@@ -538,6 +591,8 @@ mod tests {
     use crate::verifier::Verifier;
     use erasmus_crypto::MacAlgorithm;
     use erasmus_hw::{DeviceKey, DeviceProfile};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn provision() -> (Prover, Verifier) {
         let key = DeviceKey::from_bytes([0x44u8; 32]);
@@ -801,6 +856,113 @@ mod tests {
         assert_eq!(in_order, shuffled, "same set, same compact state");
         assert!(shuffled.verify_chain());
         assert_eq!(in_order.head_digest(), shuffled.head_digest());
+    }
+
+    /// One generated report: `(start shift, length, shape, verdict
+    /// selectors)`. See `report_at`.
+    type ReportDraw = ((u64, u64), usize, u8, Vec<u8>);
+
+    fn arb_reports() -> impl Strategy<Value = Vec<ReportDraw>> {
+        vec(
+            (
+                (0u64..24, 0u64..24),
+                1usize..20,
+                0u8..8,
+                vec(any::<u8>(), 20),
+            ),
+            1..12,
+        )
+    }
+
+    /// Builds the report a draw describes. Its window of `len` consecutive
+    /// 10 s ticks starts `step` ticks past `cursor`, pulled back `back`
+    /// ticks, so successive reports land newer than, straddling,
+    /// overlapping or predating what came before; `cursor` then moves to
+    /// the newest tick seen. Shapes 0–5 keep the prover's newest-first
+    /// order, 6 reverses it and 7 repeats the middle timestamp. Selectors
+    /// pick mostly healthy verdicts, so re-deliveries can downgrade.
+    fn report_at(cursor: &mut u64, draw: &ReportDraw, collected_at: SimTime) -> CollectionReport {
+        let ((step, back), len, shape, selectors) = draw;
+        let start = (*cursor + step).saturating_sub(*back);
+        let mut ticks: Vec<u64> = (start..start + *len as u64).rev().collect();
+        *cursor = (*cursor).max(start + *len as u64);
+        match shape {
+            6 => ticks.reverse(),
+            7 => ticks.insert(ticks.len() / 2, ticks[ticks.len() / 2]),
+            _ => {}
+        }
+        let verified = ticks
+            .iter()
+            .zip(selectors.iter().cycle())
+            .map(|(&tick, &selector)| VerifiedMeasurement {
+                measurement: crate::Measurement::from_parts(
+                    SimTime::from_secs(10 * tick),
+                    [0u8; 32],
+                    erasmus_crypto::MacTag::new([0u8; 32]),
+                ),
+                verdict: match selector % 8 {
+                    0..=4 => MeasurementVerdict::Healthy,
+                    5 | 6 => MeasurementVerdict::Compromised,
+                    _ => MeasurementVerdict::Forged,
+                },
+            })
+            .collect();
+        CollectionReport::new(
+            DeviceId::new(1),
+            verified,
+            crate::AttestationVerdict::AllHealthy,
+            0,
+            SimDuration::ZERO,
+            collected_at,
+        )
+    }
+
+    /// The entry-at-a-time model of `ingest`: one collection, then every
+    /// entry oldest-first through `observe`.
+    fn observe_oldest_first(history: &mut DeviceHistory, report: &CollectionReport) {
+        history.collections += 1;
+        let mut entries: Vec<HistoryEntry> = report
+            .measurements()
+            .iter()
+            .map(|vm| HistoryEntry {
+                timestamp: vm.measurement.timestamp(),
+                verdict: vm.verdict,
+                collected_at: report.collected_at(),
+            })
+            .collect();
+        entries.sort_by_key(|entry| entry.timestamp);
+        for entry in entries {
+            history.observe(entry);
+        }
+    }
+
+    proptest! {
+        /// Bulk sealing in `ingest` is invisible: after every report the
+        /// history equals one that saw the same entries one at a time, its
+        /// chain verifies, and while nothing went stale its head equals a
+        /// never-evicting history's.
+        #[test]
+        fn bulk_sealing_matches_entry_at_a_time_ingest(draws in arb_reports()) {
+            let device = DeviceId::new(1);
+            for capacity in [1usize, 2, 4, 8, 64] {
+                let mut bulk = DeviceHistory::with_mode(device, HistoryMode::Ring(capacity));
+                let mut one_at_a_time = bulk.clone();
+                let mut covering = DeviceHistory::with_mode(device, HistoryMode::Ring(1024));
+                let mut cursor = 0;
+                for (index, draw) in (0u64..).zip(&draws) {
+                    let collected_at = SimTime::from_secs(1_000 + index);
+                    let report = report_at(&mut cursor, draw, collected_at);
+                    prop_assert!(bulk.ingest(&report));
+                    observe_oldest_first(&mut one_at_a_time, &report);
+                    observe_oldest_first(&mut covering, &report);
+                    prop_assert_eq!(&bulk, &one_at_a_time, "capacity {capacity}, report {index}");
+                    prop_assert!(bulk.verify_chain());
+                    if bulk.stale_discards() == 0 {
+                        prop_assert_eq!(bulk.head_digest(), covering.head_digest());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

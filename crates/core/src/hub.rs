@@ -166,7 +166,8 @@ impl VerifierHub {
     }
 
     /// Routes a collection report to the history of the device it is about,
-    /// creating that history on first contact.
+    /// creating that history on first contact. Batches and frames fold
+    /// their reports in through here, one at a time.
     ///
     /// Returns `false` if the per-device history rejected the report (the
     /// [`DeviceHistory::ingest`] device-ID cross-check failed — impossible
@@ -183,47 +184,32 @@ impl VerifierHub {
     }
 
     /// Folds a whole burst of collection reports — one network delivery
-    /// event's worth — into the hub, amortizing the per-device routing.
+    /// event's worth — into the hub, one [`VerifierHub::ingest`] per report
+    /// in arrival order.
     ///
-    /// Reports are grouped by device first (a stable sort, so each device's
-    /// reports keep their arrival order) and each device's history is looked
-    /// up once per batch instead of once per report, which is what makes
-    /// batched ingestion cheaper than repeated [`VerifierHub::ingest`] calls
-    /// when collections arrive in stagger-group-sized bursts.
-    ///
-    /// Per-report accept/reject accounting is identical to the single-report
-    /// path: the returned [`BatchIngest`] totals match what the counters
-    /// advanced by.
+    /// The returned [`BatchIngest`] totals match what the counters advanced
+    /// by.
     pub fn ingest_batch<'a, I>(&mut self, reports: I) -> BatchIngest
     where
         I: IntoIterator<Item = &'a CollectionReport>,
     {
-        let mut batch: Vec<&CollectionReport> = reports.into_iter().collect();
-        batch.sort_by_key(|report| report.device());
         let mut outcome = BatchIngest::default();
-        for group in batch.chunk_by(|a, b| a.device() == b.device()) {
-            let Some(first) = group.first() else {
-                continue;
-            };
-            let history = self.history_mut(first.device());
-            for report in group {
-                if history.ingest(report) {
-                    outcome.accepted += 1;
-                } else {
-                    outcome.rejected += 1;
-                }
+        for report in reports {
+            if self.ingest(report) {
+                outcome.accepted += 1;
+            } else {
+                outcome.rejected += 1;
             }
         }
-        self.ingested += outcome.accepted;
-        self.rejected += outcome.rejected;
         outcome
     }
 
     /// Wire-native ingestion: validates one batch frame zero-copy, has
     /// `verify` (which owns the per-device key material) check each response
-    /// record straight off the frame, and folds the surviving reports in
-    /// through [`VerifierHub::ingest_batch`] — so per-report accept/reject
-    /// accounting is *literally* the struct path's accounting.
+    /// record straight off the frame, and folds each report it returns
+    /// through [`VerifierHub::ingest`] before the next record is verified —
+    /// so per-report accept/reject accounting is *literally* the struct
+    /// path's accounting.
     ///
     /// `verify` is handed each [`ResponseView`] in wire order and returns
     /// the report to ingest, or `None` to drop the record (counted in
@@ -282,7 +268,7 @@ impl VerifierHub {
     }
 
     /// Shared tail of the frame-ingestion paths: verify each response off
-    /// the already-validated frame and fold the survivors in.
+    /// the already-validated frame and fold each report in as it arrives.
     fn ingest_parsed<F>(&mut self, parsed: &FrameView<'_>, mut verify: F) -> FrameIngest
     where
         F: FnMut(ResponseView<'_>) -> Option<CollectionReport>,
@@ -292,16 +278,13 @@ impl VerifierHub {
             bytes: u64::try_from(parsed.frame_len()).unwrap_or(u64::MAX),
             ..FrameIngest::default()
         };
-        let mut reports = Vec::with_capacity(parsed.len());
         for view in parsed.responses() {
             match verify(view) {
-                Some(report) => reports.push(report),
+                Some(report) if self.ingest(&report) => outcome.accepted += 1,
+                Some(_) => outcome.rejected += 1,
                 None => outcome.verify_failed += 1,
             }
         }
-        let batch = self.ingest_batch(reports.iter());
-        outcome.accepted = batch.accepted;
-        outcome.rejected = batch.rejected;
         outcome
     }
 
@@ -548,7 +531,7 @@ mod tests {
     #[test]
     fn batch_ingest_matches_per_report_ingest() {
         // Build one burst: two windows for device 0, one each for 1 and 2,
-        // deliberately interleaved so the batch path has to group them.
+        // interleaved across devices; the batch folds them in arrival order.
         let mut reports = Vec::new();
         let (mut p0, mut v0) = provision(0);
         let (mut p1, mut v1) = provision(1);

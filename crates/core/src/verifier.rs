@@ -1,67 +1,18 @@
 //! The verifier: collects measurements and reconstructs the prover's state
 //! history.
 
-use erasmus_crypto::{KeyedMac, MacAlgorithm, MacTag};
+use erasmus_crypto::{KeyedMac, MacAlgorithm, MultiKeyedMac};
 use erasmus_hw::DeviceKey;
 use erasmus_sim::{SimDuration, SimTime};
 
-use crate::encoding::{MeasurementView, ResponseView};
+use crate::encoding::ResponseView;
 use crate::error::Error;
 use crate::ids::DeviceId;
-use crate::measurement::{Measurement, MemoryDigest};
+use crate::measurement::{Measurement, MemoryDigest, MAC_INPUT_LEN};
 use crate::protocol::{CollectionRequest, CollectionResponse, OnDemandRequest, OnDemandResponse};
 use crate::report::{
     AttestationVerdict, CollectionReport, MeasurementVerdict, VerifiedMeasurement,
 };
-
-/// One piece of collection evidence, independent of whether it is owned
-/// (struct path) or borrowed straight out of a wire frame (view path).
-///
-/// Both `Verifier` entry points funnel into one generic verification loop
-/// over this trait, so the struct and frame paths are bit-identical by
-/// construction — the property the wire-vs-struct determinism tests pin.
-trait Evidence {
-    fn timestamp(&self) -> SimTime;
-    fn digest(&self) -> &MemoryDigest;
-    fn tag(&self) -> MacTag;
-    fn materialize(&self) -> Measurement;
-}
-
-impl Evidence for &Measurement {
-    fn timestamp(&self) -> SimTime {
-        Measurement::timestamp(self)
-    }
-
-    fn digest(&self) -> &MemoryDigest {
-        Measurement::digest(self)
-    }
-
-    fn tag(&self) -> MacTag {
-        *Measurement::tag(self)
-    }
-
-    fn materialize(&self) -> Measurement {
-        (*self).clone()
-    }
-}
-
-impl Evidence for MeasurementView<'_> {
-    fn timestamp(&self) -> SimTime {
-        MeasurementView::timestamp(self)
-    }
-
-    fn digest(&self) -> &MemoryDigest {
-        MeasurementView::digest(self)
-    }
-
-    fn tag(&self) -> MacTag {
-        MacTag::new(MeasurementView::tag(self))
-    }
-
-    fn materialize(&self) -> Measurement {
-        self.to_measurement()
-    }
-}
 
 /// The (possibly untrusted-network-facing, but key-holding) verifier.
 ///
@@ -177,36 +128,64 @@ impl Verifier {
         OnDemandRequest::new_keyed(&self.keyed, treq, k)
     }
 
-    /// MAC and reference-digest verdict for one piece of evidence. The MAC
-    /// input is rebuilt on the stack, so borrowed frame slices verify
-    /// without materializing a [`Measurement`].
-    fn verdict_for_parts(
-        &self,
-        timestamp: SimTime,
-        digest: &MemoryDigest,
-        tag: &MacTag,
-    ) -> MeasurementVerdict {
-        if !self
-            .keyed
-            .verify(&Measurement::mac_input(timestamp, digest), tag)
-        {
-            return MeasurementVerdict::Forged;
-        }
-        match &self.reference_digest {
-            Some(reference) if digest != reference => MeasurementVerdict::Compromised,
-            _ => MeasurementVerdict::Healthy,
-        }
-    }
-
     /// Number of measurements expected since the previous collection, based
     /// on the configured `T_M` (zero when unknown).
     fn expected_since_last_collection(&self, now: SimTime) -> usize {
         match (self.expected_interval, self.last_collection) {
-            (Some(interval), Some(last)) => {
-                (now.saturating_duration_since(last).as_nanos() / interval.as_nanos()) as usize
-            }
+            (Some(interval), Some(last)) => usize::try_from(
+                now.saturating_duration_since(last).as_nanos() / interval.as_nanos(),
+            )
+            .unwrap_or(usize::MAX),
             _ => 0,
         }
+    }
+
+    /// Marks every measurement whose tag does not verify as
+    /// [`MeasurementVerdict::Forged`]. HMAC-SHA256 and keyed BLAKE2s check
+    /// 8 and then 4 tags per lockstep pass; the remainder, and HMAC-SHA1
+    /// (which has no lane core), verify one tag at a time.
+    fn check_tags(&self, verified: &mut [VerifiedMeasurement]) {
+        let mut rest = verified;
+        if self.alg != MacAlgorithm::HmacSha1 {
+            rest = self.check_tag_lanes::<8>(rest);
+            rest = self.check_tag_lanes::<4>(rest);
+        }
+        for vm in rest {
+            if !vm.measurement.verify_keyed(&self.keyed) {
+                vm.verdict = MeasurementVerdict::Forged;
+            }
+        }
+    }
+
+    /// Checks the tags of every whole `N`-measurement chunk in lockstep and
+    /// returns the unchecked remainder (fewer than `N` measurements). The
+    /// lane state is built on the stack, once per call, from this
+    /// verifier's own key schedule in every lane.
+    fn check_tag_lanes<'a, const N: usize>(
+        &self,
+        verified: &'a mut [VerifiedMeasurement],
+    ) -> &'a mut [VerifiedMeasurement] {
+        let mut chunks = verified.chunks_exact_mut(N);
+        if chunks.len() > 0 {
+            let lanes = MultiKeyedMac::<N>::new([&self.keyed; N]);
+            for chunk in &mut chunks {
+                // `chunks_exact_mut` yields exactly `N` measurements, so the
+                // zip below meets every one of them with its lane's tag.
+                let mut records = chunk.iter().map(|vm| &vm.measurement);
+                let inputs: [[u8; MAC_INPUT_LEN]; N] = std::array::from_fn(|_| {
+                    records.next().map_or([0; MAC_INPUT_LEN], |m| {
+                        Measurement::mac_input(m.timestamp(), m.digest())
+                    })
+                });
+                let tags = lanes.mac(inputs.each_ref().map(|input| input.as_slice()));
+                for (vm, tag) in chunk.iter_mut().zip(&tags) {
+                    if !tag.ct_eq(vm.measurement.tag()) {
+                        vm.verdict = MeasurementVerdict::Forged;
+                    }
+                }
+            }
+        }
+        chunks.into_remainder()
     }
 
     /// Verifies an ERASMUS collection response (Figure 2, verifier side).
@@ -227,16 +206,16 @@ impl Verifier {
         response: &CollectionResponse,
         now: SimTime,
     ) -> Result<CollectionReport, Error> {
-        self.verify_evidence(response.device, response.measurements.iter(), now)
+        self.verify_evidence(response.device, response.measurements.iter().cloned(), now)
     }
 
     /// Verifies one response record straight off a validated wire frame —
     /// the zero-copy half of [`crate::VerifierHub::ingest_frame`].
     ///
-    /// MACs are checked against the borrowed digest and tag slices; owned
-    /// measurements are materialized only for the report. The result is
-    /// bit-identical to [`Verifier::verify_collection`] over the decoded
-    /// equivalent: both entry points share one verification loop.
+    /// Each record is copied once, into the report it ends up in, and its
+    /// MAC is checked there. The result is bit-identical to
+    /// [`Verifier::verify_collection`] over the decoded equivalent: both
+    /// entry points share one verification loop.
     ///
     /// # Errors
     ///
@@ -247,52 +226,62 @@ impl Verifier {
         response: &ResponseView<'_>,
         now: SimTime,
     ) -> Result<CollectionReport, Error> {
-        self.verify_evidence(response.device(), response.measurements(), now)
+        let measurements = response.measurements().map(|view| view.to_measurement());
+        self.verify_evidence(response.device(), measurements, now)
     }
 
     /// The shared verification loop behind [`Verifier::verify_collection`]
-    /// and [`Verifier::verify_frame_response`].
-    fn verify_evidence<E: Evidence>(
+    /// and [`Verifier::verify_frame_response`]: the measurements land in
+    /// the report's `Vec` first, their tags are checked there (lanes where
+    /// the algorithm has them), then each gets its reference-digest and
+    /// timestamp checks.
+    fn verify_evidence(
         &mut self,
         device: DeviceId,
-        items: impl Iterator<Item = E>,
+        measurements: impl Iterator<Item = Measurement>,
         now: SimTime,
     ) -> Result<CollectionReport, Error> {
-        let mut verified: Vec<VerifiedMeasurement> = Vec::with_capacity(items.size_hint().0);
+        let mut verified: Vec<VerifiedMeasurement> = measurements
+            .map(|measurement| VerifiedMeasurement {
+                measurement,
+                verdict: MeasurementVerdict::Healthy,
+            })
+            .collect();
+        if verified.is_empty() {
+            return Err(Error::NoMeasurements);
+        }
+        self.check_tags(&mut verified);
+
         let mut any_forged = false;
         let mut any_compromised = false;
         let mut out_of_order = false;
         let mut previous: Option<SimTime> = None;
         let mut newest: Option<SimTime> = None;
-
-        for item in items {
-            let timestamp = item.timestamp();
-            let mut verdict = self.verdict_for_parts(timestamp, item.digest(), &item.tag());
+        for vm in &mut verified {
+            let timestamp = vm.measurement.timestamp();
+            if vm.verdict == MeasurementVerdict::Healthy
+                && self
+                    .reference_digest
+                    .as_ref()
+                    .is_some_and(|reference| vm.measurement.digest() != reference)
+            {
+                vm.verdict = MeasurementVerdict::Compromised;
+            }
             // Timestamps must not lie in the verifier's future; a "future"
             // measurement can only come from a tampered store or clock.
             if timestamp > now {
-                verdict = MeasurementVerdict::Forged;
+                vm.verdict = MeasurementVerdict::Forged;
             }
-            if let Some(prev) = previous {
-                if timestamp >= prev {
-                    out_of_order = true;
-                }
+            if previous.is_some_and(|prev| timestamp >= prev) {
+                out_of_order = true;
             }
             previous = Some(timestamp);
             newest = Some(newest.map_or(timestamp, |n| n.max(timestamp)));
-            match verdict {
+            match vm.verdict {
                 MeasurementVerdict::Forged => any_forged = true,
                 MeasurementVerdict::Compromised => any_compromised = true,
                 MeasurementVerdict::Healthy => {}
             }
-            verified.push(VerifiedMeasurement {
-                measurement: item.materialize(),
-                verdict,
-            });
-        }
-
-        if verified.is_empty() {
-            return Err(Error::NoMeasurements);
         }
 
         // Coverage check: did we receive as many measurements as the schedule
@@ -622,6 +611,160 @@ mod tests {
             struct_verifier.last_collection(),
             frame_verifier.last_collection()
         );
+    }
+
+    /// One tampered measurement, placed at every position of a response by
+    /// `lane_verification_matches_a_per_measurement_oracle`.
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        ForgedTag,
+        FlippedDigest,
+        NonReference,
+        Future,
+    }
+
+    /// The report `verifier` must produce for `response` at `now`,
+    /// recomputed one measurement at a time through
+    /// `Measurement::verify_keyed`.
+    fn oracle_report(
+        verifier: &Verifier,
+        response: &CollectionResponse,
+        now: SimTime,
+    ) -> CollectionReport {
+        let measurements = &response.measurements;
+        let verified: Vec<VerifiedMeasurement> = measurements
+            .iter()
+            .map(|m| {
+                let verdict = if !m.verify_keyed(&verifier.keyed) || m.timestamp() > now {
+                    MeasurementVerdict::Forged
+                } else if Some(*m.digest()) != verifier.reference_digest {
+                    MeasurementVerdict::Compromised
+                } else {
+                    MeasurementVerdict::Healthy
+                };
+                VerifiedMeasurement {
+                    measurement: m.clone(),
+                    verdict,
+                }
+            })
+            .collect();
+        let last = verifier.last_collection.expect("a previous collection");
+        let interval = verifier.expected_interval.expect("a known T_M");
+        let expected =
+            (now.saturating_duration_since(last).as_nanos() / interval.as_nanos()) as usize;
+        let usable = verified
+            .iter()
+            .filter(|vm| vm.verdict != MeasurementVerdict::Forged)
+            .filter(|vm| vm.measurement.timestamp() > last)
+            .count();
+        let missing = expected.saturating_sub(usable);
+        let out_of_order = measurements
+            .windows(2)
+            .any(|pair| pair[1].timestamp() >= pair[0].timestamp());
+        let has = |verdict| verified.iter().any(|vm| vm.verdict == verdict);
+        let verdict = if has(MeasurementVerdict::Forged) || out_of_order || missing > 0 {
+            AttestationVerdict::TamperingDetected
+        } else if has(MeasurementVerdict::Compromised) {
+            AttestationVerdict::CompromiseDetected
+        } else {
+            AttestationVerdict::AllHealthy
+        };
+        let newest = measurements
+            .iter()
+            .map(Measurement::timestamp)
+            .max()
+            .expect("non-empty response");
+        let freshness = now.saturating_duration_since(newest);
+        CollectionReport::new(response.device, verified, verdict, missing, freshness, now)
+    }
+
+    #[test]
+    fn lane_verification_matches_a_per_measurement_oracle() {
+        use crate::encoding::{encode_collection_batch, FrameView};
+        use erasmus_crypto::{Digest, MacTag, Sha256};
+
+        let device = DeviceId::new(1);
+        let reference = Sha256::digest(b"healthy image");
+        let implant = Sha256::digest(b"implanted image");
+        let faults = [
+            Fault::ForgedTag,
+            Fault::FlippedDigest,
+            Fault::NonReference,
+            Fault::Future,
+        ];
+        for alg in MacAlgorithm::ALL {
+            let keyed = alg.with_key(&KEY_BYTES);
+            let mut verifier = Verifier::new(DeviceKey::from_bytes(KEY_BYTES), alg);
+            verifier.set_reference_digest(reference);
+            verifier.set_expected_interval(SimDuration::from_secs(10));
+            verifier.last_collection = Some(SimTime::ZERO);
+            // Lengths 1..=20 cover every split into 8-lane, 4-lane and
+            // scalar checks.
+            for len in 1..=20u64 {
+                let now = SimTime::from_secs(10 * len + 3);
+                // Newest first: t = 10·len s down to 10 s.
+                let honest: Vec<Measurement> = (0..len)
+                    .map(|i| {
+                        let at = SimTime::from_secs(10 * (len - i));
+                        Measurement::from_digest_keyed(&keyed, at, reference)
+                    })
+                    .collect();
+                for (position, target) in honest.iter().enumerate() {
+                    for fault in faults {
+                        let tampered = match fault {
+                            Fault::ForgedTag => {
+                                let mut tag = target.tag().into_bytes();
+                                tag[0] ^= 0x01;
+                                Measurement::from_parts(
+                                    target.timestamp(),
+                                    *target.digest(),
+                                    MacTag::new(tag),
+                                )
+                            }
+                            Fault::FlippedDigest => {
+                                let mut digest = *target.digest();
+                                digest[0] ^= 0x01;
+                                Measurement::from_parts(target.timestamp(), digest, *target.tag())
+                            }
+                            Fault::NonReference => {
+                                Measurement::from_digest_keyed(&keyed, target.timestamp(), implant)
+                            }
+                            Fault::Future => Measurement::from_digest_keyed(
+                                &keyed,
+                                now + SimDuration::from_secs(1),
+                                reference,
+                            ),
+                        };
+                        let mut measurements = honest.clone();
+                        measurements[position] = tampered;
+                        let response = CollectionResponse {
+                            device,
+                            measurements,
+                            prover_time: SimDuration::ZERO,
+                        };
+                        let expected = oracle_report(&verifier, &response, now);
+                        let case = format!("{alg}, {len} measurements, {fault:?} at {position}");
+
+                        let mut struct_verifier = verifier.clone();
+                        let report = struct_verifier
+                            .verify_collection(&response, now)
+                            .expect("non-empty response");
+                        assert_eq!(report, expected, "struct path: {case}");
+                        assert_eq!(struct_verifier.last_collection(), Some(now), "{case}");
+
+                        let bytes = encode_collection_batch(std::slice::from_ref(&response));
+                        let frame = FrameView::parse(&bytes).expect("valid frame");
+                        let view = frame.responses().next().expect("one response");
+                        let mut frame_verifier = verifier.clone();
+                        let report = frame_verifier
+                            .verify_frame_response(&view, now)
+                            .expect("non-empty response");
+                        assert_eq!(report, expected, "frame path: {case}");
+                        assert_eq!(frame_verifier.last_collection(), Some(now), "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
