@@ -1,16 +1,16 @@
 //! Raw throughput of the from-scratch MAC implementations (the primitive
-//! behind Figures 6 and 8): bytes per second of SHA-256, HMAC-SHA256 and
-//! keyed BLAKE2s on the host, the re-keyed vs precomputed key-schedule
-//! comparison on measurement-sized inputs, the scalar vs 4-lane vs
-//! 8-lane multi-buffer comparison behind the fleet's lane-batched
-//! measurement path, and the verifier's check of a whole collection
-//! response.
+//! behind Figures 6 and 8): bytes per second of SHA-256, HMAC-SHA256,
+//! SHA-1, HMAC-SHA1 and keyed BLAKE2s on the host, the re-keyed vs
+//! precomputed key-schedule comparison on measurement-sized inputs, the
+//! scalar vs 4-lane vs 8-lane multi-buffer comparison behind the fleet's
+//! lane-batched measurement path, and the verifier's check of a whole
+//! collection response.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use erasmus_core::{CollectionRequest, DeviceId, Prover, ProverConfig, Verifier};
 use erasmus_crypto::{
-    Blake2s, Blake2sx4, Blake2sx8, Digest, HmacSha256, MacAlgorithm, MultiDigest, Sha256, Sha256x4,
-    Sha256x8,
+    Blake2s, Blake2sx4, Blake2sx8, Digest, HmacSha1, HmacSha256, MacAlgorithm, MultiDigest, Sha1,
+    Sha256, Sha256x4, Sha256x8,
 };
 use erasmus_hw::{DeviceKey, DeviceProfile};
 use erasmus_sim::{SimDuration, SimTime};
@@ -27,6 +27,12 @@ fn bench_mac_throughput(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("HMAC-SHA256", size), &data, |b, data| {
             b.iter(|| std::hint::black_box(HmacSha256::mac(&key, data)))
+        });
+        group.bench_with_input(BenchmarkId::new("SHA-1", size), &data, |b, data| {
+            b.iter(|| std::hint::black_box(Sha1::digest(data)))
+        });
+        group.bench_with_input(BenchmarkId::new("HMAC-SHA1", size), &data, |b, data| {
+            b.iter(|| std::hint::black_box(HmacSha1::mac(&key, data)))
         });
         group.bench_with_input(BenchmarkId::new("Keyed BLAKE2s", size), &data, |b, data| {
             b.iter(|| std::hint::black_box(Blake2s::keyed_mac(&key, data)))

@@ -1,8 +1,9 @@
 //! HMAC (RFC 2104) over any [`Digest`].
 //!
 //! HMAC-SHA256 is the reference MAC in both the SMART+ and HYDRA
-//! implementations of the paper (Table 1, Figures 6 and 8); HMAC-SHA1 is
-//! reproduced only for the size comparison.
+//! implementations of the paper (Table 1, Figures 6 and 8). The paper sizes
+//! HMAC-SHA1 in Table 1 for comparison only; here it is a full MAC option
+//! that whole fleets run.
 //!
 //! The implementation is midstate-based: keying absorbs the ipad and opad
 //! blocks into two digest states exactly once, and every subsequent MAC
@@ -129,7 +130,8 @@ impl<D: Digest> std::fmt::Debug for Hmac<D> {
     }
 }
 
-/// HMAC-SHA1 alias (Table 1 comparison only).
+/// HMAC-SHA1 alias (the paper's Table 1 comparison MAC, which a fleet can
+/// also run end to end).
 pub type HmacSha1 = Hmac<Sha1>;
 /// HMAC-SHA256 alias (the paper's reference MAC).
 pub type HmacSha256 = Hmac<Sha256>;

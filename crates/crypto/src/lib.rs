@@ -5,8 +5,8 @@
 //! are implemented here from the specifications rather than pulled from
 //! external crates:
 //!
-//! * [`Sha1`] — FIPS 180-1 SHA-1 (kept only for the Table 1 size comparison,
-//!   exactly as the paper does; not recommended for new measurements).
+//! * [`Sha1`] — FIPS 180-1 SHA-1 (the paper sizes it in Table 1 for
+//!   comparison only; not recommended for new measurements).
 //! * [`Sha256`] — FIPS 180-2 SHA-256.
 //! * [`Hmac`] — RFC 2104 HMAC over any [`Digest`].
 //! * [`Blake2s`] — RFC 7693 BLAKE2s with native keyed mode.

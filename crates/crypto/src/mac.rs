@@ -160,7 +160,7 @@ pub trait Mac: Send + Sync {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MacAlgorithm {
-    /// HMAC-SHA1 — reproduced only for the Table 1 size comparison.
+    /// HMAC-SHA1 — the paper sizes it in Table 1 for comparison only.
     HmacSha1,
     /// HMAC-SHA256 — the paper's reference MAC.
     HmacSha256,

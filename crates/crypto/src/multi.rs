@@ -612,9 +612,10 @@ impl<const N: usize> MultiDigest<N> for Blake2sxN<N> {
 ///   lockstep outer pass.
 /// * Keyed BLAKE2s — the per-lane keyed states (key block buffered) are
 ///   transposed into one [`Blake2sxN`].
-/// * HMAC-SHA1 — kept for the Table 1 comparison only; there is no
-///   lane-interleaved SHA-1 core, so the lanes fall back to the scalar
-///   schedules (still one `MultiKeyedMac` call site for every algorithm).
+/// * HMAC-SHA1 — there is no lane-interleaved SHA-1 core, so the lanes
+///   fall back to the scalar schedules (still one `MultiKeyedMac` call site
+///   for every algorithm). A fleet run under HMAC-SHA1 therefore hashes
+///   every tag in scalar.
 ///
 /// # Example
 ///

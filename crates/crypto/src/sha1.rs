@@ -2,13 +2,57 @@
 //!
 //! The paper includes HMAC-SHA1 in Table 1 "for comparison purposes only" and
 //! explicitly excludes it from its actual implementations due to the SHAttered
-//! collision. This crate mirrors that stance: [`Sha1`] exists so that the
-//! Table 1 executable-size comparison can be reproduced, but the rest of the
-//! workspace defaults to SHA-256 or BLAKE2s.
+//! collision. This crate keeps [`Sha1`] for that comparison and for
+//! `MacAlgorithm::HmacSha1`, which a fleet can run end to end, but the rest
+//! of the workspace defaults to SHA-256 or BLAKE2s.
 
 use crate::digest::Digest;
 
 const H0: [u32; 5] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0];
+
+/// One SHA-1 round. Only `e` (which becomes the next round's `a`) and `b`
+/// (rotated into the next round's `c`) change; the caller renames the rest
+/// instead of moving them.
+macro_rules! round {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $k:expr, $w:expr) => {
+        $e = $a
+            .rotate_left(5)
+            .wrapping_add($f($b, $c, $d))
+            .wrapping_add($e)
+            .wrapping_add($k)
+            .wrapping_add($w);
+        $b = $b.rotate_left(30);
+    };
+}
+
+/// Round function of rounds 0–19.
+#[inline(always)]
+fn ch(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (!b & d)
+}
+
+/// Round function of rounds 20–39 and 60–79.
+#[inline(always)]
+fn parity(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+/// Round function of rounds 40–59.
+#[inline(always)]
+fn maj(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (b & d) | (c & d)
+}
+
+/// Word `t` of the message schedule, kept in a rolling 16-word window:
+/// from round 16 on, each new word overwrites the one 16 rounds back.
+#[inline(always)]
+fn schedule(w: &mut [u32; 16], t: usize) -> u32 {
+    if t >= 16 {
+        w[t & 15] =
+            (w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^ w[t & 15]).rotate_left(1);
+    }
+    w[t & 15]
+}
 
 /// Incremental SHA-1 hasher.
 ///
@@ -39,42 +83,36 @@ impl Sha1 {
         }
     }
 
+    /// Five rounds at a time, with the round function and constant fixed
+    /// per 20-round stage: the working variables rotate by name, so every
+    /// fifth round finds them back under their starting names.
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
 
         let [mut a, mut b, mut c, mut d, mut e] = self.state;
 
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5a827999u32),
-                20..=39 => (b ^ c ^ d, 0x6ed9eba1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
-                _ => (b ^ c ^ d, 0xca62c1d6),
+        macro_rules! stage {
+            ($first:literal, $f:ident, $k:literal) => {
+                for t in ($first..$first + 20).step_by(5) {
+                    round!(a, b, c, d, e, $f, $k, schedule(&mut w, t));
+                    round!(e, a, b, c, d, $f, $k, schedule(&mut w, t + 1));
+                    round!(d, e, a, b, c, $f, $k, schedule(&mut w, t + 2));
+                    round!(c, d, e, a, b, $f, $k, schedule(&mut w, t + 3));
+                    round!(b, c, d, e, a, $f, $k, schedule(&mut w, t + 4));
+                }
             };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
         }
+        stage!(0, ch, 0x5a827999);
+        stage!(20, parity, 0x6ed9eba1);
+        stage!(40, maj, 0x8f1bbcdc);
+        stage!(60, parity, 0xca62c1d6);
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        for (word, v) in self.state.iter_mut().zip([a, b, c, d, e]) {
+            *word = word.wrapping_add(v);
+        }
     }
 }
 
@@ -149,9 +187,69 @@ impl Digest for Sha1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The compression as FIPS 180-1 writes it: an 80-word schedule, the
+    /// round function picked by round index, and all five working variables
+    /// shifted every round.
+    fn compress_reference(state: &mut [u32; 5], block: &[u8; 64]) {
+        let mut w = [0u32; 80];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        }
+        for i in 16..80 {
+            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        }
+
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
+
+        for (i, &wi) in w.iter().enumerate() {
+            let (f, k) = match i {
+                0..=19 => ((b & c) | ((!b) & d), 0x5a827999u32),
+                20..=39 => (b ^ c ^ d, 0x6ed9eba1),
+                40..=59 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
+                _ => (b ^ c ^ d, 0xca62c1d6),
+            };
+            let temp = a
+                .rotate_left(5)
+                .wrapping_add(f)
+                .wrapping_add(e)
+                .wrapping_add(k)
+                .wrapping_add(wi);
+            e = d;
+            d = c;
+            c = b.rotate_left(30);
+            b = a;
+            a = temp;
+        }
+
+        for (word, v) in state.iter_mut().zip([a, b, c, d, e]) {
+            *word = word.wrapping_add(v);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The unrolled kernel equals the FIPS-literal one on any chaining
+        /// state, not only on the states reachable from `H0`.
+        #[test]
+        fn compress_matches_the_fips_reference(
+            state in proptest::collection::vec(any::<u32>(), 5),
+            block in proptest::collection::vec(any::<u8>(), 64),
+        ) {
+            let state: [u32; 5] = state.try_into().expect("5 words");
+            let block: [u8; 64] = block.try_into().expect("64 bytes");
+            let mut hasher = Sha1 { state, ..Sha1::new() };
+            hasher.compress(&block);
+            let mut expected = state;
+            compress_reference(&mut expected, &block);
+            prop_assert_eq!(hasher.state, expected);
+        }
     }
 
     #[test]

@@ -25,6 +25,40 @@ pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// One SHA-256 round. Of the eight working variables only `d` (which
+/// becomes the next round's `e`) and `h` (the next round's `a`) change; the
+/// caller renames the rest instead of moving them.
+macro_rules! round {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $k:expr, $w:expr) => {
+        let t1 = $h
+            .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+            .wrapping_add(($e & $f) ^ (!$e & $g))
+            .wrapping_add($k)
+            .wrapping_add($w);
+        $d = $d.wrapping_add(t1);
+        $h = t1
+            .wrapping_add($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+            .wrapping_add(($a & $b) ^ ($a & $c) ^ ($b & $c));
+    };
+}
+
+/// Word `t` of the message schedule, kept in a rolling 16-word window:
+/// from round 16 on, each new word overwrites the one 16 rounds back.
+#[inline(always)]
+fn schedule(w: &mut [u32; 16], t: usize) -> u32 {
+    if t >= 16 {
+        let w15 = w[(t + 1) & 15];
+        let w2 = w[(t + 14) & 15];
+        let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+        let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+        w[t & 15] = w[t & 15]
+            .wrapping_add(s0)
+            .wrapping_add(w[(t + 9) & 15])
+            .wrapping_add(s1);
+    }
+    w[t & 15]
+}
+
 /// Incremental SHA-256 hasher.
 ///
 /// # Example
@@ -62,52 +96,30 @@ impl Sha256 {
         }
     }
 
+    /// Eight rounds at a time: the working variables rotate by name, so
+    /// every eighth round finds them back under their starting names.
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
 
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
 
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
+        for t in (0..64).step_by(8) {
+            round!(a, b, c, d, e, f, g, h, K[t], schedule(&mut w, t));
+            round!(h, a, b, c, d, e, f, g, K[t + 1], schedule(&mut w, t + 1));
+            round!(g, h, a, b, c, d, e, f, K[t + 2], schedule(&mut w, t + 2));
+            round!(f, g, h, a, b, c, d, e, K[t + 3], schedule(&mut w, t + 3));
+            round!(e, f, g, h, a, b, c, d, K[t + 4], schedule(&mut w, t + 4));
+            round!(d, e, f, g, h, a, b, c, K[t + 5], schedule(&mut w, t + 5));
+            round!(c, d, e, f, g, h, a, b, K[t + 6], schedule(&mut w, t + 6));
+            round!(b, c, d, e, f, g, h, a, K[t + 7], schedule(&mut w, t + 7));
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(v);
+        }
     }
 
     /// Lane view used by the multi-lane cores to transpose midstates:
@@ -192,9 +204,75 @@ impl Digest for Sha256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The compression as FIPS 180-2 writes it: a 64-word schedule, and all
+    /// eight working variables shifted every round.
+    fn compress_reference(state: &mut [u32; 8], block: &[u8; 64]) {
+        let mut w = [0u32; 64];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ ((!e) & g);
+            let temp1 = h
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let temp2 = s0.wrapping_add(maj);
+
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(temp1);
+            d = c;
+            c = b;
+            b = a;
+            a = temp1.wrapping_add(temp2);
+        }
+
+        for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(v);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The unrolled kernel equals the FIPS-literal one on any chaining
+        /// state, not only on the states reachable from `H0`.
+        #[test]
+        fn compress_matches_the_fips_reference(
+            state in proptest::collection::vec(any::<u32>(), 8),
+            block in proptest::collection::vec(any::<u8>(), 64),
+        ) {
+            let state: [u32; 8] = state.try_into().expect("8 words");
+            let block: [u8; 64] = block.try_into().expect("64 bytes");
+            let mut hasher = Sha256 { state, ..Sha256::new() };
+            hasher.compress(&block);
+            let mut expected = state;
+            compress_reference(&mut expected, &block);
+            prop_assert_eq!(hasher.state, expected);
+        }
     }
 
     #[test]

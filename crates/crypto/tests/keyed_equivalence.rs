@@ -52,6 +52,26 @@ fn known_answers() -> Vec<(MacAlgorithm, Vec<u8>, Vec<u8>, &'static str)> {
             "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79",
         ),
         (
+            MacAlgorithm::HmacSha1,
+            (0x01..=0x19u8).collect(),
+            vec![0xcd; 50],
+            "4c9007f4026250c6bc8414f9bf50c86c2d7235da",
+        ),
+        // Cases 6 and 7: an 80-byte key, longer than the block, is hashed
+        // before it becomes the HMAC key.
+        (
+            MacAlgorithm::HmacSha1,
+            vec![0xaa; 80],
+            b"Test Using Larger Than Block-Size Key - Hash Key First".to_vec(),
+            "aa4ae5e15272d00e95705637ce8a3b55ed402112",
+        ),
+        (
+            MacAlgorithm::HmacSha1,
+            vec![0xaa; 80],
+            b"Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data".to_vec(),
+            "e8e99d0f45237d786d6bbaa7965c7808bbff1a91",
+        ),
+        (
             MacAlgorithm::KeyedBlake2s,
             blake_key.clone(),
             Vec::new(),
