@@ -1,138 +1,25 @@
-//! Scalar-vs-lane measurement-digest speedup, recorded per algorithm.
+//! Lane widths for batched measurement hashing.
 //!
 //! The fleet harness batches same-instant measurements into multi-lane hash
-//! jobs (the private `shard` module); this module measures what that buys on the
-//! host: the throughput of computing complete measurements
-//! (`H(mem) + MAC_K(t, H(mem))`) through the scalar
-//! [`Measurement::compute_keyed`] path versus the lane-interleaved
-//! [`Measurement::compute_keyed_batch`] path, at the run's memory size. The
-//! result is serialized into every `BENCH_fleet.json` entry so the perf
-//! trajectory records the lane speedup alongside the fleet totals.
-
-use std::time::Instant;
-
-use erasmus_core::Measurement;
-use erasmus_crypto::{KeyedMac, MacAlgorithm, MultiKeyedMac};
-use erasmus_sim::SimTime;
+//! jobs (the private `shard` module) through
+//! [`erasmus_core::Measurement::compute_keyed_batch`]. This module fixes
+//! which widths have a lane-interleaved core behind them and how a
+//! requested [`super::FleetConfig::lanes`] bound maps onto one. The
+//! `multi_buffer` group of the `mac_throughput` criterion bench prices
+//! scalar against 4- and 8-lane hashing.
 
 /// Lane widths with a lane-interleaved core behind them, widest first.
 pub const SUPPORTED_WIDTHS: [usize; 2] = [8, 4];
 
 /// The widest supported lane width not exceeding `lanes` (1 = scalar).
 ///
-/// `--lanes` is an upper bound, not an exact width: `--lanes 6` batches in
-/// groups of 4, `--lanes 32` in groups of 8, `--lanes 2` falls back to the
-/// scalar path.
+/// `lanes` is an upper bound, not an exact width: 6 batches in groups of
+/// 4, 32 in groups of 8, and 2 falls back to the scalar path.
 pub fn effective_width(lanes: usize) -> usize {
     SUPPORTED_WIDTHS
         .into_iter()
         .find(|&width| lanes >= width)
         .unwrap_or(1)
-}
-
-/// Scalar-vs-lane throughput of the measurement digest+MAC at one memory
-/// size.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneSpeedup {
-    /// Effective lane width the batch path used (see [`effective_width`]).
-    pub lanes: usize,
-    /// Complete measurements per second through the scalar path.
-    pub scalar_per_sec: f64,
-    /// Complete measurements per second through the lane-batched path.
-    pub lane_per_sec: f64,
-    /// `lane_per_sec / scalar_per_sec` (1.0 when the width is 1).
-    pub speedup: f64,
-}
-
-impl LaneSpeedup {
-    /// Renders the speedup as the JSON object embedded in each result.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{ \"lanes\": {lanes}, \"scalar_measurements_per_sec\": {scalar:.1}, \
-             \"lane_measurements_per_sec\": {lane:.1}, \"speedup\": {speedup:.2} }}",
-            lanes = self.lanes,
-            scalar = self.scalar_per_sec,
-            lane = self.lane_per_sec,
-            speedup = self.speedup,
-        )
-    }
-}
-
-/// One distinct precomputed schedule per probe lane (the fleet's shape:
-/// every device holds its own key).
-fn per_device_keys(algorithm: MacAlgorithm, width: usize) -> Vec<KeyedMac> {
-    (0..width as u8)
-        .map(|i| algorithm.with_key(&[i.wrapping_mul(0x35) ^ 0x6b; 32]))
-        .collect()
-}
-
-fn measure_width<const N: usize>(
-    algorithm: MacAlgorithm,
-    images: &[Vec<u8>],
-    iterations: usize,
-) -> f64 {
-    let keys = per_device_keys(algorithm, N);
-    let multi = MultiKeyedMac::<N>::new(std::array::from_fn(|lane| &keys[lane]));
-    let started = Instant::now();
-    for round in 0..iterations {
-        let t = SimTime::from_secs(round as u64);
-        std::hint::black_box(Measurement::compute_keyed_batch(
-            &multi,
-            [t; N],
-            std::array::from_fn(|lane| &images[lane][..]),
-        ));
-    }
-    let wall = started.elapsed().as_secs_f64().max(1e-9);
-    (iterations * N) as f64 / wall
-}
-
-/// Times the scalar vs lane-batched measurement hot path for `algorithm` at
-/// `memory_bytes`, batching `effective_width(lanes)` devices per job.
-///
-/// The work volume is clamped so the probe stays in the tens of
-/// milliseconds regardless of the memory size.
-pub fn measure(algorithm: MacAlgorithm, memory_bytes: usize, lanes: usize) -> LaneSpeedup {
-    let width = effective_width(lanes);
-    let memory_bytes = memory_bytes.max(1);
-    // Hash ~32 MiB per timed side (much less in debug builds, where the
-    // probe only smoke-tests), bounded to keep tiny/huge images sane.
-    let probe_bytes = if cfg!(debug_assertions) {
-        1024 * 1024
-    } else {
-        32 * 1024 * 1024
-    };
-    let iterations = (probe_bytes / (memory_bytes * width)).clamp(8, 4096);
-    let images: Vec<Vec<u8>> = (0..width as u8)
-        .map(|lane| {
-            (0..memory_bytes)
-                .map(|i| (i as u8).wrapping_mul(lane.wrapping_add(3)))
-                .collect()
-        })
-        .collect();
-
-    let keys = per_device_keys(algorithm, width);
-    let started = Instant::now();
-    for round in 0..iterations {
-        let t = SimTime::from_secs(round as u64);
-        for (lane, image) in images.iter().enumerate() {
-            std::hint::black_box(Measurement::compute_keyed(&keys[lane], t, image));
-        }
-    }
-    let scalar_wall = started.elapsed().as_secs_f64().max(1e-9);
-    let scalar_per_sec = (iterations * images.len()) as f64 / scalar_wall;
-
-    let lane_per_sec = match width {
-        8 => measure_width::<8>(algorithm, &images, iterations),
-        4 => measure_width::<4>(algorithm, &images, iterations),
-        _ => scalar_per_sec,
-    };
-
-    LaneSpeedup {
-        lanes: width,
-        scalar_per_sec,
-        lane_per_sec,
-        speedup: lane_per_sec / scalar_per_sec,
-    }
 }
 
 #[cfg(test)]
@@ -148,31 +35,5 @@ mod tests {
         assert_eq!(effective_width(6), 4);
         assert_eq!(effective_width(8), 8);
         assert_eq!(effective_width(64), 8);
-    }
-
-    #[test]
-    fn scalar_width_reports_unit_speedup() {
-        let probe = measure(MacAlgorithm::HmacSha256, 512, 1);
-        assert_eq!(probe.lanes, 1);
-        assert!((probe.speedup - 1.0).abs() < f64::EPSILON);
-        assert!(probe.scalar_per_sec > 0.0);
-    }
-
-    #[test]
-    fn lane_probe_reports_positive_rates() {
-        let probe = measure(MacAlgorithm::KeyedBlake2s, 1024, 4);
-        assert_eq!(probe.lanes, 4);
-        assert!(probe.scalar_per_sec > 0.0);
-        assert!(probe.lane_per_sec > 0.0);
-        assert!(probe.speedup > 0.0);
-    }
-
-    #[test]
-    fn json_shape_is_balanced() {
-        let probe = measure(MacAlgorithm::HmacSha1, 256, 8);
-        let text = probe.to_json();
-        assert!(text.contains("\"lanes\": 8"));
-        assert!(text.contains("\"speedup\""));
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
     }
 }

@@ -1,13 +1,12 @@
-//! Fleet-scale throughput harness: how many self-measurements and
-//! collection verifications per second the reproduction sustains on the
-//! host.
+//! Fleet-scale runtime: N provers measured, collected and verified end to
+//! end on the host, with the wall-clock time of each phase.
 //!
-//! The paper's evaluation prices a *single* prover (Figures 6/8, Table 2);
-//! the ROADMAP's north star is millions of unattended devices. This module
-//! drives N provers through their measurement schedules and periodic
-//! collections end to end — the same `Prover`/`Verifier` hot paths the
-//! protocol tests use, with the precomputed [`erasmus_crypto::KeyedMac`]
-//! schedules derived once per device — and reports wall-clock throughput.
+//! The paper's evaluation prices a *single* prover (Figures 6/8, Table 2).
+//! This module drives N provers through their measurement schedules and
+//! periodic collections end to end — the same `Prover`/`Verifier` hot
+//! paths the protocol tests use, with the precomputed
+//! [`erasmus_crypto::KeyedMac`] schedules derived once per device — and
+//! reports the run's totals, ledgers and phase walls.
 //!
 //! The fleet is partitioned into per-thread **shards** (the private `shard`
 //! module): each scoped `std::thread` worker provisions its
@@ -51,17 +50,17 @@
 //! otherwise caps every device at a fixed-size retained window plus a
 //! rollup summary and a PCR-style hash chain over the evicted entries, so
 //! the merged hub's resident footprint is O(devices × capacity) regardless
-//! of run length — the property the million-prover run demonstrates.
+//! of run length.
 //! Lifetime totals and chain heads do not depend on the capacity as long as
 //! it covers each device's reordering window. After the merge an
 //! [`erasmus_swarm::AggregationTree`] folds every chain head into one root
 //! digest ([`AggregationReport`]).
 //!
-//! Shard results are merged into one [`FleetReport`]; the per-thread
-//! breakdown, the per-algorithm scalar-vs-lane speedup probe and the 1→N
-//! scaling sweep (see [`scaling`]) are serialized by the `perfbench` binary
-//! into `BENCH_fleet.json` (schema `erasmus-perfbench/v9`) so successive
-//! PRs accumulate a perf trajectory.
+//! Shard results are merged into one [`FleetReport`] that keeps the
+//! per-shard breakdown. The repository's fleet benchmark (`BENCHMARK.json`)
+//! times [`run_threaded`] on pinned workloads and gates every rep on its
+//! totals; `tests/fleet_determinism.rs` checks the report's ledger laws on
+//! every run it makes.
 //!
 //! Each shard engine schedules on an [`erasmus_sim::CalendarQueue`]; its
 //! delivery order is pinned against the binary-heap oracle by the sim
@@ -69,10 +68,8 @@
 
 pub mod lanes;
 pub mod reservoir;
-pub mod scaling;
 mod shard;
 
-pub use lanes::LaneSpeedup;
 pub use reservoir::{LatencyReservoir, RESERVOIR_CAP};
 pub use shard::ShardReport;
 
@@ -87,7 +84,7 @@ use erasmus_swarm::{digest_hex, AggregationTree, StaggeredSchedule};
 use shard::Shard;
 
 /// Seed used when none is given: any seed reproduces identical lossless
-/// runs, but recording one keeps lossy runs replayable from the JSON alone.
+/// runs, and a lossy run replays exactly from its seed.
 pub const DEFAULT_SEED: u64 = 42;
 
 /// Stream salt for the fleet-wide on-demand plan.
@@ -113,7 +110,8 @@ pub struct FleetConfig {
     /// MAC construction provisioned on every device.
     pub algorithm: MacAlgorithm,
     /// Seed for every deterministic draw of the run (network fates, churn
-    /// plan, on-demand targeting). Recorded in the JSON report.
+    /// plan, on-demand targeting). Kept in [`FleetReport::config`], so a
+    /// report names the seed that replays it.
     pub seed: u64,
     /// Link model between devices and the verifier side. The ideal default
     /// reproduces lossless, zero-latency behaviour bit-for-bit.
@@ -177,15 +175,10 @@ impl FleetConfig {
         }
     }
 
-    /// CI-sized run: ≥ 1,000 provers but only a few schedule ticks, so the
-    /// whole sweep finishes in seconds even on a busy runner.
+    /// Small run: ≥ 1,000 provers but only a few schedule ticks (the fleet
+    /// benchmark's warm-up fleet).
     pub fn quick(algorithm: MacAlgorithm) -> Self {
         Self::new(1_000, 4, 2, 1024, 4, algorithm)
-    }
-
-    /// Default full-size run.
-    pub fn full(algorithm: MacAlgorithm) -> Self {
-        Self::new(4_096, 8, 4, 4 * 1024, 4, algorithm)
     }
 
     /// Total measurements the schedule will produce when every device stays
@@ -312,7 +305,8 @@ pub struct FleetReport {
     /// by `devices_tracked × ring capacity`.
     pub history_resident: u64,
     /// Entries evicted from bounded rings into their sealed hash chains.
-    /// Conservation (checked by `ci/validate_perfbench.py`):
+    /// Conservation (checked on every benchmark rep and every
+    /// `fleet_determinism` run):
     /// `history_evictions + history_resident == history_entries`.
     pub history_evictions: u64,
     /// Arrivals discarded because they fell behind an already-sealed ring
@@ -323,8 +317,8 @@ pub struct FleetReport {
     pub chains_verified: u64,
     /// Resident verifier state across the merged hub, in bytes: per-device
     /// fixed struct size plus the retained entries: O(devices × capacity)
-    /// regardless of run length — the bound the million-prover run
-    /// demonstrates.
+    /// regardless of run length. `fleet_determinism` bounds it by
+    /// `devices × (1024 + 64 × capacity)` on every run.
     pub resident_state_bytes: u64,
     /// Hierarchical swarm aggregation built over the merged hub.
     pub aggregation: AggregationReport,
@@ -370,30 +364,20 @@ pub struct FleetReport {
     pub hub_crashes: u64,
     /// Total bytes of the recovery snapshots taken at those crashes.
     pub snapshot_bytes: u64,
-    /// Delivery bursts folded into shard hubs via `ingest_batch`.
-    pub hub_batches: u64,
-    /// Largest single delivery burst.
-    pub largest_batch: u64,
     /// Encoded collection batch frames ingested across all shards.
     pub wire_frames: u64,
     /// Total bytes of those frames, count headers included.
     pub wire_bytes: u64,
     /// Response records carried by the ingested frames.
     pub wire_responses: u64,
-    /// Frame-decoded responses whose reports the hubs accepted. On a
-    /// lossless wire run this equals `collections_ingested` — the validator
-    /// cross-checks it.
+    /// Frame-decoded responses whose reports the hubs accepted:
+    /// `decoded_accepted + on_demand_completed == collections_ingested`.
     pub decoded_accepted: u64,
-    /// Frames the strict decoder rejected. Always 0 for harness-encoded
-    /// frames; the field exists so the JSON schema matches the fuzz
-    /// harness's accounting.
-    pub decode_rejects: u64,
     /// Wall-clock time the slowest shard spent serializing frames
     /// (excluded from `verify_wall`).
     pub encode_wall: Duration,
     /// Wall-clock time of the slowest shard's frame-ingest spans (decode +
-    /// verify + hub fold, included in `verify_wall`): the denominator of
-    /// [`FleetReport::decode_mib_per_sec`].
+    /// verify + hub fold, included in `verify_wall`).
     pub wire_ingest_wall: Duration,
     /// On-demand requests issued across the fleet.
     pub on_demand_attempted: u64,
@@ -410,10 +394,6 @@ pub struct FleetReport {
     /// Multi-lane hash jobs executed across all shards (0 when `lanes` is
     /// 1 or no cohort filled a lane group).
     pub lane_jobs: u64,
-    /// Measurements that fell back to the scalar path as ragged cohort
-    /// remainders (fewer than 4 devices left after the lane groups);
-    /// scalar catch-up drains outside the cohort path are not counted.
-    pub lane_remainder: u64,
     /// Measurement events that went through the coalesced cohort path:
     /// every due device of a `MeasureCohort` firing counts once.
     pub events_scheduled: u64,
@@ -422,8 +402,8 @@ pub struct FleetReport {
     /// `(instant, cohort)` regardless of how many devices are due.
     pub singleton_events: u64,
     /// Queue slots *saved* by coalescing: measurement events that rode an
-    /// already-scheduled cohort slot. Conservation invariant (checked by
-    /// `ci/validate_perfbench.py`):
+    /// already-scheduled cohort slot. Conservation invariant (checked on
+    /// every benchmark rep and every `fleet_determinism` run):
     /// `coalesced_events + singleton_events == events_scheduled`.
     pub coalesced_events: u64,
     /// High-water mark of live pooled event payloads (collection responses
@@ -434,43 +414,8 @@ pub struct FleetReport {
     /// shards, `max_pending` the per-shard maximum, plus the calendar
     /// queue's bucket geometry.
     pub queue: QueueStats,
-    /// Scalar-vs-lane digest throughput probe, attached by `perfbench`
-    /// (`None` for plain `run_threaded` calls).
-    pub lane_speedup: Option<LaneSpeedup>,
     /// Per-shard breakdown, in shard order.
     pub shards: Vec<ShardReport>,
-}
-
-impl FleetReport {
-    /// Measurements per wall-clock second.
-    pub fn measurements_per_sec(&self) -> f64 {
-        per_second(self.measurements_total, self.measure_wall)
-    }
-
-    /// Verified measurements per wall-clock second.
-    pub fn verifications_per_sec(&self) -> f64 {
-        per_second(self.verifications_total, self.verify_wall)
-    }
-
-    /// Frame-ingest throughput in MiB/s: encoded bytes over the wall time
-    /// of the decode + verify + hub-fold spans.
-    pub fn decode_mib_per_sec(&self) -> f64 {
-        per_second(self.wire_bytes, self.wire_ingest_wall) / (1024.0 * 1024.0)
-    }
-}
-
-/// Smallest wall time a phase is credited with when computing rates. Quick
-/// runs on fast hosts can complete a phase below timer resolution; dividing
-/// by a raw zero used to report `0.0` throughput into `BENCH_fleet.json`,
-/// which downstream tooling reads as "infinitely slow". Clamping keeps the
-/// rate finite, positive and, at worst, *under*stated.
-const MIN_RATE_WALL: Duration = Duration::from_micros(1);
-
-fn per_second(count: u64, wall: Duration) -> f64 {
-    if count == 0 {
-        return 0.0;
-    }
-    count as f64 / wall.as_secs_f64().max(MIN_RATE_WALL.as_secs_f64())
 }
 
 /// The latency at quantile `q` (in `[0, 1]`) of a sorted sample.
@@ -592,20 +537,16 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
     let mut frame_lost_responses = 0u64;
     let mut hub_crashes = 0u64;
     let mut snapshot_bytes = 0u64;
-    let mut hub_batches = 0u64;
-    let mut largest_batch = 0u64;
     let mut wire_frames = 0u64;
     let mut wire_bytes = 0u64;
     let mut wire_responses = 0u64;
     let mut decoded_accepted = 0u64;
-    let mut decode_rejects = 0u64;
     let mut encode_wall = Duration::ZERO;
     let mut wire_ingest_wall = Duration::ZERO;
     let mut on_demand_attempted = 0u64;
     let mut on_demand_completed = 0u64;
     let mut devices_churned = 0u64;
     let mut lane_jobs = 0u64;
-    let mut lane_remainder = 0u64;
     let mut events_scheduled = 0u64;
     let mut singleton_events = 0u64;
     let mut coalesced_events = 0u64;
@@ -638,20 +579,16 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         frame_lost_responses += report.frame_lost_responses;
         hub_crashes += report.hub_crashes;
         snapshot_bytes += report.snapshot_bytes;
-        hub_batches += report.hub_batches;
-        largest_batch = largest_batch.max(report.largest_batch);
         wire_frames += report.wire_frames;
         wire_bytes += report.wire_bytes;
         wire_responses += report.wire_responses;
         decoded_accepted += report.wire_accepted;
-        decode_rejects += report.wire_decode_rejects;
         encode_wall = encode_wall.max(report.encode_wall);
         wire_ingest_wall = wire_ingest_wall.max(report.wire_ingest_wall);
         on_demand_attempted += report.on_demand_attempted;
         on_demand_completed += report.on_demand_completed;
         devices_churned += report.devices_churned;
         lane_jobs += report.lane_jobs;
-        lane_remainder += report.lane_remainder;
         events_scheduled += report.events_scheduled;
         singleton_events += report.singleton_events;
         coalesced_events += report.coalesced_events;
@@ -714,13 +651,10 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         hub_duplicates,
         hub_crashes,
         snapshot_bytes,
-        hub_batches,
-        largest_batch,
         wire_frames,
         wire_bytes,
         wire_responses,
         decoded_accepted,
-        decode_rejects,
         encode_wall,
         wire_ingest_wall,
         on_demand_attempted,
@@ -730,236 +664,13 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         on_demand_p99: percentile(&latencies, 0.99),
         devices_churned,
         lane_jobs,
-        lane_remainder,
         events_scheduled,
         singleton_events,
         coalesced_events,
         event_pool_high_water,
         queue,
-        lane_speedup: None,
         shards: shard_reports,
     }
-}
-
-/// Renders one report as the JSON object used inside `BENCH_fleet.json`.
-pub fn report_json(report: &FleetReport, indent: &str) -> String {
-    let per_thread: Vec<String> = report
-        .shards
-        .iter()
-        .map(|shard| shard.to_json(&format!("{indent}    ")))
-        .collect();
-    format!(
-        "{indent}{{\n\
-         {indent}  \"algorithm\": \"{alg}\",\n\
-         {indent}  \"provers\": {provers},\n\
-         {indent}  \"measurements_per_round\": {mpr},\n\
-         {indent}  \"rounds\": {rounds},\n\
-         {indent}  \"memory_bytes\": {memory},\n\
-         {indent}  \"stagger_groups\": {groups},\n\
-         {indent}  \"threads\": {threads},\n\
-         {indent}  \"lanes\": {lanes},\n\
-         {indent}  \"seed\": {seed},\n\
-         {indent}  \"network\": {{ \"latency_ms\": {lat:.3}, \"jitter_ms\": {jit:.3}, \"loss\": {loss}, \
-         \"duplicate\": {dup}, \"reorder\": {reord}, \"corrupt\": {corr} }},\n\
-         {indent}  \"churn\": {churn},\n\
-         {indent}  \"measurements_total\": {mt},\n\
-         {indent}  \"verifications_total\": {vt},\n\
-         {indent}  \"measure_wall_secs\": {mw:.6},\n\
-         {indent}  \"verify_wall_secs\": {vw:.6},\n\
-         {indent}  \"measurements_per_sec\": {mps:.1},\n\
-         {indent}  \"verifications_per_sec\": {vps:.1},\n\
-         {indent}  \"simulated_busy_secs\": {busy:.3},\n\
-         {indent}  \"all_healthy\": {healthy},\n\
-         {indent}  \"devices_tracked\": {tracked},\n\
-         {indent}  \"history_entries\": {entries},\n\
-         {indent}  \"history\": {{ \"ring_capacity\": {h_cap}, \
-         \"resident\": {h_res}, \"evictions\": {h_evict}, \"stale_discards\": {h_stale}, \
-         \"chains_verified\": {h_chains}, \"resident_state_bytes\": {h_bytes} }},\n\
-         {indent}  \"aggregation\": {{ \"fanout\": {a_fanout}, \"leaves\": {a_leaves}, \
-         \"nodes\": {a_nodes}, \"depth\": {a_depth}, \"healthy_devices\": {a_healthy}, \
-         \"root_entries\": {a_entries}, \"root_digest\": \"{a_digest}\" }},\n\
-         {indent}  \"collections_ingested\": {ingested},\n\
-         {indent}  \"collections\": {{ \"attempted\": {att}, \"delivered\": {del}, \"dropped\": {dropped} }},\n\
-         {indent}  \"hub_batches\": {batches},\n\
-         {indent}  \"largest_batch\": {largest},\n\
-         {indent}  \"wire\": {{ \"frames\": {wframes}, \"bytes\": {wbytes}, \
-         \"responses\": {wresp}, \"decoded_accepted\": {waccepted}, \"decode_rejects\": {wrejects}, \
-         \"encode_wall_secs\": {wenc:.6}, \"ingest_wall_secs\": {wing:.6}, \
-         \"decode_mib_per_sec\": {wmibs:.3} }},\n\
-         {indent}  \"lane_jobs\": {lane_jobs},\n\
-         {indent}  \"lane_remainder\": {lane_remainder},\n\
-         {indent}  \"lane_speedup\": {lane_speedup},\n\
-         {indent}  \"events\": {{ \"scheduled\": {ev_sched}, \"singleton\": {ev_single}, \
-         \"coalesced\": {ev_coal}, \"pool_high_water\": {ev_pool}, \
-         \"queue_pushes\": {q_push}, \"queue_pops\": {q_pop}, \
-         \"queue_overflow_pushes\": {q_ovf}, \"queue_max_pending\": {q_max}, \
-         \"queue_buckets\": {q_buckets}, \"queue_bucket_width_nanos\": {q_width} }},\n\
-         {indent}  \"devices_churned\": {churned},\n\
-         {indent}  \"on_demand\": {{ \"attempted\": {od_att}, \"completed\": {od_done}, \
-         \"latency_ms_p50\": {p50:.3}, \"latency_ms_p90\": {p90:.3}, \"latency_ms_p99\": {p99:.3} }},\n\
-         {indent}  \"reliability\": {{\n\
-         {indent}    \"retries\": {retries},\n\
-         {indent}    \"collect\": {{ \"attempted\": {att}, \"unique_accepted\": {del}, \
-         \"retransmits\": {c_rtx}, \"exhausted_retries\": {c_exh}, \"churn_losses\": {c_churn}, \
-         \"stale_retries\": {c_stale}, \"reorders\": {c_reord}, \"retry_histogram\": [{histogram}] }},\n\
-         {indent}    \"frame\": {{ \"retransmits\": {f_rtx}, \"duplicates_injected\": {f_dup}, \
-         \"corrupt_decode\": {f_cdec}, \"corrupt_tamper\": {f_ctam}, \"exhausted\": {f_exh}, \
-         \"lost_responses\": {f_lost} }},\n\
-         {indent}    \"hub\": {{ \"duplicates_dropped\": {h_dup}, \"crashes\": {h_crash}, \
-         \"snapshot_bytes\": {h_snap} }}\n\
-         {indent}  }},\n\
-         {indent}  \"per_thread\": [\n{pt}\n{indent}  ]\n\
-         {indent}}}",
-        alg = report.config.algorithm,
-        provers = report.config.provers,
-        mpr = report.config.measurements_per_round,
-        rounds = report.config.rounds,
-        memory = report.config.memory_bytes,
-        groups = report.config.stagger_groups,
-        threads = report.threads,
-        lanes = lanes::effective_width(report.config.lanes),
-        seed = report.config.seed,
-        lat = report.config.network.base_latency.as_millis_f64(),
-        jit = report.config.network.jitter.as_millis_f64(),
-        loss = report.config.network.loss,
-        dup = report.config.network.duplicate,
-        reord = report.config.network.reorder,
-        corr = report.config.network.corrupt,
-        churn = report.config.churn,
-        mt = report.measurements_total,
-        vt = report.verifications_total,
-        mw = report.measure_wall.as_secs_f64(),
-        vw = report.verify_wall.as_secs_f64(),
-        mps = report.measurements_per_sec(),
-        vps = report.verifications_per_sec(),
-        busy = report.simulated_busy.as_secs_f64(),
-        healthy = report.all_healthy,
-        tracked = report.devices_tracked,
-        entries = report.history_entries,
-        h_cap = report.config.history.capacity(),
-        h_res = report.history_resident,
-        h_evict = report.history_evictions,
-        h_stale = report.history_stale_discards,
-        h_chains = report.chains_verified,
-        h_bytes = report.resident_state_bytes,
-        a_fanout = report.aggregation.fanout,
-        a_leaves = report.aggregation.leaves,
-        a_nodes = report.aggregation.nodes,
-        a_depth = report.aggregation.depth,
-        a_healthy = report.aggregation.healthy_devices,
-        a_entries = report.aggregation.root_entries,
-        a_digest = report.aggregation.root_digest,
-        ingested = report.collections_ingested,
-        att = report.collections_attempted,
-        del = report.collections_delivered,
-        dropped = report.collections_dropped,
-        batches = report.hub_batches,
-        largest = report.largest_batch,
-        wframes = report.wire_frames,
-        wbytes = report.wire_bytes,
-        wresp = report.wire_responses,
-        waccepted = report.decoded_accepted,
-        wrejects = report.decode_rejects,
-        wenc = report.encode_wall.as_secs_f64(),
-        wing = report.wire_ingest_wall.as_secs_f64(),
-        wmibs = report.decode_mib_per_sec(),
-        lane_jobs = report.lane_jobs,
-        lane_remainder = report.lane_remainder,
-        ev_sched = report.events_scheduled,
-        ev_single = report.singleton_events,
-        ev_coal = report.coalesced_events,
-        ev_pool = report.event_pool_high_water,
-        q_push = report.queue.pushes,
-        q_pop = report.queue.pops,
-        q_ovf = report.queue.overflow_pushes,
-        q_max = report.queue.max_pending,
-        q_buckets = report.queue.buckets,
-        q_width = report.queue.bucket_width_nanos,
-        lane_speedup = report
-            .lane_speedup
-            .as_ref()
-            .map_or_else(|| "null".to_owned(), LaneSpeedup::to_json),
-        churned = report.devices_churned,
-        od_att = report.on_demand_attempted,
-        od_done = report.on_demand_completed,
-        p50 = report.on_demand_p50.as_millis_f64(),
-        p90 = report.on_demand_p90.as_millis_f64(),
-        p99 = report.on_demand_p99.as_millis_f64(),
-        retries = report.config.retries,
-        c_rtx = report.collect_retransmits,
-        c_exh = report.exhausted_retries,
-        c_churn = report.churn_losses,
-        c_stale = report.stale_retries,
-        c_reord = report.reorders,
-        histogram = report
-            .retry_histogram
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-        f_rtx = report.frame_retransmits,
-        f_dup = report.frame_duplicates,
-        f_cdec = report.corrupt_decode_drops,
-        f_ctam = report.corrupt_tamper_drops,
-        f_exh = report.frames_exhausted,
-        f_lost = report.frame_lost_responses,
-        h_dup = report.hub_duplicates,
-        h_crash = report.hub_crashes,
-        h_snap = report.snapshot_bytes,
-        pt = per_thread.join(",\n"),
-    )
-}
-
-/// Renders the whole `BENCH_fleet.json` document for a set of per-algorithm
-/// runs sharing one mode label, plus the 1→N scaling sweep.
-pub fn document_json(
-    mode: &str,
-    threads: usize,
-    reports: &[FleetReport],
-    sweep: &[scaling::ScalingPoint],
-) -> String {
-    let provers = reports.first().map_or(0, |r| r.config.provers);
-    let seed = reports.first().map_or(DEFAULT_SEED, |r| r.config.seed);
-    let lane_width = reports
-        .first()
-        .map_or(1, |r| lanes::effective_width(r.config.lanes));
-    let ring_capacity = reports
-        .first()
-        .map_or(HistoryMode::default(), |r| r.config.history)
-        .capacity();
-    let entries: Vec<String> = reports.iter().map(|r| report_json(r, "    ")).collect();
-    let scaling_entries: Vec<String> = sweep.iter().map(|point| point.to_json("    ")).collect();
-    format!(
-        "{{\n  \"schema\": \"erasmus-perfbench/v9\",\n  \"mode\": \"{mode}\",\n  \
-         \"provers\": {provers},\n  \"threads\": {threads},\n  \"lanes\": {lane_width},\n  \
-         \"ring_capacity\": {ring_capacity},\n  \"seed\": {seed},\n  \
-         \"results\": [\n{}\n  ],\n  \"scaling\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
-        scaling_entries.join(",\n"),
-    )
-}
-
-/// Renders a human-readable summary table.
-pub fn render(reports: &[FleetReport]) -> String {
-    let mut out = String::from(
-        "Fleet throughput (host wall-clock)\n\
-         algorithm       provers  threads  measurements     meas/s     verifs     verif/s  delivered/attempted\n",
-    );
-    for report in reports {
-        out.push_str(&format!(
-            "{:<15} {:>7}  {:>7}  {:>12}  {:>9.0}  {:>9}  {:>10.0}  {:>9}/{}\n",
-            report.config.algorithm.to_string(),
-            report.config.provers,
-            report.threads,
-            report.measurements_total,
-            report.measurements_per_sec(),
-            report.verifications_total,
-            report.verifications_per_sec(),
-            report.collections_delivered,
-            report.collections_attempted,
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1015,7 +726,6 @@ mod tests {
         // decoded_accepted` on a lossless run.
         assert_eq!(report.wire_responses, report.collections_delivered);
         assert_eq!(report.decoded_accepted, report.collections_ingested);
-        assert_eq!(report.decode_rejects, 0);
         assert!(report.wire_frames >= 1);
         assert!(report.wire_bytes > 0);
     }
@@ -1025,8 +735,10 @@ mod tests {
         for alg in MacAlgorithm::ALL {
             let report = run(&tiny(alg));
             assert!(report.all_healthy, "{alg}");
-            assert!(report.measurements_per_sec() > 0.0, "{alg}");
-            assert!(report.verifications_per_sec() > 0.0, "{alg}");
+            assert_eq!(
+                report.verifications_total, report.measurements_total,
+                "{alg}"
+            );
         }
     }
 
@@ -1233,15 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn per_second_is_positive_even_below_timer_resolution() {
-        // The regression: a quick phase finishing in "zero" wall time used
-        // to serialize measurements_per_sec = 0.0 into BENCH_fleet.json.
-        assert!(per_second(1_000, Duration::ZERO) > 0.0);
-        assert_eq!(per_second(0, Duration::ZERO), 0.0);
-        assert_eq!(per_second(10, Duration::from_secs(2)), 5.0);
-    }
-
-    #[test]
     fn percentiles_of_empty_and_singleton_samples() {
         assert_eq!(percentile(&[], 0.5), SimDuration::ZERO);
         let one = [SimDuration::from_millis(7)];
@@ -1264,84 +967,6 @@ mod tests {
         );
         assert_eq!(report.devices_tracked, config.provers);
         let _ = DeviceId::new(0); // device ids are dense 0..provers by construction
-    }
-
-    #[test]
-    fn json_document_shape() {
-        let report = run_threaded(&tiny(MacAlgorithm::KeyedBlake2s), 2);
-        let sweep = vec![scaling::ScalingPoint {
-            threads: 1,
-            measurements_per_sec: report.measurements_per_sec(),
-            verifications_per_sec: report.verifications_per_sec(),
-            speedup: 1.0,
-        }];
-        let doc = document_json("test", 2, std::slice::from_ref(&report), &sweep);
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.contains("\"schema\": \"erasmus-perfbench/v9\""));
-        assert!(doc.contains("\"ring_capacity\": 64,\n"));
-        assert!(doc.contains(
-            "\"history\": { \"ring_capacity\": 64, \"resident\": 32, \
-             \"evictions\": 0, \"stale_discards\": 0, \"chains_verified\": 8, \
-             \"resident_state_bytes\": "
-        ));
-        // The retired runtime switches left the schema.
-        for retired in ["\"delivery\"", "\"scheduler\"", "\"mode\": \"ring\""] {
-            assert!(!doc.contains(retired), "{retired}");
-        }
-        assert!(doc.contains(
-            "\"aggregation\": { \"fanout\": 64, \"leaves\": 8, \
-             \"nodes\": 9, \"depth\": 2, \"healthy_devices\": 8, \"root_entries\": 32, \
-             \"root_digest\": \""
-        ));
-        assert!(doc.contains("\"events\": {"));
-        assert!(doc.contains("\"pool_high_water\""));
-        assert!(doc.contains("\"queue_overflow_pushes\""));
-        assert!(doc.contains("\"queue_buckets\": 1024"));
-        assert!(doc.contains("\"wire\": {"));
-        assert!(doc.contains("\"decoded_accepted\""));
-        assert!(doc.contains("\"decode_rejects\": 0"));
-        assert!(doc.contains("\"decode_mib_per_sec\""));
-        assert!(doc.contains("\"lanes\": 1"));
-        assert!(doc.contains("\"lane_jobs\": 0"));
-        assert!(doc.contains("\"lane_speedup\": null"));
-        assert!(doc.contains("\"mode\": \"test\""));
-        assert!(doc.contains("\"provers\": 8"));
-        assert!(doc.contains("\"threads\": 2"));
-        assert!(doc.contains(&format!("\"seed\": {DEFAULT_SEED}")));
-        assert!(doc.contains(
-            "\"network\": { \"latency_ms\": 0.000, \"jitter_ms\": 0.000, \"loss\": 0, \
-             \"duplicate\": 0, \"reorder\": 0, \"corrupt\": 0 }"
-        ));
-        assert!(doc.contains("\"measurements_per_sec\""));
-        assert!(doc.contains("\"verifications_per_sec\""));
-        assert!(doc.contains("\"algorithm\": \"Keyed BLAKE2S\""));
-        assert!(doc
-            .contains("\"collections\": { \"attempted\": 16, \"delivered\": 16, \"dropped\": 0 }"));
-        assert!(doc.contains("\"on_demand\""));
-        assert!(doc.contains("\"latency_ms_p99\""));
-        assert!(doc.contains("\"reliability\": {"));
-        assert!(doc.contains("\"retries\": 0"));
-        assert!(doc.contains(
-            "\"collect\": { \"attempted\": 16, \"unique_accepted\": 16, \"retransmits\": 0, \
-             \"exhausted_retries\": 0, \"churn_losses\": 0, \"stale_retries\": 0, \
-             \"reorders\": 0, \"retry_histogram\": [16] }"
-        ));
-        assert!(doc.contains(
-            "\"frame\": { \"retransmits\": 0, \"duplicates_injected\": 0, \"corrupt_decode\": 0, \
-             \"corrupt_tamper\": 0, \"exhausted\": 0, \"lost_responses\": 0 }"
-        ));
-        assert!(doc.contains(
-            "\"hub\": { \"duplicates_dropped\": 0, \"crashes\": 0, \"snapshot_bytes\": 0 }"
-        ));
-        assert!(doc.contains("\"hub_batches\""));
-        assert!(doc.contains("\"per_thread\""));
-        assert!(doc.contains("\"shard\": 0"));
-        assert!(doc.contains("\"scaling\""));
-        assert!(doc.contains("\"speedup\": 1.00"));
-        assert!(doc.contains("\"devices_tracked\": 8"));
-        // Balanced braces/brackets — the cheap structural JSON check.
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count(), "{doc}");
-        assert_eq!(doc.matches('[').count(), doc.matches(']').count());
     }
 
     #[test]
@@ -1373,15 +998,6 @@ mod tests {
     }
 
     #[test]
-    fn render_mentions_each_algorithm() {
-        let reports: Vec<FleetReport> = MacAlgorithm::ALL.iter().map(|&a| run(&tiny(a))).collect();
-        let text = render(&reports);
-        for alg in MacAlgorithm::ALL {
-            assert!(text.contains(&alg.to_string()), "{text}");
-        }
-    }
-
-    #[test]
     fn on_demand_plan_is_sorted_and_in_range() {
         let mut config = tiny(MacAlgorithm::HmacSha256);
         config.on_demand = 32;
@@ -1406,7 +1022,5 @@ mod tests {
     fn quick_config_meets_the_fleet_floor() {
         let quick = FleetConfig::quick(MacAlgorithm::HmacSha256);
         assert!(quick.provers >= 1_000);
-        let full = FleetConfig::full(MacAlgorithm::HmacSha256);
-        assert!(full.provers >= quick.provers);
     }
 }

@@ -291,7 +291,6 @@ struct RunState {
     wire_bytes: u64,
     wire_responses: u64,
     wire_accepted: u64,
-    wire_decode_rejects: u64,
     encode_wall: Duration,
     wire_ingest_wall: Duration,
     /// Reusable frame buffer, so steady-state encoding allocates nothing.
@@ -367,7 +366,6 @@ impl RunState {
             wire_bytes: 0,
             wire_responses: 0,
             wire_accepted: 0,
-            wire_decode_rejects: 0,
             encode_wall: Duration::ZERO,
             wire_ingest_wall: Duration::ZERO,
             frame_buf: Vec::new(),
@@ -521,10 +519,6 @@ pub struct ShardReport {
     pub wire_responses: u64,
     /// Frame-decoded responses whose reports the hub accepted.
     pub wire_accepted: u64,
-    /// Frames the strict decoder rejected — always 0 for the shard's own
-    /// well-formed frames; tracked so the fleet report's accounting
-    /// mirrors the fuzz harness's.
-    pub wire_decode_rejects: u64,
     /// Wall-clock time spent serializing frames (not part of
     /// `verify_wall`).
     pub encode_wall: Duration,
@@ -563,54 +557,6 @@ pub struct ShardReport {
     pub event_pool_high_water: u64,
     /// Lifetime counters of the shard engine's event queue.
     pub queue: QueueStats,
-}
-
-impl ShardReport {
-    /// Renders the shard as one JSON object of the `per_thread` array.
-    pub fn to_json(&self, indent: &str) -> String {
-        format!(
-            "{indent}{{ \"shard\": {shard}, \"provers\": {provers}, \
-             \"measurements\": {meas}, \"verifications\": {verif}, \
-             \"measure_wall_secs\": {mw:.6}, \"verify_wall_secs\": {vw:.6}, \
-             \"collections_attempted\": {att}, \"collections_delivered\": {del}, \
-             \"collections_dropped\": {drop}, \"hub_batches\": {batches}, \
-             \"largest_batch\": {largest}, \"wire_frames\": {wframes}, \
-             \"wire_bytes\": {wbytes}, \"wire_accepted\": {waccepted}, \
-             \"encode_wall_secs\": {wenc:.6}, \"wire_ingest_wall_secs\": {wing:.6}, \
-             \"lane_jobs\": {lane_jobs}, \
-             \"events_scheduled\": {ev_sched}, \"singleton_events\": {ev_single}, \
-             \"coalesced_events\": {ev_coal}, \"event_pool_high_water\": {pool_hw}, \
-             \"queue_pushes\": {q_push}, \"queue_pops\": {q_pop}, \
-             \"queue_overflow_pushes\": {q_ovf}, \"queue_max_pending\": {q_max}, \
-             \"all_healthy\": {healthy} }}",
-            shard = self.shard,
-            provers = self.provers,
-            meas = self.measurements,
-            verif = self.verifications,
-            mw = self.measure_wall.as_secs_f64(),
-            vw = self.verify_wall.as_secs_f64(),
-            att = self.collections_attempted,
-            del = self.collections_delivered,
-            drop = self.collections_dropped,
-            batches = self.hub_batches,
-            largest = self.largest_batch,
-            wframes = self.wire_frames,
-            wbytes = self.wire_bytes,
-            waccepted = self.wire_accepted,
-            wenc = self.encode_wall.as_secs_f64(),
-            wing = self.wire_ingest_wall.as_secs_f64(),
-            lane_jobs = self.lane_jobs,
-            ev_sched = self.events_scheduled,
-            ev_single = self.singleton_events,
-            ev_coal = self.coalesced_events,
-            pool_hw = self.event_pool_high_water,
-            q_push = self.queue.pushes,
-            q_pop = self.queue.pops,
-            q_ovf = self.queue.overflow_pushes,
-            q_max = self.queue.max_pending,
-            healthy = self.all_healthy,
-        )
-    }
 }
 
 impl Shard {
@@ -879,7 +825,6 @@ impl Shard {
             wire_bytes: state.wire_bytes,
             wire_responses: state.wire_responses,
             wire_accepted: state.wire_accepted,
-            wire_decode_rejects: state.wire_decode_rejects,
             encode_wall: state.encode_wall,
             wire_ingest_wall: state.wire_ingest_wall,
             on_demand_attempted: state.od_attempted,
@@ -1843,18 +1788,6 @@ mod tests {
         assert_eq!(report.measurements, 0);
         assert!(report.all_healthy);
         assert!(shard.into_hub().is_empty());
-    }
-
-    #[test]
-    fn shard_report_json_is_balanced() {
-        let config = config();
-        let mut shard = shard_for(&config, 0..2, 0);
-        let text = shard.run(&config).to_json("  ");
-        assert!(text.contains("\"shard\": 0"));
-        assert!(text.contains("\"provers\": 2"));
-        assert!(text.contains("\"collections_delivered\": 4")); // 2 devices × 2 rounds
-        assert!(text.contains("\"hub_batches\""));
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
     }
 
     /// A faulty-but-retried config used by the recovery tests: every fault

@@ -1,12 +1,13 @@
 //! The sharded fleet engine must be a pure partition of the work: thread
 //! count changes wall-clock, never the simulated protocol. These tests pin
-//! the determinism contract the `BENCH_fleet.json` scaling sweep relies
-//! on — including for lossy, churning and on-demand timelines, whose
-//! per-device draws are keyed by the global device index and therefore
-//! independent of the partition — and pin lossless runs against a serial
-//! oracle that calls the protocol directly, with no engine and no codec.
+//! the determinism contract the fleet benchmark's goldens rely on —
+//! including for lossy, churning and on-demand timelines, whose per-device
+//! draws are keyed by the global device index and therefore independent of
+//! the partition — and pin lossless runs against a serial oracle that calls
+//! the protocol directly, with no engine and no codec. Every run also goes
+//! through [`run`], which checks the report's ledger laws.
 
-use erasmus_bench::fleet::{self, scaling, FleetConfig, FleetReport};
+use erasmus_bench::fleet::{self, FleetConfig, FleetReport};
 use erasmus_core::{
     CollectionRequest, DeviceId, HistoryMode, Prover, ProverConfig, Verifier, VerifierHub,
 };
@@ -14,6 +15,130 @@ use erasmus_crypto::MacAlgorithm;
 use erasmus_hw::{DeviceKey, DeviceProfile};
 use erasmus_sim::{NetworkConfig, SimDuration, SimTime};
 use erasmus_swarm::{digest_hex, AggregationTree};
+
+/// Runs `config` on `threads` workers and checks the laws every fleet
+/// report must satisfy, whatever the scenario: each ledger conserves, the
+/// resident state stays bounded by the ring, the aggregation covers every
+/// device once, and the shards add up to the fleet.
+fn run(config: &FleetConfig, threads: usize) -> FleetReport {
+    let report = fleet::run_threaded(config, threads);
+    let at = format!(
+        "{} seed={} threads={threads} lanes={}",
+        config.algorithm, config.seed, config.lanes
+    );
+    let delivered = report.collections_delivered;
+
+    // Collect hop: every attempt ends in exactly one bucket, and the retry
+    // histogram partitions the deliveries.
+    assert_eq!(
+        delivered + report.exhausted_retries + report.churn_losses + report.stale_retries,
+        report.collections_attempted,
+        "collect ledger, {at}"
+    );
+    assert_eq!(
+        report.collections_dropped,
+        report.exhausted_retries + report.churn_losses + report.stale_retries,
+        "dropped split, {at}"
+    );
+    assert_eq!(
+        report.retry_histogram.len(),
+        config.retries as usize + 1,
+        "retry histogram buckets, {at}"
+    );
+    assert_eq!(
+        report.retry_histogram.iter().sum::<u64>(),
+        delivered,
+        "retry histogram sum, {at}"
+    );
+
+    // Frame hop and hub: exactly-once ingest, and every delivered
+    // collection crossed the wire.
+    assert_eq!(
+        report.hub_duplicates, report.frame_duplicates,
+        "hub dedup, {at}"
+    );
+    assert_eq!(
+        report.collections_ingested + report.frame_lost_responses,
+        delivered + report.on_demand_completed,
+        "hub ingest, {at}"
+    );
+    assert_eq!(report.wire_responses, delivered, "wire responses, {at}");
+    assert_eq!(
+        report.decoded_accepted + report.on_demand_completed,
+        report.collections_ingested,
+        "decoded accepts, {at}"
+    );
+
+    // Retention: lifetime entries conserve across eviction, and resident
+    // state is bounded by the ring, not by the run length.
+    let devices = report.devices_tracked as u64;
+    let capacity = config.history.capacity() as u64;
+    assert_eq!(
+        report.history_evictions + report.history_resident,
+        report.history_entries,
+        "retention ledger, {at}"
+    );
+    assert!(
+        report.history_resident <= devices * capacity,
+        "resident entries over devices × capacity, {at}"
+    );
+    assert!(
+        report.resident_state_bytes <= devices * (1024 + 64 * capacity),
+        "resident bytes over devices × (1024 + 64 × capacity), {at}"
+    );
+
+    // Aggregation: every device's chain verifies and is one leaf.
+    assert_eq!(report.chains_verified, devices, "chains verified, {at}");
+    assert_eq!(
+        report.aggregation.leaves, report.devices_tracked,
+        "aggregation leaves, {at}"
+    );
+    assert_eq!(
+        report.aggregation.root_entries, report.history_entries,
+        "aggregation root entries, {at}"
+    );
+
+    // Event runtime: the coalescing ledger conserves and the queue drains.
+    assert_eq!(
+        report.coalesced_events + report.singleton_events,
+        report.events_scheduled,
+        "coalescing ledger, {at}"
+    );
+    assert_eq!(report.queue.pushes, report.queue.pops, "queue drain, {at}");
+
+    // The shards add up to the fleet.
+    let shards = &report.shards;
+    assert_eq!(shards.len(), report.threads, "shard count, {at}");
+    let sum = |field: fn(&fleet::ShardReport) -> u64| shards.iter().map(field).sum::<u64>();
+    for (what, shard_sum, total) in [
+        ("provers", sum(|s| s.provers as u64), config.provers as u64),
+        (
+            "measurements",
+            sum(|s| s.measurements),
+            report.measurements_total,
+        ),
+        (
+            "attempted",
+            sum(|s| s.collections_attempted),
+            report.collections_attempted,
+        ),
+        ("delivered", sum(|s| s.collections_delivered), delivered),
+        ("wire_frames", sum(|s| s.wire_frames), report.wire_frames),
+        (
+            "wire_accepted",
+            sum(|s| s.wire_accepted),
+            report.decoded_accepted,
+        ),
+        (
+            "events_scheduled",
+            sum(|s| s.events_scheduled),
+            report.events_scheduled,
+        ),
+    ] {
+        assert_eq!(shard_sum, total, "per-shard {what}, {at}");
+    }
+    report
+}
 
 fn config(algorithm: MacAlgorithm) -> FleetConfig {
     FleetConfig::new(96, 3, 2, 512, 4, algorithm)
@@ -55,8 +180,8 @@ fn faulty_config() -> FleetConfig {
 #[test]
 fn threaded_and_single_threaded_runs_are_identical() {
     let config = config(MacAlgorithm::HmacSha256);
-    let single = fleet::run_threaded(&config, 1);
-    let threaded = fleet::run_threaded(&config, 4);
+    let single = run(&config, 1);
+    let threaded = run(&config, 4);
 
     assert_eq!(single.threads, 1);
     assert_eq!(threaded.threads, 4);
@@ -74,9 +199,6 @@ fn threaded_and_single_threaded_runs_are_identical() {
     assert_eq!(single.collections_ingested, threaded.collections_ingested);
 
     assert_eq!(single.measurements_total, config.total_measurements());
-    assert_eq!(threaded.shards.len(), 4);
-    let shard_sum: u64 = threaded.shards.iter().map(|s| s.measurements).sum();
-    assert_eq!(shard_sum, threaded.measurements_total);
 }
 
 #[test]
@@ -87,7 +209,7 @@ fn default_flags_reproduce_the_phase_loop_totals() {
     // at 1 and 4 threads.
     let config = config(MacAlgorithm::HmacSha256);
     for threads in [1usize, 4] {
-        let report = fleet::run_threaded(&config, threads);
+        let report = run(&config, threads);
         assert_eq!(
             report.measurements_total,
             config.total_measurements(),
@@ -113,8 +235,8 @@ fn default_flags_reproduce_the_phase_loop_totals() {
 fn determinism_holds_for_every_algorithm() {
     for alg in MacAlgorithm::ALL {
         let config = config(alg);
-        let single = fleet::run_threaded(&config, 1);
-        let threaded = fleet::run_threaded(&config, 3);
+        let single = run(&config, 1);
+        let threaded = run(&config, 3);
         assert_eq!(
             single.measurements_total, threaded.measurements_total,
             "{alg}"
@@ -130,9 +252,9 @@ fn determinism_holds_for_every_algorithm() {
 #[test]
 fn lossy_runs_are_deterministic_and_conserve_attempts() {
     let config = lossy_config();
-    let first = fleet::run_threaded(&config, 1);
-    let again = fleet::run_threaded(&config, 1);
-    let threaded = fleet::run_threaded(&config, 4);
+    let first = run(&config, 1);
+    let again = run(&config, 1);
+    let threaded = run(&config, 4);
 
     // Same seed → same packet fates, run to run and thread count to thread
     // count.
@@ -143,12 +265,8 @@ fn lossy_runs_are_deterministic_and_conserve_attempts() {
     assert_eq!(first.verifications_total, threaded.verifications_total);
     assert_eq!(first.history_entries, threaded.history_entries);
 
-    // Conservation: every scheduled attempt is either delivered or dropped,
-    // and the hub ingested exactly the delivered ones.
-    assert_eq!(
-        first.collections_delivered + first.collections_dropped,
-        first.collections_attempted
-    );
+    // Every scheduled attempt was made, and the hub ingested exactly the
+    // delivered ones (`run` checks the ledger splits them).
     assert_eq!(
         first.collections_attempted,
         config.total_collection_attempts()
@@ -164,11 +282,7 @@ fn lossy_runs_are_deterministic_and_conserve_attempts() {
     // A different seed draws different fates.
     let mut reseeded = config.clone();
     reseeded.seed = 1337;
-    let other = fleet::run_threaded(&reseeded, 1);
-    assert_eq!(
-        other.collections_delivered + other.collections_dropped,
-        other.collections_attempted
-    );
+    let other = run(&reseeded, 1);
     assert_ne!(other.collections_delivered, first.collections_delivered);
 }
 
@@ -186,8 +300,8 @@ fn churn_and_on_demand_stay_thread_invariant() {
     };
     config.seed = 7;
 
-    let single = fleet::run_threaded(&config, 1);
-    let threaded = fleet::run_threaded(&config, 4);
+    let single = run(&config, 1);
+    let threaded = run(&config, 4);
 
     assert_eq!(single.measurements_total, threaded.measurements_total);
     assert_eq!(single.verifications_total, threaded.verifications_total);
@@ -205,10 +319,6 @@ fn churn_and_on_demand_stay_thread_invariant() {
     assert_eq!(single.on_demand_attempted, 24);
     assert!(single.on_demand_completed > 0);
     assert!(single.on_demand_p50 <= single.on_demand_p99);
-    assert_eq!(
-        single.collections_delivered + single.collections_dropped,
-        single.collections_attempted
-    );
     // Churned devices skip part of their schedule.
     assert!(single.measurements_total < config.total_measurements() + 24);
     assert!(single.all_healthy, "gaps must not read as compromise");
@@ -221,13 +331,13 @@ fn lane_batched_runs_reproduce_scalar_totals_bit_for_bit() {
     // coverage for every algorithm, at 1 and 4 threads, at width 4 and 8.
     for alg in MacAlgorithm::ALL {
         let scalar_config = config(alg);
-        let scalar = fleet::run_threaded(&scalar_config, 1);
+        let scalar = run(&scalar_config, 1);
         assert_eq!(scalar.lane_jobs, 0);
         for lanes in [4usize, 8] {
             for threads in [1usize, 4] {
                 let mut config = scalar_config.clone();
                 config.lanes = lanes;
-                let report = fleet::run_threaded(&config, threads);
+                let report = run(&config, threads);
                 let label = format!("{alg} lanes={lanes} threads={threads}");
                 assert_eq!(
                     report.measurements_total, scalar.measurements_total,
@@ -269,12 +379,12 @@ fn lane_batched_scenario_runs_stay_thread_and_lane_invariant() {
     };
     base.seed = 9;
 
-    let scalar = fleet::run_threaded(&base, 1);
+    let scalar = run(&base, 1);
     for lanes in [4usize, 8] {
         let mut config = base.clone();
         config.lanes = lanes;
-        let single = fleet::run_threaded(&config, 1);
-        let threaded = fleet::run_threaded(&config, 4);
+        let single = run(&config, 1);
+        let threaded = run(&config, 4);
         for (report, label) in [
             (&single, format!("lanes={lanes} threads=1")),
             (&threaded, format!("lanes={lanes} threads=4")),
@@ -417,21 +527,10 @@ fn lossless_runs_match_the_serial_oracle_at_every_thread_count_and_lane_width() 
         for threads in [1usize, 2, 4] {
             let mut config = base.clone();
             config.lanes = lanes;
-            let report = fleet::run_threaded(&config, threads);
+            let report = run(&config, threads);
             let label = format!("lanes={lanes} threads={threads}");
             assert_eq!(Outcome::of(&report), expected, "{label}");
             assert!(report.all_healthy, "{label}");
-            assert_eq!(report.chains_verified, config.provers as u64, "{label}");
-            // Every collection crossed the wire and decoded losslessly.
-            assert_eq!(
-                report.wire_responses, report.collections_delivered,
-                "{label}"
-            );
-            assert_eq!(
-                report.decoded_accepted, report.collections_ingested,
-                "{label}"
-            );
-            assert_eq!(report.decode_rejects, 0, "{label}");
         }
     }
 }
@@ -439,7 +538,7 @@ fn lossless_runs_match_the_serial_oracle_at_every_thread_count_and_lane_width() 
 #[test]
 fn hub_tracks_every_device_exactly_once_at_fleet_scale() {
     let config = config(MacAlgorithm::KeyedBlake2s);
-    let report = fleet::run_threaded(&config, 4);
+    let report = run(&config, 4);
     // Per-device isolation: 96 devices × 3 measurements × 2 rounds, no
     // entry leaked into a neighbour's history and none double-counted.
     assert_eq!(report.devices_tracked, config.provers);
@@ -454,25 +553,12 @@ fn hub_tracks_every_device_exactly_once_at_fleet_scale() {
 fn more_stagger_groups_than_provers_is_well_defined_at_scale() {
     let mut config = FleetConfig::new(5, 2, 2, 256, 64, MacAlgorithm::HmacSha256);
     config.seed = 3;
-    let single = fleet::run_threaded(&config, 1);
-    let threaded = fleet::run_threaded(&config, 4);
+    let single = run(&config, 1);
+    let threaded = run(&config, 4);
     assert_eq!(single.measurements_total, config.total_measurements());
     assert_eq!(single.measurements_total, threaded.measurements_total);
     assert_eq!(single.verifications_total, threaded.verifications_total);
     assert!(single.all_healthy && threaded.all_healthy);
-}
-
-#[test]
-fn scaling_sweep_is_work_preserving() {
-    let config = config(MacAlgorithm::HmacSha256);
-    // sweep() itself asserts identical totals at every thread count.
-    let points = scaling::sweep(&config, 4);
-    assert_eq!(points.len(), 3); // 1, 2, 4
-    assert!((points[0].speedup - 1.0).abs() < 1e-12);
-    for point in &points {
-        assert!(point.measurements_per_sec > 0.0, "rates must stay positive");
-        assert!(point.verifications_per_sec > 0.0);
-    }
 }
 
 #[test]
@@ -489,10 +575,10 @@ fn faulty_runs_recover_every_report_and_stay_thread_invariant() {
         ..NetworkConfig::IDEAL
     };
     lossless.retries = 0;
-    let clean = fleet::run_threaded(&lossless, 1);
+    let clean = run(&lossless, 1);
 
-    let single = fleet::run_threaded(&faulty, 1);
-    let threaded = fleet::run_threaded(&faulty, 4);
+    let single = run(&faulty, 1);
+    let threaded = run(&faulty, 4);
     for (report, label) in [(&single, "threads=1"), (&threaded, "threads=4")] {
         // Recovery: every attempt was eventually delivered exactly once.
         assert_eq!(
@@ -507,20 +593,13 @@ fn faulty_runs_recover_every_report_and_stay_thread_invariant() {
         );
         assert!(report.reorders > 0, "{label}: reorder faults never drew");
 
-        // The retry histogram partitions the deliveries.
-        assert_eq!(
-            report.retry_histogram.iter().sum::<u64>(),
-            report.collections_delivered,
-            "{label}"
-        );
         assert!(
             report.retry_histogram[0] < report.collections_delivered,
             "{label}: no delivery needed a retransmission"
         );
 
-        // Exactly-once at the hub: every injected duplicate was dropped by
-        // the dedup window, every corrupted copy was caught live.
-        assert_eq!(report.hub_duplicates, report.frame_duplicates, "{label}");
+        // Duplicates were injected (`run` checks the hub dropped each
+        // one), and every corrupted copy was caught live.
         assert!(
             report.frame_duplicates > 0,
             "{label}: no duplicate injected"
@@ -578,8 +657,8 @@ fn hub_crash_recovery_is_invisible_in_the_totals() {
     smooth.hub_crashes = 0;
 
     for threads in [1usize, 4] {
-        let crashed = fleet::run_threaded(&crashing, threads);
-        let baseline = fleet::run_threaded(&smooth, threads);
+        let crashed = run(&crashing, threads);
+        let baseline = run(&smooth, threads);
         let label = format!("threads={threads}");
 
         // Crashes happened and produced snapshots (one cycle per shard).
@@ -614,6 +693,20 @@ fn hub_crash_recovery_is_invisible_in_the_totals() {
         assert_eq!(crashed.simulated_busy, baseline.simulated_busy, "{label}");
         assert_eq!(crashed.all_healthy, baseline.all_healthy, "{label}");
         assert!(crashed.all_healthy, "{label}");
+        // The restored hubs attest to the same fleet, and every shard
+        // folded the same delivery bursts.
+        assert_eq!(
+            crashed.aggregation.root_digest, baseline.aggregation.root_digest,
+            "{label}"
+        );
+        let bursts = |report: &FleetReport| -> Vec<(u64, u64)> {
+            report
+                .shards
+                .iter()
+                .map(|shard| (shard.hub_batches, shard.largest_batch))
+                .collect()
+        };
+        assert_eq!(bursts(&crashed), bursts(&baseline), "{label}");
     }
 }
 
@@ -621,8 +714,8 @@ fn hub_crash_recovery_is_invisible_in_the_totals() {
 fn churn_under_retransmission_never_replays_stale_evidence() {
     // A device that leaves mid-backoff must not have its pending
     // retransmissions delivered after the fact: the retry timer notices the
-    // epoch changed and discards the stale copy, and the conservation
-    // ledger accounts for every scheduled attempt exactly once.
+    // epoch changed and discards the stale copy, and (checked by `run`) the
+    // conservation ledger accounts for every scheduled attempt exactly once.
     // Loss heavy enough for ARQ chains to survive into their late, long
     // backoff windows — the ones wide enough for a churn departure to land
     // inside — across enough devices that several timers go stale.
@@ -637,8 +730,8 @@ fn churn_under_retransmission_never_replays_stale_evidence() {
     config.churn = 0.6;
     config.seed = 13;
 
-    let single = fleet::run_threaded(&config, 1);
-    let threaded = fleet::run_threaded(&config, 4);
+    let single = run(&config, 1);
+    let threaded = run(&config, 4);
 
     for (report, label) in [(&single, "threads=1"), (&threaded, "threads=4")] {
         assert!(
@@ -648,25 +741,6 @@ fn churn_under_retransmission_never_replays_stale_evidence() {
         assert!(
             report.stale_retries > 0,
             "{label}: no retry timer ever outlived its device"
-        );
-        // Conservation: delivered exactly once, or lost for a named reason.
-        assert_eq!(
-            report.collections_delivered
-                + report.exhausted_retries
-                + report.churn_losses
-                + report.stale_retries,
-            report.collections_attempted,
-            "{label}"
-        );
-        assert_eq!(
-            report.collections_dropped,
-            report.exhausted_retries + report.churn_losses + report.stale_retries,
-            "{label}"
-        );
-        assert_eq!(
-            report.retry_histogram.iter().sum::<u64>(),
-            report.collections_delivered,
-            "{label}"
         );
         assert!(
             report.all_healthy,
@@ -701,8 +775,8 @@ fn event_pool_high_water_is_bounded_by_traffic_not_run_length() {
     let mut long = short.clone();
     long.rounds = 6;
 
-    let short_report = fleet::run_threaded(&short, 2);
-    let long_report = fleet::run_threaded(&long, 2);
+    let short_report = run(&short, 2);
+    let long_report = run(&long, 2);
     assert!(short_report.event_pool_high_water > 0);
     assert!(long_report.devices_churned > 0, "churn drew no churners");
     // 3× the rounds (and 3× the ARQ traffic) must not scale the pool: the
@@ -715,16 +789,4 @@ fn event_pool_high_water_is_bounded_by_traffic_not_run_length() {
         short_report.event_pool_high_water,
         long_report.event_pool_high_water
     );
-}
-
-#[test]
-fn scaling_sweep_is_work_preserving_under_loss() {
-    // The sweep's totals assertion must hold for lossy runs too: delivery
-    // fates are drawn per (device, sequence), never per shard.
-    let points = scaling::sweep(&lossy_config(), 4);
-    assert_eq!(points.len(), 3);
-    for point in &points {
-        assert!(point.measurements_per_sec > 0.0);
-        assert!(point.verifications_per_sec > 0.0);
-    }
 }

@@ -41,8 +41,8 @@ impl<T> ScheduledEvent<T> {
     }
 }
 
-/// Counters a queue accumulates over its lifetime, surfaced into the
-/// perfbench JSON (`events.queue` in the schema).
+/// Counters a queue accumulates over its lifetime, surfaced in the fleet
+/// report (`FleetReport::queue`) and the benchmark's `sim.engine.*` metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueStats {
     /// Events pushed.

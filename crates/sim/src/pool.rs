@@ -12,8 +12,9 @@
 //! an allocator or address.
 //!
 //! The pool tracks a high-water mark ([`EventPool::high_water`]) surfaced
-//! into the perfbench schema; the fleet determinism tests assert it stays
-//! bounded under churn, pinning the stale-event slot-recycling fix.
+//! in the fleet report and the benchmark's `sim.pool.high_water` metric;
+//! the fleet determinism tests assert it stays bounded under churn, pinning
+//! the stale-event slot-recycling fix.
 
 /// Index of a live slot in an [`EventPool`].
 ///

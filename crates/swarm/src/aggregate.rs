@@ -91,7 +91,8 @@ impl SubtreeAggregate {
     }
 }
 
-/// Shape statistics for a built [`AggregationTree`], reported by perfbench.
+/// Shape statistics for a built [`AggregationTree`], reported in each fleet
+/// run's aggregation summary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggregationStats {
     /// Leaf count (one per device).
