@@ -2,6 +2,8 @@
 //! profile — the cost-model series plus real measurement computation on the
 //! host for the same memory sizes.
 
+#![deny(clippy::disallowed_types)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use erasmus_bench::runtime;
 use erasmus_core::Measurement;

@@ -1,6 +1,8 @@
 //! Figure 8 bench: measurement run-time vs memory size on the i.MX6-class
 //! profile.
 
+#![deny(clippy::disallowed_types)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use erasmus_bench::runtime;
 use erasmus_core::Measurement;

@@ -16,6 +16,8 @@
 //! `DeviceHistory::ingest`, which seals the evicted entries without hashing
 //! them again.
 
+#![deny(clippy::disallowed_types)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use erasmus_core::{
     extend_digest, CollectionReport, CollectionRequest, DeviceHistory, DeviceId, HistoryEntry,

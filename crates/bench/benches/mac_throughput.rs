@@ -6,6 +6,8 @@
 //! lane-batched measurement path, and the verifier's check of a whole
 //! collection response.
 
+#![deny(clippy::disallowed_types)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use erasmus_core::{CollectionRequest, DeviceId, Prover, ProverConfig, Verifier};
 use erasmus_crypto::{

@@ -1,6 +1,8 @@
 //! QoA bench: Monte-Carlo detection-probability scenarios (the simulation
 //! behind the Figure 1 / Section 3.1 discussion).
 
+#![deny(clippy::disallowed_types)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use erasmus_bench::{fig1, qoa_sweep};
 use erasmus_core::{InfectionSpec, Scenario};

@@ -18,6 +18,8 @@
 //! * **drain** — build the full pending set, then pop it dry: amortized
 //!   cost of a whole shard timeline at that depth.
 
+#![deny(clippy::disallowed_types)]
+
 use criterion::{
     criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
 };

@@ -1,6 +1,8 @@
 //! Scheduling ablation bench: regular vs irregular schedules against
 //! schedule-aware malware (Section 3.5) and lenient scheduling (Section 5).
 
+#![deny(clippy::disallowed_types)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use erasmus_bench::scheduling;
 use erasmus_core::ScheduleKind;

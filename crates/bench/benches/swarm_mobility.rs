@@ -1,6 +1,8 @@
 //! Section 6 bench: swarm attestation coverage and round duration under
 //! mobility — ERASMUS collection vs the on-demand (SEDA-style) baseline.
 
+#![deny(clippy::disallowed_types)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use erasmus_bench::swarm_mobility;
 use erasmus_sim::{SimRng, SimTime};

@@ -1,6 +1,8 @@
 //! Table 1 bench: composing the executable-size model for every
 //! (architecture, mode, MAC) cell, and printing the reproduced table.
 
+#![deny(clippy::disallowed_types)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use erasmus_bench::table1;
 use erasmus_hw::CodeSizeModel;

@@ -1,6 +1,8 @@
 //! Table 2 bench: prover-side cost of the collection phase, ERASMUS vs
 //! ERASMUS+OD, driven through the real protocol engines.
 
+#![deny(clippy::disallowed_types)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use erasmus_bench::table2;
 use erasmus_core::{CollectionRequest, DeviceId, Prover, ProverConfig, Verifier};

@@ -9,6 +9,8 @@
 //! repro list               # list available experiment ids
 //! ```
 
+#![deny(clippy::disallowed_types)]
+
 use erasmus_bench::{
     buffer_sizing, fig1, hwcost, protocol_figures, qoa_sweep, runtime, scheduling, swarm_mobility,
     table1, table2,

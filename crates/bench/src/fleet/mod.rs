@@ -20,7 +20,7 @@
 //! is serialized into framed batch buffers
 //! ([`erasmus_core::encode_collection_batch`]'s wire format) and folded
 //! into the shard's [`erasmus_core::VerifierHub`] straight off the bytes
-//! via [`erasmus_core::VerifierHub::ingest_frame`]; on-demand requests
+//! via [`erasmus_core::VerifierHub::ingest_sequenced_frame`]; on-demand requests
 //! (ERASMUS+OD, Figure 4) and device churn interleave with the schedule on
 //! the same timeline. Because every random draw is keyed by the *global*
 //! device index, totals are thread-count-invariant by construction, lossy
@@ -67,10 +67,8 @@
 //! crate's order-equivalence property tests.
 
 pub mod lanes;
-pub mod reservoir;
 mod shard;
 
-pub use reservoir::{LatencyReservoir, RESERVOIR_CAP};
 pub use shard::ShardReport;
 
 use std::ops::Range;
@@ -552,7 +550,7 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
     let mut coalesced_events = 0u64;
     let mut event_pool_high_water = 0u64;
     let mut queue = QueueStats::default();
-    let mut latency_sample = LatencyReservoir::with_default_cap();
+    let mut latencies = Vec::new();
     for report in &shard_reports {
         measurements_total += report.measurements;
         verifications_total += report.verifications;
@@ -601,9 +599,9 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         queue.bucket_width_nanos = queue
             .bucket_width_nanos
             .max(report.queue.bucket_width_nanos);
-        latency_sample.merge(report.on_demand_latencies.clone());
+        latencies.extend_from_slice(&report.on_demand_latencies);
     }
-    let latencies = latency_sample.sorted_latencies();
+    latencies.sort_unstable();
     all_healthy &= hub.all_healthy() && hub.rejected() == 0;
     let hub_duplicates = hub.duplicates();
 

@@ -76,6 +76,13 @@
 //!   The per-shard ledger keeps the conservation invariant
 //!   `coalesced_events + singleton_events == events_scheduled`.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "Instant::now here times the measure/verify phases for throughput reporting; \
+              simulation decisions and totals never read wall-clock time (pinned by \
+              fleet_determinism.rs)"
+)]
+
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -92,7 +99,6 @@ use erasmus_sim::{
 };
 use erasmus_swarm::StaggeredSchedule;
 
-use super::reservoir::{sample_priority, LatencyReservoir};
 use super::{FleetConfig, MEASUREMENT_INTERVAL};
 
 /// Network channel tags: a device's flows are `global_id * CHANNELS + tag`,
@@ -249,8 +255,6 @@ struct RunState {
     /// latency bounded below `T_M`): only then does a non-`AllHealthy`
     /// report verdict flag the run.
     strict: bool,
-    /// Run seed, for latency-sample priorities.
-    seed: u64,
     /// ARQ retry policy shared by the collect and frame hops.
     policy: RetryPolicy,
     measurements: u64,
@@ -276,8 +280,8 @@ struct RunState {
     retry_histogram: Vec<u64>,
     od_attempted: u64,
     od_completed: u64,
-    od_dropped: u64,
-    od_latencies: LatencyReservoir,
+    /// Simulated end-to-end latency of every completed on-demand exchange.
+    od_latencies: Vec<SimDuration>,
     /// Verified on-demand reports of the current burst awaiting
     /// `ingest_batch`.
     pending: Vec<CollectionReport>,
@@ -332,12 +336,11 @@ struct RunState {
 }
 
 impl RunState {
-    fn new(strict: bool, seed: u64, policy: RetryPolicy, request: CollectionRequest) -> Self {
+    fn new(strict: bool, policy: RetryPolicy, request: CollectionRequest) -> Self {
         let histogram_slots = policy.budget as usize + 1;
         Self {
             request,
             strict,
-            seed,
             policy,
             measurements: 0,
             verifications: 0,
@@ -355,8 +358,7 @@ impl RunState {
             retry_histogram: vec![0; histogram_slots],
             od_attempted: 0,
             od_completed: 0,
-            od_dropped: 0,
-            od_latencies: LatencyReservoir::with_default_cap(),
+            od_latencies: Vec::new(),
             pending: Vec::new(),
             pending_responses: Vec::new(),
             pending_at: None,
@@ -529,9 +531,9 @@ pub struct ShardReport {
     pub on_demand_attempted: u64,
     /// On-demand exchanges that completed end to end.
     pub on_demand_completed: u64,
-    /// Bounded, merge-invariant sample of the simulated end-to-end
-    /// latencies of completed on-demand exchanges.
-    pub on_demand_latencies: LatencyReservoir,
+    /// Simulated end-to-end latency of every completed on-demand exchange,
+    /// in completion order.
+    pub on_demand_latencies: Vec<SimDuration>,
     /// Devices of this shard that leave and rejoin during the run.
     pub devices_churned: u64,
     /// Multi-lane hash jobs this shard executed (lane-batched mode).
@@ -698,7 +700,6 @@ impl Shard {
             && config.network.base_latency + config.network.jitter < MEASUREMENT_INTERVAL;
         let mut state = RunState::new(
             strict,
-            config.seed,
             RetryPolicy::with_budget(config.retries),
             CollectionRequest::latest(config.measurements_per_round),
         );
@@ -753,16 +754,17 @@ impl Shard {
             let seq = self.devices.od_request_seqs[local];
             self.devices.od_request_seqs[local] += 1;
             let global = (self.base + local) as u64;
-            match network.sample(flow(global, CHANNEL_OD_REQUEST), seq) {
-                Delivery::Dropped => state.od_dropped += 1,
-                Delivery::Delivered(latency) => engine.schedule_at(
+            if let Delivery::Delivered(latency) =
+                network.sample(flow(global, CHANNEL_OD_REQUEST), seq)
+            {
+                engine.schedule_at(
                     issued + latency,
                     FleetEvent::OnDemand {
                         device: local,
                         request,
                         issued,
                     },
-                ),
+                );
             }
         }
         self.on_demand = plan;
@@ -934,7 +936,6 @@ impl Shard {
                 issued,
             } => {
                 if !self.devices.active[device] {
-                    state.od_dropped += 1;
                     return;
                 }
                 // The fresh measurement dominates the cost of serving the
@@ -943,30 +944,23 @@ impl Shard {
                 let outcome = self.devices.provers[device].handle_on_demand(&request, now);
                 state.measure_wall += started.elapsed();
                 self.devices.next_due[device] = self.devices.provers[device].next_measurement_due();
-                match outcome {
-                    // Rejected requests (e.g. reordered arrivals tripping
-                    // the anti-replay check) fail the exchange, not the run.
-                    Err(_) => state.od_dropped += 1,
-                    Ok(response) => {
-                        state.measurements += 1; // the fresh M_0
-                        let seq = self.devices.od_response_seqs[device];
-                        self.devices.od_response_seqs[device] += 1;
-                        let global = (self.base + device) as u64;
-                        match network.sample(flow(global, CHANNEL_OD_RESPONSE), seq) {
-                            Delivery::Dropped => state.od_dropped += 1,
-                            Delivery::Delivered(latency) => {
-                                let slot = state.od_pool.insert(OnDemandExchange {
-                                    device,
-                                    request,
-                                    response,
-                                    issued,
-                                });
-                                engine.schedule_at(
-                                    now + latency,
-                                    FleetEvent::OnDemandDeliver { slot },
-                                );
-                            }
-                        }
+                // Rejected requests (e.g. reordered arrivals tripping the
+                // anti-replay check) fail the exchange, not the run.
+                if let Ok(response) = outcome {
+                    state.measurements += 1; // the fresh M_0
+                    let seq = self.devices.od_response_seqs[device];
+                    self.devices.od_response_seqs[device] += 1;
+                    let global = (self.base + device) as u64;
+                    if let Delivery::Delivered(latency) =
+                        network.sample(flow(global, CHANNEL_OD_RESPONSE), seq)
+                    {
+                        let slot = state.od_pool.insert(OnDemandExchange {
+                            device,
+                            request,
+                            response,
+                            issued,
+                        });
+                        engine.schedule_at(now + latency, FleetEvent::OnDemandDeliver { slot });
                     }
                 }
             }
@@ -983,20 +977,14 @@ impl Shard {
                     now,
                 );
                 state.verify_wall += started.elapsed();
-                match verified {
-                    Ok(report) => {
-                        state.od_completed += 1;
-                        let global = (self.base + device) as u64;
-                        let priority =
-                            sample_priority(state.seed, global, exchange.issued.as_nanos());
-                        state
-                            .od_latencies
-                            .push(priority, now.saturating_duration_since(exchange.issued));
-                        state.verifications += report.measurements().len() as u64;
-                        state.note_health(&report, false);
-                        self.push_report(state, network, now, report);
-                    }
-                    Err(_) => state.od_dropped += 1,
+                if let Ok(report) = verified {
+                    state.od_completed += 1;
+                    state
+                        .od_latencies
+                        .push(now.saturating_duration_since(exchange.issued));
+                    state.verifications += report.measurements().len() as u64;
+                    state.note_health(&report, false);
+                    self.push_report(state, network, now, report);
                 }
             }
             FleetEvent::HubCrash => {
@@ -1051,7 +1039,10 @@ impl Shard {
     /// genuinely overtake it; a drop either arms the backoff timer or,
     /// with the budget spent, loses the response for good — recycling its
     /// pooled slot.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "engine, run state and network are the event loop's; the rest names one copy"
+    )]
     fn dispatch_collection(
         &mut self,
         engine: &mut Engine<FleetEvent>,
@@ -1331,7 +1322,10 @@ impl Shard {
     /// does not lose frames (the collector and hub are co-located; loss
     /// lives on the device radio hop), so only corruption consumes
     /// retries here.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "run state and network are the event loop's; the rest names one frame copy"
+    )]
     fn deliver_frame(
         &mut self,
         state: &mut RunState,

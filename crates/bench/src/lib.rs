@@ -8,6 +8,16 @@
 //! paper's.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::dbg_macro,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+#![deny(clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod buffer_sizing;

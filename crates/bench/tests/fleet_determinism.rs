@@ -134,6 +134,11 @@ fn run(config: &FleetConfig, threads: usize) -> FleetReport {
             sum(|s| s.events_scheduled),
             report.events_scheduled,
         ),
+        (
+            "on-demand latency samples",
+            sum(|s| s.on_demand_latencies.len() as u64),
+            report.on_demand_completed,
+        ),
     ] {
         assert_eq!(shard_sum, total, "per-shard {what}, {at}");
     }

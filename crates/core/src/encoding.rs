@@ -58,6 +58,15 @@
 //! ([`decode_collection_batch`] & co.) are thin wrappers over the views, so
 //! there is exactly one strict contract.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::as_conversions
+)]
+
 use std::fmt;
 
 use erasmus_crypto::{MacTag, MAX_TAG_LEN};
@@ -528,10 +537,16 @@ pub fn encode_measurement_into(out: &mut Vec<u8>, measurement: &Measurement) {
     let tag = measurement.tag().as_bytes();
     out.reserve(8 + 2 + digest.len() + 2 + tag.len());
     out.extend_from_slice(&measurement.timestamp().as_nanos().to_be_bytes());
-    // analyzer: allow(checked-casts) — digest.len() is DIGEST_LEN (32), far below u16::MAX
+    #[expect(
+        clippy::as_conversions,
+        reason = "digest.len() is DIGEST_LEN (32), far below u16::MAX"
+    )]
     out.extend_from_slice(&(digest.len() as u16).to_be_bytes());
     out.extend_from_slice(digest);
-    // analyzer: allow(checked-casts) — tag.len() is at most MAX_TAG_LEN (32), far below u16::MAX
+    #[expect(
+        clippy::as_conversions,
+        reason = "tag.len() is at most MAX_TAG_LEN (32), far below u16::MAX"
+    )]
     out.extend_from_slice(&(tag.len() as u16).to_be_bytes());
     out.extend_from_slice(tag);
 }
@@ -577,7 +592,7 @@ pub fn encode_collection_response_into(out: &mut Vec<u8>, response: &CollectionR
     );
     out.reserve(8 + 2 + response.payload_bytes() + 4 * response.measurements.len());
     out.extend_from_slice(&response.device.value().to_be_bytes());
-    // analyzer: allow(checked-casts) — bounded by the assert above
+    #[expect(clippy::as_conversions, reason = "bounded by the assert above")]
     out.extend_from_slice(&(response.measurements.len() as u16).to_be_bytes());
     for measurement in &response.measurements {
         encode_measurement_into(out, measurement);
@@ -627,7 +642,10 @@ pub fn encode_collection_batch_into(out: &mut Vec<u8>, responses: &[CollectionRe
         "batch of {} responses exceeds MAX_BATCH_RESPONSES ({MAX_BATCH_RESPONSES})",
         responses.len()
     );
-    // analyzer: allow(checked-casts) — bounded by the MAX_BATCH_RESPONSES assert above
+    #[expect(
+        clippy::as_conversions,
+        reason = "bounded by the MAX_BATCH_RESPONSES assert above"
+    )]
     out.extend_from_slice(&(responses.len() as u16).to_be_bytes());
     for response in responses {
         encode_collection_response_into(out, response);
@@ -712,18 +730,27 @@ pub fn encode_hub_snapshot_into(out: &mut Vec<u8>, hub: &VerifierHub) {
     out.extend_from_slice(&hub.ingested.to_be_bytes());
     out.extend_from_slice(&hub.rejected.to_be_bytes());
     out.extend_from_slice(&hub.duplicates.to_be_bytes());
-    // analyzer: allow(checked-casts) — an in-memory flow map cannot reach 2^32 entries (>64 GiB at ~16 B each)
+    #[expect(
+        clippy::as_conversions,
+        reason = "an in-memory flow map cannot reach 2^32 entries (>64 GiB at ~16 B each)"
+    )]
     out.extend_from_slice(&(hub.dedup.len() as u32).to_be_bytes());
     for (flow, window) in &hub.dedup {
         out.extend_from_slice(&flow.to_be_bytes());
         out.extend_from_slice(&window.floor.to_be_bytes());
-        // analyzer: allow(checked-casts) — dedup windows are pruned to DEDUP_WINDOW (1024) sequences
+        #[expect(
+            clippy::as_conversions,
+            reason = "dedup windows are pruned to DEDUP_WINDOW (1024) sequences"
+        )]
         out.extend_from_slice(&(window.seen.len() as u32).to_be_bytes());
         for sequence in &window.seen {
             out.extend_from_slice(&sequence.to_be_bytes());
         }
     }
-    // analyzer: allow(checked-casts) — an in-memory device map cannot reach 2^32 entries (>256 GiB at ~64 B each)
+    #[expect(
+        clippy::as_conversions,
+        reason = "an in-memory device map cannot reach 2^32 entries (>256 GiB at ~64 B each)"
+    )]
     out.extend_from_slice(&(hub.histories.len() as u32).to_be_bytes());
     for (device, history) in &hub.histories {
         debug_assert_eq!(
@@ -754,7 +781,10 @@ pub fn encode_hub_snapshot_into(out: &mut Vec<u8>, hub: &VerifierHub) {
         }
         out.extend_from_slice(&history.chain);
         out.extend_from_slice(&history.head);
-        // analyzer: allow(checked-casts) — the resident window is bounded by the ring capacity (u32 on the wire)
+        #[expect(
+            clippy::as_conversions,
+            reason = "the resident window is bounded by the ring capacity (u32 on the wire)"
+        )]
         out.extend_from_slice(&(history.resident_len() as u32).to_be_bytes());
         for entry in history.entries() {
             out.extend_from_slice(&entry.timestamp.as_nanos().to_be_bytes());
@@ -1061,6 +1091,10 @@ fn verdict_from_tag(tag: u8) -> Option<MeasurementVerdict> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::as_conversions,
+    reason = "test fixtures build lengths and counts with literal-sized casts"
+)]
 mod tests {
     use super::*;
     use crate::history::HistoryMode;

@@ -29,6 +29,15 @@
 //! ring whose capacity covers a device's lifetime never evicts, which is how
 //! tests stand in for the retain-everything oracle.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::as_conversions
+)]
+
 use std::collections::VecDeque;
 
 use erasmus_crypto::{Digest, Sha256};
@@ -583,6 +592,10 @@ fn severity(verdict: MeasurementVerdict) -> u8 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::as_conversions,
+    reason = "test fixtures widen ring lengths to entry counts and ticks"
+)]
 mod tests {
     use super::*;
     use crate::config::ProverConfig;

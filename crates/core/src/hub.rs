@@ -14,6 +14,15 @@
 //!
 //! [`merged`]: VerifierHub::merge
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::as_conversions
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::encoding::{DecodeError, FrameView, ResponseView};
@@ -426,6 +435,10 @@ impl VerifierHub {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::as_conversions,
+    reason = "test fixtures index verifiers by device id and compare byte counts"
+)]
 mod tests {
     use super::*;
     use crate::config::ProverConfig;

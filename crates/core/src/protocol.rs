@@ -2,6 +2,15 @@
 //! classic on-demand attestation, and the ARQ retry policy that keeps
 //! collection reports alive on faulty links.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::as_conversions
+)]
+
 use erasmus_crypto::{KeyedMac, MacAlgorithm, MacTag};
 use erasmus_sim::{SimDuration, SimTime};
 

@@ -1,6 +1,15 @@
 //! The verifier: collects measurements and reconstructs the prover's state
 //! history.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::as_conversions
+)]
+
 use erasmus_crypto::{KeyedMac, MacAlgorithm, MultiKeyedMac};
 use erasmus_hw::DeviceKey;
 use erasmus_sim::{SimDuration, SimTime};
@@ -354,6 +363,10 @@ impl Verifier {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::as_conversions,
+    reason = "the reference oracle turns a nanosecond span into a slot count"
+)]
 mod tests {
     use super::*;
     use crate::config::ProverConfig;

@@ -48,6 +48,15 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::dbg_macro,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub use erasmus_core as core;
 pub use erasmus_crypto as crypto;

@@ -46,3 +46,24 @@ fn prelude_exposes_the_documented_surface() {
     assert_exists::<Sha256>();
     assert_exists::<SimTime>();
 }
+
+#[test]
+fn every_first_party_crate_root_forbids_unsafe_code() {
+    // `forbid` rather than `deny`: no module below a root can lift it.
+    let roots = [
+        ("erasmus", include_str!("../src/lib.rs")),
+        ("bench", include_str!("../crates/bench/src/lib.rs")),
+        ("core", include_str!("../crates/core/src/lib.rs")),
+        ("crypto", include_str!("../crates/crypto/src/lib.rs")),
+        ("fuzz", include_str!("../crates/fuzz/src/lib.rs")),
+        ("hw", include_str!("../crates/hw/src/lib.rs")),
+        ("sim", include_str!("../crates/sim/src/lib.rs")),
+        ("swarm", include_str!("../crates/swarm/src/lib.rs")),
+    ];
+    for (name, source) in roots {
+        assert!(
+            source.lines().any(|line| line == "#![forbid(unsafe_code)]"),
+            "the {name} crate root is missing `#![forbid(unsafe_code)]`"
+        );
+    }
+}
