@@ -481,129 +481,30 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         let report = shard.run(config);
         (report, shard.into_hub())
     };
-    let finished: Vec<(ShardReport, VerifierHub)> = if threads == 1 {
-        // Keep a single-threaded run literally single-threaded so its
-        // timings carry no spawn/join overhead.
-        ranges
+    let finished: Vec<(ShardReport, VerifierHub)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = ranges
             .into_iter()
             .enumerate()
-            .map(|(index, range)| drive(index, range))
+            .map(|(index, range)| scope.spawn(move || drive(index, range)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("fleet shard thread panicked"))
             .collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .enumerate()
-                .map(|(index, range)| scope.spawn(move || drive(index, range)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("fleet shard thread panicked"))
-                .collect()
-        })
-    };
+    });
 
-    // Hubs merge in shard-index order, whatever order the workers finished.
+    // Hubs merge in shard-index order, whatever order the workers finished,
+    // and the shard ledgers fold into one total.
     let mut hub = VerifierHub::with_history(config.history);
+    let mut total = ShardReport::new(config.retries);
     let mut shard_reports = Vec::with_capacity(finished.len());
     for (report, shard_hub) in finished {
         let merged = hub.merge(shard_hub);
         assert!(merged, "every shard hub uses the fleet's ring capacity");
+        total.absorb(&report);
         shard_reports.push(report);
     }
-
-    let mut measurements_total = 0u64;
-    let mut verifications_total = 0u64;
-    let mut measure_wall = Duration::ZERO;
-    let mut verify_wall = Duration::ZERO;
-    let mut simulated_busy = SimDuration::ZERO;
-    let mut all_healthy = true;
-    let mut collections_attempted = 0u64;
-    let mut collections_delivered = 0u64;
-    let mut collections_dropped = 0u64;
-    let mut collect_retransmits = 0u64;
-    let mut exhausted_retries = 0u64;
-    let mut churn_losses = 0u64;
-    let mut stale_retries = 0u64;
-    let mut reorders = 0u64;
-    let mut retry_histogram = vec![0u64; config.retries as usize + 1];
-    let mut frame_retransmits = 0u64;
-    let mut frame_duplicates = 0u64;
-    let mut corrupt_decode_drops = 0u64;
-    let mut corrupt_tamper_drops = 0u64;
-    let mut frames_exhausted = 0u64;
-    let mut frame_lost_responses = 0u64;
-    let mut hub_crashes = 0u64;
-    let mut snapshot_bytes = 0u64;
-    let mut wire_frames = 0u64;
-    let mut wire_bytes = 0u64;
-    let mut wire_responses = 0u64;
-    let mut decoded_accepted = 0u64;
-    let mut encode_wall = Duration::ZERO;
-    let mut wire_ingest_wall = Duration::ZERO;
-    let mut on_demand_attempted = 0u64;
-    let mut on_demand_completed = 0u64;
-    let mut devices_churned = 0u64;
-    let mut lane_jobs = 0u64;
-    let mut events_scheduled = 0u64;
-    let mut singleton_events = 0u64;
-    let mut coalesced_events = 0u64;
-    let mut event_pool_high_water = 0u64;
-    let mut queue = QueueStats::default();
-    let mut latencies = Vec::new();
-    for report in &shard_reports {
-        measurements_total += report.measurements;
-        verifications_total += report.verifications;
-        measure_wall = measure_wall.max(report.measure_wall);
-        verify_wall = verify_wall.max(report.verify_wall);
-        simulated_busy += report.simulated_busy;
-        all_healthy &= report.all_healthy;
-        collections_attempted += report.collections_attempted;
-        collections_delivered += report.collections_delivered;
-        collections_dropped += report.collections_dropped;
-        collect_retransmits += report.collect_retransmits;
-        exhausted_retries += report.exhausted_retries;
-        churn_losses += report.churn_losses;
-        stale_retries += report.stale_retries;
-        reorders += report.reorders;
-        for (total, shard) in retry_histogram.iter_mut().zip(&report.retry_histogram) {
-            *total += shard;
-        }
-        frame_retransmits += report.frame_retransmits;
-        frame_duplicates += report.frame_duplicates;
-        corrupt_decode_drops += report.corrupt_decode_drops;
-        corrupt_tamper_drops += report.corrupt_tamper_drops;
-        frames_exhausted += report.frames_exhausted;
-        frame_lost_responses += report.frame_lost_responses;
-        hub_crashes += report.hub_crashes;
-        snapshot_bytes += report.snapshot_bytes;
-        wire_frames += report.wire_frames;
-        wire_bytes += report.wire_bytes;
-        wire_responses += report.wire_responses;
-        decoded_accepted += report.wire_accepted;
-        encode_wall = encode_wall.max(report.encode_wall);
-        wire_ingest_wall = wire_ingest_wall.max(report.wire_ingest_wall);
-        on_demand_attempted += report.on_demand_attempted;
-        on_demand_completed += report.on_demand_completed;
-        devices_churned += report.devices_churned;
-        lane_jobs += report.lane_jobs;
-        events_scheduled += report.events_scheduled;
-        singleton_events += report.singleton_events;
-        coalesced_events += report.coalesced_events;
-        event_pool_high_water += report.event_pool_high_water;
-        queue.pushes += report.queue.pushes;
-        queue.pops += report.queue.pops;
-        queue.overflow_pushes += report.queue.overflow_pushes;
-        queue.max_pending = queue.max_pending.max(report.queue.max_pending);
-        queue.buckets = queue.buckets.max(report.queue.buckets);
-        queue.bucket_width_nanos = queue
-            .bucket_width_nanos
-            .max(report.queue.bucket_width_nanos);
-        latencies.extend_from_slice(&report.on_demand_latencies);
-    }
-    latencies.sort_unstable();
-    all_healthy &= hub.all_healthy() && hub.rejected() == 0;
-    let hub_duplicates = hub.duplicates();
+    total.on_demand_latencies.sort_unstable();
 
     let history_resident = hub.total_resident();
     let aggregation = AggregationReport::from_hub(&hub);
@@ -616,12 +517,12 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
     FleetReport {
         config: config.clone(),
         threads,
-        measurements_total,
-        verifications_total,
-        measure_wall,
-        verify_wall,
-        simulated_busy,
-        all_healthy,
+        measurements_total: total.measurements,
+        verifications_total: total.verifications,
+        measure_wall: total.measure_wall,
+        verify_wall: total.verify_wall,
+        simulated_busy: total.simulated_busy,
+        all_healthy: total.all_healthy && hub.all_healthy() && hub.rejected() == 0,
         devices_tracked: hub.len(),
         history_entries: hub.total_entries(),
         history_resident,
@@ -631,42 +532,42 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         resident_state_bytes,
         aggregation,
         collections_ingested: hub.total_collections(),
-        collections_attempted,
-        collections_delivered,
-        collections_dropped,
-        collect_retransmits,
-        exhausted_retries,
-        churn_losses,
-        stale_retries,
-        reorders,
-        retry_histogram,
-        frame_retransmits,
-        frame_duplicates,
-        corrupt_decode_drops,
-        corrupt_tamper_drops,
-        frames_exhausted,
-        frame_lost_responses,
-        hub_duplicates,
-        hub_crashes,
-        snapshot_bytes,
-        wire_frames,
-        wire_bytes,
-        wire_responses,
-        decoded_accepted,
-        encode_wall,
-        wire_ingest_wall,
-        on_demand_attempted,
-        on_demand_completed,
-        on_demand_p50: percentile(&latencies, 0.50),
-        on_demand_p90: percentile(&latencies, 0.90),
-        on_demand_p99: percentile(&latencies, 0.99),
-        devices_churned,
-        lane_jobs,
-        events_scheduled,
-        singleton_events,
-        coalesced_events,
-        event_pool_high_water,
-        queue,
+        collections_attempted: total.collections_attempted,
+        collections_delivered: total.collections_delivered,
+        collections_dropped: total.collections_dropped,
+        collect_retransmits: total.collect_retransmits,
+        exhausted_retries: total.exhausted_retries,
+        churn_losses: total.churn_losses,
+        stale_retries: total.stale_retries,
+        reorders: total.reorders,
+        retry_histogram: total.retry_histogram,
+        frame_retransmits: total.frame_retransmits,
+        frame_duplicates: total.frame_duplicates,
+        corrupt_decode_drops: total.corrupt_decode_drops,
+        corrupt_tamper_drops: total.corrupt_tamper_drops,
+        frames_exhausted: total.frames_exhausted,
+        frame_lost_responses: total.frame_lost_responses,
+        hub_duplicates: hub.duplicates(),
+        hub_crashes: total.hub_crashes,
+        snapshot_bytes: total.snapshot_bytes,
+        wire_frames: total.wire_frames,
+        wire_bytes: total.wire_bytes,
+        wire_responses: total.wire_responses,
+        decoded_accepted: total.wire_accepted,
+        encode_wall: total.encode_wall,
+        wire_ingest_wall: total.wire_ingest_wall,
+        on_demand_attempted: total.on_demand_attempted,
+        on_demand_completed: total.on_demand_completed,
+        on_demand_p50: percentile(&total.on_demand_latencies, 0.50),
+        on_demand_p90: percentile(&total.on_demand_latencies, 0.90),
+        on_demand_p99: percentile(&total.on_demand_latencies, 0.99),
+        devices_churned: total.devices_churned,
+        lane_jobs: total.lane_jobs,
+        events_scheduled: total.events_scheduled,
+        singleton_events: total.singleton_events,
+        coalesced_events: total.coalesced_events,
+        event_pool_high_water: total.event_pool_high_water,
+        queue: total.queue,
         shards: shard_reports,
     }
 }

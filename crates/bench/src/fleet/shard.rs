@@ -22,8 +22,13 @@
 //! buffers — chunked at [`MAX_BATCH_RESPONSES`] — and folded into the
 //! shard's [`VerifierHub`] straight off the bytes through
 //! [`VerifierHub::ingest_sequenced_frame`], verifying each record
-//! zero-copy off the frame. On-demand reports, verified when they arrive,
-//! join the same burst and fold in through [`VerifierHub::ingest_batch`].
+//! zero-copy off the frame. On-demand reports are verified when they
+//! arrive and go into the hub there and then, through
+//! [`VerifierHub::ingest`].
+//!
+//! The event loop counts straight into the shard's [`ShardReport`], the
+//! one declaration of every shard counter; `run_threaded` folds the shards
+//! together with [`ShardReport::absorb`].
 //!
 //! # Reliability
 //!
@@ -88,7 +93,7 @@ use std::time::{Duration, Instant};
 
 use erasmus_core::{
     decode_hub_snapshot, encode_collection_batch_into, encode_hub_snapshot, AttestationVerdict,
-    CollectionReport, CollectionRequest, CollectionResponse, DeviceId, FrameView,
+    CollectionReport, CollectionRequest, CollectionResponse, DeviceId, FrameView, Measurement,
     MeasurementVerdict, OnDemandRequest, OnDemandResponse, Prover, ProverConfig, RetryPolicy,
     Verifier, VerifierHub, MAX_BATCH_RESPONSES,
 };
@@ -247,9 +252,13 @@ struct OnDemandExchange {
     issued: SimTime,
 }
 
-/// Mutable per-run accounting threaded through the event loop as the
-/// [`Engine::run_with`] context.
+/// Mutable per-run state threaded through the event loop as the
+/// [`Engine::run_with`] context: the shard's ledger plus the loop's
+/// scratch.
 struct RunState {
+    /// Every counter of the run, filled in as events fire; [`Shard::run`]
+    /// adds the fields known only at the end.
+    report: ShardReport,
     request: CollectionRequest,
     /// Whether the run is expected to be gap-free (no loss, no churn,
     /// latency bounded below `T_M`): only then does a non-`AllHealthy`
@@ -257,137 +266,36 @@ struct RunState {
     strict: bool,
     /// ARQ retry policy shared by the collect and frame hops.
     policy: RetryPolicy,
-    measurements: u64,
-    verifications: u64,
-    measure_wall: Duration,
-    verify_wall: Duration,
-    all_healthy: bool,
-    collect_attempted: u64,
-    collect_delivered: u64,
-    collect_dropped: u64,
-    /// Collect-hop retransmissions actually sent.
-    collect_retransmits: u64,
-    /// Responses lost for good after the retry budget ran out.
-    exhausted_retries: u64,
-    /// Collection attempts lost because the device was absent (churn).
-    churn_losses: u64,
-    /// Retransmission timers that fired after the device left (or left and
-    /// rejoined) — the stale copy is discarded, never replayed.
-    stale_retries: u64,
-    /// Deliveries that drew a reorder fault (extra in-flight delay).
-    reorders: u64,
-    /// `retry_histogram[a]` = deliveries that took `a` retransmissions.
-    retry_histogram: Vec<u64>,
-    od_attempted: u64,
-    od_completed: u64,
-    /// Simulated end-to-end latency of every completed on-demand exchange.
-    od_latencies: Vec<SimDuration>,
-    /// Verified on-demand reports of the current burst awaiting
-    /// `ingest_batch`.
-    pending: Vec<CollectionReport>,
     /// Raw collection responses of the current burst awaiting frame
     /// encode + ingest.
     pending_responses: Vec<CollectionResponse>,
     pending_at: Option<SimTime>,
-    batches: u64,
-    largest_batch: u64,
-    wire_frames: u64,
-    wire_bytes: u64,
-    wire_responses: u64,
-    wire_accepted: u64,
-    encode_wall: Duration,
-    wire_ingest_wall: Duration,
     /// Reusable frame buffer, so steady-state encoding allocates nothing.
     frame_buf: Vec<u8>,
     /// Per-shard frame-link sequence counter.
     frame_seq: u64,
-    /// Frame-hop retransmissions actually sent.
-    frame_retransmits: u64,
-    /// Duplicate frame copies injected by the network (and deduplicated by
-    /// the hub's flow window).
-    frame_duplicates: u64,
-    /// Corrupted frame copies the strict decoder rejected.
-    corrupt_decode_drops: u64,
-    /// Corrupted frame copies that decoded but failed MAC verification.
-    corrupt_tamper_drops: u64,
-    /// Frames lost for good after the retry budget ran out.
-    frames_exhausted: u64,
-    /// Response records carried by those exhausted frames.
-    frame_lost_responses: u64,
-    /// Hub crash/restart cycles survived via snapshot recovery.
-    hub_crashes: u64,
-    /// Total bytes of the recovery snapshots taken at those crashes.
-    snapshot_bytes: u64,
-    lane_jobs: u64,
-    lane_remainder: u64,
     /// Pooled collection responses in flight through the ARQ loop.
     response_pool: EventPool<CollectionResponse>,
     /// Pooled on-demand exchanges in flight to the verifier.
     od_pool: EventPool<OnDemandExchange>,
     /// Reusable due-member scratch for cohort fires (no per-fire alloc).
     due_scratch: Vec<usize>,
-    /// Measurement firings that went through the coalesced cohort path.
-    events_scheduled: u64,
-    /// Cohort fires: queue slots that actually carried due measurements.
-    singleton_events: u64,
-    /// Measurements that rode an already-occupied (instant, cohort) slot
-    /// instead of their own queue entry.
-    coalesced_events: u64,
 }
 
 impl RunState {
     fn new(strict: bool, policy: RetryPolicy, request: CollectionRequest) -> Self {
-        let histogram_slots = policy.budget as usize + 1;
         Self {
+            report: ShardReport::new(policy.budget),
             request,
             strict,
             policy,
-            measurements: 0,
-            verifications: 0,
-            measure_wall: Duration::ZERO,
-            verify_wall: Duration::ZERO,
-            all_healthy: true,
-            collect_attempted: 0,
-            collect_delivered: 0,
-            collect_dropped: 0,
-            collect_retransmits: 0,
-            exhausted_retries: 0,
-            churn_losses: 0,
-            stale_retries: 0,
-            reorders: 0,
-            retry_histogram: vec![0; histogram_slots],
-            od_attempted: 0,
-            od_completed: 0,
-            od_latencies: Vec::new(),
-            pending: Vec::new(),
             pending_responses: Vec::new(),
             pending_at: None,
-            batches: 0,
-            largest_batch: 0,
-            wire_frames: 0,
-            wire_bytes: 0,
-            wire_responses: 0,
-            wire_accepted: 0,
-            encode_wall: Duration::ZERO,
-            wire_ingest_wall: Duration::ZERO,
             frame_buf: Vec::new(),
             frame_seq: 0,
-            frame_retransmits: 0,
-            frame_duplicates: 0,
-            corrupt_decode_drops: 0,
-            corrupt_tamper_drops: 0,
-            frames_exhausted: 0,
-            frame_lost_responses: 0,
-            hub_crashes: 0,
-            snapshot_bytes: 0,
-            lane_jobs: 0,
-            lane_remainder: 0,
             response_pool: EventPool::new(),
             od_pool: EventPool::new(),
             due_scratch: Vec::new(),
-            events_scheduled: 0,
-            singleton_events: 0,
-            coalesced_events: 0,
         }
     }
 
@@ -396,9 +304,9 @@ impl RunState {
     /// evidence of forged or compromised measurements always does.
     fn note_health(&mut self, report: &CollectionReport, scheduled: bool) {
         if self.strict && scheduled {
-            self.all_healthy &= report.all_valid();
+            self.report.all_healthy &= report.all_valid();
         } else {
-            self.all_healthy &= report_is_clean(report);
+            self.report.all_healthy &= report_is_clean(report);
         }
     }
 }
@@ -449,8 +357,10 @@ pub(crate) struct Shard {
     cohort_of: Vec<usize>,
 }
 
-/// What one shard contributed to a fleet run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What one shard contributed to a fleet run: the one declaration of every
+/// shard counter. The event loop counts into it, and `ShardReport::absorb`
+/// is the one place that knows how each counter combines across shards.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardReport {
     /// Shard index (0-based, matches spawn order).
     pub shard: usize,
@@ -509,9 +419,11 @@ pub struct ShardReport {
     pub hub_crashes: u64,
     /// Total bytes of the recovery snapshots taken at those crashes.
     pub snapshot_bytes: u64,
-    /// Delivery bursts folded into the shard hub via `ingest_batch`.
+    /// Collection bursts sealed into the shard hub as batch frames (see
+    /// `Shard::flush_batch`); on-demand reports go in one by one and do not
+    /// count.
     pub hub_batches: u64,
-    /// Largest single delivery burst.
+    /// Largest single collection burst, in responses.
     pub largest_batch: u64,
     /// Encoded collection batch frames this shard ingested.
     pub wire_frames: u64,
@@ -559,6 +471,80 @@ pub struct ShardReport {
     pub event_pool_high_water: u64,
     /// Lifetime counters of the shard engine's event queue.
     pub queue: QueueStats,
+}
+
+impl ShardReport {
+    /// An empty, healthy ledger whose retry histogram has a bucket for
+    /// every attempt a `retries` budget allows.
+    pub(crate) fn new(retries: u32) -> Self {
+        Self {
+            all_healthy: true,
+            retry_histogram: vec![0; retries as usize + 1],
+            ..Self::default()
+        }
+    }
+
+    /// Folds another shard's ledger into this one. Walls, burst sizes and
+    /// queue high-water marks and geometry take the maximum, since shards
+    /// run concurrently; health takes the AND; latencies are appended in
+    /// shard order; every other counter is added. `shard` is left alone.
+    pub(crate) fn absorb(&mut self, other: &ShardReport) {
+        self.provers += other.provers;
+        self.measurements += other.measurements;
+        self.verifications += other.verifications;
+        self.measure_wall = self.measure_wall.max(other.measure_wall);
+        self.verify_wall = self.verify_wall.max(other.verify_wall);
+        self.simulated_busy += other.simulated_busy;
+        self.all_healthy &= other.all_healthy;
+        self.collections_attempted += other.collections_attempted;
+        self.collections_delivered += other.collections_delivered;
+        self.collections_dropped += other.collections_dropped;
+        self.collect_retransmits += other.collect_retransmits;
+        self.exhausted_retries += other.exhausted_retries;
+        self.churn_losses += other.churn_losses;
+        self.stale_retries += other.stale_retries;
+        self.reorders += other.reorders;
+        for (total, shard) in self.retry_histogram.iter_mut().zip(&other.retry_histogram) {
+            *total += shard;
+        }
+        self.frame_retransmits += other.frame_retransmits;
+        self.frame_duplicates += other.frame_duplicates;
+        self.corrupt_decode_drops += other.corrupt_decode_drops;
+        self.corrupt_tamper_drops += other.corrupt_tamper_drops;
+        self.frames_exhausted += other.frames_exhausted;
+        self.frame_lost_responses += other.frame_lost_responses;
+        self.hub_duplicates += other.hub_duplicates;
+        self.hub_crashes += other.hub_crashes;
+        self.snapshot_bytes += other.snapshot_bytes;
+        self.hub_batches += other.hub_batches;
+        self.largest_batch = self.largest_batch.max(other.largest_batch);
+        self.wire_frames += other.wire_frames;
+        self.wire_bytes += other.wire_bytes;
+        self.wire_responses += other.wire_responses;
+        self.wire_accepted += other.wire_accepted;
+        self.encode_wall = self.encode_wall.max(other.encode_wall);
+        self.wire_ingest_wall = self.wire_ingest_wall.max(other.wire_ingest_wall);
+        self.on_demand_attempted += other.on_demand_attempted;
+        self.on_demand_completed += other.on_demand_completed;
+        self.on_demand_latencies
+            .extend_from_slice(&other.on_demand_latencies);
+        self.devices_churned += other.devices_churned;
+        self.lane_jobs += other.lane_jobs;
+        self.lane_remainder += other.lane_remainder;
+        self.events_scheduled += other.events_scheduled;
+        self.singleton_events += other.singleton_events;
+        self.coalesced_events += other.coalesced_events;
+        self.event_pool_high_water += other.event_pool_high_water;
+        self.queue.pushes += other.queue.pushes;
+        self.queue.pops += other.queue.pops;
+        self.queue.overflow_pushes += other.queue.overflow_pushes;
+        self.queue.max_pending = self.queue.max_pending.max(other.queue.max_pending);
+        self.queue.buckets = self.queue.buckets.max(other.queue.buckets);
+        self.queue.bucket_width_nanos = self
+            .queue
+            .bucket_width_nanos
+            .max(other.queue.bucket_width_nanos);
+    }
 }
 
 impl Shard {
@@ -750,7 +736,7 @@ impl Shard {
         for &(local, issued) in &plan {
             let request = self.devices.verifiers[local]
                 .make_on_demand_request(config.measurements_per_round, issued);
-            state.od_attempted += 1;
+            state.report.on_demand_attempted += 1;
             let seq = self.devices.od_request_seqs[local];
             self.devices.od_request_seqs[local] += 1;
             let global = (self.base + local) as u64;
@@ -797,50 +783,13 @@ impl Shard {
         ShardReport {
             shard: self.index,
             provers: self.devices.len(),
-            measurements: state.measurements,
-            verifications: state.verifications,
-            measure_wall: state.measure_wall,
-            verify_wall: state.verify_wall,
             simulated_busy,
-            all_healthy: state.all_healthy,
-            collections_attempted: state.collect_attempted,
-            collections_delivered: state.collect_delivered,
-            collections_dropped: state.collect_dropped,
-            collect_retransmits: state.collect_retransmits,
-            exhausted_retries: state.exhausted_retries,
-            churn_losses: state.churn_losses,
-            stale_retries: state.stale_retries,
-            reorders: state.reorders,
-            retry_histogram: state.retry_histogram,
-            frame_retransmits: state.frame_retransmits,
-            frame_duplicates: state.frame_duplicates,
-            corrupt_decode_drops: state.corrupt_decode_drops,
-            corrupt_tamper_drops: state.corrupt_tamper_drops,
-            frames_exhausted: state.frames_exhausted,
-            frame_lost_responses: state.frame_lost_responses,
             hub_duplicates: self.hub.duplicates(),
-            hub_crashes: state.hub_crashes,
-            snapshot_bytes: state.snapshot_bytes,
-            hub_batches: state.batches,
-            largest_batch: state.largest_batch,
-            wire_frames: state.wire_frames,
-            wire_bytes: state.wire_bytes,
-            wire_responses: state.wire_responses,
-            wire_accepted: state.wire_accepted,
-            encode_wall: state.encode_wall,
-            wire_ingest_wall: state.wire_ingest_wall,
-            on_demand_attempted: state.od_attempted,
-            on_demand_completed: state.od_completed,
-            on_demand_latencies: state.od_latencies,
             devices_churned: self.churn.len() as u64,
-            lane_jobs: state.lane_jobs,
-            lane_remainder: state.lane_remainder,
-            events_scheduled: state.events_scheduled,
-            singleton_events: state.singleton_events,
-            coalesced_events: state.coalesced_events,
             event_pool_high_water: (state.response_pool.high_water() + state.od_pool.high_water())
                 as u64,
             queue,
+            ..state.report
         }
     }
 
@@ -862,7 +811,7 @@ impl Shard {
                 self.measure_cohort(engine, state, cohort, now);
             }
             FleetEvent::CollectArrive { device } => {
-                state.collect_attempted += 1;
+                state.report.collections_attempted += 1;
                 // If this device's cohort is due at this very instant, fire
                 // the whole batch first — otherwise the per-device drain
                 // below would take this device's measurement scalar and
@@ -876,8 +825,8 @@ impl Shard {
                 }
                 if !self.devices.active[device] {
                     // An absent device answers nothing: the attempt is lost.
-                    state.collect_dropped += 1;
-                    state.churn_losses += 1;
+                    state.report.collections_dropped += 1;
+                    state.report.churn_losses += 1;
                     return;
                 }
                 // `run_until` semantics: a measurement due exactly at the
@@ -905,22 +854,22 @@ impl Shard {
                     // stale evidence and must not be replayed — and its
                     // pooled slot is recycled, so churn can never grow the
                     // pool unboundedly.
-                    state.collect_dropped += 1;
-                    state.stale_retries += 1;
+                    state.report.collections_dropped += 1;
+                    state.report.stale_retries += 1;
                     state
                         .response_pool
                         .take(slot)
                         .expect("stale retry still owns its slot");
                     return;
                 }
-                state.collect_retransmits += 1;
+                state.report.collect_retransmits += 1;
                 self.dispatch_collection(
                     engine, state, network, device, slot, seq, attempt, epoch, now,
                 );
             }
             FleetEvent::CollectDeliver { slot, attempt } => {
-                state.collect_delivered += 1;
-                state.retry_histogram[attempt as usize] += 1;
+                state.report.collections_delivered += 1;
+                state.report.retry_histogram[attempt as usize] += 1;
                 let response = state
                     .response_pool
                     .take(slot)
@@ -942,12 +891,12 @@ impl Shard {
                 // request, so the exchange is timed as measurement work.
                 let started = Instant::now();
                 let outcome = self.devices.provers[device].handle_on_demand(&request, now);
-                state.measure_wall += started.elapsed();
+                state.report.measure_wall += started.elapsed();
                 self.devices.next_due[device] = self.devices.provers[device].next_measurement_due();
                 // Rejected requests (e.g. reordered arrivals tripping the
                 // anti-replay check) fail the exchange, not the run.
                 if let Ok(response) = outcome {
-                    state.measurements += 1; // the fresh M_0
+                    state.report.measurements += 1; // the fresh M_0
                     let seq = self.devices.od_response_seqs[device];
                     self.devices.od_response_seqs[device] += 1;
                     let global = (self.base + device) as u64;
@@ -976,15 +925,16 @@ impl Shard {
                     &exchange.response,
                     now,
                 );
-                state.verify_wall += started.elapsed();
+                state.report.verify_wall += started.elapsed();
                 if let Ok(report) = verified {
-                    state.od_completed += 1;
+                    state.report.on_demand_completed += 1;
                     state
-                        .od_latencies
+                        .report
+                        .on_demand_latencies
                         .push(now.saturating_duration_since(exchange.issued));
-                    state.verifications += report.measurements().len() as u64;
+                    state.report.verifications += report.measurements().len() as u64;
                     state.note_health(&report, false);
-                    self.push_report(state, network, now, report);
+                    state.report.all_healthy &= self.hub.ingest(&report);
                 }
             }
             FleetEvent::HubCrash => {
@@ -998,8 +948,8 @@ impl Shard {
                 let restored = decode_hub_snapshot(&snapshot).expect("hub snapshot round-trips");
                 assert_eq!(restored, self.hub, "hub restores bit-identically");
                 self.hub = restored;
-                state.hub_crashes += 1;
-                state.snapshot_bytes += snapshot.len() as u64;
+                state.report.hub_crashes += 1;
+                state.report.snapshot_bytes += snapshot.len() as u64;
             }
             FleetEvent::DeviceLeave { device } => {
                 if self.devices.active[device] {
@@ -1066,7 +1016,7 @@ impl Shard {
                 let mut latency = latency;
                 if let Some(extra) = network.sample_faults(fault_flow, fault_seq).reorder {
                     latency += extra;
-                    state.reorders += 1;
+                    state.report.reorders += 1;
                 }
                 engine.schedule_at(now + latency, FleetEvent::CollectDeliver { slot, attempt });
             }
@@ -1083,8 +1033,8 @@ impl Shard {
                         },
                     );
                 } else {
-                    state.collect_dropped += 1;
-                    state.exhausted_retries += 1;
+                    state.report.collections_dropped += 1;
+                    state.report.exhausted_retries += 1;
                     state
                         .response_pool
                         .take(slot)
@@ -1131,9 +1081,9 @@ impl Shard {
 
         if !due.is_empty() {
             // Coalescing ledger: these measurements ride ONE queue slot.
-            state.events_scheduled += due.len() as u64;
-            state.singleton_events += 1;
-            state.coalesced_events += due.len() as u64 - 1;
+            state.report.events_scheduled += due.len() as u64;
+            state.report.singleton_events += 1;
+            state.report.coalesced_events += due.len() as u64 - 1;
             let started = Instant::now();
             let mut rest: &[usize] = &due;
             if self.lane_width >= 8 {
@@ -1155,12 +1105,12 @@ impl Shard {
                     .self_measure(now)
                     .expect("fleet measurement");
                 self.devices.next_due[local] = self.devices.provers[local].next_measurement_due();
-                state.measurements += 1;
+                state.report.measurements += 1;
                 if self.lane_width > 1 {
-                    state.lane_remainder += 1;
+                    state.report.lane_remainder += 1;
                 }
             }
-            state.measure_wall += started.elapsed();
+            state.report.measure_wall += started.elapsed();
         }
         due.clear();
         state.due_scratch = due;
@@ -1182,8 +1132,8 @@ impl Shard {
         for &local in &group {
             self.devices.next_due[local] = self.devices.provers[local].next_measurement_due();
         }
-        state.measurements += N as u64;
-        state.lane_jobs += 1;
+        state.report.measurements += N as u64;
+        state.report.lane_jobs += 1;
     }
 
     /// Schedules a cohort's next authoritative measure event at the
@@ -1220,26 +1170,8 @@ impl Shard {
         }
     }
 
-    /// Buffers a verified on-demand report into the current delivery
-    /// burst; a new arrival instant seals the previous burst into the hub.
-    fn push_report(
-        &mut self,
-        state: &mut RunState,
-        network: &NetworkModel,
-        at: SimTime,
-        report: CollectionReport,
-    ) {
-        if state.pending_at != Some(at) {
-            self.flush_batch(state, network);
-            state.pending_at = Some(at);
-        }
-        state.pending.push(report);
-    }
-
-    /// Buffers a raw collection response into the current delivery burst,
-    /// under the same sealing rule as [`Shard::push_report`]: mixed bursts
-    /// — frame-bound collections plus on-demand reports landing at the
-    /// same instant — seal and flush together.
+    /// Buffers a raw collection response into the current delivery burst;
+    /// a new arrival instant seals the previous burst into the hub.
     fn push_response(
         &mut self,
         state: &mut RunState,
@@ -1254,57 +1186,42 @@ impl Shard {
         state.pending_responses.push(response);
     }
 
-    /// Seals the buffered burst into the shard hub.
+    /// Seals the buffered collection burst into the shard hub.
     ///
-    /// Collection responses first: they are serialized into framed batch
-    /// buffers — chunked at [`MAX_BATCH_RESPONSES`], since a single-group
-    /// stagger can put a whole shard into one instant — and carried across
-    /// the frame link by [`Shard::deliver_frame`]'s ARQ loop, which
-    /// verifies each record zero-copy off the frame, at the burst's arrival
-    /// instant, by the device's own verifier. Already-verified on-demand
-    /// reports then fold in via `ingest_batch`. A mixed burst still counts
-    /// as *one* batch with its combined size. Encoding is timed separately
-    /// (`encode_wall`); the ingest span lands in both `wire_ingest_wall`
-    /// and `verify_wall`.
+    /// The responses are serialized into framed batch buffers — chunked at
+    /// [`MAX_BATCH_RESPONSES`], since a single-group stagger can put a
+    /// whole shard into one instant — and carried across the frame link by
+    /// [`Shard::deliver_frame`]'s ARQ loop, which verifies each record
+    /// zero-copy off the frame, at the burst's arrival instant, by the
+    /// device's own verifier. However many frames it takes, a burst counts
+    /// as *one* hub batch. Encoding is timed separately (`encode_wall`);
+    /// the ingest span lands in both `wire_ingest_wall` and `verify_wall`.
     fn flush_batch(&mut self, state: &mut RunState, network: &NetworkModel) {
-        if state.pending.is_empty() && state.pending_responses.is_empty() {
-            state.pending_at = None;
+        let Some(at) = state.pending_at.take() else {
             return;
+        };
+        let mut responses = std::mem::take(&mut state.pending_responses);
+        let mut frame = std::mem::take(&mut state.frame_buf);
+        let frame_flow = FRAME_STREAM ^ self.base as u64;
+        for chunk in responses.chunks(MAX_BATCH_RESPONSES) {
+            frame.clear();
+            let started = Instant::now();
+            encode_collection_batch_into(&mut frame, chunk);
+            state.report.encode_wall += started.elapsed();
+            // First-send accounting: however many times the ARQ loop below
+            // re-carries this frame, it counts once here, so the wire
+            // totals stay comparable across fault settings.
+            state.report.wire_frames += 1;
+            state.report.wire_bytes += frame.len() as u64;
+            let frame_seq = state.frame_seq;
+            state.frame_seq += 1;
+            self.deliver_frame(state, network, frame_flow, frame_seq, &frame, chunk, at);
         }
-        let burst = (state.pending.len() + state.pending_responses.len()) as u64;
-        if !state.pending_responses.is_empty() {
-            let at = state
-                .pending_at
-                .expect("a non-empty burst has an arrival instant");
-            let mut responses = std::mem::take(&mut state.pending_responses);
-            let mut frame = std::mem::take(&mut state.frame_buf);
-            let frame_flow = FRAME_STREAM ^ self.base as u64;
-            for chunk in responses.chunks(MAX_BATCH_RESPONSES) {
-                frame.clear();
-                let started = Instant::now();
-                encode_collection_batch_into(&mut frame, chunk);
-                state.encode_wall += started.elapsed();
-                // First-send accounting: however many times the ARQ loop
-                // below re-carries this frame, it counts once here, so the
-                // wire totals stay comparable across fault settings.
-                state.wire_frames += 1;
-                state.wire_bytes += frame.len() as u64;
-                let frame_seq = state.frame_seq;
-                state.frame_seq += 1;
-                self.deliver_frame(state, network, frame_flow, frame_seq, &frame, chunk, at);
-            }
-            responses.clear();
-            state.pending_responses = responses;
-            state.frame_buf = frame;
-        }
-        if !state.pending.is_empty() {
-            let outcome = self.hub.ingest_batch(state.pending.iter());
-            state.all_healthy &= outcome.rejected == 0;
-            state.pending.clear();
-        }
-        state.batches += 1;
-        state.largest_batch = state.largest_batch.max(burst);
-        state.pending_at = None;
+        state.report.hub_batches += 1;
+        state.report.largest_batch = state.report.largest_batch.max(responses.len() as u64);
+        responses.clear();
+        state.pending_responses = responses;
+        state.frame_buf = frame;
     }
 
     /// Carries one encoded batch frame across the collector → hub link
@@ -1343,12 +1260,12 @@ impl Shard {
             if let Some(corruption) = draw.corrupt {
                 self.deliver_corrupt_copy(state, frame, chunk, corruption, at);
                 if state.policy.allows_retry(attempt) {
-                    state.frame_retransmits += 1;
+                    state.report.frame_retransmits += 1;
                     attempt += 1;
                     continue;
                 }
-                state.frames_exhausted += 1;
-                state.frame_lost_responses += chunk.len() as u64;
+                state.report.frames_exhausted += 1;
+                state.report.frame_lost_responses += chunk.len() as u64;
                 return;
             }
             let verifiers = &mut self.devices.verifiers;
@@ -1360,18 +1277,18 @@ impl Shard {
                     let report = verifiers[local]
                         .verify_frame_response(&view, at)
                         .expect("fleet collection verifies");
-                    state.verifications += report.measurements().len() as u64;
+                    state.report.verifications += report.measurements().len() as u64;
                     state.note_health(&report, true);
                     Some(report)
                 })
                 .expect("shard-encoded frame decodes")
                 .expect("first acceptance of a fresh sequence");
             let elapsed = started.elapsed();
-            state.wire_ingest_wall += elapsed;
-            state.verify_wall += elapsed;
-            state.wire_responses += outcome.responses;
-            state.wire_accepted += outcome.accepted;
-            state.all_healthy &= outcome.rejected == 0 && outcome.verify_failed == 0;
+            state.report.wire_ingest_wall += elapsed;
+            state.report.verify_wall += elapsed;
+            state.report.wire_responses += outcome.responses;
+            state.report.wire_accepted += outcome.accepted;
+            state.report.all_healthy &= outcome.rejected == 0 && outcome.verify_failed == 0;
             if draw.duplicate.is_some() {
                 // The link re-delivers the acked copy; the dedup window
                 // must drop the echo without running any verification.
@@ -1382,7 +1299,7 @@ impl Shard {
                     })
                     .expect("duplicate copy still decodes");
                 assert!(echo.is_none(), "hub dedup window drops the echo");
-                state.frame_duplicates += 1;
+                state.report.frame_duplicates += 1;
             }
             return;
         }
@@ -1393,12 +1310,13 @@ impl Shard {
     /// retransmitted pristine copy is still fresh.
     ///
     /// Structural damage flips a count-header byte: the strict decoder
-    /// must throw a [`DecodeError`] before the dedup window or any
-    /// verifier is touched. Payload damage flips a digest byte inside the
-    /// first non-empty response: the frame still parses, but the record's
-    /// MAC no longer matches — checked on a *clone* of the device's
-    /// verifier (collection verification advances `last_collection`, and
-    /// a discarded frame must not move the live coverage window).
+    /// must throw a `DecodeError` before the dedup window or any verifier
+    /// is touched. Payload damage flips a digest byte of the first
+    /// measurement of the first non-empty response, re-encoded as a frame
+    /// of its own: the frame still parses, but the record's MAC no longer
+    /// matches — checked on a *clone* of the device's verifier (collection
+    /// verification advances `last_collection`, and a discarded frame must
+    /// not move the live coverage window).
     fn deliver_corrupt_copy(
         &mut self,
         state: &mut RunState,
@@ -1407,33 +1325,29 @@ impl Shard {
         corruption: Corruption,
         at: SimTime,
     ) {
-        // First digest byte of the first response that carries evidence:
-        // response records are `device u64 | count u16`, then measurements
-        // of `t u64 | dlen u16 | digest ...` — 20 bytes from the record
-        // start to the digest.
-        let mut digest_target: Option<(usize, usize)> = None;
-        let mut offset = 2;
-        for (index, response) in chunk.iter().enumerate() {
-            if !response.measurements.is_empty() {
-                digest_target = Some((index, offset + 20));
-                break;
-            }
-            offset += 10 + response.payload_bytes() + 4 * response.measurements.len();
-        }
         let started = Instant::now();
-        let mut damaged = frame.to_vec();
-        match digest_target {
+        let evidence = chunk
+            .iter()
+            .find(|response| !response.measurements.is_empty());
+        match evidence {
             // A frame of empty responses has no authenticated payload, so
             // any damage to it is structural.
-            Some((index, digest_at)) if !corruption.structural => {
-                damaged[digest_at] ^= corruption.mask;
+            Some(response) if !corruption.structural => {
+                let mut damaged = response.clone();
+                let first = &damaged.measurements[0];
+                let mut digest = *first.digest();
+                digest[0] ^= corruption.mask;
+                damaged.measurements[0] =
+                    Measurement::from_parts(first.timestamp(), digest, *first.tag());
+                let mut bytes = Vec::new();
+                encode_collection_batch_into(&mut bytes, std::slice::from_ref(&damaged));
                 let parsed =
-                    FrameView::parse(&damaged).expect("payload corruption preserves framing");
+                    FrameView::parse(&bytes).expect("payload corruption preserves framing");
                 let view = parsed
                     .responses()
-                    .nth(index)
+                    .next()
                     .expect("damaged response still present");
-                let local = (view.device().value() - self.base as u64) as usize;
+                let local = (damaged.device.value() - self.base as u64) as usize;
                 let report = self.devices.verifiers[local]
                     .clone()
                     .verify_frame_response(&view, at)
@@ -1443,12 +1357,13 @@ impl Shard {
                     AttestationVerdict::TamperingDetected,
                     "flipped digest byte must surface as tampering"
                 );
-                state.corrupt_tamper_drops += 1;
+                state.report.corrupt_tamper_drops += 1;
             }
             _ => {
                 // Flip a count-header byte: the decoder must reject the
                 // frame outright, leaving the hub (dedup window included)
                 // untouched.
+                let mut damaged = frame.to_vec();
                 damaged[0] ^= corruption.mask;
                 self.hub
                     .ingest_sequenced_frame(
@@ -1458,12 +1373,12 @@ impl Shard {
                         |_| unreachable!("structurally corrupt frames fail decode"),
                     )
                     .expect_err("damaged count header fails the strict decoder");
-                state.corrupt_decode_drops += 1;
+                state.report.corrupt_decode_drops += 1;
             }
         }
         let elapsed = started.elapsed();
-        state.wire_ingest_wall += elapsed;
-        state.verify_wall += elapsed;
+        state.report.wire_ingest_wall += elapsed;
+        state.report.verify_wall += elapsed;
     }
 
     /// Surrenders the shard's history hub for merging into the fleet-wide
@@ -1501,10 +1416,10 @@ fn drain_due_measurements(prover: &mut Prover, now: SimTime, state: &mut RunStat
     let started = Instant::now();
     while next <= now {
         prover.self_measure(next).expect("fleet measurement");
-        state.measurements += 1;
+        state.report.measurements += 1;
         next = prover.next_measurement_due();
     }
-    state.measure_wall += started.elapsed();
+    state.report.measure_wall += started.elapsed();
     next
 }
 

@@ -3,9 +3,8 @@
 //!
 //! Every table and figure of the paper's evaluation has a function here that
 //! produces its rows/series from the reproduction. The `repro` binary prints
-//! them; the benches in `benches/` time the underlying operations; and
-//! `EXPERIMENTS.md` records how the reproduced values compare with the
-//! paper's.
+//! them (see the README's "Reproducing the paper's evaluation" section), and
+//! the benches in `benches/` time the underlying operations.
 
 #![forbid(unsafe_code)]
 #![deny(

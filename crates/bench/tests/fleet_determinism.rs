@@ -106,10 +106,17 @@ fn run(config: &FleetConfig, threads: usize) -> FleetReport {
     );
     assert_eq!(report.queue.pushes, report.queue.pops, "queue drain, {at}");
 
-    // The shards add up to the fleet.
+    // The shards add up to the fleet: every counter the fold adds sums,
+    // and the retry histogram sums bucket by bucket.
     let shards = &report.shards;
     assert_eq!(shards.len(), report.threads, "shard count, {at}");
     let sum = |field: fn(&fleet::ShardReport) -> u64| shards.iter().map(field).sum::<u64>();
+    // A counter both reports carry under the same name.
+    macro_rules! summed {
+        ($($field:ident).+) => {
+            (stringify!($($field).+), sum(|s| s.$($field).+), report.$($field).+)
+        };
+    }
     for (what, shard_sum, total) in [
         ("provers", sum(|s| s.provers as u64), config.provers as u64),
         (
@@ -118,29 +125,62 @@ fn run(config: &FleetConfig, threads: usize) -> FleetReport {
             report.measurements_total,
         ),
         (
-            "attempted",
-            sum(|s| s.collections_attempted),
-            report.collections_attempted,
+            "verifications",
+            sum(|s| s.verifications),
+            report.verifications_total,
         ),
-        ("delivered", sum(|s| s.collections_delivered), delivered),
-        ("wire_frames", sum(|s| s.wire_frames), report.wire_frames),
         (
             "wire_accepted",
             sum(|s| s.wire_accepted),
             report.decoded_accepted,
         ),
         (
-            "events_scheduled",
-            sum(|s| s.events_scheduled),
-            report.events_scheduled,
+            "simulated_busy",
+            sum(|s| s.simulated_busy.as_nanos()),
+            report.simulated_busy.as_nanos(),
         ),
         (
             "on-demand latency samples",
             sum(|s| s.on_demand_latencies.len() as u64),
             report.on_demand_completed,
         ),
+        summed!(collections_attempted),
+        summed!(collections_delivered),
+        summed!(collections_dropped),
+        summed!(collect_retransmits),
+        summed!(exhausted_retries),
+        summed!(churn_losses),
+        summed!(stale_retries),
+        summed!(reorders),
+        summed!(frame_retransmits),
+        summed!(frame_duplicates),
+        summed!(corrupt_decode_drops),
+        summed!(corrupt_tamper_drops),
+        summed!(frames_exhausted),
+        summed!(frame_lost_responses),
+        summed!(hub_duplicates),
+        summed!(hub_crashes),
+        summed!(snapshot_bytes),
+        summed!(wire_frames),
+        summed!(wire_bytes),
+        summed!(wire_responses),
+        summed!(on_demand_attempted),
+        summed!(on_demand_completed),
+        summed!(devices_churned),
+        summed!(lane_jobs),
+        summed!(events_scheduled),
+        summed!(singleton_events),
+        summed!(coalesced_events),
+        summed!(event_pool_high_water),
+        summed!(queue.pushes),
+        summed!(queue.pops),
+        summed!(queue.overflow_pushes),
     ] {
         assert_eq!(shard_sum, total, "per-shard {what}, {at}");
+    }
+    for (bucket, &total) in report.retry_histogram.iter().enumerate() {
+        let shard_sum: u64 = shards.iter().map(|s| s.retry_histogram[bucket]).sum();
+        assert_eq!(shard_sum, total, "per-shard retry bucket {bucket}, {at}");
     }
     report
 }

@@ -69,23 +69,6 @@ impl FlowWindow {
     }
 }
 
-/// Per-batch accept/reject accounting returned by
-/// [`VerifierHub::ingest_batch`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchIngest {
-    /// Reports folded into a device history.
-    pub accepted: u64,
-    /// Reports rejected by the per-device device-ID cross-check.
-    pub rejected: u64,
-}
-
-impl BatchIngest {
-    /// Total reports the batch carried.
-    pub fn total(&self) -> u64 {
-        self.accepted + self.rejected
-    }
-}
-
 /// Per-frame accounting returned by [`VerifierHub::ingest_frame`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameIngest {
@@ -175,8 +158,8 @@ impl VerifierHub {
     }
 
     /// Routes a collection report to the history of the device it is about,
-    /// creating that history on first contact. Batches and frames fold
-    /// their reports in through here, one at a time.
+    /// creating that history on first contact. Frames fold their reports in
+    /// through here, one at a time.
     ///
     /// Returns `false` if the per-device history rejected the report (the
     /// [`DeviceHistory::ingest`] device-ID cross-check failed — impossible
@@ -190,27 +173,6 @@ impl VerifierHub {
             self.rejected += 1;
         }
         accepted
-    }
-
-    /// Folds a whole burst of collection reports — one network delivery
-    /// event's worth — into the hub, one [`VerifierHub::ingest`] per report
-    /// in arrival order.
-    ///
-    /// The returned [`BatchIngest`] totals match what the counters advanced
-    /// by.
-    pub fn ingest_batch<'a, I>(&mut self, reports: I) -> BatchIngest
-    where
-        I: IntoIterator<Item = &'a CollectionReport>,
-    {
-        let mut outcome = BatchIngest::default();
-        for report in reports {
-            if self.ingest(report) {
-                outcome.accepted += 1;
-            } else {
-                outcome.rejected += 1;
-            }
-        }
-        outcome
     }
 
     /// Wire-native ingestion: validates one batch frame zero-copy, has
@@ -542,40 +504,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_ingest_matches_per_report_ingest() {
-        // Build one burst: two windows for device 0, one each for 1 and 2,
-        // interleaved across devices; the batch folds them in arrival order.
-        let mut reports = Vec::new();
-        let (mut p0, mut v0) = provision(0);
-        let (mut p1, mut v1) = provision(1);
-        let (mut p2, mut v2) = provision(2);
-        reports.push(collect(&mut p0, &mut v0, 40, 4));
-        reports.push(collect(&mut p1, &mut v1, 40, 4));
-        reports.push(collect(&mut p0, &mut v0, 80, 4));
-        reports.push(collect(&mut p2, &mut v2, 40, 4));
-
-        let mut batched = VerifierHub::new();
-        let outcome = batched.ingest_batch(reports.iter());
-        assert_eq!(outcome.accepted, 4);
-        assert_eq!(outcome.rejected, 0);
-        assert_eq!(outcome.total(), 4);
-
-        let mut sequential = VerifierHub::new();
-        for report in &reports {
-            assert!(sequential.ingest(report));
-        }
-        assert_eq!(batched, sequential);
-        assert_eq!(batched.ingested(), 4);
-        assert_eq!(batched.total_collections(), 4);
-        assert_eq!(batched.history(DeviceId::new(0)).expect("tracked").len(), 8);
-    }
-
-    #[test]
     fn wire_batch_decodes_verifies_and_ingests_end_to_end() {
         // The full networked-hub pipeline over the batch framing: provers
         // answer collections, the responses cross the wire as one batch
         // frame, the receiving side decodes, verifies each response and
-        // folds the burst in via ingest_batch.
+        // folds each report in via ingest.
         use crate::encoding::{decode_collection_batch, encode_collection_batch};
         use crate::protocol::CollectionResponse;
 
@@ -606,8 +539,8 @@ mod tests {
         assert!(reports.iter().all(CollectionReport::all_valid));
 
         let mut hub = VerifierHub::new();
-        let outcome = hub.ingest_batch(reports.iter());
-        assert_eq!(outcome.accepted, 3);
+        assert!(reports.iter().all(|report| hub.ingest(report)));
+        assert_eq!(hub.ingested(), 3);
         assert_eq!(hub.len(), 3);
         assert_eq!(hub.total_entries(), 12);
         assert!(hub.all_healthy());
@@ -630,7 +563,7 @@ mod tests {
         }
         let frame = encode_collection_batch(&responses);
 
-        // Struct path: decode, verify, ingest_batch.
+        // Struct path: decode, verify, ingest each report.
         let mut struct_hub = VerifierHub::new();
         let mut struct_verifiers = verifiers.clone();
         let reports: Vec<CollectionReport> = responses
@@ -642,7 +575,9 @@ mod tests {
                     .expect("verifies")
             })
             .collect();
-        let struct_outcome = struct_hub.ingest_batch(reports.iter());
+        for report in &reports {
+            assert!(struct_hub.ingest(report));
+        }
 
         // Frame path: verify straight off the frame inside ingest_frame.
         let mut frame_hub = VerifierHub::new();
@@ -658,8 +593,8 @@ mod tests {
             .expect("frame decodes");
 
         assert_eq!(outcome.responses, 3);
-        assert_eq!(outcome.accepted, struct_outcome.accepted);
-        assert_eq!(outcome.rejected, struct_outcome.rejected);
+        assert_eq!(outcome.accepted, struct_hub.ingested());
+        assert_eq!(outcome.rejected, struct_hub.rejected());
         assert_eq!(outcome.verify_failed, 0);
         assert_eq!(outcome.bytes, frame.len() as u64);
         assert_eq!(frame_hub, struct_hub);
@@ -909,15 +844,6 @@ mod tests {
             .is_none());
         assert_eq!(a.duplicates(), 3);
         assert_eq!(a.ingested(), 2);
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let mut hub = VerifierHub::new();
-        let outcome = hub.ingest_batch(std::iter::empty());
-        assert_eq!(outcome, BatchIngest::default());
-        assert!(hub.is_empty());
-        assert_eq!(hub.ingested(), 0);
     }
 
     #[test]

@@ -258,18 +258,6 @@ impl Digest for Blake2s {
     }
 }
 
-/// Convenience alias emphasising the MAC role of keyed BLAKE2s.
-///
-/// # Example
-///
-/// ```
-/// use erasmus_crypto::Blake2sMac;
-///
-/// let tag = Blake2sMac::keyed_mac(b"key", b"message");
-/// assert!(Blake2sMac::verify_keyed(b"key", b"message", &tag));
-/// ```
-pub type Blake2sMac = Blake2s;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,11 +14,12 @@
 //!   the irregular measurement schedule of Section 3.5.
 //! * [`constant_time_eq`] — timing-safe comparison used by verifiers.
 //!
-//! The [`Mac`] trait and the [`MacAlgorithm`] enum give the rest of the
-//! workspace a single switch point for the three MAC constructions evaluated
-//! in the paper. [`MacAlgorithm::with_key`] precomputes the key schedule
-//! ([`KeyedMac`]) so the measure/verify hot paths absorb the HMAC ipad/opad
-//! blocks (or the BLAKE2s key block) exactly once per device.
+//! The [`MacAlgorithm`] enum gives the rest of the workspace a single switch
+//! point for the three MAC constructions evaluated in the paper.
+//! [`MacAlgorithm::with_key`] precomputes the key schedule ([`KeyedMac`]),
+//! which is what provers and verifiers hold, so the measure/verify hot
+//! paths absorb the HMAC ipad/opad blocks (or the BLAKE2s key block) exactly
+//! once per device.
 //!
 //! Digest finalizers and MAC tags are fixed-size stack values — the hot path
 //! performs no heap allocation.
@@ -65,12 +66,12 @@ pub mod multi;
 pub mod sha1;
 pub mod sha256;
 
-pub use blake2s::{Blake2s, Blake2sMac};
+pub use blake2s::Blake2s;
 pub use ct::constant_time_eq;
 pub use digest::Digest;
 pub use drbg::HmacDrbg;
 pub use hmac::{Hmac, HmacKey, HmacSha1, HmacSha256};
-pub use mac::{KeyedMac, Mac, MacAlgorithm, MacTag, ParseMacAlgorithmError, MAX_TAG_LEN};
+pub use mac::{KeyedMac, MacAlgorithm, MacTag, ParseMacAlgorithmError, MAX_TAG_LEN};
 pub use multi::{
     Blake2sx4, Blake2sx8, Blake2sxN, MultiDigest, MultiKeyedMac, Sha256x4, Sha256x8, Sha256xN,
 };

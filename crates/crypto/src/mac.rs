@@ -124,26 +124,6 @@ impl fmt::Display for MacTag {
     }
 }
 
-/// Object-safe MAC abstraction.
-///
-/// Provers hold a `Box<dyn Mac>` chosen at deployment time; this mirrors the
-/// paper's deployments, which fix one MAC per ROM image.
-pub trait Mac: Send + Sync {
-    /// Computes the tag of `message` under `key`.
-    fn compute(&self, key: &[u8], message: &[u8]) -> MacTag;
-
-    /// Verifies a tag in constant time.
-    fn verify(&self, key: &[u8], message: &[u8], tag: &MacTag) -> bool {
-        self.compute(key, message).ct_eq(tag)
-    }
-
-    /// Tag length in bytes.
-    fn tag_len(&self) -> usize;
-
-    /// The algorithm identifier.
-    fn algorithm(&self) -> MacAlgorithm;
-}
-
 /// The three MAC constructions evaluated by the paper.
 ///
 /// # Example
@@ -160,7 +140,8 @@ pub trait Mac: Send + Sync {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MacAlgorithm {
-    /// HMAC-SHA1 — the paper sizes it in Table 1 for comparison only.
+    /// HMAC-SHA1 — sized in the paper's Table 1, and the MAC of the fleet
+    /// benchmark's `faults` workload.
     HmacSha1,
     /// HMAC-SHA256 — the paper's reference MAC.
     HmacSha256,
@@ -331,20 +312,6 @@ impl FromStr for MacAlgorithm {
     }
 }
 
-impl Mac for MacAlgorithm {
-    fn compute(&self, key: &[u8], message: &[u8]) -> MacTag {
-        (*self).mac(key, message)
-    }
-
-    fn tag_len(&self) -> usize {
-        (*self).tag_len()
-    }
-
-    fn algorithm(&self) -> MacAlgorithm {
-        *self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,14 +412,5 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn oversized_tag_panics() {
         let _ = MacTag::new([0u8; 33]);
-    }
-
-    #[test]
-    fn dyn_mac_object_safety() {
-        let mac: Box<dyn Mac> = Box::new(MacAlgorithm::HmacSha256);
-        let tag = mac.compute(b"key", b"msg");
-        assert!(mac.verify(b"key", b"msg", &tag));
-        assert_eq!(mac.algorithm(), MacAlgorithm::HmacSha256);
-        assert_eq!(mac.tag_len(), 32);
     }
 }

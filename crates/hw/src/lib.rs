@@ -15,7 +15,7 @@
 //! gate-level behaviour:
 //!
 //! * [`Mcu`] — the device: application memory, ROM with the device key,
-//!   [`Rroc`], timers, an [`MpuConfig`] access-rule table, and the
+//!   [`Rroc`], an [`MpuConfig`] access-rule table, and the
 //!   [`SecurityArchitecture`] flavour. The key is only reachable through
 //!   [`Mcu::run_trusted`], which models entering the ROM/PrAtt attestation
 //!   code with interrupts disabled.
@@ -65,7 +65,6 @@ pub mod profile;
 pub mod rom;
 pub mod rroc;
 pub mod secure_boot;
-pub mod timer;
 
 pub use codesize::{CodeSizeModel, ExecutableSize, HardwareCost, RaMode};
 pub use cost::CostModel;
@@ -78,4 +77,3 @@ pub use profile::{DeviceProfile, SecurityArchitecture};
 pub use rom::{Rom, ATTESTATION_CODE_SIZE};
 pub use rroc::Rroc;
 pub use secure_boot::SecureBoot;
-pub use timer::PeriodicTimer;

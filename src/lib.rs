@@ -8,7 +8,7 @@
 //! * [`crypto`] — SHA-1/SHA-256/HMAC/keyed-BLAKE2s/HMAC-DRBG implemented from
 //!   scratch (the MAC *is* the measurement primitive).
 //! * [`hw`] — simulated SMART+/HYDRA-class device hardware: memory map, MPU
-//!   rules, ROM, reliable read-only clock, timers, cost and code-size models.
+//!   rules, ROM, reliable read-only clock, cost and code-size models.
 //! * [`sim`] — deterministic discrete-event simulation engine.
 //! * [`core`] — the paper's contribution: self-measurement, rolling buffer,
 //!   collection protocols (ERASMUS, ERASMUS+OD, on-demand), Quality of
@@ -62,7 +62,6 @@ pub use erasmus_core as core;
 pub use erasmus_crypto as crypto;
 pub use erasmus_hw as hw;
 pub use erasmus_sim as sim;
-#[cfg(feature = "swarm")]
 pub use erasmus_swarm as swarm;
 
 /// Commonly used items, re-exported for convenience.
