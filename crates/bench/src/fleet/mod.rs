@@ -12,12 +12,13 @@
 //! module): each scoped `std::thread` worker provisions its
 //! `(Prover, Verifier)` pairs, owns them outright and drives them through
 //! its own [`erasmus_sim::Engine`] as one event-driven timeline.
-//! Measurements fire at their staggered
-//! [`erasmus_swarm::StaggeredSchedule`] instants (the Section 6 availability
-//! argument); collection responses travel through a deterministic
-//! [`erasmus_sim::NetworkModel`] (latency, jitter, loss — all drawn per device from the
-//! run's seed); responses arriving at the same instant form one burst that
-//! is serialized into framed batch buffers
+//! Each stagger group of the [`erasmus_swarm::StaggeredSchedule`] (the
+//! Section 6 availability argument) ticks once per `T_M` on its own
+//! phase offset: the tick measures the group's devices and, at the end of
+//! a round, collects them. Collection responses travel through a
+//! deterministic [`erasmus_sim::NetworkModel`] (latency, jitter, loss — all
+//! drawn per device from the run's seed); responses arriving at the same
+//! instant form one burst that is serialized into framed batch buffers
 //! ([`erasmus_core::encode_collection_batch`]'s wire format) and folded
 //! into the shard's [`erasmus_core::VerifierHub`] straight off the bytes
 //! via [`erasmus_core::VerifierHub::ingest_sequenced_frame`]; on-demand requests
@@ -61,10 +62,6 @@
 //! times [`run_threaded`] on pinned workloads and gates every rep on its
 //! totals; `tests/fleet_determinism.rs` checks the report's ledger laws on
 //! every run it makes.
-//!
-//! Each shard engine schedules on an [`erasmus_sim::CalendarQueue`]; its
-//! delivery order is pinned against the binary-heap oracle by the sim
-//! crate's order-equivalence property tests.
 
 pub mod lanes;
 mod shard;
@@ -392,25 +389,24 @@ pub struct FleetReport {
     /// Multi-lane hash jobs executed across all shards (0 when `lanes` is
     /// 1 or no cohort filled a lane group).
     pub lane_jobs: u64,
-    /// Measurement events that went through the coalesced cohort path:
-    /// every due device of a `MeasureCohort` firing counts once.
+    /// Scheduled measurements: every due device of a stagger cohort's tick
+    /// counts once.
     pub events_scheduled: u64,
-    /// `MeasureCohort` queue slots actually popped to deliver those
-    /// measurements — the insertion-time coalescing means one slot per
-    /// `(instant, cohort)` regardless of how many devices are due.
+    /// Cohort ticks that carried at least one of those measurements — one
+    /// queue slot per `(instant, cohort)` regardless of how many devices
+    /// are due.
     pub singleton_events: u64,
-    /// Queue slots *saved* by coalescing: measurement events that rode an
-    /// already-scheduled cohort slot. Conservation invariant (checked on
-    /// every benchmark rep and every `fleet_determinism` run):
+    /// Queue slots *saved* by the cohort ticks: measurements that shared a
+    /// tick with an earlier member of their cohort. Conservation invariant
+    /// (checked on every benchmark rep and every `fleet_determinism` run):
     /// `coalesced_events + singleton_events == events_scheduled`.
     pub coalesced_events: u64,
     /// High-water mark of live pooled event payloads (collection responses
     /// and on-demand exchanges) summed over shards. Bounded by in-flight
     /// traffic, not run length — the leak guard for long churn runs.
     pub event_pool_high_water: u64,
-    /// Merged event-queue counters: pushes/pops/overflow summed over
-    /// shards, `max_pending` the per-shard maximum, plus the calendar
-    /// queue's bucket geometry.
+    /// Merged event-queue counters: pushes and pops summed over shards,
+    /// `max_pending` the per-shard maximum; `overflow_pushes` is always 0.
     pub queue: QueueStats,
     /// Per-shard breakdown, in shard order.
     pub shards: Vec<ShardReport>,
@@ -449,11 +445,16 @@ pub fn run(config: &FleetConfig) -> FleetReport {
 ///
 /// # Panics
 ///
-/// Panics if `threads` is zero, or if a prover refuses a measurement or a
-/// verifier rejects a delivered collection response — the latter two would
-/// be bugs in the reproduction, not load conditions.
+/// Panics if `threads` or `config.measurements_per_round` is zero, or if a
+/// prover refuses a measurement or a verifier rejects a delivered
+/// collection response — the latter two would be bugs in the
+/// reproduction, not load conditions.
 pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
     assert!(threads > 0, "at least one worker thread is required");
+    assert!(
+        config.measurements_per_round > 0,
+        "a collection round needs at least one scheduled measurement"
+    );
     let threads = threads.min(config.provers.max(1));
     let schedule = config.schedule();
     let plan = on_demand_plan(config);
@@ -785,6 +786,13 @@ mod tests {
             report.measurements_total,
             config.total_measurements() + report.on_demand_completed
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one scheduled measurement")]
+    fn zero_measurements_per_round_is_rejected_before_spawning() {
+        let config = FleetConfig::new(4, 0, 2, 64, 1, MacAlgorithm::HmacSha256);
+        run_threaded(&config, 1);
     }
 
     #[test]

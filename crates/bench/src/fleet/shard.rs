@@ -5,9 +5,9 @@
 //! scoped worker thread, so the hot loops run without any cross-thread
 //! sharing or locking. Each shard owns an [`erasmus_sim::Engine`] and runs
 //! its slice of the fleet as one interleaved timeline of [`FleetEvent`]s:
-//! self-measurements, collection requests arriving at devices, responses
-//! travelling back through the [`NetworkModel`], on-demand attestations
-//! racing the schedule, and devices leaving/rejoining the fleet (churn).
+//! stagger-cohort ticks that measure and collect, responses travelling
+//! back through the [`NetworkModel`], on-demand attestations racing the
+//! schedule, and devices leaving/rejoining the fleet (churn).
 //!
 //! Devices keep their global fleet index for key derivation, for their
 //! [`StaggeredSchedule`] phase offset and for their network flows, which
@@ -58,28 +58,25 @@
 //!
 //! # Runtime layout
 //!
-//! The shard is built for event throughput, not just correctness:
-//!
-//! * The engine schedules on a calendar queue
-//!   ([`erasmus_sim::CalendarQueue`]): O(1) push and pop per event.
-//! * Per-device hot state is struct-of-arrays ([`DeviceState`]): schedule
-//!   cursors, epoch tags, horizons and sequence counters live in parallel
-//!   vecs indexed by dense local slot, so cohort due-scans and lane
-//!   batching walk contiguous columns instead of hopping across large
-//!   `(Prover, Verifier)` pairs. The `next_due` column caches
-//!   `Prover::next_measurement_due()` and is refreshed after every
-//!   schedule-mutating prover call.
+//! * Every device measures and is collected on its stagger cohort's
+//!   lattice `offset + k·T_M`, so the schedule is one
+//!   [`FleetEvent::CohortTick`] per (instant, cohort): the tick measures
+//!   the due members (lane-batched, or as width-1 scalar jobs) and, when
+//!   it ends a round, collects every member. Each cohort has exactly one
+//!   tick pending, so the engine's binary heap holds the cohorts plus the
+//!   traffic in flight, never one event per device or per round. The
+//!   per-shard ledger keeps the conservation invariant
+//!   `coalesced_events + singleton_events == events_scheduled`.
+//! * Per-device hot state is struct-of-arrays ([`DeviceState`]): activity,
+//!   epoch tags and sequence counters live in parallel vecs indexed by
+//!   dense local slot, next to the `provers` column lane batching selects
+//!   disjoint `&mut Prover`s from.
 //! * Heavy event payloads (collection responses riding the ARQ loop,
 //!   on-demand exchanges) live in [`EventPool`] slabs; events carry a
 //!   4-byte [`SlotId`]. Every path that abandons an event — stale retries
 //!   after churn, exhausted budgets — takes its slot back, so a long churn
 //!   run cannot grow the pools unboundedly (the fleet determinism tests
 //!   assert the high-water mark).
-//! * Self-measurements are coalesced at insertion: one `MeasureCohort`
-//!   event per (instant, stagger cohort) in *every* mode (the scalar path
-//!   simply runs width-1 jobs), instead of one queue entry per device.
-//!   The per-shard ledger keeps the conservation invariant
-//!   `coalesced_events + singleton_events == events_scheduled`.
 
 #![expect(
     clippy::disallowed_types,
@@ -131,23 +128,12 @@ fn flow(global: u64, channel: u64) -> u64 {
 /// Struct-of-arrays device state: every hot per-device scalar lives in its
 /// own parallel vec, indexed by dense local slot.
 ///
-/// Cohort due-scans read only the `active`/`next_due`/`horizon` columns —
-/// a few bytes per device, contiguous — and lane batching selects disjoint
-/// `&mut Prover`s straight out of the `provers` column. A device's global
-/// fleet index (keys, phase offsets, network flows) is `base + local`;
-/// it is never stored per device.
+/// Lane batching selects disjoint `&mut Prover`s straight out of the
+/// `provers` column. A device's global fleet index (keys, phase offsets,
+/// network flows) is `base + local`; it is never stored per device.
 struct DeviceState {
     provers: Vec<Prover>,
     verifiers: Vec<Verifier>,
-    /// Stagger phase offsets.
-    offsets: Vec<SimDuration>,
-    /// Each device's last collection instant; no measurement is scheduled
-    /// past it.
-    horizons: Vec<SimTime>,
-    /// Cached `Prover::next_measurement_due()`, refreshed after every
-    /// schedule-mutating prover call (measure, batch measure, catch-up
-    /// drain, rejoin skip): the cohort scan never touches the prover.
-    next_due: Vec<SimTime>,
     /// Whether the device is currently part of the fleet (churn).
     active: Vec<bool>,
     /// Bumped on every churn transition: outstanding retry events from
@@ -163,9 +149,6 @@ impl DeviceState {
         Self {
             provers: Vec::with_capacity(capacity),
             verifiers: Vec::with_capacity(capacity),
-            offsets: Vec::with_capacity(capacity),
-            horizons: Vec::with_capacity(capacity),
-            next_due: Vec::with_capacity(capacity),
             active: Vec::with_capacity(capacity),
             epochs: Vec::with_capacity(capacity),
             collect_seqs: Vec::with_capacity(capacity),
@@ -174,12 +157,9 @@ impl DeviceState {
         }
     }
 
-    fn push(&mut self, prover: Prover, verifier: Verifier, offset: SimDuration, horizon: SimTime) {
-        self.next_due.push(prover.next_measurement_due());
+    fn push(&mut self, prover: Prover, verifier: Verifier) {
         self.provers.push(prover);
         self.verifiers.push(verifier);
-        self.offsets.push(offset);
-        self.horizons.push(horizon);
         self.active.push(true);
         self.epochs.push(0);
         self.collect_seqs.push(0);
@@ -199,13 +179,12 @@ impl DeviceState {
 /// carry [`SlotId`]s, so a queued event is a couple of words regardless of
 /// how much evidence it moves.
 enum FleetEvent {
-    /// A stagger cohort's scheduled self-measurements are due: every active
-    /// member measures at this instant — in lane-interleaved groups when
-    /// lanes are on, scalar width-1 jobs otherwise. One queue slot per
-    /// (instant, cohort), coalesced at insertion.
-    MeasureCohort { cohort: usize },
-    /// The verifier's collection request reaches a device.
-    CollectArrive { device: usize },
+    /// Tick `tick` (1-based) of a stagger cohort's lattice,
+    /// `offset + tick·T_M`: every active member measures — in
+    /// lane-interleaved groups when lanes are on, scalar width-1 jobs
+    /// otherwise — and, when the tick ends a round, the verifier's
+    /// collection request reaches every member.
+    CohortTick { cohort: usize, tick: usize },
     /// A collection response reaches the verifier side.
     CollectDeliver {
         /// The pooled [`CollectionResponse`].
@@ -260,6 +239,10 @@ struct RunState {
     /// adds the fields known only at the end.
     report: ShardReport,
     request: CollectionRequest,
+    /// Cohort ticks per collection round (`measurements_per_round`).
+    round_ticks: usize,
+    /// The run's final tick, `measurements_per_round × rounds`.
+    last_tick: usize,
     /// Whether the run is expected to be gap-free (no loss, no churn,
     /// latency bounded below `T_M`): only then does a non-`AllHealthy`
     /// report verdict flag the run.
@@ -283,10 +266,12 @@ struct RunState {
 }
 
 impl RunState {
-    fn new(strict: bool, policy: RetryPolicy, request: CollectionRequest) -> Self {
+    fn new(strict: bool, policy: RetryPolicy, config: &FleetConfig) -> Self {
         Self {
             report: ShardReport::new(policy.budget),
-            request,
+            request: CollectionRequest::latest(config.measurements_per_round),
+            round_ticks: config.measurements_per_round,
+            last_tick: config.measurements_per_round * config.rounds,
             strict,
             policy,
             pending_responses: Vec::new(),
@@ -323,16 +308,14 @@ fn report_is_clean(report: &CollectionReport) -> bool {
 }
 
 /// One stagger cohort: the local devices sharing a phase offset, i.e.
-/// exactly the devices whose self-measurements fire at the same simulated
-/// instants. Cohorts drive measurement in every mode — the queue holds one
-/// `MeasureCohort` slot per (instant, cohort), never one event per device.
+/// exactly the devices that are measured and collected at the same
+/// simulated instants. The queue holds one [`FleetEvent::CohortTick`] per
+/// (instant, cohort), never one event per device.
 struct Cohort {
+    /// The members' shared stagger phase offset.
+    offset: SimDuration,
     /// Local device indices, ascending (provision order).
     members: Vec<usize>,
-    /// Time of the authoritative pending [`FleetEvent::MeasureCohort`]
-    /// event, if any. Events firing at any other time are superseded
-    /// duplicates and ignored; scheduling only ever moves this earlier.
-    scheduled: Option<SimTime>,
 }
 
 /// A worker thread's slice of the fleet.
@@ -353,8 +336,6 @@ pub(crate) struct Shard {
     lane_width: usize,
     /// Stagger cohorts (one per phase offset present in this shard).
     cohorts: Vec<Cohort>,
-    /// Local device index → cohort index.
-    cohort_of: Vec<usize>,
 }
 
 /// What one shard contributed to a fleet run: the one declaration of every
@@ -452,17 +433,15 @@ pub struct ShardReport {
     pub lane_jobs: u64,
     /// Measurements that fell back to the scalar path as the ragged
     /// remainder of a lane-batched cohort (fewer than 4 devices left after
-    /// the lane groups). Catch-up drains outside the cohort path (e.g. a
-    /// device collected mid-lattice under extreme latency) are scalar too
-    /// but are not counted here.
+    /// the lane groups). Every scheduled measurement runs on a cohort tick,
+    /// so with lanes on this counts every scalar one.
     pub lane_remainder: u64,
-    /// Measurement firings that went through the coalesced cohort path.
+    /// Scheduled measurements, each taken on its cohort's tick.
     pub events_scheduled: u64,
-    /// Cohort fires — queue slots that carried at least one due
-    /// measurement.
+    /// Cohort ticks that carried at least one due measurement.
     pub singleton_events: u64,
-    /// Measurements that rode an already-occupied (instant, cohort) queue
-    /// slot. Conservation: `coalesced_events + singleton_events ==
+    /// Measurements that shared a tick with an earlier member of their
+    /// cohort. Conservation: `coalesced_events + singleton_events ==
     /// events_scheduled`.
     pub coalesced_events: u64,
     /// Peak live slots across the shard's event payload pools — bounded
@@ -485,8 +464,8 @@ impl ShardReport {
     }
 
     /// Folds another shard's ledger into this one. Walls, burst sizes and
-    /// queue high-water marks and geometry take the maximum, since shards
-    /// run concurrently; health takes the AND; latencies are appended in
+    /// queue high-water marks take the maximum, since shards run
+    /// concurrently; health takes the AND; latencies are appended in
     /// shard order; every other counter is added. `shard` is left alone.
     pub(crate) fn absorb(&mut self, other: &ShardReport) {
         self.provers += other.provers;
@@ -537,19 +516,13 @@ impl ShardReport {
         self.event_pool_high_water += other.event_pool_high_water;
         self.queue.pushes += other.queue.pushes;
         self.queue.pops += other.queue.pops;
-        self.queue.overflow_pushes += other.queue.overflow_pushes;
         self.queue.max_pending = self.queue.max_pending.max(other.queue.max_pending);
-        self.queue.buckets = self.queue.buckets.max(other.queue.buckets);
-        self.queue.bucket_width_nanos = self
-            .queue
-            .bucket_width_nanos
-            .max(other.queue.bucket_width_nanos);
     }
 }
 
 impl Shard {
     /// Provisions the devices with global fleet indices `range`: per-device
-    /// keys, precomputed MAC schedules, reference digests, phase offsets —
+    /// keys, precomputed MAC schedules, reference digests, stagger cohorts —
     /// plus the shard's slices of the deterministic churn and on-demand
     /// plans.
     ///
@@ -565,8 +538,7 @@ impl Shard {
         on_demand_plan: &[(usize, SimTime)],
     ) -> Self {
         let buffer_slots = config.measurements_per_round.max(1);
-        let round_span = MEASUREMENT_INTERVAL * config.measurements_per_round as u64;
-        let span = round_span * config.rounds as u64;
+        let span = MEASUREMENT_INTERVAL * (config.measurements_per_round * config.rounds) as u64;
         let mut devices = DeviceState::with_capacity(range.len());
         for i in range.clone() {
             // The device's phase offset goes into its *prover schedule*:
@@ -591,7 +563,7 @@ impl Shard {
             let mut verifier = Verifier::new(key, config.algorithm);
             verifier.learn_reference_image(prover.mcu().app_memory());
             verifier.set_expected_interval(MEASUREMENT_INTERVAL);
-            devices.push(prover, verifier, offset, SimTime::ZERO + span + offset);
+            devices.push(prover, verifier);
         }
 
         let churn = if config.churn > 0.0 {
@@ -624,26 +596,24 @@ impl Shard {
             .collect();
 
         // Group the shard's devices into stagger cohorts — one cohort per
-        // phase offset, i.e. per set of devices whose measurements are due
-        // at the same simulated instants. Cohorts drive measurement in
-        // every mode: the queue holds one coalesced event per (instant,
-        // cohort) whether the jobs then run lane-batched or scalar.
-        let lane_width = super::lanes::effective_width(config.lanes);
+        // phase offset, i.e. per set of devices measured and collected at
+        // the same simulated instants. Cohorts drive the schedule in every
+        // mode: the queue holds one tick per (instant, cohort) whether the
+        // jobs then run lane-batched or scalar.
         let mut cohorts: Vec<Cohort> = Vec::new();
-        let mut cohort_of: Vec<usize> = Vec::with_capacity(devices.len());
         let mut by_group: std::collections::BTreeMap<usize, usize> =
             std::collections::BTreeMap::new();
-        for local in 0..devices.len() {
-            let group = schedule.group_of(range.start + local);
-            let cohort = *by_group.entry(group).or_insert_with(|| {
-                cohorts.push(Cohort {
-                    members: Vec::new(),
-                    scheduled: None,
+        for global in range.clone() {
+            let cohort = *by_group
+                .entry(schedule.group_of(global))
+                .or_insert_with(|| {
+                    cohorts.push(Cohort {
+                        offset: schedule.offset(global),
+                        members: Vec::new(),
+                    });
+                    cohorts.len() - 1
                 });
-                cohorts.len() - 1
-            });
-            cohorts[cohort].members.push(local);
-            cohort_of.push(cohort);
+            cohorts[cohort].members.push(global - range.start);
         }
 
         Self {
@@ -654,20 +624,20 @@ impl Shard {
             engine: Engine::new(),
             churn,
             on_demand,
-            lane_width,
+            lane_width: super::lanes::effective_width(config.lanes),
             cohorts,
-            cohort_of,
         }
     }
 
     /// Drives this shard's event loop to completion.
     ///
     /// A device with phase offset `o` measures at `o + k·T_M` and is
-    /// collected at its *own* staggered instants `r·round_span + o`, so
-    /// staggering shifts whole timelines without changing how many
-    /// measurements a round yields: offsets stay strictly inside `T_M`,
-    /// hence exactly `measurements_per_round` measurements fall into every
-    /// device's collection window regardless of its group. Loss, latency,
+    /// collected at its *own* staggered instants `o + r·round_span` — every
+    /// `measurements_per_round`-th tick of its cohort — so staggering shifts
+    /// whole timelines without changing how many measurements a round
+    /// yields: offsets stay strictly inside `T_M`, hence exactly
+    /// `measurements_per_round` measurements fall into every device's
+    /// collection window regardless of its group. Loss, latency,
     /// churn and on-demand traffic perturb that timeline only through
     /// deterministic per-device draws, keeping every total thread-count-
     /// invariant.
@@ -684,13 +654,8 @@ impl Shard {
             && config.churn == 0.0
             && !config.network.has_faults()
             && config.network.base_latency + config.network.jitter < MEASUREMENT_INTERVAL;
-        let mut state = RunState::new(
-            strict,
-            RetryPolicy::with_budget(config.retries),
-            CollectionRequest::latest(config.measurements_per_round),
-        );
-        let round_span = MEASUREMENT_INTERVAL * config.measurements_per_round as u64;
-        let span = round_span * config.rounds as u64;
+        let mut state = RunState::new(strict, RetryPolicy::with_budget(config.retries), config);
+        let span = MEASUREMENT_INTERVAL * state.last_tick as u64;
         let mut engine = std::mem::take(&mut self.engine);
 
         // Seed the timeline. Hub crashes go in FIRST: the engine breaks
@@ -704,28 +669,16 @@ impl Shard {
                 );
             engine.schedule_at(at, FleetEvent::HubCrash);
         }
-        // Then every scheduled collection arrival, one coalesced measure
-        // event per cohort (never one per device), the churn plan, and the
-        // on-demand plan (whose requests are built now, in issue order, so
-        // each device's `t_req` values are strictly increasing).
-        for local in 0..self.devices.len() {
-            for round in 1..=config.rounds {
-                let at = SimTime::ZERO + round_span * round as u64 + self.devices.offsets[local];
-                engine.schedule_at(at, FleetEvent::CollectArrive { device: local });
-            }
-        }
-        for (index, cohort) in self.cohorts.iter_mut().enumerate() {
-            let next = cohort
-                .members
-                .iter()
-                .filter_map(|&member| {
-                    let due = self.devices.next_due[member];
-                    (due <= self.devices.horizons[member]).then_some(due)
-                })
-                .min();
-            if let Some(at) = next {
-                cohort.scheduled = Some(at);
-                engine.schedule_at(at, FleetEvent::MeasureCohort { cohort: index });
+        // Then each cohort's first tick (each tick schedules the next), the
+        // churn plan, and the on-demand plan (whose requests are built now,
+        // in issue order, so each device's `t_req` values are strictly
+        // increasing).
+        if state.last_tick > 0 {
+            for (cohort, entry) in self.cohorts.iter().enumerate() {
+                engine.schedule_at(
+                    SimTime::ZERO + MEASUREMENT_INTERVAL + entry.offset,
+                    FleetEvent::CohortTick { cohort, tick: 1 },
+                );
             }
         }
         for &(local, leave, rejoin) in &self.churn {
@@ -803,44 +756,23 @@ impl Shard {
     ) {
         let now = event.time;
         match event.payload {
-            FleetEvent::MeasureCohort { cohort } => {
-                if self.cohorts[cohort].scheduled != Some(now) {
-                    return; // superseded by an earlier reschedule
+            FleetEvent::CohortTick { cohort, tick } => {
+                self.measure_cohort(state, cohort, now);
+                if tick < state.last_tick {
+                    engine.schedule_at(
+                        now + MEASUREMENT_INTERVAL,
+                        FleetEvent::CohortTick {
+                            cohort,
+                            tick: tick + 1,
+                        },
+                    );
                 }
-                self.cohorts[cohort].scheduled = None;
-                self.measure_cohort(engine, state, cohort, now);
-            }
-            FleetEvent::CollectArrive { device } => {
-                state.report.collections_attempted += 1;
-                // If this device's cohort is due at this very instant, fire
-                // the whole batch first — otherwise the per-device drain
-                // below would take this device's measurement scalar and
-                // shrink the lane group (and, in every mode, cohort members
-                // must measure before any same-instant collection reads a
-                // buffer).
-                let cohort = self.cohort_of[device];
-                if self.cohorts[cohort].scheduled == Some(now) {
-                    self.cohorts[cohort].scheduled = None;
-                    self.measure_cohort(engine, state, cohort, now);
+                if tick % state.round_ticks == 0 {
+                    for index in 0..self.cohorts[cohort].members.len() {
+                        let device = self.cohorts[cohort].members[index];
+                        self.collect(engine, state, network, device, now);
+                    }
                 }
-                if !self.devices.active[device] {
-                    // An absent device answers nothing: the attempt is lost.
-                    state.report.collections_dropped += 1;
-                    state.report.churn_losses += 1;
-                    return;
-                }
-                // `run_until` semantics: a measurement due exactly at the
-                // collection instant happens before the buffer is read.
-                if self.devices.next_due[device] <= now {
-                    self.devices.next_due[device] =
-                        drain_due_measurements(&mut self.devices.provers[device], now, state);
-                }
-                let response = self.devices.provers[device].handle_collection(&state.request, now);
-                let seq = self.devices.collect_seqs[device];
-                self.devices.collect_seqs[device] += 1;
-                let epoch = self.devices.epochs[device];
-                let slot = state.response_pool.insert(response);
-                self.dispatch_collection(engine, state, network, device, slot, seq, 0, epoch, now);
             }
             FleetEvent::CollectRetry {
                 device,
@@ -892,7 +824,6 @@ impl Shard {
                 let started = Instant::now();
                 let outcome = self.devices.provers[device].handle_on_demand(&request, now);
                 state.report.measure_wall += started.elapsed();
-                self.devices.next_due[device] = self.devices.provers[device].next_measurement_due();
                 // Rejected requests (e.g. reordered arrivals tripping the
                 // anti-replay check) fail the exchange, not the run.
                 if let Ok(response) = outcome {
@@ -961,20 +892,38 @@ impl Shard {
                 if !self.devices.active[device] {
                     self.devices.active[device] = true;
                     self.devices.epochs[device] += 1;
-                    let prover = &mut self.devices.provers[device];
-                    prover.skip_missed_measurements(now);
-                    let next = prover.next_measurement_due();
-                    self.devices.next_due[device] = next;
-                    if next <= self.devices.horizons[device] {
-                        // The rejoin stays on the cohort lattice
-                        // (skip_until is phase-aligned), so pulling the
-                        // cohort's next event forward covers it.
-                        let cohort = self.cohort_of[device];
-                        self.schedule_cohort_at(engine, cohort, next);
-                    }
+                    // The skip is phase-aligned, so the device resumes on
+                    // its cohort's lattice: the cohort kept ticking, and
+                    // its next tick measures the device again.
+                    self.devices.provers[device].skip_missed_measurements(now);
                 }
             }
         }
+    }
+
+    /// Serves the verifier's collection request at `device` on its cohort's
+    /// round-ending tick and puts the response on the wire. An absent
+    /// device answers nothing: the attempt is lost to churn.
+    fn collect(
+        &mut self,
+        engine: &mut Engine<FleetEvent>,
+        state: &mut RunState,
+        network: &NetworkModel,
+        device: usize,
+        now: SimTime,
+    ) {
+        state.report.collections_attempted += 1;
+        if !self.devices.active[device] {
+            state.report.collections_dropped += 1;
+            state.report.churn_losses += 1;
+            return;
+        }
+        let response = self.devices.provers[device].handle_collection(&state.request, now);
+        let seq = self.devices.collect_seqs[device];
+        self.devices.collect_seqs[device] += 1;
+        let epoch = self.devices.epochs[device];
+        let slot = state.response_pool.insert(response);
+        self.dispatch_collection(engine, state, network, device, slot, seq, 0, epoch, now);
     }
 
     /// Puts one copy of a collection response on the wire (first send or
@@ -1051,36 +1000,26 @@ impl Shard {
     /// ragged remainder falls back to the scalar path. Every device's
     /// measurement is bit-identical to the scalar timeline, so totals,
     /// health and hub coverage do not depend on the lane width.
-    fn measure_cohort(
-        &mut self,
-        engine: &mut Engine<FleetEvent>,
-        state: &mut RunState,
-        cohort: usize,
-        now: SimTime,
-    ) {
-        // The due-scan touches only the active/next_due columns — dense,
-        // contiguous reads — and reuses one scratch vec across fires.
+    fn measure_cohort(&mut self, state: &mut RunState, cohort: usize, now: SimTime) {
+        // One scratch vec is reused across ticks.
         let mut due = std::mem::take(&mut state.due_scratch);
         due.clear();
         for &local in &self.cohorts[cohort].members {
             if !self.devices.active[local] {
                 continue;
             }
-            let next = self.devices.next_due[local];
-            if next < now {
-                // A member that fell behind the lattice (e.g. drained at a
-                // collect instant under extreme latency) catches up scalar.
-                self.devices.next_due[local] =
-                    drain_due_measurements(&mut self.devices.provers[local], now, state);
-                continue;
-            }
+            let next = self.devices.provers[local].next_measurement_due();
+            // Active members never fall behind the lattice: every
+            // scheduled measurement is taken on its tick, and a rejoin
+            // skips ahead phase-aligned.
+            debug_assert!(next >= now, "device {local} missed its tick at {now}");
             if next == now {
                 due.push(local);
             }
         }
 
         if !due.is_empty() {
-            // Coalescing ledger: these measurements ride ONE queue slot.
+            // Coalescing ledger: these measurements ride ONE tick.
             state.report.events_scheduled += due.len() as u64;
             state.report.singleton_events += 1;
             state.report.coalesced_events += due.len() as u64 - 1;
@@ -1104,7 +1043,6 @@ impl Shard {
                 self.devices.provers[local]
                     .self_measure(now)
                     .expect("fleet measurement");
-                self.devices.next_due[local] = self.devices.provers[local].next_measurement_due();
                 state.report.measurements += 1;
                 if self.lane_width > 1 {
                     state.report.lane_remainder += 1;
@@ -1114,8 +1052,6 @@ impl Shard {
         }
         due.clear();
         state.due_scratch = due;
-
-        self.schedule_cohort_next(engine, cohort);
     }
 
     /// One multi-lane measurement job over `N` cohort members (ascending
@@ -1129,45 +1065,8 @@ impl Shard {
     ) {
         let provers = select_mut(&mut self.devices.provers, &group);
         Prover::self_measure_batch(provers, now).expect("fleet lane measurement");
-        for &local in &group {
-            self.devices.next_due[local] = self.devices.provers[local].next_measurement_due();
-        }
         state.report.measurements += N as u64;
         state.report.lane_jobs += 1;
-    }
-
-    /// Schedules a cohort's next authoritative measure event at the
-    /// earliest due time among its active members (within their horizon).
-    /// Reads only the SoA columns — no prover access.
-    fn schedule_cohort_next(&mut self, engine: &mut Engine<FleetEvent>, cohort: usize) {
-        let next = self.cohorts[cohort]
-            .members
-            .iter()
-            .filter_map(|&member| {
-                if !self.devices.active[member] {
-                    return None;
-                }
-                let due = self.devices.next_due[member];
-                (due <= self.devices.horizons[member]).then_some(due)
-            })
-            .min();
-        if let Some(at) = next {
-            self.schedule_cohort_at(engine, cohort, at);
-        }
-    }
-
-    /// Makes `at` the cohort's authoritative next measure instant if it is
-    /// earlier than the currently scheduled one. The superseded event stays
-    /// queued and is ignored when it fires (time mismatch).
-    fn schedule_cohort_at(&mut self, engine: &mut Engine<FleetEvent>, cohort: usize, at: SimTime) {
-        let entry = &mut self.cohorts[cohort];
-        match entry.scheduled {
-            Some(current) if current <= at => {}
-            _ => {
-                entry.scheduled = Some(at);
-                engine.schedule_at(at, FleetEvent::MeasureCohort { cohort });
-            }
-        }
     }
 
     /// Buffers a raw collection response into the current delivery burst;
@@ -1402,25 +1301,6 @@ fn select_mut<'a, T, const N: usize>(items: &'a mut [T], indices: &[usize; N]) -
         rest = tail;
     }
     out.map(|item| item.expect("every lane selected"))
-}
-
-/// Takes every scheduled self-measurement due at or before `now`, exactly
-/// like `Prover::run_until` but without allocating per-event outcome
-/// vectors. Returns the prover's new `next_measurement_due`, which the
-/// caller writes back into the SoA `next_due` column.
-fn drain_due_measurements(prover: &mut Prover, now: SimTime, state: &mut RunState) -> SimTime {
-    let mut next = prover.next_measurement_due();
-    if next > now {
-        return next;
-    }
-    let started = Instant::now();
-    while next <= now {
-        prover.self_measure(next).expect("fleet measurement");
-        state.report.measurements += 1;
-        next = prover.next_measurement_due();
-    }
-    state.report.measure_wall += started.elapsed();
-    next
 }
 
 #[cfg(test)]

@@ -105,6 +105,20 @@ fn run(config: &FleetConfig, threads: usize) -> FleetReport {
         "coalescing ledger, {at}"
     );
     assert_eq!(report.queue.pushes, report.queue.pops, "queue drain, {at}");
+    // With nothing but the schedule in flight, the queue holds one tick per
+    // cohort plus one collection burst, never the whole run.
+    if config.network == NetworkConfig::IDEAL
+        && config.churn == 0.0
+        && config.on_demand == 0
+        && config.hub_crashes == 0
+    {
+        let schedule = config.schedule();
+        assert!(
+            report.queue.max_pending <= (schedule.max_concurrent() + schedule.groups()) as u64,
+            "queue peak {} over one burst plus one tick per cohort, {at}",
+            report.queue.max_pending
+        );
+    }
 
     // The shards add up to the fleet: every counter the fold adds sums,
     // and the retry histogram sums bucket by bucket.
@@ -174,7 +188,6 @@ fn run(config: &FleetConfig, threads: usize) -> FleetReport {
         summed!(event_pool_high_water),
         summed!(queue.pushes),
         summed!(queue.pops),
-        summed!(queue.overflow_pushes),
     ] {
         assert_eq!(shard_sum, total, "per-shard {what}, {at}");
     }

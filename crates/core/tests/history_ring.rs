@@ -6,9 +6,7 @@
 //! arrival produces identical lifetime tallies and head digests to the
 //! oracle, arbitrary arrival keeps every
 //! conservation law, and `merge_from` over a shard split reproduces the
-//! sequential-ingest state bit for bit (including the hash chain). Style
-//! follows `queue_equivalence.rs` in the sim crate: generate arbitrary
-//! workloads, drive implementation and oracle side by side.
+//! sequential-ingest state bit for bit (including the hash chain).
 
 use erasmus_core::{DeviceHistory, DeviceId, HistoryEntry, HistoryMode, MeasurementVerdict};
 use erasmus_sim::SimTime;

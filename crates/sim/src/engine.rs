@@ -1,17 +1,18 @@
 //! Discrete-event simulation engine.
 
-use crate::event::{CalendarQueue, QueueStats, ScheduledEvent};
+use crate::event::{EventQueue, QueueStats, ScheduledEvent};
 use crate::time::{SimDuration, SimTime};
 
 /// A single-clock discrete-event engine.
 ///
-/// The engine owns a [`CalendarQueue`] and the current time. Pulling the
+/// The engine owns an [`EventQueue`] and the current time. Pulling the
 /// next event advances the clock to that event's timestamp, which is the
 /// standard discrete-event semantics: nothing happens between events.
 ///
-/// Scenario drivers in `erasmus-core` and `erasmus-swarm` use this engine to
-/// interleave self-measurements, collections, malware arrivals/departures and
-/// topology changes on one timeline.
+/// `erasmus-core`'s `Scenario` runner uses this engine to interleave
+/// self-measurements, collections and malware arrivals/departures on one
+/// timeline, and every `erasmus-bench` fleet shard runs its slice of the
+/// fleet on one.
 ///
 /// # Example
 ///
@@ -30,16 +31,16 @@ use crate::time::{SimDuration, SimTime};
 /// ```
 #[derive(Debug)]
 pub struct Engine<T> {
-    queue: CalendarQueue<T>,
+    queue: EventQueue<T>,
     now: SimTime,
     processed: u64,
 }
 
 impl<T> Engine<T> {
-    /// Creates an engine with an empty calendar queue at time zero.
+    /// Creates an engine with an empty event queue at time zero.
     pub fn new() -> Self {
         Self {
-            queue: CalendarQueue::new(),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
         }
@@ -63,11 +64,6 @@ impl<T> Engine<T> {
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Whether the queue is exhausted.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// Schedules `payload` at absolute time `time`.
@@ -112,24 +108,6 @@ impl<T> Engine<T> {
                 None
             }
         }
-    }
-
-    /// Runs `handler` on every event until the queue is empty or `handler`
-    /// returns `false`.
-    ///
-    /// The handler receives the engine itself, so it can schedule follow-up
-    /// events. When the handler also needs mutable access to external state
-    /// (devices, counters, a report sink) *and* that state lives in the same
-    /// struct as the engine, the borrow checker rejects the capturing
-    /// closure — use [`Engine::run_with`] and pass the state as the context
-    /// instead.
-    ///
-    /// Returns the number of events delivered by this call.
-    pub fn run<F>(&mut self, mut handler: F) -> u64
-    where
-        F: FnMut(&mut Self, ScheduledEvent<T>) -> bool,
-    {
-        self.run_with(&mut (), move |engine, (), event| handler(engine, event))
     }
 
     /// Runs `handler` on every event, threading a mutable context through
@@ -183,7 +161,6 @@ impl<T> Default for Engine<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::HeapEventQueue;
 
     #[test]
     fn delivers_in_time_order_and_advances_clock() {
@@ -198,7 +175,7 @@ mod tests {
         assert_eq!(engine.now(), SimTime::from_secs(3));
         assert!(engine.next_event().is_none());
         assert_eq!(engine.processed(), 2);
-        assert!(engine.is_idle());
+        assert_eq!(engine.pending(), 0);
     }
 
     #[test]
@@ -230,17 +207,6 @@ mod tests {
         // Clock advanced to the horizon, event "b" still pending.
         assert_eq!(engine.now(), SimTime::from_secs(10));
         assert_eq!(engine.pending(), 1);
-    }
-
-    #[test]
-    fn run_with_handler_can_stop_early() {
-        let mut engine = Engine::new();
-        for i in 0..10u32 {
-            engine.schedule_at(SimTime::from_secs(i as u64), i);
-        }
-        let delivered = engine.run(|_, event| event.payload < 4);
-        assert_eq!(delivered, 5); // events 0..=4 delivered; payload 4 stops the loop
-        assert_eq!(engine.pending(), 5);
     }
 
     #[test]
@@ -283,66 +249,5 @@ mod tests {
         assert_eq!(delivered, 3);
         assert_eq!(seen, vec![0, 1, 2]);
         assert_eq!(engine.pending(), 2);
-    }
-
-    #[test]
-    fn engine_trace_matches_the_heap_oracle() {
-        // Mix of near reschedules, same-instant follow-ups and far-out
-        // events; the engine's calendar queue must deliver them in exactly
-        // the order a heap-driven replay of the same handler does.
-        let follow_ups = |payload: u32| -> Vec<(SimDuration, u32)> {
-            if payload >= 20 {
-                return Vec::new();
-            }
-            let delay = if payload % 4 == 0 {
-                SimDuration::ZERO
-            } else {
-                SimDuration::from_secs(u64::from(payload % 7))
-            };
-            vec![
-                (delay, payload + 1),
-                (SimDuration::from_secs(30), payload + 100),
-            ]
-        };
-
-        let mut engine = Engine::new();
-        engine.schedule_at(SimTime::from_secs(1), 0u32);
-        let mut trace = Vec::new();
-        engine.run_with(&mut trace, |engine, trace, event| {
-            trace.push((event.time, event.sequence, event.payload));
-            for (delay, payload) in follow_ups(event.payload) {
-                engine.schedule_in(delay, payload);
-            }
-            event.payload < 100
-        });
-        assert_eq!(engine.queue_stats().pops, engine.processed());
-
-        let mut oracle = HeapEventQueue::new();
-        oracle.push(SimTime::from_secs(1), 0u32);
-        let mut expected = Vec::new();
-        while let Some(event) = oracle.pop() {
-            expected.push((event.time, event.sequence, event.payload));
-            for (delay, payload) in follow_ups(event.payload) {
-                oracle.push(event.time + delay, payload);
-            }
-            if event.payload >= 100 {
-                break;
-            }
-        }
-        assert_eq!(trace, expected);
-    }
-
-    #[test]
-    fn handler_can_schedule_new_events() {
-        let mut engine = Engine::new();
-        engine.schedule_at(SimTime::from_secs(1), 0u32);
-        let delivered = engine.run(|engine, event| {
-            if event.payload < 5 {
-                engine.schedule_in(SimDuration::from_secs(1), event.payload + 1);
-            }
-            true
-        });
-        assert_eq!(delivered, 6);
-        assert_eq!(engine.now(), SimTime::from_secs(6));
     }
 }

@@ -9,10 +9,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time.
 //! * [`SimClock`] — a monotonically advancing clock handle.
-//! * [`Engine`] — a discrete-event scheduler running on a
-//!   [`CalendarQueue`] (rotating wheel of time buckets); the original
-//!   binary heap survives as [`HeapEventQueue`], the oracle the
-//!   order-equivalence tests compare it against.
+//! * [`Engine`] — a discrete-event scheduler running on an
+//!   [`EventQueue`], a binary heap delivering in `(time, sequence)` order.
 //! * [`EventPool`] — a recyclable slab so big event payloads travel as
 //!   4-byte slot ids instead of per-event boxes.
 //! * [`Trace`] — an append-only record of what happened and when, used by
@@ -62,7 +60,7 @@ pub mod trace;
 
 pub use clock::SimClock;
 pub use engine::Engine;
-pub use event::{CalendarQueue, HeapEventQueue, QueueStats, ScheduledEvent};
+pub use event::{EventQueue, QueueStats, ScheduledEvent};
 pub use network::{Corruption, Delivery, FaultDraw, NetworkConfig, NetworkModel};
 pub use pool::{EventPool, SlotId};
 pub use rng::SimRng;
