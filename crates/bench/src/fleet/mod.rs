@@ -401,9 +401,9 @@ pub struct FleetReport {
     /// (checked on every benchmark rep and every `fleet_determinism` run):
     /// `coalesced_events + singleton_events == events_scheduled`.
     pub coalesced_events: u64,
-    /// High-water mark of live pooled event payloads (collection responses
-    /// and on-demand exchanges) summed over shards. Bounded by in-flight
-    /// traffic, not run length — the leak guard for long churn runs.
+    /// Always 0: events own their payloads, so the shards keep no payload
+    /// pool. Kept because the fleet benchmark still reports it as
+    /// `sim.pool.high_water`.
     pub event_pool_high_water: u64,
     /// Merged event-queue counters: pushes and pops summed over shards,
     /// `max_pending` the per-shard maximum; `overflow_pushes` is always 0.
@@ -445,15 +445,20 @@ pub fn run(config: &FleetConfig) -> FleetReport {
 ///
 /// # Panics
 ///
-/// Panics if `threads` or `config.measurements_per_round` is zero, or if a
-/// prover refuses a measurement or a verifier rejects a delivered
-/// collection response — the latter two would be bugs in the
-/// reproduction, not load conditions.
+/// Panics if `threads`, `config.measurements_per_round` or `config.rounds`
+/// is zero, or if a prover refuses a measurement or a verifier rejects a
+/// delivered collection response — the latter two would be bugs in the
+/// reproduction, not load conditions. A panic on a worker (for instance a
+/// `churn` outside `[0, 1]`) reaches the caller with its own message.
 pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
     assert!(threads > 0, "at least one worker thread is required");
     assert!(
         config.measurements_per_round > 0,
         "a collection round needs at least one scheduled measurement"
+    );
+    assert!(
+        config.rounds > 0,
+        "a fleet run needs at least one collection round"
     );
     let threads = threads.min(config.provers.max(1));
     let schedule = config.schedule();
@@ -490,7 +495,11 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
             .collect();
         handles
             .into_iter()
-            .map(|handle| handle.join().expect("fleet shard thread panicked"))
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     });
 
@@ -567,7 +576,7 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         events_scheduled: total.events_scheduled,
         singleton_events: total.singleton_events,
         coalesced_events: total.coalesced_events,
-        event_pool_high_water: total.event_pool_high_water,
+        event_pool_high_water: 0,
         queue: total.queue,
         shards: shard_reports,
     }
@@ -796,6 +805,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one collection round")]
+    fn zero_rounds_is_rejected_before_spawning() {
+        // Spawned, the churn plan would draw from an empty range.
+        let mut config = FleetConfig::new(4, 2, 0, 64, 1, MacAlgorithm::HmacSha256);
+        config.churn = 0.5;
+        run_threaded(&config, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability out of range")]
+    fn worker_panics_reach_the_caller_with_their_message() {
+        // Each worker draws its churn plan, and `gen_bool` rejects 1.5.
+        let mut config = FleetConfig::new(4, 2, 2, 64, 1, MacAlgorithm::HmacSha256);
+        config.churn = 1.5;
+        run_threaded(&config, 2);
+    }
+
+    #[test]
     fn thread_count_clamped_to_fleet_size() {
         let config = FleetConfig {
             provers: 3,
@@ -897,7 +924,6 @@ mod tests {
                 report.coalesced_events > 0,
                 "16 devices per stagger group must coalesce (lanes={lanes})"
             );
-            assert!(report.event_pool_high_water > 0);
             // Queue accounting: every push is eventually popped.
             assert_eq!(report.queue.pushes, report.queue.pops);
             assert!(report.queue.max_pending > 0);

@@ -71,12 +71,13 @@
 //!   epoch tags and sequence counters live in parallel vecs indexed by
 //!   dense local slot, next to the `provers` column lane batching selects
 //!   disjoint `&mut Prover`s from.
-//! * Heavy event payloads (collection responses riding the ARQ loop,
-//!   on-demand exchanges) live in [`EventPool`] slabs; events carry a
-//!   4-byte [`SlotId`]. Every path that abandons an event — stale retries
-//!   after churn, exhausted budgets — takes its slot back, so a long churn
-//!   run cannot grow the pools unboundedly (the fleet determinism tests
-//!   assert the high-water mark).
+//! * Events own their payloads: a collection response rides its
+//!   [`FleetEvent::CollectDeliver`] or [`FleetEvent::CollectRetry`] by
+//!   value, and an on-demand exchange rides its
+//!   [`FleetEvent::OnDemandDeliver`] in a box. A stale retry or a spent
+//!   budget drops its event and the payload with it, so nothing can leak;
+//!   the pending set stays bounded by the traffic in flight (the fleet
+//!   determinism tests bound `queue.max_pending` under churn and ARQ).
 
 #![expect(
     clippy::disallowed_types,
@@ -96,8 +97,8 @@ use erasmus_core::{
 };
 use erasmus_hw::{DeviceKey, DeviceProfile};
 use erasmus_sim::{
-    Corruption, Delivery, Engine, EventPool, NetworkModel, QueueStats, ScheduledEvent, SimDuration,
-    SimRng, SimTime, SlotId,
+    Corruption, Delivery, Engine, NetworkModel, QueueStats, ScheduledEvent, SimDuration, SimRng,
+    SimTime,
 };
 use erasmus_swarm::StaggeredSchedule;
 
@@ -174,10 +175,10 @@ impl DeviceState {
 
 /// The events a shard's timeline is made of.
 ///
-/// Heavy payloads do not ride in the queue: collection responses and
-/// on-demand exchanges live in the [`RunState`] event pools and the events
-/// carry [`SlotId`]s, so a queued event is a couple of words regardless of
-/// how much evidence it moves.
+/// Each event owns its payload. A [`CollectionResponse`] is 40 bytes and
+/// rides by value without growing the event past the inline
+/// [`OnDemandRequest`] of [`FleetEvent::OnDemand`]; the much larger
+/// [`OnDemandExchange`] is boxed, so a queued event stays 80 bytes.
 enum FleetEvent {
     /// Tick `tick` (1-based) of a stagger cohort's lattice,
     /// `offset + tick·T_M`: every active member measures — in
@@ -187,16 +188,15 @@ enum FleetEvent {
     CohortTick { cohort: usize, tick: usize },
     /// A collection response reaches the verifier side.
     CollectDeliver {
-        /// The pooled [`CollectionResponse`].
-        slot: SlotId,
+        response: CollectionResponse,
         /// How many retransmissions this copy took (0 = first send).
         attempt: u32,
     },
     /// A dropped collection response's retransmission timer fires.
     CollectRetry {
         device: usize,
-        /// The pooled [`CollectionResponse`] awaiting retransmission.
-        slot: SlotId,
+        /// The response awaiting retransmission.
+        response: CollectionResponse,
         /// The original send's collect sequence number: retry fault draws
         /// key off `(CHANNEL_RETRY, seq << 8 | attempt)`, so they never
         /// collide with first-send draws and stay partition-invariant.
@@ -214,16 +214,15 @@ enum FleetEvent {
         request: OnDemandRequest,
         issued: SimTime,
     },
-    /// An on-demand response reaches the verifier side; the exchange is
-    /// pooled.
-    OnDemandDeliver { slot: SlotId },
+    /// An on-demand response reaches the verifier side.
+    OnDemandDeliver(Box<OnDemandExchange>),
     /// A device drops out of the fleet.
     DeviceLeave { device: usize },
     /// A device rejoins the fleet and resumes its (phase-aligned) schedule.
     DeviceJoin { device: usize },
 }
 
-/// Pooled payload of an [`FleetEvent::OnDemandDeliver`] event.
+/// Payload of an [`FleetEvent::OnDemandDeliver`] event.
 struct OnDemandExchange {
     device: usize,
     request: OnDemandRequest,
@@ -233,7 +232,7 @@ struct OnDemandExchange {
 
 /// Mutable per-run state threaded through the event loop as the
 /// [`Engine::run_with`] context: the shard's ledger plus the loop's
-/// scratch.
+/// scratch. Payloads in flight live in their events, not here.
 struct RunState {
     /// Every counter of the run, filled in as events fire; [`Shard::run`]
     /// adds the fields known only at the end.
@@ -257,10 +256,6 @@ struct RunState {
     frame_buf: Vec<u8>,
     /// Per-shard frame-link sequence counter.
     frame_seq: u64,
-    /// Pooled collection responses in flight through the ARQ loop.
-    response_pool: EventPool<CollectionResponse>,
-    /// Pooled on-demand exchanges in flight to the verifier.
-    od_pool: EventPool<OnDemandExchange>,
     /// Reusable due-member scratch for cohort fires (no per-fire alloc).
     due_scratch: Vec<usize>,
 }
@@ -278,8 +273,6 @@ impl RunState {
             pending_at: None,
             frame_buf: Vec::new(),
             frame_seq: 0,
-            response_pool: EventPool::new(),
-            od_pool: EventPool::new(),
             due_scratch: Vec::new(),
         }
     }
@@ -444,10 +437,6 @@ pub struct ShardReport {
     /// cohort. Conservation: `coalesced_events + singleton_events ==
     /// events_scheduled`.
     pub coalesced_events: u64,
-    /// Peak live slots across the shard's event payload pools — bounded
-    /// even under heavy churn, because every abandoned event recycles its
-    /// slot.
-    pub event_pool_high_water: u64,
     /// Lifetime counters of the shard engine's event queue.
     pub queue: QueueStats,
 }
@@ -513,7 +502,6 @@ impl ShardReport {
         self.events_scheduled += other.events_scheduled;
         self.singleton_events += other.singleton_events;
         self.coalesced_events += other.coalesced_events;
-        self.event_pool_high_water += other.event_pool_high_water;
         self.queue.pushes += other.queue.pushes;
         self.queue.pops += other.queue.pops;
         self.queue.max_pending = self.queue.max_pending.max(other.queue.max_pending);
@@ -713,16 +701,6 @@ impl Shard {
             true
         });
         self.flush_batch(&mut state, &network);
-        // Every delivered or abandoned event gave its pooled slot back; a
-        // drained queue with live slots would be a leak.
-        assert!(
-            state.response_pool.is_empty(),
-            "all pooled collection responses are consumed"
-        );
-        assert!(
-            state.od_pool.is_empty(),
-            "all pooled on-demand exchanges are consumed"
-        );
         let queue = engine.queue_stats();
         self.engine = engine;
 
@@ -739,8 +717,6 @@ impl Shard {
             simulated_busy,
             hub_duplicates: self.hub.duplicates(),
             devices_churned: self.churn.len() as u64,
-            event_pool_high_water: (state.response_pool.high_water() + state.od_pool.high_water())
-                as u64,
             queue,
             ..state.report
         }
@@ -776,36 +752,27 @@ impl Shard {
             }
             FleetEvent::CollectRetry {
                 device,
-                slot,
+                response,
                 seq,
                 attempt,
                 epoch,
             } => {
                 if !self.devices.active[device] || self.devices.epochs[device] != epoch {
                     // The device churned mid-backoff: the buffered copy is
-                    // stale evidence and must not be replayed — and its
-                    // pooled slot is recycled, so churn can never grow the
-                    // pool unboundedly.
+                    // stale evidence and must not be replayed; it is
+                    // dropped with its event.
                     state.report.collections_dropped += 1;
                     state.report.stale_retries += 1;
-                    state
-                        .response_pool
-                        .take(slot)
-                        .expect("stale retry still owns its slot");
                     return;
                 }
                 state.report.collect_retransmits += 1;
                 self.dispatch_collection(
-                    engine, state, network, device, slot, seq, attempt, epoch, now,
+                    engine, state, network, device, response, seq, attempt, epoch, now,
                 );
             }
-            FleetEvent::CollectDeliver { slot, attempt } => {
+            FleetEvent::CollectDeliver { response, attempt } => {
                 state.report.collections_delivered += 1;
                 state.report.retry_histogram[attempt as usize] += 1;
-                let response = state
-                    .response_pool
-                    .take(slot)
-                    .expect("delivered response owns its slot");
                 // The response joins the current burst as-is; the whole
                 // burst is frame-encoded, decoded and verified off the bytes
                 // when it seals (`flush_batch`).
@@ -834,21 +801,19 @@ impl Shard {
                     if let Delivery::Delivered(latency) =
                         network.sample(flow(global, CHANNEL_OD_RESPONSE), seq)
                     {
-                        let slot = state.od_pool.insert(OnDemandExchange {
-                            device,
-                            request,
-                            response,
-                            issued,
-                        });
-                        engine.schedule_at(now + latency, FleetEvent::OnDemandDeliver { slot });
+                        engine.schedule_at(
+                            now + latency,
+                            FleetEvent::OnDemandDeliver(Box::new(OnDemandExchange {
+                                device,
+                                request,
+                                response,
+                                issued,
+                            })),
+                        );
                     }
                 }
             }
-            FleetEvent::OnDemandDeliver { slot } => {
-                let exchange = state
-                    .od_pool
-                    .take(slot)
-                    .expect("delivered exchange owns its slot");
+            FleetEvent::OnDemandDeliver(exchange) => {
                 let device = exchange.device;
                 let started = Instant::now();
                 let verified = self.devices.verifiers[device].verify_on_demand(
@@ -922,8 +887,7 @@ impl Shard {
         let seq = self.devices.collect_seqs[device];
         self.devices.collect_seqs[device] += 1;
         let epoch = self.devices.epochs[device];
-        let slot = state.response_pool.insert(response);
-        self.dispatch_collection(engine, state, network, device, slot, seq, 0, epoch, now);
+        self.dispatch_collection(engine, state, network, device, response, seq, 0, epoch, now);
     }
 
     /// Puts one copy of a collection response on the wire (first send or
@@ -936,8 +900,7 @@ impl Shard {
     /// partition-invariant function of the run seed. A reorder fault
     /// stretches the copy's in-flight latency, letting later sends
     /// genuinely overtake it; a drop either arms the backoff timer or,
-    /// with the budget spent, loses the response for good — recycling its
-    /// pooled slot.
+    /// with the budget spent, loses the response for good.
     #[expect(
         clippy::too_many_arguments,
         reason = "engine, run state and network are the event loop's; the rest names one copy"
@@ -948,7 +911,7 @@ impl Shard {
         state: &mut RunState,
         network: &NetworkModel,
         device: usize,
-        slot: SlotId,
+        response: CollectionResponse,
         seq: u64,
         attempt: u32,
         epoch: u32,
@@ -967,7 +930,10 @@ impl Shard {
                     latency += extra;
                     state.report.reorders += 1;
                 }
-                engine.schedule_at(now + latency, FleetEvent::CollectDeliver { slot, attempt });
+                engine.schedule_at(
+                    now + latency,
+                    FleetEvent::CollectDeliver { response, attempt },
+                );
             }
             Delivery::Dropped => {
                 if state.policy.allows_retry(attempt) {
@@ -975,7 +941,7 @@ impl Shard {
                         now + state.policy.backoff(attempt),
                         FleetEvent::CollectRetry {
                             device,
-                            slot,
+                            response,
                             seq,
                             attempt: attempt + 1,
                             epoch,
@@ -984,10 +950,6 @@ impl Shard {
                 } else {
                     state.report.collections_dropped += 1;
                     state.report.exhausted_retries += 1;
-                    state
-                        .response_pool
-                        .take(slot)
-                        .expect("exhausted response owns its slot");
                 }
             }
         }
@@ -1566,6 +1528,17 @@ mod tests {
         assert_eq!(report.wire_responses, 1100);
         assert_eq!(report.wire_accepted, 1100);
         assert!(report.all_healthy);
+    }
+
+    #[test]
+    fn a_queued_event_fits_in_96_bytes() {
+        // Responses ride their events by value at no cost to the heap: the
+        // inline `OnDemandRequest` already sets the event's size.
+        assert!(
+            std::mem::size_of::<ScheduledEvent<FleetEvent>>() <= 96,
+            "a queued fleet event outgrew 96 bytes: OnDemandExchange must stay boxed, \
+             and no other payload may grow past OnDemandRequest"
+        );
     }
 
     #[test]

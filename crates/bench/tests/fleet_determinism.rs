@@ -185,7 +185,6 @@ fn run(config: &FleetConfig, threads: usize) -> FleetReport {
         summed!(events_scheduled),
         summed!(singleton_events),
         summed!(coalesced_events),
-        summed!(event_pool_high_water),
         summed!(queue.pushes),
         summed!(queue.pops),
     ] {
@@ -816,10 +815,12 @@ fn churn_under_retransmission_never_replays_stale_evidence() {
 }
 
 #[test]
-fn event_pool_high_water_is_bounded_by_traffic_not_run_length() {
-    // The leak guard: pooled slots are recycled on every delivery, stale
-    // retry and exhausted budget, so the high-water mark tracks *in-flight*
-    // responses — growing the run 3× must not grow the pool 3×.
+fn pending_events_are_bounded_by_traffic_not_run_length() {
+    // Every queued event owns its payload, so the pending set is what the
+    // fleet holds in flight. It is bounded by per-instant traffic (cohort
+    // ticks, bursts, ARQ timers, churn and on-demand events): growing the
+    // run 3× must not grow it 3×. `run` bounds it only on ideal networks;
+    // this covers ARQ and churn.
     let mut short = FleetConfig::new(64, 2, 2, 256, 4, MacAlgorithm::HmacSha256);
     short.network = NetworkConfig {
         base_latency: SimDuration::from_millis(10),
@@ -835,16 +836,16 @@ fn event_pool_high_water_is_bounded_by_traffic_not_run_length() {
 
     let short_report = run(&short, 2);
     let long_report = run(&long, 2);
-    assert!(short_report.event_pool_high_water > 0);
+    assert!(short_report.queue.max_pending > 0);
     assert!(long_report.devices_churned > 0, "churn drew no churners");
-    // 3× the rounds (and 3× the ARQ traffic) must not scale the pool: the
-    // bound is per-instant concurrency, which the longer run repeats
-    // rather than stacks. Allow slack for fate-draw variation between the
-    // two timelines, but reject anything near linear growth.
+    // 3× the rounds (and 3× the ARQ traffic) must not scale the pending
+    // set: the bound is per-instant concurrency, which the longer run
+    // repeats rather than stacks. Allow slack for fate-draw variation
+    // between the two timelines, but reject anything near linear growth.
     assert!(
-        long_report.event_pool_high_water <= short_report.event_pool_high_water * 2,
-        "pool grew with run length: short={} long={}",
-        short_report.event_pool_high_water,
-        long_report.event_pool_high_water
+        long_report.queue.max_pending < short_report.queue.max_pending * 2,
+        "pending events grew with run length: short={} long={}",
+        short_report.queue.max_pending,
+        long_report.queue.max_pending
     );
 }

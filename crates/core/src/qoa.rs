@@ -9,7 +9,7 @@
 //! expected freshness, detection probability of mobile malware as a function
 //! of its dwell time, detection latency, and the buffer-sizing rule
 //! `T_C ≤ n · T_M`. The Monte-Carlo counterpart lives in
-//! [`crate::scenario`], and the `qoa_detection` bench compares the two.
+//! [`crate::scenario`], and `repro qoa` compares the two.
 
 use erasmus_sim::SimDuration;
 

@@ -6,6 +6,7 @@
 //! behind the Figure 1 timeline, the QoA detection-probability experiments
 //! and several integration tests.
 
+use erasmus_crypto::MacAlgorithm;
 use erasmus_hw::{DeviceKey, DeviceProfile};
 use erasmus_sim::{Engine, SimDuration, SimTime, Trace};
 
@@ -132,9 +133,7 @@ impl ScenarioOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    profile: DeviceProfile,
     config: ProverConfig,
-    key: DeviceKey,
     collection_interval: SimDuration,
     history_per_collection: Option<usize>,
     duration: SimDuration,
@@ -150,10 +149,20 @@ enum ScenarioEvent {
     InfectionEnd(usize),
 }
 
+/// Application memory of the scenario prover, in bytes.
+const MEMORY_BYTES: usize = 1024;
+/// The MAC every scenario measurement is keyed with.
+const MAC: MacAlgorithm = MacAlgorithm::HmacSha256;
+/// The key shared by the scenario prover and its verifier.
+const KEY: [u8; 32] = [0x5a; 32];
+
 impl Scenario {
-    /// Starts building a scenario with defaults: an MSP430-class prover with
-    /// 1 KiB of memory, `T_M` = 10 s, `T_C` = 60 s, a 10-minute run and no
-    /// infections.
+    /// Starts building a scenario with defaults: `T_M` = 10 s, `T_C` = 60
+    /// s, a 10-minute run and no infections.
+    ///
+    /// The prover is fixed: an MSP430 @ 8 MHz profile with 1 KiB of
+    /// memory, measuring with HMAC-SHA256 on the regular schedule under
+    /// the all-`0x5a` key.
     pub fn builder() -> ScenarioBuilder {
         ScenarioBuilder::default()
     }
@@ -165,13 +174,14 @@ impl Scenario {
     /// Propagates configuration and hardware errors; a fully default
     /// scenario never fails.
     pub fn run(&self) -> Result<ScenarioOutcome, Error> {
+        let key = DeviceKey::from_bytes(KEY);
         let mut prover = Prover::new(
             DeviceId::new(1),
-            self.profile.clone(),
-            self.key.clone(),
+            DeviceProfile::msp430_8mhz(MEMORY_BYTES),
+            key.clone(),
             self.config.clone(),
         )?;
-        let mut verifier = Verifier::new(self.key.clone(), self.config.mac_algorithm());
+        let mut verifier = Verifier::new(key, MAC);
         verifier.learn_reference_image(prover.mcu().app_memory());
         verifier.set_expected_interval(self.config.measurement_interval());
 
@@ -354,27 +364,13 @@ impl Scenario {
             }
         }
     }
-
-    /// The collection interval `T_C` of the scenario.
-    pub fn collection_interval(&self) -> SimDuration {
-        self.collection_interval
-    }
-
-    /// The prover configuration used by the scenario.
-    pub fn config(&self) -> &ProverConfig {
-        &self.config
-    }
 }
 
 /// Builder for [`Scenario`].
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
-    profile: DeviceProfile,
     config_builder_interval: SimDuration,
     buffer_slots: Option<usize>,
-    schedule: crate::ScheduleKind,
-    mac: erasmus_crypto::MacAlgorithm,
-    key: DeviceKey,
     collection_interval: SimDuration,
     history_per_collection: Option<usize>,
     duration: SimDuration,
@@ -384,12 +380,8 @@ pub struct ScenarioBuilder {
 impl Default for ScenarioBuilder {
     fn default() -> Self {
         Self {
-            profile: DeviceProfile::msp430_8mhz(1024),
             config_builder_interval: SimDuration::from_secs(10),
             buffer_slots: None,
-            schedule: crate::ScheduleKind::Regular,
-            mac: erasmus_crypto::MacAlgorithm::HmacSha256,
-            key: DeviceKey::from_bytes([0x5au8; 32]),
             collection_interval: SimDuration::from_secs(60),
             history_per_collection: None,
             duration: SimDuration::from_secs(600),
@@ -399,12 +391,6 @@ impl Default for ScenarioBuilder {
 }
 
 impl ScenarioBuilder {
-    /// Sets the device profile.
-    pub fn profile(mut self, profile: DeviceProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// Sets the measurement interval `T_M`.
     pub fn measurement_interval(mut self, interval: SimDuration) -> Self {
         self.config_builder_interval = interval;
@@ -431,24 +417,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects the measurement schedule policy.
-    pub fn schedule(mut self, schedule: crate::ScheduleKind) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Selects the MAC algorithm.
-    pub fn mac_algorithm(mut self, mac: erasmus_crypto::MacAlgorithm) -> Self {
-        self.mac = mac;
-        self
-    }
-
-    /// Sets the device key.
-    pub fn key(mut self, key: DeviceKey) -> Self {
-        self.key = key;
-        self
-    }
-
     /// Sets the total simulated duration.
     pub fn duration(mut self, duration: SimDuration) -> Self {
         self.duration = duration;
@@ -458,12 +426,6 @@ impl ScenarioBuilder {
     /// Adds one infection.
     pub fn infection(mut self, spec: InfectionSpec) -> Self {
         self.infections.push(spec);
-        self
-    }
-
-    /// Adds several infections.
-    pub fn infections<I: IntoIterator<Item = InfectionSpec>>(mut self, specs: I) -> Self {
-        self.infections.extend(specs);
         self
     }
 
@@ -489,10 +451,9 @@ impl ScenarioBuilder {
             .ceil() as usize
             + 2;
         let config = ProverConfig::builder()
-            .mac_algorithm(self.mac)
+            .mac_algorithm(MAC)
             .measurement_interval(self.config_builder_interval)
             .buffer_slots(self.buffer_slots.unwrap_or(default_slots.max(4)))
-            .schedule(self.schedule)
             .build()?;
         if self.duration.is_zero() {
             return Err(Error::InvalidConfig {
@@ -507,9 +468,7 @@ impl ScenarioBuilder {
             });
         }
         Ok(Scenario {
-            profile: self.profile,
             config,
-            key: self.key,
             collection_interval: self.collection_interval,
             history_per_collection: self.history_per_collection,
             duration: self.duration,

@@ -1,7 +1,7 @@
 //! Discrete-event simulation engine.
 
 use crate::event::{EventQueue, QueueStats, ScheduledEvent};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A single-clock discrete-event engine.
 ///
@@ -17,23 +17,25 @@ use crate::time::{SimDuration, SimTime};
 /// # Example
 ///
 /// ```
-/// use erasmus_sim::{Engine, SimDuration};
+/// use erasmus_sim::{Engine, SimTime};
 ///
 /// #[derive(Debug, PartialEq)]
 /// enum Event { Measure, Collect }
 ///
 /// let mut engine = Engine::new();
-/// engine.schedule_in(SimDuration::from_secs(10), Event::Measure);
-/// engine.schedule_in(SimDuration::from_secs(60), Event::Collect);
-/// let first = engine.next_event().expect("an event is pending");
-/// assert_eq!(first.payload, Event::Measure);
-/// assert_eq!(engine.now().as_secs_f64(), 10.0);
+/// engine.schedule_at(SimTime::from_secs(60), Event::Collect);
+/// engine.schedule_at(SimTime::from_secs(10), Event::Measure);
+/// let mut first = None;
+/// engine.run_with(&mut first, |_, first, event| {
+///     *first = Some((event.time, event.payload));
+///     false // stop after one event
+/// });
+/// assert_eq!(first, Some((SimTime::from_secs(10), Event::Measure)));
 /// ```
 #[derive(Debug)]
 pub struct Engine<T> {
     queue: EventQueue<T>,
     now: SimTime,
-    processed: u64,
 }
 
 impl<T> Engine<T> {
@@ -42,28 +44,12 @@ impl<T> Engine<T> {
         Self {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            processed: 0,
         }
     }
 
     /// Lifetime counters of the underlying event queue.
     pub fn queue_stats(&self) -> QueueStats {
         self.queue.stats()
-    }
-
-    /// Current simulated time (the timestamp of the last delivered event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events delivered so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Schedules `payload` at absolute time `time`.
@@ -80,24 +66,18 @@ impl<T> Engine<T> {
         self.queue.push(time, payload);
     }
 
-    /// Schedules `payload` to fire `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, payload: T) {
-        self.queue.push(self.now + delay, payload);
-    }
-
     /// Delivers the next event, advancing the clock to its timestamp.
-    pub fn next_event(&mut self) -> Option<ScheduledEvent<T>> {
+    fn next_event(&mut self) -> Option<ScheduledEvent<T>> {
         let event = self.queue.pop()?;
         self.now = event.time;
-        self.processed += 1;
         Some(event)
     }
 
     /// Delivers the next event only if it fires at or before `horizon`.
     ///
     /// Events after the horizon stay queued; the clock advances to the
-    /// horizon when it returns `None` so subsequent `schedule_in` calls are
-    /// relative to the horizon.
+    /// horizon when it returns `None`, so nothing can be scheduled before
+    /// it afterwards.
     pub fn next_event_before(&mut self, horizon: SimTime) -> Option<ScheduledEvent<T>> {
         match self.queue.peek_time() {
             Some(t) if t <= horizon => self.next_event(),
@@ -119,36 +99,32 @@ impl<T> Engine<T> {
     /// the simulation state (`ctx`) without fighting the borrow checker,
     /// which a closure capturing state from the engine's owner cannot do.
     ///
-    /// Returns the number of events delivered by this call.
-    ///
     /// # Example
     ///
     /// ```
-    /// use erasmus_sim::{Engine, SimDuration};
+    /// use erasmus_sim::{Engine, SimDuration, SimTime};
     ///
     /// let mut engine = Engine::new();
-    /// engine.schedule_in(SimDuration::from_secs(1), 0u32);
+    /// engine.schedule_at(SimTime::from_secs(1), 0u32);
     /// let mut log = Vec::new();
     /// engine.run_with(&mut log, |engine, log, event| {
     ///     log.push(event.payload);
     ///     if event.payload < 3 {
-    ///         engine.schedule_in(SimDuration::from_secs(1), event.payload + 1);
+    ///         engine.schedule_at(event.time + SimDuration::from_secs(1), event.payload + 1);
     ///     }
     ///     true
     /// });
     /// assert_eq!(log, vec![0, 1, 2, 3]);
     /// ```
-    pub fn run_with<C, F>(&mut self, ctx: &mut C, mut handler: F) -> u64
+    pub fn run_with<C, F>(&mut self, ctx: &mut C, mut handler: F)
     where
         F: FnMut(&mut Self, &mut C, ScheduledEvent<T>) -> bool,
     {
-        let start = self.processed;
         while let Some(event) = self.next_event() {
             if !handler(self, ctx, event) {
                 break;
             }
         }
-        self.processed - start
     }
 }
 
@@ -161,6 +137,13 @@ impl<T> Default for Engine<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
+
+    /// Events still queued: every push not yet popped.
+    fn pending<T>(engine: &Engine<T>) -> u64 {
+        let stats = engine.queue_stats();
+        stats.pushes - stats.pops
+    }
 
     #[test]
     fn delivers_in_time_order_and_advances_clock() {
@@ -169,23 +152,13 @@ mod tests {
         engine.schedule_at(SimTime::from_secs(1), "early");
         let first = engine.next_event().expect("first");
         assert_eq!(first.payload, "early");
-        assert_eq!(engine.now(), SimTime::from_secs(1));
+        assert_eq!(engine.now, SimTime::from_secs(1));
         let second = engine.next_event().expect("second");
         assert_eq!(second.payload, "late");
-        assert_eq!(engine.now(), SimTime::from_secs(3));
+        assert_eq!(engine.now, SimTime::from_secs(3));
         assert!(engine.next_event().is_none());
-        assert_eq!(engine.processed(), 2);
-        assert_eq!(engine.pending(), 0);
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut engine: Engine<u8> = Engine::new();
-        engine.schedule_at(SimTime::from_secs(10), 1);
-        engine.next_event();
-        engine.schedule_in(SimDuration::from_secs(5), 2);
-        let e = engine.next_event().expect("event");
-        assert_eq!(e.time, SimTime::from_secs(15));
+        assert_eq!(engine.queue_stats().pops, 2);
+        assert_eq!(pending(&engine), 0);
     }
 
     #[test]
@@ -205,8 +178,8 @@ mod tests {
         assert!(engine.next_event_before(SimTime::from_secs(10)).is_some());
         assert!(engine.next_event_before(SimTime::from_secs(10)).is_none());
         // Clock advanced to the horizon, event "b" still pending.
-        assert_eq!(engine.now(), SimTime::from_secs(10));
-        assert_eq!(engine.pending(), 1);
+        assert_eq!(engine.now, SimTime::from_secs(10));
+        assert_eq!(pending(&engine), 1);
     }
 
     #[test]
@@ -221,18 +194,17 @@ mod tests {
             fired: 0,
             rescheduled: 0,
         };
-        let delivered = engine.run_with(&mut counters, |engine, counters, event| {
+        engine.run_with(&mut counters, |engine, counters, event| {
             counters.fired += 1;
             if event.payload < 2 {
                 counters.rescheduled += 1;
-                engine.schedule_in(SimDuration::from_secs(1), event.payload + 1);
+                engine.schedule_at(event.time + SimDuration::from_secs(1), event.payload + 1);
             }
             true
         });
-        assert_eq!(delivered, 3);
         assert_eq!(counters.fired, 3);
         assert_eq!(counters.rescheduled, 2);
-        assert_eq!(engine.now(), SimTime::from_secs(3));
+        assert_eq!(engine.now, SimTime::from_secs(3));
     }
 
     #[test]
@@ -242,12 +214,11 @@ mod tests {
             engine.schedule_at(SimTime::from_secs(i as u64 + 1), i);
         }
         let mut seen = Vec::new();
-        let delivered = engine.run_with(&mut seen, |_, seen, event| {
+        engine.run_with(&mut seen, |_, seen, event| {
             seen.push(event.payload);
             event.payload < 2
         });
-        assert_eq!(delivered, 3);
         assert_eq!(seen, vec![0, 1, 2]);
-        assert_eq!(engine.pending(), 2);
+        assert_eq!(pending(&engine), 2);
     }
 }

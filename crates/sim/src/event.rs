@@ -116,22 +116,6 @@ impl<T> EventQueue<T> {
         self.heap.peek().map(|entry| entry.event.time)
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Removes all pending events. Sequence numbers keep counting, so FIFO
-    /// ordering stays globally monotonic across the clear.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
     /// Lifetime counters of this queue.
     pub fn stats(&self) -> QueueStats {
         self.stats
@@ -173,15 +157,12 @@ mod tests {
     #[test]
     fn peek_and_len() {
         let mut queue = EventQueue::new();
-        assert_eq!(queue.len(), 0);
+        assert_eq!(queue.heap.len(), 0);
         assert_eq!(queue.peek_time(), None);
         queue.push(SimTime::from_secs(2), 0u32);
         queue.push(SimTime::from_secs(1), 0);
-        assert_eq!(queue.len(), 2);
+        assert_eq!(queue.heap.len(), 2);
         assert_eq!(queue.peek_time(), Some(SimTime::from_secs(1)));
-        queue.clear();
-        assert_eq!(queue.len(), 0);
-        assert!(queue.is_empty());
     }
 
     #[test]
@@ -221,22 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_recycles_but_keeps_sequencing() {
-        let mut queue = EventQueue::new();
-        queue.push(SimTime::from_secs(1), 1u32);
-        queue.push(SimTime::from_secs(3600), 2);
-        queue.clear();
-        assert_eq!(queue.len(), 0);
-        assert_eq!(queue.pop(), None);
-        queue.push(SimTime::from_secs(2), 3);
-        let event = queue.pop().expect("event");
-        assert_eq!(event.payload, 3);
-        // Sequence numbers survive the clear (monotonic FIFO tie-break
-        // across the whole queue lifetime).
-        assert_eq!(event.sequence, 2);
-    }
-
-    #[test]
     fn stats_track_pushes_pops_and_high_water() {
         let mut queue = EventQueue::new();
         for i in 0..10u32 {
@@ -248,6 +213,6 @@ mod tests {
         let stats = queue.stats();
         assert_eq!((stats.pushes, stats.pops, stats.max_pending), (10, 4, 10));
         assert_eq!(stats.overflow_pushes, 0);
-        assert_eq!(stats.pushes - stats.pops, queue.len() as u64);
+        assert_eq!(stats.pushes - stats.pops, queue.heap.len() as u64);
     }
 }

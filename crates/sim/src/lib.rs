@@ -11,10 +11,9 @@
 //! * [`SimClock`] — a monotonically advancing clock handle.
 //! * [`Engine`] — a discrete-event scheduler running on an
 //!   [`EventQueue`], a binary heap delivering in `(time, sequence)` order.
-//! * [`EventPool`] — a recyclable slab so big event payloads travel as
-//!   4-byte slot ids instead of per-event boxes.
+//!   Events own their payloads; the queue moves them in and out by value.
 //! * [`Trace`] — an append-only record of what happened and when, used by
-//!   the QoA analysis and by the `repro` harness to print timelines.
+//!   the scenario runner and by the `repro` harness to print timelines.
 //! * [`SimRng`] — a small deterministic RNG for workload generation
 //!   (malware dwell times, mobility), so every experiment is reproducible
 //!   from a seed.
@@ -31,9 +30,10 @@
 //! engine.schedule_at(SimTime::from_secs(5), "measurement");
 //! engine.schedule_at(SimTime::from_secs(2), "boot");
 //! let mut order = Vec::new();
-//! while let Some(event) = engine.next_event() {
+//! engine.run_with(&mut order, |_, order, event| {
 //!     order.push((event.time.as_secs_f64(), event.payload));
-//! }
+//!     true
+//! });
 //! assert_eq!(order, vec![(2.0, "boot"), (5.0, "measurement")]);
 //! ```
 
@@ -53,7 +53,6 @@ pub mod clock;
 pub mod engine;
 pub mod event;
 pub mod network;
-pub mod pool;
 pub mod rng;
 pub mod time;
 pub mod trace;
@@ -62,7 +61,6 @@ pub use clock::SimClock;
 pub use engine::Engine;
 pub use event::{EventQueue, QueueStats, ScheduledEvent};
 pub use network::{Corruption, Delivery, FaultDraw, NetworkConfig, NetworkModel};
-pub use pool::{EventPool, SlotId};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEntry};

@@ -90,21 +90,6 @@ pub enum Delivery {
     Dropped,
 }
 
-impl Delivery {
-    /// Whether the transmission arrived.
-    pub fn is_delivered(&self) -> bool {
-        matches!(self, Delivery::Delivered(_))
-    }
-
-    /// The latency of a delivered transmission, if any.
-    pub fn latency(&self) -> Option<SimDuration> {
-        match self {
-            Delivery::Delivered(latency) => Some(*latency),
-            Delivery::Dropped => None,
-        }
-    }
-}
-
 /// An in-flight single-byte corruption drawn from the fault stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Corruption {
@@ -115,9 +100,6 @@ pub struct Corruption {
     pub structural: bool,
     /// Non-zero XOR mask applied to the victim byte.
     pub mask: u8,
-    /// Entropy for the caller to pick the victim byte deterministically
-    /// (e.g. `entropy % payload_len`).
-    pub entropy: u64,
 }
 
 /// The injected-fault draw for one transmission.
@@ -144,11 +126,6 @@ impl FaultDraw {
         reorder: None,
         corrupt: None,
     };
-
-    /// Whether the transmission sails through unfaulted.
-    pub fn is_clean(&self) -> bool {
-        *self == Self::CLEAN
-    }
 }
 
 /// Deterministic per-flow network model.
@@ -206,26 +183,6 @@ impl NetworkModel {
         Self { config, seed }
     }
 
-    /// A perfect network: everything is delivered instantly.
-    pub fn ideal() -> Self {
-        Self::new(NetworkConfig::IDEAL, 0)
-    }
-
-    /// The link parameters.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.config
-    }
-
-    /// The seed all draws derive from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Whether the underlying link is perfect.
-    pub fn is_ideal(&self) -> bool {
-        self.config.is_ideal()
-    }
-
     /// Samples the fate of transmission number `sequence` on `flow`.
     ///
     /// The draw is a pure function of `(seed, flow, sequence)`: callers may
@@ -247,11 +204,6 @@ impl NetworkModel {
             rng.gen_duration(SimDuration::ZERO, self.config.jitter)
         };
         Delivery::Delivered(self.config.base_latency + jitter)
-    }
-
-    /// Whether any injected-fault probability is non-zero.
-    pub fn has_faults(&self) -> bool {
-        self.config.has_faults()
     }
 
     /// Samples the injected faults for transmission `sequence` on `flow`.
@@ -281,7 +233,6 @@ impl NetworkModel {
             draw.corrupt = Some(Corruption {
                 structural: rng.next_u64() & 1 == 0,
                 mask: (rng.gen_range(1, 256)) as u8,
-                entropy: rng.next_u64(),
             });
         }
         draw
@@ -350,8 +301,8 @@ mod tests {
 
     #[test]
     fn ideal_link_is_instant_and_lossless() {
-        let model = NetworkModel::ideal();
-        assert!(model.is_ideal());
+        let model = NetworkModel::new(NetworkConfig::IDEAL, 0);
+        assert!(model.config.is_ideal());
         for flow in 0..100 {
             assert_eq!(
                 model.sample(flow, 0),
@@ -394,7 +345,7 @@ mod tests {
     fn loss_rate_is_roughly_honoured() {
         let model = lossy(0.25);
         let drops = (0..4000)
-            .filter(|&seq| !model.sample(seq % 40, seq / 40).is_delivered())
+            .filter(|&seq| model.sample(seq % 40, seq / 40) == Delivery::Dropped)
             .count();
         let rate = drops as f64 / 4000.0;
         assert!((rate - 0.25).abs() < 0.05, "observed loss rate {rate}");
@@ -403,21 +354,18 @@ mod tests {
     #[test]
     fn distinct_flows_and_seeds_decorrelate() {
         let a = lossy(0.5);
-        let b = NetworkModel::new(*a.config(), 5678);
-        let a_flow0: Vec<bool> = (0..64).map(|s| a.sample(0, s).is_delivered()).collect();
-        let a_flow1: Vec<bool> = (0..64).map(|s| a.sample(1, s).is_delivered()).collect();
-        let b_flow0: Vec<bool> = (0..64).map(|s| b.sample(0, s).is_delivered()).collect();
+        let b = NetworkModel::new(a.config, 5678);
+        let a_flow0: Vec<bool> = (0..64)
+            .map(|s| a.sample(0, s) == Delivery::Dropped)
+            .collect();
+        let a_flow1: Vec<bool> = (0..64)
+            .map(|s| a.sample(1, s) == Delivery::Dropped)
+            .collect();
+        let b_flow0: Vec<bool> = (0..64)
+            .map(|s| b.sample(0, s) == Delivery::Dropped)
+            .collect();
         assert_ne!(a_flow0, a_flow1);
         assert_ne!(a_flow0, b_flow0);
-    }
-
-    #[test]
-    fn delivery_accessors() {
-        let delivered = Delivery::Delivered(SimDuration::from_millis(3));
-        assert!(delivered.is_delivered());
-        assert_eq!(delivered.latency(), Some(SimDuration::from_millis(3)));
-        assert!(!Delivery::Dropped.is_delivered());
-        assert_eq!(Delivery::Dropped.latency(), None);
     }
 
     #[test]
@@ -428,12 +376,12 @@ mod tests {
                 duplicate: 0.2,
                 reorder: 0.2,
                 corrupt: 0.2,
-                ..*clean.config()
+                ..clean.config
             },
             1234,
         );
-        assert!(!clean.has_faults());
-        assert!(faulted.has_faults());
+        assert!(!clean.config.has_faults());
+        assert!(faulted.config.has_faults());
         for flow in 0..64 {
             for seq in 0..4 {
                 // Turning faults on never changes the loss/latency fate.
@@ -496,7 +444,7 @@ mod tests {
             },
             1234,
         );
-        assert!(!corrupt_only.is_ideal());
+        assert!(!corrupt_only.config.is_ideal());
         let hits = (0..2000)
             .filter(|&seq| corrupt_only.sample_faults(7, seq).corrupt.is_some())
             .count();

@@ -50,11 +50,6 @@ impl SimRng {
         self.inner.gen_range(low..high)
     }
 
-    /// Uniform floating-point value in `[0, 1)`.
-    pub fn gen_unit(&mut self) -> f64 {
-        self.inner.gen_range(0.0..1.0)
-    }
-
     /// Bernoulli draw with probability `p`.
     ///
     /// # Panics
@@ -68,13 +63,6 @@ impl SimRng {
     /// Uniform duration in `[low, high)`.
     pub fn gen_duration(&mut self, low: SimDuration, high: SimDuration) -> SimDuration {
         SimDuration::from_nanos(self.gen_range(low.as_nanos(), high.as_nanos()))
-    }
-
-    /// Exponentially distributed duration with the given mean, useful for
-    /// Poisson arrival processes (e.g. malware infection events).
-    pub fn gen_exponential(&mut self, mean: SimDuration) -> SimDuration {
-        let u: f64 = self.inner.gen_range(f64::EPSILON..1.0);
-        SimDuration::from_secs_f64(-mean.as_secs_f64() * u.ln())
     }
 
     /// Fills `buf` with pseudo-random bytes (used to generate device memory
@@ -105,8 +93,6 @@ mod tests {
         for _ in 0..1000 {
             let v = rng.gen_range(10, 20);
             assert!((10..20).contains(&v));
-            let u = rng.gen_unit();
-            assert!((0.0..1.0).contains(&u));
         }
     }
 
@@ -119,21 +105,6 @@ mod tests {
             let d = rng.gen_duration(low, high);
             assert!(d >= low && d < high);
         }
-    }
-
-    #[test]
-    fn exponential_is_positive_and_roughly_centered() {
-        let mut rng = SimRng::seed_from(3);
-        let mean = SimDuration::from_secs(10);
-        let n = 5000;
-        let total: f64 = (0..n)
-            .map(|_| rng.gen_exponential(mean).as_secs_f64())
-            .sum();
-        let empirical_mean = total / n as f64;
-        assert!(
-            (empirical_mean - 10.0).abs() < 1.0,
-            "empirical mean {empirical_mean} too far from 10"
-        );
     }
 
     #[test]

@@ -29,9 +29,9 @@ impl fmt::Display for TraceEntry {
 
 /// An append-only, time-stamped event log.
 ///
-/// Scenario runners record measurements, collections, infections and
-/// detections here; the QoA analysis and the `repro fig1` harness read it
-/// back to build the paper's Figure 1 timeline.
+/// The scenario runner records measurements, collections, infections and
+/// departures here; the `repro fig1` harness prints it back as the paper's
+/// Figure 1 timeline.
 ///
 /// # Example
 ///
@@ -41,8 +41,8 @@ impl fmt::Display for TraceEntry {
 /// let mut trace = Trace::new();
 /// trace.record(SimTime::from_secs(10), "measurement", "slot 0");
 /// trace.record(SimTime::from_secs(60), "collection", "k=6");
-/// assert_eq!(trace.len(), 2);
 /// assert_eq!(trace.of_kind("measurement").count(), 1);
+/// assert_eq!(trace.to_string().lines().count(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
@@ -64,38 +64,9 @@ impl Trace {
         });
     }
 
-    /// All entries in insertion order.
-    pub fn entries(&self) -> &[TraceEntry] {
-        &self.entries
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Iterator over entries of a given kind.
     pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceEntry> + 'a {
         self.entries.iter().filter(move |entry| entry.kind == kind)
-    }
-
-    /// First entry of a given kind at or after `time`.
-    pub fn first_after(&self, kind: &str, time: SimTime) -> Option<&TraceEntry> {
-        self.entries
-            .iter()
-            .filter(|entry| entry.kind == kind && entry.time >= time)
-            .min_by_key(|entry| entry.time)
-    }
-
-    /// Merges another trace into this one, keeping global time order.
-    pub fn merge(&mut self, other: &Trace) {
-        self.entries.extend(other.entries.iter().cloned());
-        self.entries.sort_by_key(|entry| entry.time);
     }
 }
 
@@ -108,20 +79,6 @@ impl fmt::Display for Trace {
     }
 }
 
-impl FromIterator<TraceEntry> for Trace {
-    fn from_iter<I: IntoIterator<Item = TraceEntry>>(iter: I) -> Self {
-        Self {
-            entries: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<TraceEntry> for Trace {
-    fn extend<I: IntoIterator<Item = TraceEntry>>(&mut self, iter: I) {
-        self.entries.extend(iter);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,49 +86,13 @@ mod tests {
     #[test]
     fn records_and_filters() {
         let mut trace = Trace::new();
-        assert!(trace.is_empty());
+        assert!(trace.entries.is_empty());
         trace.record(SimTime::from_secs(1), "measurement", "m1");
         trace.record(SimTime::from_secs(2), "infection", "mobile malware enters");
         trace.record(SimTime::from_secs(3), "measurement", "m2");
-        assert_eq!(trace.len(), 3);
+        assert_eq!(trace.entries.len(), 3);
         assert_eq!(trace.of_kind("measurement").count(), 2);
         assert_eq!(trace.of_kind("collection").count(), 0);
-    }
-
-    #[test]
-    fn first_after_finds_next_event() {
-        let mut trace = Trace::new();
-        trace.record(SimTime::from_secs(10), "collection", "c1");
-        trace.record(SimTime::from_secs(20), "collection", "c2");
-        let found = trace
-            .first_after("collection", SimTime::from_secs(15))
-            .expect("entry");
-        assert_eq!(found.detail, "c2");
-        assert!(trace
-            .first_after("collection", SimTime::from_secs(21))
-            .is_none());
-        // Boundary: an entry exactly at the query time counts.
-        assert_eq!(
-            trace
-                .first_after("collection", SimTime::from_secs(20))
-                .map(|e| e.detail.as_str()),
-            Some("c2")
-        );
-    }
-
-    #[test]
-    fn merge_keeps_time_order() {
-        let mut a = Trace::new();
-        a.record(SimTime::from_secs(1), "x", "1");
-        a.record(SimTime::from_secs(5), "x", "5");
-        let mut b = Trace::new();
-        b.record(SimTime::from_secs(3), "y", "3");
-        a.merge(&b);
-        let times: Vec<u64> = a.entries().iter().map(|e| e.time.as_nanos()).collect();
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        assert_eq!(times, sorted);
-        assert_eq!(a.len(), 3);
     }
 
     #[test]
@@ -182,25 +103,5 @@ mod tests {
         let text = trace.to_string();
         assert!(text.contains("measurement"));
         assert!(text.contains("second"));
-    }
-
-    #[test]
-    fn collect_and_extend() {
-        let entries = vec![
-            TraceEntry {
-                time: SimTime::from_secs(1),
-                kind: "a".into(),
-                detail: String::new(),
-            },
-            TraceEntry {
-                time: SimTime::from_secs(2),
-                kind: "b".into(),
-                detail: String::new(),
-            },
-        ];
-        let mut trace: Trace = entries.clone().into_iter().collect();
-        assert_eq!(trace.len(), 2);
-        trace.extend(entries);
-        assert_eq!(trace.len(), 4);
     }
 }
