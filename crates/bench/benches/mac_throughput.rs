@@ -2,17 +2,16 @@
 //! behind Figures 6 and 8): bytes per second of SHA-256, HMAC-SHA256,
 //! SHA-1, HMAC-SHA1 and keyed BLAKE2s on the host, the re-keyed vs
 //! precomputed key-schedule comparison on measurement-sized inputs, the
-//! scalar vs 4-lane vs 8-lane multi-buffer comparison behind the fleet's
+//! scalar vs 4-lane vs 8-lane SHA-256 comparison behind the fleet's
 //! lane-batched measurement path, and the verifier's check of a whole
-//! collection response.
+//! collection response under each MAC.
 
 #![deny(clippy::disallowed_types)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use erasmus_core::{CollectionRequest, DeviceId, Prover, ProverConfig, Verifier};
 use erasmus_crypto::{
-    Blake2s, Blake2sx4, Blake2sx8, Digest, HmacSha1, HmacSha256, MacAlgorithm, MultiDigest, Sha1,
-    Sha256, Sha256x4, Sha256x8,
+    Blake2s, Digest, HmacSha1, HmacSha256, MacAlgorithm, Sha1, Sha256, Sha256x4, Sha256x8,
 };
 use erasmus_hw::{DeviceKey, DeviceProfile};
 use erasmus_sim::{SimDuration, SimTime};
@@ -102,38 +101,19 @@ fn bench_multi_buffer(c: &mut Criterion) {
                 std::hint::black_box(Sha256x8::digest(std::array::from_fn(|i| &m[i][..])));
             })
         });
-
-        group.bench_with_input(BenchmarkId::new("BLAKE2s/scalar", size), &images, |b, m| {
-            b.iter(|| {
-                for image in m.iter() {
-                    std::hint::black_box(Blake2s::digest(image));
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("BLAKE2s/x4", size), &images, |b, m| {
-            b.iter(|| {
-                for pair in m.chunks_exact(4) {
-                    std::hint::black_box(Blake2sx4::digest(std::array::from_fn(|i| &pair[i][..])));
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("BLAKE2s/x8", size), &images, |b, m| {
-            b.iter(|| {
-                std::hint::black_box(Blake2sx8::digest(std::array::from_fn(|i| &m[i][..])));
-            })
-        });
     }
     group.finish();
 }
 
 /// `Verifier::verify_collection` of one 16-measurement response, priced
-/// per measurement. HMAC-SHA256 checks the tags 8 lanes wide (two passes);
-/// HMAC-SHA1 has no lane core, so it checks them one at a time.
+/// per measurement, under each MAC. HMAC-SHA256 checks the tags 8 lanes
+/// wide (two passes); HMAC-SHA1 and keyed BLAKE2s have no lane core, so
+/// they check them one at a time.
 fn bench_verify_collection(c: &mut Criterion) {
     const MEASUREMENTS: usize = 16;
     let mut group = c.benchmark_group("verify_collection");
     group.throughput(Throughput::Elements(MEASUREMENTS as u64));
-    for alg in [MacAlgorithm::HmacSha256, MacAlgorithm::HmacSha1] {
+    for alg in MacAlgorithm::ALL {
         let key = DeviceKey::from_bytes([0x42; 32]);
         let config = ProverConfig::builder()
             .mac_algorithm(alg)

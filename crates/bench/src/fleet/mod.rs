@@ -510,7 +510,10 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
     let mut shard_reports = Vec::with_capacity(finished.len());
     for (report, shard_hub) in finished {
         let merged = hub.merge(shard_hub);
-        assert!(merged, "every shard hub uses the fleet's ring capacity");
+        assert!(
+            merged,
+            "shard hubs share the ring capacity and own disjoint devices and flows"
+        );
         total.absorb(&report);
         shard_reports.push(report);
     }

@@ -789,7 +789,7 @@ pub fn encode_hub_snapshot_into(out: &mut Vec<u8>, hub: &VerifierHub) {
         for entry in history.entries() {
             out.extend_from_slice(&entry.timestamp.as_nanos().to_be_bytes());
             out.extend_from_slice(&entry.collected_at.as_nanos().to_be_bytes());
-            out.push(verdict_tag(entry.verdict));
+            out.push(entry.verdict.tag());
         }
     }
 }
@@ -1001,7 +1001,7 @@ pub fn decode_hub_snapshot(bytes: &[u8]) -> Result<VerifierHub, DecodeError> {
             let collected_at = reader.u64("entry collection time")?;
             let tag_at = reader.offset;
             let tag = reader.u8("verdict tag")?;
-            let verdict = verdict_from_tag(tag).ok_or_else(|| {
+            let verdict = MeasurementVerdict::from_tag(tag).ok_or_else(|| {
                 DecodeError::new(
                     DecodeErrorKind::TagLength,
                     format!("snapshot verdict tag {tag} out of range"),
@@ -1071,23 +1071,6 @@ pub fn decode_hub_snapshot(bytes: &[u8]) -> Result<VerifierHub, DecodeError> {
         duplicates,
         dedup,
     })
-}
-
-fn verdict_tag(verdict: MeasurementVerdict) -> u8 {
-    match verdict {
-        MeasurementVerdict::Healthy => 0,
-        MeasurementVerdict::Compromised => 1,
-        MeasurementVerdict::Forged => 2,
-    }
-}
-
-fn verdict_from_tag(tag: u8) -> Option<MeasurementVerdict> {
-    match tag {
-        0 => Some(MeasurementVerdict::Healthy),
-        1 => Some(MeasurementVerdict::Compromised),
-        2 => Some(MeasurementVerdict::Forged),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

@@ -102,9 +102,9 @@ impl Default for HistoryMode {
 /// Extends a history chain digest by one entry:
 /// `SHA256(prev || t_be || verdict_tag || collected_at_be)`.
 ///
-/// `verdict_tag` uses the same 0/1/2 encoding as the snapshot codec
-/// (healthy/compromised/forged — the severity order). This is the single
-/// fold primitive behind both [`DeviceHistory::chain_digest`] and
+/// `verdict_tag` is the verdict's 0/1/2 tag, the byte the snapshot codec
+/// writes (healthy/compromised/forged — the severity order). This is the
+/// single fold primitive behind both [`DeviceHistory::chain_digest`] and
 /// [`DeviceHistory::head_digest`]; it is exported so external tooling (the
 /// snapshot fuzz model, swarm aggregation) can recompute chains from raw
 /// wire fields without a `DeviceHistory` in hand.
@@ -126,7 +126,7 @@ fn extend_with_entry(prev: &[u8; 32], entry: &HistoryEntry) -> [u8; 32] {
     extend_digest(
         prev,
         entry.timestamp.as_nanos(),
-        severity(entry.verdict),
+        entry.verdict.tag(),
         entry.collected_at.as_nanos(),
     )
 }
@@ -361,11 +361,11 @@ impl DeviceHistory {
     }
 
     /// Records one verified measurement under the worst-verdict-wins rule
-    /// shared by [`DeviceHistory::ingest`] and [`DeviceHistory::merge_from`]:
-    /// a known timestamp keeps its verdict unless the incoming one is more
-    /// alarming; a fresh timestamp extends the hash chain; a timestamp
-    /// older than an already-evicted window is counted as a stale discard
-    /// and dropped.
+    /// that [`DeviceHistory::ingest`] applies to every entry it cannot
+    /// simply append: a known timestamp keeps its verdict unless the
+    /// incoming one is more alarming; a fresh timestamp extends the hash
+    /// chain; a timestamp older than an already-evicted window is counted
+    /// as a stale discard and dropped.
     pub fn observe(&mut self, entry: HistoryEntry) {
         match self
             .ring
@@ -376,7 +376,7 @@ impl DeviceHistory {
                     return;
                 };
                 let old = resident.verdict;
-                if severity(entry.verdict) > severity(old) {
+                if entry.verdict.tag() > old.tag() {
                     resident.verdict = entry.verdict;
                     resident.collected_at = entry.collected_at;
                     *self.rollup.verdict_count_mut(old) -= 1;
@@ -458,47 +458,6 @@ impl DeviceHistory {
         }
     }
 
-    /// Merges another history of the *same* device into this one, entry by
-    /// entry, using the same worst-verdict-wins rule as
-    /// [`DeviceHistory::ingest`]. Collection counts, stale-discard counts
-    /// and the monotone rollup minima (first timestamp, first compromise)
-    /// are combined; `other`'s resident entries are re-observed under
-    /// `self`'s capacity.
-    ///
-    /// When `other` has already evicted entries, those entries cannot be
-    /// replayed: their lifetime tallies stay with `other`, and chain
-    /// equality with a sequentially-ingested history is only guaranteed
-    /// while `other` is un-evicted (the fleet runtime never merges two
-    /// histories of the same device that both wrapped — devices live on
-    /// exactly one shard).
-    ///
-    /// Returns `false` (and changes nothing) when `other` belongs to a
-    /// different device. Used by [`crate::VerifierHub::merge`] to combine the
-    /// per-shard hubs of a partitioned fleet run.
-    pub fn merge_from(&mut self, other: &DeviceHistory) -> bool {
-        if other.device != self.device {
-            return false;
-        }
-        self.collections += other.collections;
-        self.rollup.stale_discards += other.rollup.stale_discards;
-        if let Some(at) = other.rollup.first_timestamp {
-            self.rollup.first_timestamp = Some(match self.rollup.first_timestamp {
-                Some(mine) => mine.min(at),
-                None => at,
-            });
-        }
-        if let (Some(at), Some(detected)) = (
-            other.rollup.first_compromise_at,
-            other.rollup.compromise_detected_at,
-        ) {
-            self.rollup.note_compromise(at, detected);
-        }
-        for entry in other.ring.iter().cloned() {
-            self.observe(entry);
-        }
-        true
-    }
-
     /// Resident entries in timestamp order.
     pub fn entries(&self) -> impl Iterator<Item = &HistoryEntry> {
         self.ring.iter()
@@ -577,17 +536,6 @@ impl DeviceHistory {
             .zip(self.ring.iter().skip(1))
             .map(|(earlier, later)| later.timestamp.duration_since(earlier.timestamp))
             .max()
-    }
-}
-
-/// Orders verdicts by how alarming they are, for the "keep the worst verdict"
-/// rule in [`DeviceHistory::ingest`]. Doubles as the chain verdict tag —
-/// the same 0/1/2 values the snapshot codec writes.
-fn severity(verdict: MeasurementVerdict) -> u8 {
-    match verdict {
-        MeasurementVerdict::Healthy => 0,
-        MeasurementVerdict::Compromised => 1,
-        MeasurementVerdict::Forged => 2,
     }
 }
 
@@ -731,28 +679,6 @@ mod tests {
         assert!(own.ingest(&report));
         assert_eq!(own.len(), 4);
         assert_eq!(own.collections(), 1);
-    }
-
-    #[test]
-    fn merge_from_combines_same_device_histories() {
-        let (mut prover, mut verifier) = provision();
-        let mut first = DeviceHistory::new(DeviceId::new(1));
-        collect_into(&mut first, &mut prover, &mut verifier, 60, 6);
-
-        let mut second = DeviceHistory::new(DeviceId::new(1));
-        collect_into(&mut second, &mut prover, &mut verifier, 120, 6);
-
-        assert!(first.merge_from(&second));
-        assert_eq!(first.len(), 12); // t = 10..120, disjoint halves
-        assert_eq!(first.collections(), 2);
-        assert_eq!(first.largest_gap(), Some(SimDuration::from_secs(10)));
-        assert!(first.verify_chain());
-
-        // Device mismatch leaves the target untouched.
-        let stranger = DeviceHistory::new(DeviceId::new(7));
-        assert!(!first.merge_from(&stranger));
-        assert_eq!(first.len(), 12);
-        assert_eq!(first.collections(), 2);
     }
 
     #[test]
@@ -976,23 +902,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn merge_matches_sequential_ingest_chain() {
-        let mut sequential = DeviceHistory::with_mode(DeviceId::new(6), HistoryMode::Ring(3));
-        let mut left = DeviceHistory::with_mode(DeviceId::new(6), HistoryMode::Ring(3));
-        let mut right = DeviceHistory::new(DeviceId::new(6));
-        for secs in [10, 20, 30] {
-            sequential.observe(healthy_at(secs));
-            left.observe(healthy_at(secs));
-        }
-        for secs in [40, 50] {
-            sequential.observe(healthy_at(secs));
-            right.observe(healthy_at(secs));
-        }
-        assert!(left.merge_from(&right));
-        assert_eq!(left, sequential);
-        assert!(left.verify_chain());
     }
 }

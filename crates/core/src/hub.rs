@@ -60,13 +60,6 @@ impl FlowWindow {
         }
         true
     }
-
-    /// Folds another window over the same flow into this one.
-    fn merge(&mut self, other: FlowWindow) {
-        self.floor = self.floor.max(other.floor);
-        self.seen.extend(other.seen);
-        self.seen = self.seen.split_off(&self.floor);
-    }
 }
 
 /// Per-frame accounting returned by [`VerifierHub::ingest_frame`].
@@ -356,42 +349,30 @@ impl VerifierHub {
             .all(|h| h.first_compromise().is_none())
     }
 
-    /// Absorbs another hub: disjoint devices are moved over wholesale,
-    /// overlapping devices are combined entry-by-entry via
-    /// [`DeviceHistory::merge_from`]. Ingestion counters are summed and
-    /// per-flow dedup windows are unioned (sharded runs give each shard its
-    /// own flows, so windows do not normally overlap).
+    /// Absorbs another shard's hub as a disjoint union: its device
+    /// histories and per-flow dedup windows move over wholesale, and its
+    /// ingestion counters are summed. Sharded runs give every device and
+    /// every frame flow to exactly one shard, so nothing needs combining.
     ///
-    /// Both hubs must share a ring capacity: moved-over histories would
-    /// otherwise keep a different bound than the ones the receiving hub
-    /// creates. Returns `false` and leaves `self` untouched when they do
-    /// not — the same convention as [`DeviceHistory::merge_from`].
+    /// Returns `false` and leaves `self` untouched when the hubs differ in
+    /// ring capacity (moved-over histories would keep a different bound
+    /// than the ones the receiving hub creates) or when both track the same
+    /// device or the same flow (two partial timelines of one device cannot
+    /// be re-chained from their resident windows alone).
     pub fn merge(&mut self, other: VerifierHub) -> bool {
-        if self.capacity != other.capacity {
+        let shares_device = other
+            .histories
+            .keys()
+            .any(|device| self.histories.contains_key(device));
+        let shares_flow = other.dedup.keys().any(|flow| self.dedup.contains_key(flow));
+        if self.capacity != other.capacity || shares_device || shares_flow {
             return false;
         }
         self.ingested += other.ingested;
         self.rejected += other.rejected;
         self.duplicates += other.duplicates;
-        for (flow, window) in other.dedup {
-            match self.dedup.get_mut(&flow) {
-                Some(existing) => existing.merge(window),
-                None => {
-                    self.dedup.insert(flow, window);
-                }
-            }
-        }
-        for (device, history) in other.histories {
-            match self.histories.get_mut(&device) {
-                Some(existing) => {
-                    let merged = existing.merge_from(&history);
-                    debug_assert!(merged, "map key always matches history device");
-                }
-                None => {
-                    self.histories.insert(device, history);
-                }
-            }
-        }
+        self.histories.extend(other.histories);
+        self.dedup.extend(other.dedup);
         true
     }
 }
@@ -800,34 +781,46 @@ mod tests {
         assert!(!window.note(DEDUP_WINDOW + 5));
     }
 
+    /// One single-response frame per device `0..count`, all collected at
+    /// t = 40 s, with the verifiers that check them (indexed by device).
+    fn frames(count: u64) -> (Vec<Vec<u8>>, Vec<Verifier>) {
+        use crate::encoding::encode_collection_batch;
+
+        let at = SimTime::from_secs(40);
+        (0..count)
+            .map(|id| {
+                let (mut prover, verifier) = provision(id);
+                prover.run_until(at).expect("runs");
+                let response = prover.handle_collection(&CollectionRequest::latest(4), at);
+                (
+                    encode_collection_batch(std::slice::from_ref(&response)),
+                    verifier,
+                )
+            })
+            .unzip()
+    }
+
     #[test]
     fn merge_carries_dedup_state_and_duplicate_counts() {
-        use crate::encoding::encode_collection_batch;
-        use crate::protocol::CollectionRequest;
-
-        let (mut prover, mut verifier) = provision(0);
-        prover.run_until(SimTime::from_secs(40)).expect("runs");
-        let response =
-            prover.handle_collection(&CollectionRequest::latest(4), SimTime::from_secs(40));
-        let frame = encode_collection_batch(std::slice::from_ref(&response));
-
-        let mut a = VerifierHub::new();
-        let mut b = VerifierHub::new();
+        let (frames, mut verifiers) = frames(2);
         let mut verify = |view: ResponseView<'_>| {
-            verifier
+            verifiers[view.device().value() as usize]
                 .verify_frame_response(&view, SimTime::from_secs(40))
                 .ok()
         };
+        // Shard A: device 0 on flow 1. Shard B: device 1 on flow 2.
+        let mut a = VerifierHub::new();
+        let mut b = VerifierHub::new();
         assert!(a
-            .ingest_sequenced_frame(1, 0, &frame, &mut verify)
+            .ingest_sequenced_frame(1, 0, &frames[0], &mut verify)
             .expect("decodes")
             .is_some());
         assert!(b
-            .ingest_sequenced_frame(2, 0, &frame, &mut verify)
+            .ingest_sequenced_frame(2, 0, &frames[1], &mut verify)
             .expect("decodes")
             .is_some());
         assert!(b
-            .ingest_sequenced_frame(2, 0, &frame, &mut verify)
+            .ingest_sequenced_frame(2, 0, &frames[1], &mut verify)
             .expect("decodes")
             .is_none());
 
@@ -835,40 +828,79 @@ mod tests {
         assert_eq!(a.duplicates(), 1);
         // The merged hub still remembers both flows' accepted sequences.
         assert!(a
-            .ingest_sequenced_frame(1, 0, &frame, &mut verify)
+            .ingest_sequenced_frame(1, 0, &frames[0], &mut verify)
             .expect("decodes")
             .is_none());
         assert!(a
-            .ingest_sequenced_frame(2, 0, &frame, &mut verify)
+            .ingest_sequenced_frame(2, 0, &frames[1], &mut verify)
             .expect("decodes")
             .is_none());
         assert_eq!(a.duplicates(), 3);
         assert_eq!(a.ingested(), 2);
+        assert_eq!(a.len(), 2);
     }
 
     #[test]
-    fn merge_combines_disjoint_and_overlapping_hubs() {
-        // Shard A: devices 0 and 1 (first collection window).
+    fn merge_unions_disjoint_hubs() {
+        // Shard A: devices 0 and 1. Shard B: device 2.
         let mut a = VerifierHub::new();
-        // Shard B: devices 1 (second window) and 2.
         let mut b = VerifierHub::new();
 
         let (mut p0, mut v0) = provision(0);
         assert!(a.ingest(&collect(&mut p0, &mut v0, 40, 4)));
         let (mut p1, mut v1) = provision(1);
         assert!(a.ingest(&collect(&mut p1, &mut v1, 40, 4)));
-        assert!(b.ingest(&collect(&mut p1, &mut v1, 80, 4)));
+        assert!(a.ingest(&collect(&mut p1, &mut v1, 80, 4)));
         let (mut p2, mut v2) = provision(2);
         assert!(b.ingest(&collect(&mut p2, &mut v2, 40, 4)));
+        let moved = b.history(DeviceId::new(2)).expect("tracked").clone();
 
         assert!(a.merge(b));
         assert_eq!(a.len(), 3);
         assert_eq!(a.ingested(), 4);
         assert_eq!(a.total_collections(), 4);
-        // Device 1 got both windows: t = 10..40 and t = 50..80.
-        let overlapping = a.history(DeviceId::new(1)).expect("tracked");
-        assert_eq!(overlapping.len(), 8);
-        assert_eq!(overlapping.collections(), 2);
+        assert_eq!(a.total_entries(), 16);
+        // Device 1 kept both windows: t = 10..40 and t = 50..80.
+        let history = a.history(DeviceId::new(1)).expect("tracked");
+        assert_eq!(history.len(), 8);
+        assert_eq!(history.collections(), 2);
+        // Device 2's history moved over unchanged.
+        assert_eq!(a.history(DeviceId::new(2)), Some(&moved));
+    }
+
+    #[test]
+    fn merge_refuses_hubs_that_share_a_device_or_a_flow() {
+        // Two partial timelines of one device: the merge cannot re-chain
+        // them from their resident windows, so it must refuse.
+        let (mut p0, mut v0) = provision(0);
+        let mut early = VerifierHub::new();
+        assert!(early.ingest(&collect(&mut p0, &mut v0, 40, 4)));
+        let mut late = VerifierHub::new();
+        assert!(late.ingest(&collect(&mut p0, &mut v0, 80, 4)));
+        let before = early.clone();
+        assert!(!early.merge(late));
+        assert_eq!(early, before);
+
+        // Disjoint devices that were sent on one flow.
+        let (frames, mut verifiers) = frames(2);
+        let mut verify = |view: ResponseView<'_>| {
+            verifiers[view.device().value() as usize]
+                .verify_frame_response(&view, SimTime::from_secs(40))
+                .ok()
+        };
+        let mut a = VerifierHub::new();
+        let mut b = VerifierHub::new();
+        assert!(a
+            .ingest_sequenced_frame(7, 0, &frames[0], &mut verify)
+            .expect("decodes")
+            .is_some());
+        assert!(b
+            .ingest_sequenced_frame(7, 1, &frames[1], &mut verify)
+            .expect("decodes")
+            .is_some());
+        let before = a.clone();
+        assert!(!a.merge(b));
+        assert_eq!(a, before);
     }
 
     #[test]

@@ -2,9 +2,7 @@
 
 use std::fmt;
 
-use erasmus_crypto::{
-    Digest, KeyedMac, MacAlgorithm, MacTag, MultiDigest, MultiKeyedMac, Sha256, Sha256xN,
-};
+use erasmus_crypto::{Digest, KeyedMac, MacAlgorithm, MacTag, MultiKeyedMac, Sha256, Sha256xN};
 use erasmus_sim::SimTime;
 
 /// Byte length of the memory digest `H(mem_t)` (always SHA-256).

@@ -21,6 +21,32 @@ pub enum MeasurementVerdict {
     Forged,
 }
 
+impl MeasurementVerdict {
+    /// The verdict's one-byte tag: 0 healthy, 1 compromised, 2 forged. It
+    /// orders verdicts by how alarming they are (the history's "keep the
+    /// worst verdict" rule), and it is the verdict byte of both the history
+    /// hash chain and the hub snapshot codec, which restores a snapshot only
+    /// if its tags refold to the stored head digest.
+    pub(crate) fn tag(self) -> u8 {
+        match self {
+            MeasurementVerdict::Healthy => 0,
+            MeasurementVerdict::Compromised => 1,
+            MeasurementVerdict::Forged => 2,
+        }
+    }
+
+    /// The verdict a [`MeasurementVerdict::tag`] byte stands for, or `None`
+    /// for a byte no verdict writes.
+    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
+        match tag {
+            0 => Some(MeasurementVerdict::Healthy),
+            1 => Some(MeasurementVerdict::Compromised),
+            2 => Some(MeasurementVerdict::Forged),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for MeasurementVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let text = match self {

@@ -150,12 +150,12 @@ impl Verifier {
     }
 
     /// Marks every measurement whose tag does not verify as
-    /// [`MeasurementVerdict::Forged`]. HMAC-SHA256 and keyed BLAKE2s check
-    /// 8 and then 4 tags per lockstep pass; the remainder, and HMAC-SHA1
-    /// (which has no lane core), verify one tag at a time.
+    /// [`MeasurementVerdict::Forged`]. HMAC-SHA256 checks 8 and then 4 tags
+    /// per lockstep pass; the remainder, and HMAC-SHA1 and keyed BLAKE2s
+    /// (which have no lane core), verify one tag at a time.
     fn check_tags(&self, verified: &mut [VerifiedMeasurement]) {
         let mut rest = verified;
-        if self.alg != MacAlgorithm::HmacSha1 {
+        if self.alg == MacAlgorithm::HmacSha256 {
             rest = self.check_tag_lanes::<8>(rest);
             rest = self.check_tag_lanes::<4>(rest);
         }

@@ -4,9 +4,7 @@
 //! make, so it retains the whole timeline. The compact history must be a
 //! *lossy view with honest books*, never a different timeline: in-order
 //! arrival produces identical lifetime tallies and head digests to the
-//! oracle, arbitrary arrival keeps every
-//! conservation law, and `merge_from` over a shard split reproduces the
-//! sequential-ingest state bit for bit (including the hash chain).
+//! oracle, and arbitrary arrival keeps every conservation law.
 
 use erasmus_core::{DeviceHistory, DeviceId, HistoryEntry, HistoryMode, MeasurementVerdict};
 use erasmus_sim::SimTime;
@@ -18,15 +16,6 @@ const VERDICTS: [MeasurementVerdict; 3] = [
     MeasurementVerdict::Compromised,
     MeasurementVerdict::Forged,
 ];
-
-/// The worst-verdict-wins order shared with `DeviceHistory`.
-fn rank(verdict: MeasurementVerdict) -> u8 {
-    match verdict {
-        MeasurementVerdict::Healthy => 0,
-        MeasurementVerdict::Compromised => 1,
-        MeasurementVerdict::Forged => 2,
-    }
-}
 
 fn entry(ts_secs: u64, selector: u8) -> HistoryEntry {
     HistoryEntry {
@@ -137,88 +126,4 @@ proptest! {
             prop_assert_eq!(ring.len(), oracle.len());
         }
     }
-
-    /// Shard split: ingest a prefix into a ring, the suffix into a
-    /// never-evicting sibling (a recovering shard), merge — the result must be
-    /// bit-identical to one ring ingesting the whole timeline, hash chain
-    /// included.
-    #[test]
-    fn merge_from_matches_sequential_ingest(
-        entries in arb_timeline(),
-        capacity in 1usize..8,
-        split_selector in 0usize..64,
-    ) {
-        let mut entries = entries;
-        entries.sort_by_key(|e| e.timestamp);
-        entries.dedup_by_key(|e| e.timestamp);
-        let split = split_selector % (entries.len() + 1);
-        let device = DeviceId::new(9);
-
-        let mut sequential = DeviceHistory::with_mode(device, HistoryMode::Ring(capacity));
-        for e in &entries {
-            sequential.observe(e.clone());
-        }
-
-        let mut left = DeviceHistory::with_mode(device, HistoryMode::Ring(capacity));
-        for e in &entries[..split] {
-            left.observe(e.clone());
-        }
-        let mut right = never_evicting(device);
-        for e in &entries[split..] {
-            right.observe(e.clone());
-        }
-
-        prop_assert!(left.merge_from(&right));
-        prop_assert_eq!(left, sequential);
-    }
-
-    /// Merging two rings with overlapping (or disjoint) retained windows:
-    /// the books stay balanced, the chain verifies, and any timestamp
-    /// retained on both sides keeps the worse verdict.
-    #[test]
-    fn merge_across_overlapping_windows_keeps_the_books(
-        left_entries in arb_timeline(),
-        right_entries in arb_timeline(),
-        capacity in 1usize..8,
-    ) {
-        let device = DeviceId::new(5);
-        let mut left = DeviceHistory::with_mode(device, HistoryMode::Ring(capacity));
-        for e in &left_entries {
-            left.observe(e.clone());
-        }
-        let mut right = DeviceHistory::with_mode(device, HistoryMode::Ring(capacity));
-        for e in &right_entries {
-            right.observe(e.clone());
-        }
-        let entries_before = left.len();
-
-        prop_assert!(left.merge_from(&right));
-
-        prop_assert!(left.verify_chain());
-        prop_assert!(left.len() >= entries_before);
-        prop_assert!(left.resident_len() <= capacity);
-        prop_assert_eq!(lifetime_verdicts(&left), left.len());
-        prop_assert_eq!(
-            left.evictions() + left.resident_len() as u64,
-            left.len() as u64
-        );
-        for theirs in right.entries() {
-            if let Some(mine) = left
-                .entries()
-                .find(|mine| mine.timestamp == theirs.timestamp)
-            {
-                prop_assert!(
-                    rank(mine.verdict) >= rank(theirs.verdict),
-                    "worst verdict wins on the shared window"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn merge_from_refuses_a_different_device() {
-    let mut left = DeviceHistory::with_mode(DeviceId::new(1), HistoryMode::Ring(4));
-    let right = DeviceHistory::new(DeviceId::new(2));
-    assert!(!left.merge_from(&right));
 }

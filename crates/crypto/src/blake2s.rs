@@ -10,12 +10,12 @@ use crate::ct::constant_time_eq;
 use crate::digest::Digest;
 
 /// BLAKE2s initialization vector (identical to the SHA-256 IV).
-pub(crate) const IV: [u32; 8] = [
+const IV: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
 /// Message word schedule for the 10 rounds.
-pub(crate) const SIGMA: [[usize; 16]; 10] = [
+const SIGMA: [[usize; 16]; 10] = [
     [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
     [14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3],
     [11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4],
@@ -29,7 +29,7 @@ pub(crate) const SIGMA: [[usize; 16]; 10] = [
 ];
 
 const BLOCK_BYTES: usize = 64;
-const MAX_OUT_BYTES: usize = 32;
+const OUT_BYTES: usize = 32;
 const MAX_KEY_BYTES: usize = 32;
 
 /// Incremental BLAKE2s hasher with optional key.
@@ -44,7 +44,7 @@ const MAX_KEY_BYTES: usize = 32;
 /// assert_eq!(digest.len(), 32);
 ///
 /// // Keyed MAC mode, as used by the paper's "keyed BLAKE2S" measurements.
-/// let mut mac = Blake2s::new_keyed(b"device key", 32);
+/// let mut mac = Blake2s::new_keyed(b"device key");
 /// mac.update(b"memory contents");
 /// let tag = mac.finalize();
 /// assert_eq!(tag.len(), 32);
@@ -56,33 +56,21 @@ pub struct Blake2s {
     t: [u32; 2],
     buffer: [u8; BLOCK_BYTES],
     buffer_len: usize,
-    out_len: usize,
 }
 
 impl Blake2s {
     /// Creates an unkeyed BLAKE2s-256 hasher (32-byte output).
     pub fn new() -> Self {
-        Self::with_params(&[], MAX_OUT_BYTES)
+        Self::new_keyed(&[])
     }
 
-    /// Creates a keyed BLAKE2s hasher producing `out_len` bytes.
+    /// Creates a keyed BLAKE2s hasher producing the full 32-byte tag.
     ///
     /// This is the paper's "keyed BLAKE2S" MAC. Keys longer than 32 bytes are
     /// truncated to 32 bytes (the RFC 7693 maximum); the rest of the
-    /// workspace always passes 32-byte device keys.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out_len` is zero or greater than 32.
-    pub fn new_keyed(key: &[u8], out_len: usize) -> Self {
-        Self::with_params(key, out_len)
-    }
-
-    fn with_params(key: &[u8], out_len: usize) -> Self {
-        assert!(
-            (1..=MAX_OUT_BYTES).contains(&out_len),
-            "BLAKE2s output length must be in 1..=32, got {out_len}"
-        );
+    /// workspace always passes 32-byte device keys. An empty key gives the
+    /// unkeyed hash.
+    pub fn new_keyed(key: &[u8]) -> Self {
         let key = if key.len() > MAX_KEY_BYTES {
             &key[..MAX_KEY_BYTES]
         } else {
@@ -90,15 +78,15 @@ impl Blake2s {
         };
 
         let mut h = IV;
-        // Parameter block word 0: digest length, key length, fanout=1, depth=1.
-        h[0] ^= 0x0101_0000 ^ ((key.len() as u32) << 8) ^ out_len as u32;
+        // Parameter block word 0: digest length 32, key length, fanout=1,
+        // depth=1.
+        h[0] ^= 0x0101_0000 ^ ((key.len() as u32) << 8) ^ OUT_BYTES as u32;
 
         let mut state = Self {
             h,
             t: [0, 0],
             buffer: [0u8; BLOCK_BYTES],
             buffer_len: 0,
-            out_len,
         };
 
         if !key.is_empty() {
@@ -113,55 +101,14 @@ impl Blake2s {
 
     /// One-shot keyed MAC.
     pub fn keyed_mac(key: &[u8], message: &[u8]) -> [u8; 32] {
-        let mut mac = Self::new_keyed(key, MAX_OUT_BYTES);
+        let mut mac = Self::new_keyed(key);
         mac.update(message);
         mac.finalize()
-    }
-
-    /// Compresses all pending input and returns the full 32-byte state.
-    fn finalize_words(mut self) -> [u8; 32] {
-        self.increment_counter(self.buffer_len as u32);
-        let mut block = [0u8; BLOCK_BYTES];
-        block[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
-        self.compress(&block, true);
-
-        let mut out = [0u8; 32];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(self.h) {
-            chunk.copy_from_slice(&word.to_le_bytes());
-        }
-        out
-    }
-
-    /// Finishes the hash and writes the configured `out_len` digest bytes
-    /// into `out`, returning how many were written.
-    ///
-    /// This is the finalizer for truncated-output instances; full 32-byte
-    /// instances can use [`Digest::finalize`] and stay on the stack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than the configured output length.
-    pub fn finalize_into(self, out: &mut [u8]) -> usize {
-        let out_len = self.out_len;
-        assert!(
-            out.len() >= out_len,
-            "output buffer of {} bytes cannot hold a {out_len}-byte digest",
-            out.len()
-        );
-        let words = self.finalize_words();
-        out[..out_len].copy_from_slice(&words[..out_len]);
-        out_len
     }
 
     /// Verifies a keyed-BLAKE2s tag in constant time.
     pub fn verify_keyed(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
         constant_time_eq(&Self::keyed_mac(key, message), tag)
-    }
-
-    /// Lane view used by the multi-lane cores to transpose keyed states:
-    /// `(chain value, counter, buffer, buffered bytes, output length)`.
-    pub(crate) fn lane_parts(&self) -> ([u32; 8], [u32; 2], &[u8; BLOCK_BYTES], usize, usize) {
-        (self.h, self.t, &self.buffer, self.buffer_len, self.out_len)
     }
 
     fn increment_counter(&mut self, bytes: u32) {
@@ -223,7 +170,7 @@ impl Default for Blake2s {
 }
 
 impl Digest for Blake2s {
-    const OUTPUT_SIZE: usize = MAX_OUT_BYTES;
+    const OUTPUT_SIZE: usize = OUT_BYTES;
     const BLOCK_SIZE: usize = BLOCK_BYTES;
 
     type Output = [u8; 32];
@@ -249,12 +196,17 @@ impl Digest for Blake2s {
         }
     }
 
-    fn finalize(self) -> [u8; 32] {
-        assert_eq!(
-            self.out_len, MAX_OUT_BYTES,
-            "use finalize_into for truncated-output instances"
-        );
-        self.finalize_words()
+    fn finalize(mut self) -> [u8; 32] {
+        self.increment_counter(self.buffer_len as u32);
+        let mut block = [0u8; BLOCK_BYTES];
+        block[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
+        self.compress(&block, true);
+
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.h) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        out
     }
 }
 
@@ -289,7 +241,7 @@ mod tests {
     fn reference_keyed_empty_message() {
         // Key = 00 01 02 ... 1f, empty message.
         let key: Vec<u8> = (0..32u8).collect();
-        let mut mac = Blake2s::new_keyed(&key, 32);
+        let mut mac = Blake2s::new_keyed(&key);
         mac.update(b"");
         assert_eq!(
             hex(&mac.finalize()),
@@ -301,7 +253,7 @@ mod tests {
     fn reference_keyed_one_byte_message() {
         // Key = 00..1f, message = 00.
         let key: Vec<u8> = (0..32u8).collect();
-        let mut mac = Blake2s::new_keyed(&key, 32);
+        let mut mac = Blake2s::new_keyed(&key);
         mac.update(&[0x00]);
         assert_eq!(
             hex(&mac.finalize()),
@@ -313,7 +265,7 @@ mod tests {
     fn reference_keyed_two_byte_message() {
         // Key = 00..1f, message = 00 01.
         let key: Vec<u8> = (0..32u8).collect();
-        let mut mac = Blake2s::new_keyed(&key, 32);
+        let mut mac = Blake2s::new_keyed(&key);
         mac.update(&[0x00, 0x01]);
         assert_eq!(
             hex(&mac.finalize()),
@@ -329,7 +281,7 @@ mod tests {
         for len in [63usize, 64, 65, 127, 128, 129] {
             let message: Vec<u8> = (0..len as u32).map(|i| (i % 256) as u8).collect();
             let oneshot = Blake2s::keyed_mac(&key, &message);
-            let mut mac = Blake2s::new_keyed(&key, 32);
+            let mut mac = Blake2s::new_keyed(&key);
             for byte in &message {
                 mac.update(std::slice::from_ref(byte));
             }
@@ -343,64 +295,11 @@ mod tests {
         let message: Vec<u8> = (0..=254u8).collect();
         let oneshot = Blake2s::keyed_mac(&key, &message);
         for split in [0usize, 1, 32, 63, 64, 65, 128, 254, 255] {
-            let mut mac = Blake2s::new_keyed(&key, 32);
+            let mut mac = Blake2s::new_keyed(&key);
             mac.update(&message[..split]);
             mac.update(&message[split..]);
             assert_eq!(mac.finalize(), oneshot, "split at {split}");
         }
-    }
-
-    #[test]
-    fn truncated_output_lengths() {
-        for out_len in [1usize, 16, 20, 31, 32] {
-            let mut mac = Blake2s::new_keyed(b"key", out_len);
-            mac.update(b"msg");
-            let mut out = [0u8; 32];
-            assert_eq!(mac.finalize_into(&mut out), out_len);
-        }
-    }
-
-    #[test]
-    fn finalize_into_matches_finalize_for_full_output() {
-        let mut a = Blake2s::new_keyed(b"key", 32);
-        let mut b = Blake2s::new_keyed(b"key", 32);
-        a.update(b"msg");
-        b.update(b"msg");
-        let mut out = [0u8; 32];
-        assert_eq!(a.finalize_into(&mut out), 32);
-        assert_eq!(out, b.finalize());
-    }
-
-    #[test]
-    fn truncated_digests_are_not_prefixes_of_the_full_digest() {
-        // The output length is part of the BLAKE2 parameter block, so a
-        // 16-byte digest differs from the first 16 bytes of the 32-byte one.
-        let mut short = Blake2s::new_keyed(b"key", 16);
-        short.update(b"msg");
-        let mut short_out = [0u8; 16];
-        short.finalize_into(&mut short_out);
-        let mut full = Blake2s::new_keyed(b"key", 32);
-        full.update(b"msg");
-        assert_ne!(short_out, full.finalize()[..16]);
-    }
-
-    #[test]
-    #[should_panic(expected = "truncated-output")]
-    fn digest_finalize_rejects_truncated_instances() {
-        let mac = Blake2s::new_keyed(b"key", 16);
-        let _ = mac.finalize();
-    }
-
-    #[test]
-    #[should_panic(expected = "output length")]
-    fn zero_output_length_panics() {
-        let _ = Blake2s::new_keyed(b"key", 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "output length")]
-    fn oversized_output_length_panics() {
-        let _ = Blake2s::new_keyed(b"key", 33);
     }
 
     #[test]
@@ -427,7 +326,7 @@ mod tests {
         let key: Vec<u8> = (0..32u8).collect();
         let message = vec![0xabu8; 1000];
         let oneshot = Blake2s::keyed_mac(&key, &message);
-        let mut mac = Blake2s::new_keyed(&key, 32);
+        let mut mac = Blake2s::new_keyed(&key);
         for chunk in message.chunks(7) {
             mac.update(chunk);
         }

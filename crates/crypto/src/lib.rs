@@ -24,12 +24,13 @@
 //! Digest finalizers and MAC tags are fixed-size stack values — the hot path
 //! performs no heap allocation.
 //!
-//! For fleet-scale measurement the [`multi`] module adds lane-interleaved
-//! multi-buffer cores ([`Sha256xN`], [`Blake2sxN`], N = 4 or 8) behind the
-//! [`MultiDigest`] trait, plus [`MultiKeyedMac`], which transposes existing
-//! [`KeyedMac`] schedules across lanes: N equal-length messages are hashed
-//! in lockstep so LLVM autovectorizes the compression to SSE/AVX/NEON —
-//! each lane's output stays bit-identical to the scalar path.
+//! For fleet-scale measurement the [`multi`] module adds one lane-interleaved
+//! multi-buffer core, [`Sha256xN`] (N = 4 or 8), plus [`MultiKeyedMac`],
+//! which transposes existing HMAC-SHA256 [`KeyedMac`] schedules across
+//! lanes: N equal-length messages are hashed in lockstep so LLVM
+//! autovectorizes the compression to SSE/AVX/NEON — each lane's output
+//! stays bit-identical to the scalar path. HMAC-SHA1 and keyed BLAKE2s tags
+//! take the scalar fallback.
 //!
 //! # Example
 //!
@@ -72,8 +73,6 @@ pub use digest::Digest;
 pub use drbg::HmacDrbg;
 pub use hmac::{Hmac, HmacKey, HmacSha1, HmacSha256};
 pub use mac::{KeyedMac, MacAlgorithm, MacTag, ParseMacAlgorithmError, MAX_TAG_LEN};
-pub use multi::{
-    Blake2sx4, Blake2sx8, Blake2sxN, MultiDigest, MultiKeyedMac, Sha256x4, Sha256x8, Sha256xN,
-};
+pub use multi::{MultiKeyedMac, Sha256x4, Sha256x8, Sha256xN};
 pub use sha1::Sha1;
 pub use sha256::Sha256;

@@ -163,9 +163,7 @@ impl MacAlgorithm {
         match self {
             MacAlgorithm::HmacSha1 => KeyedMac::HmacSha1(HmacKey::new(key)),
             MacAlgorithm::HmacSha256 => KeyedMac::HmacSha256(HmacKey::new(key)),
-            MacAlgorithm::KeyedBlake2s => {
-                KeyedMac::KeyedBlake2s(Blake2s::new_keyed(key, MAX_TAG_LEN))
-            }
+            MacAlgorithm::KeyedBlake2s => KeyedMac::KeyedBlake2s(Blake2s::new_keyed(key)),
         }
     }
 

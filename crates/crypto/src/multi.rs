@@ -2,11 +2,11 @@
 //! lockstep.
 //!
 //! ERASMUS provers spend almost all of their attestation time computing
-//! `H(mem_t)` over the application memory. One SHA-256 (or BLAKE2s)
-//! compression is a long dependency chain of 32-bit operations, so a single
-//! message cannot use the host's vector units — but a *fleet* harness has
-//! many equal-sized memory images to hash at the same simulated instant.
-//! [`Sha256xN`] and [`Blake2sxN`] exploit that: the hash state is stored
+//! `H(mem_t)` over the application memory, and `H` is always SHA-256. One
+//! SHA-256 compression is a long dependency chain of 32-bit operations, so a
+//! single message cannot use the host's vector units — but a *fleet* harness
+//! has many equal-sized memory images to hash at the same simulated instant.
+//! [`Sha256xN`], the one lane core, exploits that: the hash state is stored
 //! **lane-major** (`[[u32; N]; 8]` — word `w` of lane `l` lives at
 //! `state[w][l]`), and every round operates on all `N` lanes elementwise.
 //! LLVM autovectorizes those fixed-size elementwise loops to SSE/AVX/NEON —
@@ -21,70 +21,18 @@
 //!                                                   also lane-major
 //! ```
 //!
-//! The [`MultiDigest`] trait mirrors [`Digest`](crate::Digest) for equal-length inputs;
-//! [`MultiKeyedMac`] rides the *existing* precomputed key schedules — the
-//! HMAC ipad/opad midstates of [`HmacKey`] and the keyed
-//! BLAKE2s key block — transposed across the lanes, so lane-batched
-//! measurements reuse exactly the per-device states the scalar hot path
-//! uses. Every lane produces a digest/tag bit-identical to the scalar
-//! [`Sha256`]/[`Blake2s`]/[`KeyedMac`] paths (pinned by the
-//! `multi_lane_equivalence` suite).
+//! [`Sha256xN`] mirrors [`Digest`](crate::Digest) for equal-length inputs;
+//! [`MultiKeyedMac`] rides the *existing* precomputed HMAC-SHA256 key
+//! schedules — the ipad/opad midstates of [`HmacKey`] — transposed across
+//! the lanes, so lane-batched measurements reuse exactly the per-device
+//! states the scalar hot path uses. HMAC-SHA1 and keyed BLAKE2s tag in
+//! scalar. Every lane produces a digest/tag bit-identical to the scalar
+//! [`Sha256`]/[`KeyedMac`] paths (pinned by the `multi_lane_equivalence`
+//! suite).
 
-use crate::blake2s::{Blake2s, IV as BLAKE2S_IV, SIGMA};
 use crate::hmac::HmacKey;
 use crate::mac::{KeyedMac, MacAlgorithm, MacTag};
 use crate::sha256::{Sha256, H0 as SHA256_H0, K};
-
-/// An incremental hash over `N` equal-length messages processed in lockstep.
-///
-/// The shape mirrors [`Digest`](crate::Digest), with every input and output widened to `N`
-/// lanes. All `update` calls must pass lanes of equal length (the lanes
-/// share one block counter), which is exactly the fleet-measurement case:
-/// every device hashes the same-sized memory image.
-///
-/// # Example
-///
-/// ```
-/// use erasmus_crypto::{Digest, MultiDigest, Sha256, Sha256x4};
-///
-/// let inputs = [&b"a"[..], b"b", b"c", b"d"];
-/// let digests = Sha256x4::digest(inputs);
-/// for (lane, input) in inputs.iter().enumerate() {
-///     assert_eq!(digests[lane], Sha256::digest(input));
-/// }
-/// ```
-pub trait MultiDigest<const N: usize>: Clone {
-    /// Size of each lane's digest in bytes.
-    const OUTPUT_SIZE: usize;
-    /// Internal block size in bytes (shared by all lanes).
-    const BLOCK_SIZE: usize;
-
-    /// The fixed-size digest array each lane produces.
-    type Output: Copy + AsRef<[u8]> + PartialEq + Eq + std::fmt::Debug;
-
-    /// Creates a fresh `N`-lane hasher.
-    fn new() -> Self;
-
-    /// Absorbs one equal-length slice per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lanes are not all the same length.
-    fn update(&mut self, lanes: [&[u8]; N]);
-
-    /// Consumes the hasher and returns each lane's digest.
-    fn finalize(self) -> [Self::Output; N];
-
-    /// One-shot helper: hash `N` equal-length messages in lockstep.
-    fn digest(lanes: [&[u8]; N]) -> [Self::Output; N]
-    where
-        Self: Sized,
-    {
-        let mut hasher = Self::new();
-        hasher.update(lanes);
-        hasher.finalize()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Lane-wide u32 helpers. Each takes/returns `[u32; N]` and applies the
@@ -150,17 +98,6 @@ fn xor3<const N: usize>(a: [u32; N], b: [u32; N], c: [u32; N]) -> [u32; N] {
     xor(xor(a, b), c)
 }
 
-/// Asserts the equal-length lane contract shared by every [`MultiDigest`].
-#[inline]
-fn lane_len<const N: usize>(lanes: &[&[u8]; N]) -> usize {
-    let len = lanes[0].len();
-    assert!(
-        lanes.iter().all(|lane| lane.len() == len),
-        "multi-lane update requires equal-length lanes"
-    );
-    len
-}
-
 // ---------------------------------------------------------------------------
 // SHA-256, N lanes.
 // ---------------------------------------------------------------------------
@@ -168,7 +105,23 @@ fn lane_len<const N: usize>(lanes: &[&[u8]; N]) -> usize {
 /// `N`-lane SHA-256: `N` independent messages compressed in lockstep.
 ///
 /// Use the [`Sha256x4`] / [`Sha256x8`] aliases; 4 lanes fill a 128-bit
-/// vector unit, 8 lanes a 256-bit one.
+/// vector unit, 8 lanes a 256-bit one. The shape mirrors
+/// [`Digest`](crate::Digest), with every input and output widened to `N`
+/// lanes. All `update` calls must pass lanes of equal length (the lanes
+/// share one block counter), which is exactly the fleet-measurement case:
+/// every device hashes the same-sized memory image.
+///
+/// # Example
+///
+/// ```
+/// use erasmus_crypto::{Digest, Sha256, Sha256x4};
+///
+/// let inputs = [&b"a"[..], b"b", b"c", b"d"];
+/// let digests = Sha256x4::digest(inputs);
+/// for (lane, input) in inputs.iter().enumerate() {
+///     assert_eq!(digests[lane], Sha256::digest(input));
+/// }
+/// ```
 #[derive(Debug, Clone)]
 pub struct Sha256xN<const N: usize> {
     /// Lane-major state: `state[word][lane]`.
@@ -281,26 +234,29 @@ impl<const N: usize> Sha256xN<N> {
             total_len,
         }
     }
-}
 
-impl<const N: usize> Default for Sha256xN<N> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<const N: usize> MultiDigest<N> for Sha256xN<N> {
-    const OUTPUT_SIZE: usize = 32;
-    const BLOCK_SIZE: usize = 64;
-
-    type Output = [u8; 32];
-
-    fn new() -> Self {
-        Sha256xN::new()
+    /// One-shot helper: hash `N` equal-length messages in lockstep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lanes are not all the same length.
+    pub fn digest(lanes: [&[u8]; N]) -> [[u8; 32]; N] {
+        let mut hasher = Self::new();
+        hasher.update(lanes);
+        hasher.finalize()
     }
 
-    fn update(&mut self, mut lanes: [&[u8]; N]) {
-        let len = lane_len(&lanes);
+    /// Absorbs one equal-length slice per lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lanes are not all the same length.
+    pub fn update(&mut self, mut lanes: [&[u8]; N]) {
+        let len = lanes[0].len();
+        assert!(
+            lanes.iter().all(|lane| lane.len() == len),
+            "multi-lane update requires equal-length lanes"
+        );
         self.total_len = self.total_len.wrapping_add(len as u64);
 
         if self.buffer_len > 0 {
@@ -340,7 +296,8 @@ impl<const N: usize> MultiDigest<N> for Sha256xN<N> {
         }
     }
 
-    fn finalize(mut self) -> [[u8; 32]; N] {
+    /// Consumes the hasher and returns each lane's digest.
+    pub fn finalize(mut self) -> [[u8; 32]; N] {
         let bit_len = self.total_len.wrapping_mul(8);
         // Identical padding for every lane (the lengths are equal), built on
         // the stack exactly like the scalar finalizer.
@@ -367,233 +324,9 @@ impl<const N: usize> MultiDigest<N> for Sha256xN<N> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// BLAKE2s, N lanes.
-// ---------------------------------------------------------------------------
-
-/// `N`-lane BLAKE2s-256 (32-byte output per lane), with the keyed mode
-/// entered by transposing scalar keyed states via
-/// [`Blake2sxN::from_keyed_states`].
-#[derive(Debug, Clone)]
-pub struct Blake2sxN<const N: usize> {
-    /// Lane-major chain value: `h[word][lane]`.
-    h: [[u32; N]; 8],
-    /// Byte counter, shared by all lanes (equal-length inputs).
-    t: [u32; 2],
-    buffer: [[u8; 64]; N],
-    buffer_len: usize,
-}
-
-/// 4-lane BLAKE2s.
-pub type Blake2sx4 = Blake2sxN<4>;
-/// 8-lane BLAKE2s.
-pub type Blake2sx8 = Blake2sxN<8>;
-
-/// Lane-wide BLAKE2s compression. `last` flags the final block for every
-/// lane at once (the shared counter keeps the lanes in lockstep).
-fn blake2s_compress<const N: usize>(
-    h: &mut [[u32; N]; 8],
-    t: [u32; 2],
-    blocks: [&[u8; 64]; N],
-    last: bool,
-) {
-    let mut m = [[0u32; N]; 16];
-    for (i, m_i) in m.iter_mut().enumerate() {
-        for (slot, block) in m_i.iter_mut().zip(blocks) {
-            *slot = u32::from_le_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-    }
-
-    let mut v = [[0u32; N]; 16];
-    v[..8].copy_from_slice(h);
-    for (word, iv) in v[8..].iter_mut().zip(BLAKE2S_IV) {
-        *word = splat(iv);
-    }
-    v[12] = xor(v[12], splat(t[0]));
-    v[13] = xor(v[13], splat(t[1]));
-    if last {
-        v[14] = not(v[14]);
-    }
-
-    #[inline(always)]
-    fn g<const N: usize>(
-        v: &mut [[u32; N]; 16],
-        a: usize,
-        b: usize,
-        c: usize,
-        d: usize,
-        x: [u32; N],
-        y: [u32; N],
-    ) {
-        v[a] = add(add(v[a], v[b]), x);
-        v[d] = rotr(xor(v[d], v[a]), 16);
-        v[c] = add(v[c], v[d]);
-        v[b] = rotr(xor(v[b], v[c]), 12);
-        v[a] = add(add(v[a], v[b]), y);
-        v[d] = rotr(xor(v[d], v[a]), 8);
-        v[c] = add(v[c], v[d]);
-        v[b] = rotr(xor(v[b], v[c]), 7);
-    }
-
-    for s in &SIGMA {
-        g(&mut v, 0, 4, 8, 12, m[s[0]], m[s[1]]);
-        g(&mut v, 1, 5, 9, 13, m[s[2]], m[s[3]]);
-        g(&mut v, 2, 6, 10, 14, m[s[4]], m[s[5]]);
-        g(&mut v, 3, 7, 11, 15, m[s[6]], m[s[7]]);
-        g(&mut v, 0, 5, 10, 15, m[s[8]], m[s[9]]);
-        g(&mut v, 1, 6, 11, 12, m[s[10]], m[s[11]]);
-        g(&mut v, 2, 7, 8, 13, m[s[12]], m[s[13]]);
-        g(&mut v, 3, 4, 9, 14, m[s[14]], m[s[15]]);
-    }
-
-    for i in 0..8 {
-        h[i] = xor(h[i], xor(v[i], v[i + 8]));
-    }
-}
-
-impl<const N: usize> Blake2sxN<N> {
-    /// Creates a fresh unkeyed `N`-lane BLAKE2s-256 state.
-    pub fn new() -> Self {
-        assert!(N >= 1, "at least one lane is required");
-        let mut h: [[u32; N]; 8] = std::array::from_fn(|word| splat(BLAKE2S_IV[word]));
-        // Parameter block word 0: digest length 32, no key, fanout=1,
-        // depth=1 — the unkeyed Blake2s::new() parameters.
-        h[0] = xor(h[0], splat(0x0101_0000 ^ 32));
-        Self {
-            h,
-            t: [0, 0],
-            buffer: [[0u8; 64]; N],
-            buffer_len: 0,
-        }
-    }
-
-    /// Transposes `N` scalar BLAKE2s states — typically freshly keyed ones,
-    /// whose key block sits buffered awaiting the first message byte — into
-    /// one lane-major state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any state is a truncated-output instance (all lanes must
-    /// produce the full 32-byte digest) or if the states are not at the same
-    /// stream position (equal counters and buffered lengths).
-    pub fn from_keyed_states(states: [&Blake2s; N]) -> Self {
-        assert!(N >= 1, "at least one lane is required");
-        let (_, t, _, buffer_len, _) = states[0].lane_parts();
-        let h = std::array::from_fn(|word| {
-            std::array::from_fn(|lane| {
-                let (h, lane_t, _, lane_buffered, out_len) = states[lane].lane_parts();
-                assert_eq!(out_len, 32, "lane states must use the full 32-byte output");
-                assert_eq!(lane_t, t, "lane states must share one stream position");
-                assert_eq!(
-                    lane_buffered, buffer_len,
-                    "lane states must share one stream position"
-                );
-                h[word]
-            })
-        });
-        let mut buffer = [[0u8; 64]; N];
-        for (buffer, state) in buffer.iter_mut().zip(states) {
-            let (_, _, buffered, _, _) = state.lane_parts();
-            *buffer = *buffered;
-        }
-        Self {
-            h,
-            t,
-            buffer,
-            buffer_len,
-        }
-    }
-
-    fn increment_counter(&mut self, bytes: u32) {
-        let (lo, carry) = self.t[0].overflowing_add(bytes);
-        self.t[0] = lo;
-        if carry {
-            self.t[1] = self.t[1].wrapping_add(1);
-        }
-    }
-}
-
-impl<const N: usize> Default for Blake2sxN<N> {
+impl<const N: usize> Default for Sha256xN<N> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<const N: usize> MultiDigest<N> for Blake2sxN<N> {
-    const OUTPUT_SIZE: usize = 32;
-    const BLOCK_SIZE: usize = 64;
-
-    type Output = [u8; 32];
-
-    fn new() -> Self {
-        Blake2sxN::new()
-    }
-
-    fn update(&mut self, mut lanes: [&[u8]; N]) {
-        lane_len(&lanes);
-        // Like the scalar core: a full buffer only compresses once more data
-        // arrives, because the final block must carry the "last" flag.
-        while !lanes[0].is_empty() {
-            if self.buffer_len == 64 {
-                self.increment_counter(64);
-                let blocks = self.buffer;
-                blake2s_compress(
-                    &mut self.h,
-                    self.t,
-                    std::array::from_fn(|lane| &blocks[lane]),
-                    false,
-                );
-                self.buffer_len = 0;
-            }
-            // With the buffer empty, every full block except the trailing
-            // 1..=64 bytes (which must stay buffered for the last-block
-            // flag) compresses straight from the input slices — no copy.
-            if self.buffer_len == 0 {
-                while lanes[0].len() > 64 {
-                    self.increment_counter(64);
-                    let blocks: [&[u8; 64]; N] = std::array::from_fn(|lane| {
-                        lanes[lane][..64].try_into().expect("64-byte chunk")
-                    });
-                    blake2s_compress(&mut self.h, self.t, blocks, false);
-                    for lane in lanes.iter_mut() {
-                        *lane = &lane[64..];
-                    }
-                }
-            }
-            let take = (64 - self.buffer_len).min(lanes[0].len());
-            for (buffer, lane) in self.buffer.iter_mut().zip(lanes.iter_mut()) {
-                buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&lane[..take]);
-                *lane = &lane[take..];
-            }
-            self.buffer_len += take;
-        }
-    }
-
-    fn finalize(mut self) -> [[u8; 32]; N] {
-        self.increment_counter(self.buffer_len as u32);
-        let mut blocks = [[0u8; 64]; N];
-        for (block, buffer) in blocks.iter_mut().zip(self.buffer) {
-            block[..self.buffer_len].copy_from_slice(&buffer[..self.buffer_len]);
-        }
-        blake2s_compress(
-            &mut self.h,
-            self.t,
-            std::array::from_fn(|lane| &blocks[lane]),
-            true,
-        );
-
-        std::array::from_fn(|lane| {
-            let mut out = [0u8; 32];
-            for (chunk, word) in out.chunks_exact_mut(4).zip(self.h) {
-                chunk.copy_from_slice(&word[lane].to_le_bytes());
-            }
-            out
-        })
     }
 }
 
@@ -610,12 +343,11 @@ impl<const N: usize> MultiDigest<N> for Blake2sxN<N> {
 /// * HMAC-SHA256 — the ipad and opad midstates of each lane are transposed
 ///   into two [`Sha256xN`] states; a MAC is one lockstep inner pass and one
 ///   lockstep outer pass.
-/// * Keyed BLAKE2s — the per-lane keyed states (key block buffered) are
-///   transposed into one [`Blake2sxN`].
-/// * HMAC-SHA1 — there is no lane-interleaved SHA-1 core, so the lanes
-///   fall back to the scalar schedules (still one `MultiKeyedMac` call site
-///   for every algorithm). A fleet run under HMAC-SHA1 therefore hashes
-///   every tag in scalar.
+/// * HMAC-SHA1 and keyed BLAKE2s — [`Sha256xN`] is the only lane core, so
+///   the lanes fall back to the scalar schedules (still one `MultiKeyedMac`
+///   call site for every algorithm). A fleet run under either MAC therefore
+///   tags every measurement in scalar, while its memory images still hash
+///   through [`Sha256xN`].
 ///
 /// # Example
 ///
@@ -642,8 +374,7 @@ enum MultiKeyedState<const N: usize> {
         inner: Sha256xN<N>,
         outer: Sha256xN<N>,
     },
-    KeyedBlake2s(Blake2sxN<N>),
-    /// Scalar fallback lanes (HMAC-SHA1 has no lane-interleaved core).
+    /// Scalar fallback lanes (HMAC-SHA1 and keyed BLAKE2s have no lane core).
     Scalar(Box<[KeyedMac; N]>),
 }
 
@@ -675,14 +406,7 @@ impl<const N: usize> MultiKeyedMac<N> {
                     })),
                 }
             }
-            MacAlgorithm::KeyedBlake2s => {
-                let states: [&Blake2s; N] = std::array::from_fn(|lane| match lanes[lane] {
-                    KeyedMac::KeyedBlake2s(state) => state,
-                    _ => unreachable!("algorithm checked above"),
-                });
-                MultiKeyedState::KeyedBlake2s(Blake2sxN::from_keyed_states(states))
-            }
-            MacAlgorithm::HmacSha1 => {
+            MacAlgorithm::HmacSha1 | MacAlgorithm::KeyedBlake2s => {
                 MultiKeyedState::Scalar(Box::new(std::array::from_fn(|lane| lanes[lane].clone())))
             }
         };
@@ -693,7 +417,6 @@ impl<const N: usize> MultiKeyedMac<N> {
     pub fn algorithm(&self) -> MacAlgorithm {
         match &self.state {
             MultiKeyedState::HmacSha256 { .. } => MacAlgorithm::HmacSha256,
-            MultiKeyedState::KeyedBlake2s(_) => MacAlgorithm::KeyedBlake2s,
             MultiKeyedState::Scalar(lanes) => lanes[0].algorithm(),
         }
     }
@@ -711,7 +434,7 @@ impl<const N: usize> MultiKeyedMac<N> {
     /// # Panics
     ///
     /// Panics if the messages are not all the same length (the lane-
-    /// interleaved cores share one block counter). The scalar-fallback
+    /// interleaved core shares one block counter). The scalar-fallback
     /// algorithms accept ragged messages, but callers should not rely on it.
     pub fn mac(&self, messages: [&[u8]; N]) -> [MacTag; N] {
         match &self.state {
@@ -722,12 +445,6 @@ impl<const N: usize> MultiKeyedMac<N> {
                 let mut outer = outer.clone();
                 outer.update(std::array::from_fn(|lane| &digests[lane][..]));
                 let tags = outer.finalize();
-                std::array::from_fn(|lane| MacTag::from(tags[lane]))
-            }
-            MultiKeyedState::KeyedBlake2s(state) => {
-                let mut state = state.clone();
-                state.update(messages);
-                let tags = state.finalize();
                 std::array::from_fn(|lane| MacTag::from(tags[lane]))
             }
             MultiKeyedState::Scalar(lanes) => {
@@ -805,34 +522,6 @@ mod tests {
     fn ragged_lanes_panic() {
         let mut hasher = Sha256x4::new();
         hasher.update([&b"a"[..], b"ab", b"a", b"a"]);
-    }
-
-    #[test]
-    fn blake2s_lanes_match_scalar() {
-        for len in [0usize, 1, 63, 64, 65, 128, 129, 500] {
-            let messages: Vec<Vec<u8>> = (0..4u8)
-                .map(|lane| (0..len).map(|i| (i as u8) ^ lane).collect())
-                .collect();
-            let digests = Blake2sx4::digest(std::array::from_fn(|l| &messages[l][..]));
-            for lane in 0..4 {
-                assert_eq!(
-                    digests[lane],
-                    Blake2s::digest(&messages[lane]),
-                    "len {len} lane {lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn blake2s_rfc7693_vector_in_every_lane() {
-        let digests = Blake2sx8::digest([&b"abc"[..]; 8]);
-        for digest in digests {
-            assert_eq!(
-                hex(&digest),
-                "508c5e8c327c14e2e1a72ba34eeb452f37458b209ed63a294d999b4c86675982"
-            );
-        }
     }
 
     #[test]
