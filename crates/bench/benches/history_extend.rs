@@ -9,7 +9,9 @@
 //! `ring/1` seals by copying the previous head. `no-eviction` retains the
 //! whole stream, so it pays only the append-side extension plus the
 //! growing window's allocator traffic. A separate `extend_digest`
-//! benchmark prices the raw PCR-style hash-chain step on its own.
+//! benchmark prices the raw PCR-style hash-chain step on its own, and
+//! `extend_digest_x8` its 8-lane twin, per lane, as the hub folds eight
+//! devices' chains at once.
 //!
 //! `ingest/ring4-x16` is the hub's shape: 16-entry newest-first reports,
 //! as a prover answers `latest 16`, folded into a `Ring(4)` through
@@ -20,8 +22,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use erasmus_core::{
-    extend_digest, CollectionReport, CollectionRequest, DeviceHistory, DeviceId, HistoryEntry,
-    HistoryMode, MeasurementVerdict, Prover, ProverConfig, Verifier,
+    extend_digest, extend_digest_x8, CollectionReport, CollectionRequest, DeviceHistory, DeviceId,
+    HistoryEntry, HistoryMode, MeasurementVerdict, Prover, ProverConfig, Verifier,
 };
 use erasmus_crypto::MacAlgorithm;
 use erasmus_hw::{DeviceKey, DeviceProfile};
@@ -136,6 +138,25 @@ fn bench_history_extend(c: &mut Criterion) {
                 e.collected_at.as_nanos(),
             );
             std::hint::black_box(digest)
+        });
+    });
+
+    // The same step on 8 independent chains in one lane-interleaved pass,
+    // priced per chain step.
+    group.throughput(Throughput::Elements(8));
+    group.bench_function("extend_digest_x8", |b| {
+        let mut digests = [[0u8; 32]; 8];
+        let mut sequence = 0u64;
+        b.iter(|| {
+            let e = entry(sequence);
+            sequence += 1;
+            digests = extend_digest_x8(
+                &digests,
+                std::array::from_fn(|lane| e.timestamp.as_nanos() + lane as u64),
+                [0; 8],
+                [e.collected_at.as_nanos(); 8],
+            );
+            std::hint::black_box(digests)
         });
     });
 

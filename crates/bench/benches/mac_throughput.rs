@@ -52,6 +52,9 @@ fn bench_mac_throughput(c: &mut Criterion) {
 /// The ERASMUS hot path MACs a 40-byte `(t, H(mem_t))` input per
 /// measurement. Re-deriving the HMAC key schedule dominates at that size;
 /// the precomputed `KeyedMac` midstate amortizes it to once per device.
+/// The device keys themselves come from HMAC-DRBG at provisioning, one
+/// device at a time (`derive`) or 8 lanes at a time (`derive_batch/8`),
+/// both priced per device.
 fn bench_key_schedule(c: &mut Criterion) {
     let key = [0x42u8; 32];
     // Timestamp + SHA-256 digest, as built by `Measurement::mac_input`.
@@ -70,6 +73,22 @@ fn bench_key_schedule(c: &mut Criterion) {
             |b, input| b.iter(|| std::hint::black_box(keyed.mac(input))),
         );
     }
+    let mut device = 0u64;
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("derive", |b| {
+        b.iter(|| {
+            device += 1;
+            std::hint::black_box(DeviceKey::derive(b"erasmus-fleet", device))
+        })
+    });
+    group.throughput(Throughput::Elements(8));
+    group.bench_function("derive_batch/8", |b| {
+        b.iter(|| {
+            device += 8;
+            let ids = std::array::from_fn(|lane| device + lane as u64);
+            std::hint::black_box(DeviceKey::derive_batch::<8>(b"erasmus-fleet", ids))
+        })
+    });
     group.finish();
 }
 

@@ -34,7 +34,11 @@
 //! ([`erasmus_crypto::Sha256xN`] via
 //! [`erasmus_core::Measurement::compute_keyed_batch`]), falling back to the
 //! scalar path for ragged remainders; totals stay bit-identical at every
-//! lane width (see [`lanes`]).
+//! lane width (see [`lanes`]). The verifier side is 8 lanes wide whatever
+//! `lanes` says: each shard derives its device keys 8 at a time
+//! ([`erasmus_hw::DeviceKey::derive_batch`]), its hub extends the chains of
+//! up to 8 devices of a frame at once, and the merged hub re-verifies 8
+//! devices' chains at once ([`erasmus_core::VerifierHub::verified_chains`]).
 //!
 //! Injected faults ride the same deterministic draws: duplicated frames
 //! are deduplicated by the hubs' per-flow sequence windows, reordered
@@ -126,11 +130,12 @@ pub struct FleetConfig {
     /// Fleet-wide count of authenticated on-demand requests (ERASMUS+OD)
     /// injected at deterministic instants during the run.
     pub on_demand: usize,
-    /// Upper bound on the lane width for batched measurement hashing: 1
+    /// Upper bound on the lane width of the provers' self-measurement: 1
     /// runs the scalar per-device path; ≥ 4 coalesces same-instant
     /// measurements into lane-interleaved hash jobs of the widest supported
     /// width not exceeding this value (see [`lanes::effective_width`]).
-    /// Totals are bit-identical at every width.
+    /// Totals are bit-identical at every width. It sets nothing else: hub
+    /// chain folds and key derivation are always 8 lanes wide.
     pub lanes: usize,
     /// Per-device verifier-history ring: resident state is capped at
     /// O(capacity) per device, evicted entries are sealed into the hash

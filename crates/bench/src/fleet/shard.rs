@@ -126,6 +126,29 @@ fn flow(global: u64, channel: u64) -> u64 {
     global * CHANNELS + channel
 }
 
+/// The master seed every fleet device key derives from.
+const FLEET_SEED: &[u8] = b"erasmus-fleet";
+
+/// Device keys derived per lane pass ([`DeviceKey::derive_batch`]).
+const KEY_LANES: usize = 8;
+
+/// The keys of the devices with global indices `range`, in order: full
+/// groups of [`KEY_LANES`] through [`DeviceKey::derive_batch`], the
+/// remainder through [`DeviceKey::derive`]. Every key equals `derive`'s.
+fn fleet_keys(range: Range<usize>) -> impl Iterator<Item = DeviceKey> {
+    let batched_end = range.start + range.len() / KEY_LANES * KEY_LANES;
+    let batched = (range.start..batched_end)
+        .step_by(KEY_LANES)
+        .flat_map(|first| {
+            DeviceKey::derive_batch::<KEY_LANES>(
+                FLEET_SEED,
+                std::array::from_fn(|lane| (first + lane) as u64),
+            )
+        });
+    let remainder = (batched_end..range.end).map(|i| DeviceKey::derive(FLEET_SEED, i as u64));
+    batched.chain(remainder)
+}
+
 /// Struct-of-arrays device state: every hot per-device scalar lives in its
 /// own parallel vec, indexed by dense local slot.
 ///
@@ -510,7 +533,8 @@ impl ShardReport {
 
 impl Shard {
     /// Provisions the devices with global fleet indices `range`: per-device
-    /// keys, precomputed MAC schedules, reference digests, stagger cohorts —
+    /// keys (derived 8 at a time, see `fleet_keys`), precomputed MAC
+    /// schedules, reference digests, stagger cohorts —
     /// plus the shard's slices of the deterministic churn and on-demand
     /// plans.
     ///
@@ -528,7 +552,7 @@ impl Shard {
         let buffer_slots = config.measurements_per_round.max(1);
         let span = MEASUREMENT_INTERVAL * (config.measurements_per_round * config.rounds) as u64;
         let mut devices = DeviceState::with_capacity(range.len());
-        for i in range.clone() {
+        for (i, key) in range.clone().zip(fleet_keys(range.clone())) {
             // The device's phase offset goes into its *prover schedule*:
             // measurements genuinely fire at `offset + k·T_M`, so at any
             // simulated instant only one stagger group is busy measuring.
@@ -540,7 +564,6 @@ impl Shard {
                 .phase_offset(offset)
                 .build()
                 .expect("fleet prover config is valid");
-            let key = DeviceKey::derive(b"erasmus-fleet", i as u64);
             let prover = Prover::new(
                 DeviceId::new(i as u64),
                 DeviceProfile::msp430_8mhz(config.memory_bytes),

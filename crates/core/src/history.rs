@@ -28,6 +28,9 @@
 //! resident, and [`DeviceHistory::new`] uses [`DEFAULT_RING_CAPACITY`]. A
 //! ring whose capacity covers a device's lifetime never evicts, which is how
 //! tests stand in for the retain-everything oracle.
+//!
+//! Chains of different devices are independent, so the hub folds up to
+//! eight of them at once through [`extend_digest_x8`], one lane per device.
 
 #![deny(
     clippy::unwrap_used,
@@ -40,7 +43,7 @@
 
 use std::collections::VecDeque;
 
-use erasmus_crypto::{Digest, Sha256};
+use erasmus_crypto::{Digest, Sha256, Sha256x8};
 use erasmus_sim::{SimDuration, SimTime};
 
 use crate::ids::DeviceId;
@@ -104,8 +107,9 @@ impl Default for HistoryMode {
 ///
 /// `verdict_tag` is the verdict's 0/1/2 tag, the byte the snapshot codec
 /// writes (healthy/compromised/forged — the severity order). This is the
-/// single fold primitive behind both [`DeviceHistory::chain_digest`] and
-/// [`DeviceHistory::head_digest`]; it is exported so external tooling (the
+/// scalar fold primitive behind both [`DeviceHistory::chain_digest`] and
+/// [`DeviceHistory::head_digest`], and the reference its lane twin
+/// [`extend_digest_x8`] must match. It is exported so external tooling (the
 /// snapshot fuzz model, swarm aggregation) can recompute chains from raw
 /// wire fields without a `DeviceHistory` in hand.
 pub fn extend_digest(
@@ -122,6 +126,41 @@ pub fn extend_digest(
     hasher.finalize()
 }
 
+/// Bytes one chain step hashes: a digest, two timestamps and a tag.
+const CHAIN_MESSAGE_LEN: usize = 32 + 8 + 1 + 8;
+
+/// Eight independent chain steps in one [`Sha256x8`] pass: lane `l` equals
+/// [`extend_digest`] on `prev[l]`, `timestamp_nanos[l]`, `verdict_tag[l]`
+/// and `collected_at_nanos[l]`.
+///
+/// Each lane's 49-byte message and its padding fit one SHA-256 block, so a
+/// step costs one lane-interleaved compression. [`crate::VerifierHub`]
+/// folds up to eight devices' chains through it when it ingests a frame
+/// and when it re-verifies its chains.
+pub fn extend_digest_x8(
+    prev: &[[u8; 32]; 8],
+    timestamp_nanos: [u64; 8],
+    verdict_tag: [u8; 8],
+    collected_at_nanos: [u64; 8],
+) -> [[u8; 32]; 8] {
+    let mut messages = [[0u8; CHAIN_MESSAGE_LEN]; 8];
+    let fields = prev
+        .iter()
+        .zip(timestamp_nanos)
+        .zip(verdict_tag)
+        .zip(collected_at_nanos);
+    for (message, (((prev, timestamp), tag), collected)) in messages.iter_mut().zip(fields) {
+        let (digest, rest) = message.split_at_mut(32);
+        digest.copy_from_slice(prev);
+        let (timestamp_be, rest) = rest.split_at_mut(8);
+        timestamp_be.copy_from_slice(&timestamp.to_be_bytes());
+        let (tag_byte, collected_be) = rest.split_at_mut(1);
+        tag_byte.fill(tag);
+        collected_be.copy_from_slice(&collected.to_be_bytes());
+    }
+    Sha256x8::digest(messages.each_ref().map(|message| message.as_slice()))
+}
+
 fn extend_with_entry(prev: &[u8; 32], entry: &HistoryEntry) -> [u8; 32] {
     extend_digest(
         prev,
@@ -129,6 +168,130 @@ fn extend_with_entry(prev: &[u8; 32], entry: &HistoryEntry) -> [u8; 32] {
         entry.verdict.tag(),
         entry.collected_at.as_nanos(),
     )
+}
+
+/// Chains [`fold_chains`] extends in one lockstep pass: the width of
+/// [`extend_digest_x8`].
+pub(crate) const LANES: usize = 8;
+
+/// A folded [`ChainFold`]: its final digest, and the digest it kept.
+pub(crate) type Folded = ([u8; 32], Option<[u8; 32]>);
+
+/// One chain for [`fold_chains`]: a digest, the entries to extend it by
+/// (oldest first), and optionally the point at which to keep the digest.
+pub(crate) struct ChainFold<I> {
+    digest: [u8; 32],
+    entries: I,
+    /// Steps left until `sealed` is taken; 0 once taken or if never wanted.
+    seal_in: usize,
+    sealed: Option<[u8; 32]>,
+}
+
+impl<I: ExactSizeIterator<Item = HistoryEntry>> ChainFold<I> {
+    /// Extends `digest` by every entry of `entries`. With `seal_after > 0`,
+    /// the digest right after the `seal_after`-th entry is kept too.
+    pub(crate) fn new(digest: [u8; 32], entries: I, seal_after: usize) -> Self {
+        Self {
+            digest,
+            entries,
+            seal_in: seal_after,
+            sealed: None,
+        }
+    }
+
+    fn step(&mut self, digest: [u8; 32]) {
+        self.digest = digest;
+        if self.seal_in == 1 {
+            self.sealed = Some(digest);
+        }
+        self.seal_in = self.seal_in.saturating_sub(1);
+    }
+
+    /// Folds the entries left in scalar and returns the final digest and
+    /// the kept one.
+    fn finish(mut self) -> Folded {
+        while let Some(entry) = self.entries.next() {
+            self.step(extend_with_entry(&self.digest, &entry));
+        }
+        (self.digest, self.sealed)
+    }
+}
+
+/// Folds up to [`LANES`] independent chains, one per occupied lane, and
+/// returns each lane's final and kept digests in the same positions.
+///
+/// While two or more lanes are occupied, the lanes step together through
+/// [`extend_digest_x8`] as long as every one of them still has an entry;
+/// the ragged tails then finish in scalar. A lone chain folds in scalar
+/// throughout, since one lane of an 8-lane pass costs more than one
+/// [`extend_digest`].
+pub(crate) fn fold_chains<I>(mut lanes: [Option<ChainFold<I>>; LANES]) -> [Option<Folded>; LANES]
+where
+    I: ExactSizeIterator<Item = HistoryEntry>,
+{
+    let steps = if lanes.iter().flatten().count() > 1 {
+        lanes
+            .iter()
+            .flatten()
+            .map(|lane| lane.entries.len())
+            .min()
+            .unwrap_or(0)
+    } else {
+        0
+    };
+    for _ in 0..steps {
+        let mut prev = [[0u8; 32]; LANES];
+        let mut timestamps = [0u64; LANES];
+        let mut tags = [0u8; LANES];
+        let mut collected = [0u64; LANES];
+        let inputs = prev
+            .iter_mut()
+            .zip(&mut timestamps)
+            .zip(&mut tags)
+            .zip(&mut collected);
+        for ((((prev, timestamp), tag), collected), lane) in inputs.zip(&mut lanes) {
+            let Some(lane) = lane else { continue };
+            let Some(entry) = lane.entries.next() else {
+                continue;
+            };
+            *prev = lane.digest;
+            *timestamp = entry.timestamp.as_nanos();
+            *tag = entry.verdict.tag();
+            *collected = entry.collected_at.as_nanos();
+        }
+        let digests = extend_digest_x8(&prev, timestamps, tags, collected);
+        for (lane, digest) in lanes.iter_mut().zip(digests) {
+            if let Some(lane) = lane {
+                lane.step(digest);
+            }
+        }
+    }
+    lanes.map(|lane| lane.map(ChainFold::finish))
+}
+
+/// A report's entries oldest first: the order in which
+/// [`DeviceHistory::ingest`] appends a newest-first report.
+pub(crate) fn oldest_first(
+    report: &CollectionReport,
+) -> impl ExactSizeIterator<Item = HistoryEntry> + Clone + '_ {
+    let collected_at = report.collected_at();
+    report
+        .measurements()
+        .iter()
+        .rev()
+        .map(move |vm| HistoryEntry {
+            timestamp: vm.measurement.timestamp(),
+            verdict: vm.verdict,
+            collected_at,
+        })
+}
+
+/// Whether `measurements` are strictly newest first, as provers send them.
+fn newest_first(measurements: &[VerifiedMeasurement]) -> bool {
+    measurements
+        .iter()
+        .zip(measurements.iter().skip(1))
+        .all(|(newer, older)| newer.measurement.timestamp() > older.measurement.timestamp())
 }
 
 /// Lifetime tallies that survive ring eviction. Every field is monotone
@@ -300,11 +463,15 @@ impl DeviceHistory {
     }
 
     fn fold_resident(&self) -> [u8; 32] {
-        let mut digest = self.chain;
-        for entry in &self.ring {
-            digest = extend_with_entry(&digest, entry);
-        }
-        digest
+        self.resident_fold().finish().0
+    }
+
+    /// [`DeviceHistory::verify_chain`]'s fold, as a [`fold_chains`] lane:
+    /// the sealed chain extended by the resident window.
+    pub(crate) fn resident_fold(
+        &self,
+    ) -> ChainFold<impl ExactSizeIterator<Item = HistoryEntry> + '_> {
+        ChainFold::new(self.chain, self.ring.iter().cloned(), 0)
     }
 
     /// Folds a collection report into the history.
@@ -313,6 +480,13 @@ impl DeviceHistory {
     /// verdict unless the new report downgrades them (e.g. a re-collected
     /// measurement now fails verification, which indicates tampering after
     /// the fact).
+    ///
+    /// A newest-first report's entries that are newer than every resident
+    /// are appended with one [`extend_digest`] each. When the report is
+    /// wholly such an append and seals either none or all of the old
+    /// residents, [`crate::VerifierHub`]'s frame ingest places it with the
+    /// same code and extends its chain in a lane beside other devices'
+    /// chains; the resulting history is identical.
     ///
     /// Reports about a *different* device are rejected wholesale: nothing is
     /// recorded, [`DeviceHistory::collections`] does not advance, and the
@@ -330,11 +504,7 @@ impl DeviceHistory {
             verdict: vm.verdict,
             collected_at: report.collected_at(),
         };
-        let newest_first = measurements
-            .iter()
-            .zip(measurements.iter().skip(1))
-            .all(|(newer, older)| newer.measurement.timestamp() > older.measurement.timestamp());
-        if !newest_first {
+        if !newest_first(measurements) {
             // Shuffled or repeated timestamps: sort a copy so the ring never
             // mistakes an in-report older entry for one behind the sealed
             // window.
@@ -350,14 +520,41 @@ impl DeviceHistory {
         // through `observe` (dedup, downgrade, gap fill or stale discard);
         // the rest are all newer than every resident and are appended.
         let newest_resident = self.last_timestamp();
-        let mut oldest_first = measurements.iter().rev().map(entry).peekable();
+        let mut entries = oldest_first(report).peekable();
         while let Some(known) =
-            oldest_first.next_if(|e| newest_resident.is_some_and(|newest| e.timestamp <= newest))
+            entries.next_if(|e| newest_resident.is_some_and(|newest| e.timestamp <= newest))
         {
             self.observe(known);
         }
-        self.append(oldest_first);
+        self.append(entries);
         true
+    }
+
+    /// Places `report` the way [`DeviceHistory::ingest`] would, but only
+    /// when `ingest` would append it wholesale without folding old
+    /// residents into the chain one by one: a non-empty report about this
+    /// device, strictly newest first, every entry newer than the newest
+    /// resident, sealing none or all of the old residents.
+    ///
+    /// Returns `None`, with the history untouched, for any other report.
+    /// Otherwise the head is left to extend: fold [`oldest_first`] onto the
+    /// current head with the returned `sealed_new` count (see
+    /// [`DeviceHistory::place`]) and hand the result to
+    /// [`DeviceHistory::settle`].
+    pub(crate) fn place_append(&mut self, report: &CollectionReport) -> Option<usize> {
+        let measurements = report.measurements();
+        let oldest = measurements.last()?.measurement.timestamp();
+        let resident = self.ring.len();
+        let evicted = self.evicted_by(measurements.len());
+        let wholesale = report.device() == self.device
+            && newest_first(measurements)
+            && self.last_timestamp().is_none_or(|newest| oldest > newest)
+            && (evicted == 0 || evicted >= resident);
+        if !wholesale {
+            return None;
+        }
+        self.collections += 1;
+        Some(self.place(oldest_first(report)))
     }
 
     /// Records one verified measurement under the worst-verdict-wins rule
@@ -412,17 +609,35 @@ impl DeviceHistory {
     }
 
     /// Appends entries that are strictly ascending and newer than every
-    /// resident, with one `extend_digest` each.
+    /// resident, with one `extend_digest` each: [`DeviceHistory::place`]
+    /// them, then extend the head in scalar.
+    fn append(&mut self, entries: impl ExactSizeIterator<Item = HistoryEntry> + Clone) {
+        let sealed_new = self.place(entries.clone());
+        let (head, sealed) = ChainFold::new(self.head, entries, sealed_new).finish();
+        self.settle(head, sealed);
+    }
+
+    /// How many residents appending `appended` entries pushes out.
+    fn evicted_by(&self, appended: usize) -> usize {
+        (self.ring.len() + appended).saturating_sub(self.capacity)
+    }
+
+    /// The placement half of an append of entries that are strictly
+    /// ascending and newer than every resident: rollup, ring push and
+    /// evict, eviction count, and the sealed chain. The head is left for
+    /// the caller to extend by the same entries.
     ///
     /// The ring evicts in timestamp order: first the old residents, then
     /// the new entries. So the sealed chain needs no hashing of its own.
     /// Once every old resident is sealed, the chain equals the head before
-    /// the append. Once new entry `j` is sealed, it equals the head right
-    /// after `j` was appended. Only a partial seal of the old residents
-    /// folds them into the chain one by one.
-    fn append(&mut self, entries: impl ExactSizeIterator<Item = HistoryEntry>) {
+    /// the append, which this sets. Once new entry `j` is sealed, it equals
+    /// the head right after `j` was appended: the returned `sealed_new` is
+    /// the last such `j` (0 if no new entry is sealed), whose head the
+    /// caller stores as the chain. Only a partial seal of the old residents
+    /// folds them into the chain one by one, here.
+    fn place(&mut self, entries: impl ExactSizeIterator<Item = HistoryEntry>) -> usize {
         let resident = self.ring.len();
-        let evicted = (resident + entries.len()).saturating_sub(self.capacity);
+        let evicted = self.evicted_by(entries.len());
         if evicted >= resident {
             self.chain = self.head;
         } else {
@@ -430,17 +645,22 @@ impl DeviceHistory {
                 self.chain = extend_with_entry(&self.chain, sealed);
             }
         }
-        let sealed_new = evicted.saturating_sub(resident);
-        for (appended, entry) in (1..).zip(entries) {
+        for entry in entries {
             self.record_new(&entry);
-            self.head = extend_with_entry(&self.head, &entry);
             self.ring.push_back(entry);
             while self.ring.len() > self.capacity && self.ring.pop_front().is_some() {
                 self.rollup.evictions += 1;
             }
-            if appended == sealed_new {
-                self.chain = self.head;
-            }
+        }
+        evicted.saturating_sub(resident)
+    }
+
+    /// The hashing half of an append: stores the extended head, and the
+    /// chain when the append sealed new entries.
+    pub(crate) fn settle(&mut self, head: [u8; 32], sealed: Option<[u8; 32]>) {
+        self.head = head;
+        if let Some(chain) = sealed {
+            self.chain = chain;
         }
     }
 
@@ -876,6 +1096,29 @@ mod tests {
     }
 
     proptest! {
+        /// Every lane of the 8-lane chain step is the scalar step.
+        #[test]
+        fn extend_digest_x8_matches_extend_digest_in_every_lane(
+            digests in vec(any::<u8>(), 8 * 32),
+            fields in vec((any::<u64>(), any::<u8>(), any::<u64>()), 8),
+        ) {
+            let prev: [[u8; 32]; 8] =
+                std::array::from_fn(|lane| digests[32 * lane..32 * (lane + 1)].try_into().unwrap());
+            let lanes = extend_digest_x8(
+                &prev,
+                std::array::from_fn(|lane| fields[lane].0),
+                std::array::from_fn(|lane| fields[lane].1),
+                std::array::from_fn(|lane| fields[lane].2),
+            );
+            for (lane, (digest, &(timestamp, tag, collected))) in lanes.iter().zip(&fields).enumerate() {
+                prop_assert_eq!(
+                    *digest,
+                    extend_digest(&prev[lane], timestamp, tag, collected),
+                    "lane {lane}"
+                );
+            }
+        }
+
         /// Bulk sealing in `ingest` is invisible: after every report the
         /// history equals one that saw the same entries one at a time, its
         /// chain verifies, and while nothing went stale its head equals a

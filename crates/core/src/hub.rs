@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::encoding::{DecodeError, FrameView, ResponseView};
-use crate::history::{DeviceHistory, HistoryMode};
+use crate::history::{fold_chains, oldest_first, ChainFold, DeviceHistory, HistoryMode, LANES};
 use crate::ids::DeviceId;
 use crate::report::CollectionReport;
 
@@ -77,6 +77,20 @@ pub struct FrameIngest {
     /// Size of the decoded frame in bytes, including the count header.
     pub bytes: u64,
 }
+
+/// A report placed in its device's history by [`DeviceHistory::place_append`]
+/// whose head waits to be extended beside the rest of its lane group.
+struct PendingAppend {
+    device: DeviceId,
+    /// The device's head before the append.
+    head: [u8; 32],
+    /// How many of the report's entries the chain seals.
+    sealed_new: usize,
+    report: CollectionReport,
+}
+
+/// The pending appends of one lane group, at most one per lane.
+type LaneGroup = [Option<PendingAppend>; LANES];
 
 /// Per-device [`DeviceHistory`] map covering a fleet.
 ///
@@ -170,15 +184,28 @@ impl VerifierHub {
 
     /// Wire-native ingestion: validates one batch frame zero-copy, has
     /// `verify` (which owns the per-device key material) check each response
-    /// record straight off the frame, and folds each report it returns
-    /// through [`VerifierHub::ingest`] before the next record is verified —
-    /// so per-report accept/reject accounting is *literally* the struct
-    /// path's accounting.
+    /// record straight off the frame, and folds each report it returns into
+    /// its device's history. Per-report accept/reject accounting, and every
+    /// history, end up exactly as if each report had gone through
+    /// [`VerifierHub::ingest`] before the next record was verified.
     ///
     /// `verify` is handed each [`ResponseView`] in wire order and returns
     /// the report to ingest, or `None` to drop the record (counted in
     /// [`FrameIngest::verify_failed`]) — e.g. for a record about an unknown
     /// device or one that fails MAC-level verification.
+    ///
+    /// Each record is verified in wire order and its report placed at once.
+    /// A report that [`DeviceHistory::ingest`] would append wholesale
+    /// (newest first, all new, sealing none or all of the old residents)
+    /// is placed in its history with its head extension deferred to the
+    /// frame's lane group; any other report goes through
+    /// [`VerifierHub::ingest`]. The group's deferred heads are extended in
+    /// lockstep, one device per [`crate::extend_digest_x8`] lane, before a
+    /// report is placed while the group is full (8 reports) or holds that
+    /// report's device, and at the end of the frame. A frame of one record
+    /// goes straight through [`VerifierHub::ingest`]. So at most one group
+    /// of at most 8 reports is in flight, and when the call returns every
+    /// history's head again folds from its chain and resident window.
     ///
     /// # Errors
     ///
@@ -207,7 +234,9 @@ impl VerifierHub {
     ///
     /// The `Ok(Some(ingest))` outcome doubles as the hub's acknowledgement:
     /// in a live deployment this is the point where an ack for `(flow,
-    /// sequence)` would be sent back to the collector.
+    /// sequence)` would be sent back to the collector. A fresh frame is
+    /// verified and folded in lane groups exactly as
+    /// [`VerifierHub::ingest_frame`] does.
     ///
     /// # Errors
     ///
@@ -232,7 +261,8 @@ impl VerifierHub {
     }
 
     /// Shared tail of the frame-ingestion paths: verify each response off
-    /// the already-validated frame and fold each report in as it arrives.
+    /// the already-validated frame and fold the reports in, one lane group
+    /// at a time (see [`VerifierHub::ingest_frame`]).
     fn ingest_parsed<F>(&mut self, parsed: &FrameView<'_>, mut verify: F) -> FrameIngest
     where
         F: FnMut(ResponseView<'_>) -> Option<CollectionReport>,
@@ -242,14 +272,77 @@ impl VerifierHub {
             bytes: u64::try_from(parsed.frame_len()).unwrap_or(u64::MAX),
             ..FrameIngest::default()
         };
+        let mut group = LaneGroup::default();
         for view in parsed.responses() {
-            match verify(view) {
-                Some(report) if self.ingest(&report) => outcome.accepted += 1,
-                Some(_) => outcome.rejected += 1,
-                None => outcome.verify_failed += 1,
+            let accepted = match verify(view) {
+                // A lone record has no other chain to fold beside it.
+                Some(report) if parsed.len() == 1 => self.ingest(&report),
+                Some(report) => self.place(&mut group, report),
+                None => {
+                    outcome.verify_failed += 1;
+                    continue;
+                }
+            };
+            if accepted {
+                outcome.accepted += 1;
+            } else {
+                outcome.rejected += 1;
             }
         }
+        self.extend_group(&mut group);
         outcome
+    }
+
+    /// Folds one report in: placed with its head extension deferred to
+    /// `group` when it is a wholesale append, through
+    /// [`VerifierHub::ingest`] otherwise. A full group, or one that defers
+    /// the report's device, is extended first. Returns whether the report
+    /// was accepted.
+    fn place(&mut self, group: &mut LaneGroup, report: CollectionReport) -> bool {
+        let device = report.device();
+        let full = group.iter().all(Option::is_some);
+        let deferred = group
+            .iter()
+            .flatten()
+            .any(|pending| pending.device == device);
+        if full || deferred {
+            self.extend_group(group);
+        }
+        let history = self.history_mut(device);
+        let head = *history.head_digest();
+        let Some(sealed_new) = history.place_append(&report) else {
+            return self.ingest(&report);
+        };
+        self.ingested += 1;
+        if let Some(slot) = group.iter_mut().find(|slot| slot.is_none()) {
+            *slot = Some(PendingAppend {
+                device,
+                head,
+                sealed_new,
+                report,
+            });
+        }
+        true
+    }
+
+    /// Extends the deferred heads of `group` in lockstep and empties it.
+    fn extend_group(&mut self, group: &mut LaneGroup) {
+        let folds = fold_chains(group.each_ref().map(|pending| {
+            pending.as_ref().map(|pending| {
+                ChainFold::new(
+                    pending.head,
+                    oldest_first(&pending.report),
+                    pending.sealed_new,
+                )
+            })
+        }));
+        for (pending, fold) in group.iter_mut().zip(folds) {
+            if let (Some(pending), Some((head, sealed))) = (pending.take(), fold) {
+                if let Some(history) = self.histories.get_mut(&pending.device) {
+                    history.settle(head, sealed);
+                }
+            }
+        }
     }
 
     /// The history of one device, if any report (or registration) mentioned
@@ -328,8 +421,26 @@ impl VerifierHub {
     /// Re-verifies every device's hash chain — `head == fold(chain,
     /// resident entries)` — and returns how many devices passed. A healthy
     /// hub returns [`VerifierHub::len`].
+    ///
+    /// Devices are refolded 8 at a time, one per
+    /// [`crate::extend_digest_x8`] lane; the last fewer than 8 go through
+    /// [`DeviceHistory::verify_chain`].
     pub fn verified_chains(&self) -> usize {
-        self.histories.values().filter(|h| h.verify_chain()).count()
+        let mut histories = self.histories.values();
+        let mut verified = 0;
+        while histories.len() >= LANES {
+            let group: [Option<&DeviceHistory>; LANES] = std::array::from_fn(|_| histories.next());
+            let folds = fold_chains(group.map(|history| history.map(DeviceHistory::resident_fold)));
+            verified += group
+                .iter()
+                .zip(folds)
+                .filter(|(history, fold)| match (history, fold) {
+                    (Some(history), Some((head, _))) => history.head_digest() == head,
+                    _ => false,
+                })
+                .count();
+        }
+        verified + histories.filter(|h| h.verify_chain()).count()
     }
 
     /// Devices whose timeline contains at least one non-healthy measurement,
@@ -933,6 +1044,50 @@ mod tests {
         // Ring heads equal the covering heads: eviction never changes them.
         for (compact, full) in ring.histories().zip(covering.histories()) {
             assert_eq!(compact.head_digest(), full.head_digest());
+        }
+    }
+
+    #[test]
+    fn verified_chains_catches_a_bad_head_in_every_lane() {
+        use crate::measurement::Measurement;
+        use crate::report::{AttestationVerdict, VerifiedMeasurement};
+        use erasmus_crypto::MacTag;
+
+        // 19 devices: two 8-lane groups and a scalar tail of 3. Windows of
+        // 1 to 6 entries into a ring of 4 make the lanes ragged, and some
+        // chains sealed.
+        let mut hub = VerifierHub::with_history(HistoryMode::Ring(4));
+        for id in 0..19u64 {
+            let verified = (1..=id % 6 + 1)
+                .rev()
+                .map(|tick| VerifiedMeasurement {
+                    measurement: Measurement::from_parts(
+                        SimTime::from_secs(10 * tick + id),
+                        [0u8; 32],
+                        MacTag::new([0u8; 32]),
+                    ),
+                    verdict: MeasurementVerdict::Healthy,
+                })
+                .collect();
+            let report = CollectionReport::new(
+                DeviceId::new(id),
+                verified,
+                AttestationVerdict::AllHealthy,
+                0,
+                SimDuration::ZERO,
+                SimTime::from_secs(100),
+            );
+            assert!(hub.ingest(&report));
+        }
+        assert_eq!(hub.verified_chains(), 19);
+        for id in 0..19u64 {
+            let mut corrupted = hub.clone();
+            let history = corrupted
+                .histories
+                .get_mut(&DeviceId::new(id))
+                .expect("tracked");
+            history.head[0] ^= 0x01;
+            assert_eq!(corrupted.verified_chains(), 18, "device {id}");
         }
     }
 

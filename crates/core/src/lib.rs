@@ -109,7 +109,8 @@ pub use encoding::{
 };
 pub use error::Error;
 pub use history::{
-    extend_digest, DeviceHistory, HistoryEntry, HistoryMode, HistorySpan, DEFAULT_RING_CAPACITY,
+    extend_digest, extend_digest_x8, DeviceHistory, HistoryEntry, HistoryMode, HistorySpan,
+    DEFAULT_RING_CAPACITY,
 };
 pub use hub::{FrameIngest, VerifierHub, DEDUP_WINDOW};
 pub use ids::DeviceId;

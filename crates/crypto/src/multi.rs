@@ -26,9 +26,11 @@
 //! schedules — the ipad/opad midstates of [`HmacKey`] — transposed across
 //! the lanes, so lane-batched measurements reuse exactly the per-device
 //! states the scalar hot path uses. HMAC-SHA1 and keyed BLAKE2s tag in
-//! scalar. Every lane produces a digest/tag bit-identical to the scalar
-//! [`Sha256`]/[`KeyedMac`] paths (pinned by the `multi_lane_equivalence`
-//! suite).
+//! scalar. The same lane HMAC can also key each lane from its own 32-byte
+//! key, which is how [`HmacDrbg::fill_lanes`](crate::HmacDrbg::fill_lanes)
+//! derives 8 device keys at once. Every lane produces a digest/tag
+//! bit-identical to the scalar [`Sha256`]/[`KeyedMac`]/`HmacDrbg` paths
+//! (pinned by the `multi_lane_equivalence` suite).
 
 use crate::hmac::HmacKey;
 use crate::mac::{KeyedMac, MacAlgorithm, MacTag};
@@ -331,6 +333,71 @@ impl<const N: usize> Default for Sha256xN<N> {
 }
 
 // ---------------------------------------------------------------------------
+// HMAC-SHA256, N lanes.
+// ---------------------------------------------------------------------------
+
+/// `N` HMAC-SHA256 key schedules in lane form: each lane's ipad and opad
+/// midstates, transposed into two [`Sha256xN`] states.
+#[derive(Clone)]
+pub(crate) struct HmacSha256xN<const N: usize> {
+    inner: Sha256xN<N>,
+    outer: Sha256xN<N>,
+}
+
+impl<const N: usize> HmacSha256xN<N> {
+    /// Transposes `N` precomputed scalar schedules.
+    pub(crate) fn from_schedules(keys: [&HmacKey<Sha256>; N]) -> Self {
+        Self {
+            inner: Sha256xN::from_midstates(keys.map(|key| key.lane_midstates().0)),
+            outer: Sha256xN::from_midstates(keys.map(|key| key.lane_midstates().1)),
+        }
+    }
+
+    /// Keys each lane with its own 32-byte key, absorbing the lanes' ipad
+    /// and then opad blocks in lockstep, bit-identical to [`HmacKey::new`].
+    pub(crate) fn new(keys: &[[u8; 32]; N]) -> Self {
+        let keyed = |pad: u8| {
+            let mut lanes = Sha256xN::new();
+            let blocks = keys.map(|key| {
+                let mut block = [pad; 64];
+                for (byte, key) in block.iter_mut().zip(key) {
+                    *byte ^= key;
+                }
+                block
+            });
+            lanes.update(blocks.each_ref().map(|block| block.as_slice()));
+            lanes
+        };
+        Self {
+            inner: keyed(0x36),
+            outer: keyed(0x5c),
+        }
+    }
+
+    /// Starts one MAC per lane; absorb the messages with
+    /// [`Sha256xN::update`], then pass the state to
+    /// [`HmacSha256xN::finish`].
+    pub(crate) fn begin(&self) -> Sha256xN<N> {
+        self.inner.clone()
+    }
+
+    /// Finishes the MACs [`HmacSha256xN::begin`] started.
+    pub(crate) fn finish(&self, inner: Sha256xN<N>) -> [[u8; 32]; N] {
+        let digests = inner.finalize();
+        let mut outer = self.outer.clone();
+        outer.update(digests.each_ref().map(|digest| digest.as_slice()));
+        outer.finalize()
+    }
+
+    /// One MAC per lane over `N` equal-length messages.
+    pub(crate) fn mac(&self, messages: [&[u8]; N]) -> [[u8; 32]; N] {
+        let mut inner = self.begin();
+        inner.update(messages);
+        self.finish(inner)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Multi-lane keyed MAC.
 // ---------------------------------------------------------------------------
 
@@ -370,10 +437,7 @@ pub struct MultiKeyedMac<const N: usize> {
 
 #[derive(Clone)]
 enum MultiKeyedState<const N: usize> {
-    HmacSha256 {
-        inner: Sha256xN<N>,
-        outer: Sha256xN<N>,
-    },
+    HmacSha256(HmacSha256xN<N>),
     /// Scalar fallback lanes (HMAC-SHA1 and keyed BLAKE2s have no lane core).
     Scalar(Box<[KeyedMac; N]>),
 }
@@ -392,20 +456,12 @@ impl<const N: usize> MultiKeyedMac<N> {
             "all lanes must use the same MAC algorithm"
         );
         let state = match algorithm {
-            MacAlgorithm::HmacSha256 => {
-                let keys: [&HmacKey<Sha256>; N] = std::array::from_fn(|lane| match lanes[lane] {
+            MacAlgorithm::HmacSha256 => MultiKeyedState::HmacSha256(HmacSha256xN::from_schedules(
+                lanes.map(|lane| match lane {
                     KeyedMac::HmacSha256(key) => key,
                     _ => unreachable!("algorithm checked above"),
-                });
-                MultiKeyedState::HmacSha256 {
-                    inner: Sha256xN::from_midstates(std::array::from_fn(|lane| {
-                        keys[lane].lane_midstates().0
-                    })),
-                    outer: Sha256xN::from_midstates(std::array::from_fn(|lane| {
-                        keys[lane].lane_midstates().1
-                    })),
-                }
-            }
+                }),
+            )),
             MacAlgorithm::HmacSha1 | MacAlgorithm::KeyedBlake2s => {
                 MultiKeyedState::Scalar(Box::new(std::array::from_fn(|lane| lanes[lane].clone())))
             }
@@ -416,7 +472,7 @@ impl<const N: usize> MultiKeyedMac<N> {
     /// The algorithm every lane was keyed for.
     pub fn algorithm(&self) -> MacAlgorithm {
         match &self.state {
-            MultiKeyedState::HmacSha256 { .. } => MacAlgorithm::HmacSha256,
+            MultiKeyedState::HmacSha256(_) => MacAlgorithm::HmacSha256,
             MultiKeyedState::Scalar(lanes) => lanes[0].algorithm(),
         }
     }
@@ -438,15 +494,7 @@ impl<const N: usize> MultiKeyedMac<N> {
     /// algorithms accept ragged messages, but callers should not rely on it.
     pub fn mac(&self, messages: [&[u8]; N]) -> [MacTag; N] {
         match &self.state {
-            MultiKeyedState::HmacSha256 { inner, outer } => {
-                let mut inner = inner.clone();
-                inner.update(messages);
-                let digests = inner.finalize();
-                let mut outer = outer.clone();
-                outer.update(std::array::from_fn(|lane| &digests[lane][..]));
-                let tags = outer.finalize();
-                std::array::from_fn(|lane| MacTag::from(tags[lane]))
-            }
+            MultiKeyedState::HmacSha256(lanes) => lanes.mac(messages).map(MacTag::from),
             MultiKeyedState::Scalar(lanes) => {
                 std::array::from_fn(|lane| lanes[lane].mac(messages[lane]))
             }

@@ -5,10 +5,11 @@
 //! width, and for the ragged-remainder partitions the fleet harness produces
 //! (full 8-lane groups, then 4-lane groups, then scalar leftovers over one
 //! work list). HMAC-SHA1 and keyed BLAKE2s lanes take the scalar fallback,
-//! and the same suite pins them.
+//! and the same suite pins them. [`HmacDrbg::fill_lanes`], which keys a
+//! fresh HMAC schedule per lane, must match the scalar generator too.
 
 use erasmus_crypto::{
-    Digest, KeyedMac, MacAlgorithm, MacTag, MultiKeyedMac, Sha256, Sha256x4, Sha256x8,
+    Digest, HmacDrbg, KeyedMac, MacAlgorithm, MacTag, MultiKeyedMac, Sha256, Sha256x4, Sha256x8,
 };
 use proptest::prelude::*;
 
@@ -202,4 +203,50 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// HMAC-DRBG lanes: each lane is a reseeded clone of the shared generator.
+// ---------------------------------------------------------------------------
+
+/// Lane `l` of `fill_lanes` against the scalar definition: clone, reseed
+/// with `additional[l]`, fill 32 bytes.
+fn drbg_lane_reference(drbg: &HmacDrbg, additional: &[u8]) -> [u8; 32] {
+    let mut lane = drbg.clone();
+    lane.reseed(additional);
+    let mut out = [0u8; 32];
+    lane.fill(&mut out);
+    out
+}
+
+proptest! {
+    #[test]
+    fn drbg_fill_lanes_match_clone_reseed_fill(
+        seed in proptest::collection::vec(any::<u8>(), 0..80),
+        personalization in proptest::collection::vec(any::<u8>(), 0..40),
+        drawn in 0usize..70,
+        additional_len in 0usize..80,
+        additional in proptest::collection::vec(any::<u8>(), 8 * 80),
+    ) {
+        let mut drbg = HmacDrbg::new(&seed, &personalization);
+        // Move the shared state past instantiation.
+        let _ = drbg.generate(drawn);
+        let lane = |l: usize| &additional[l * additional_len..(l + 1) * additional_len];
+
+        let x8 = drbg.fill_lanes::<8>(std::array::from_fn(lane));
+        for (l, out) in x8.iter().enumerate() {
+            prop_assert_eq!(*out, drbg_lane_reference(&drbg, lane(l)), "x8 lane {l}");
+        }
+        let x4 = drbg.fill_lanes::<4>(std::array::from_fn(lane));
+        prop_assert_eq!(&x4[..], &x8[..4]);
+        let x1 = drbg.fill_lanes::<1>([lane(0)]);
+        prop_assert_eq!(x1[0], x8[0]);
+    }
+}
+
+#[test]
+#[should_panic(expected = "equal-length")]
+fn drbg_fill_lanes_reject_ragged_additional_inputs() {
+    let drbg = HmacDrbg::new(b"seed", b"ctx");
+    let _ = drbg.fill_lanes([&b"id-1"[..], b"id-22"]);
 }

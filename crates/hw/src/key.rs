@@ -44,6 +44,17 @@ impl DeviceKey {
         Self { bytes }
     }
 
+    /// Derives the keys of `N` devices at once, each bit-identical to
+    /// [`DeviceKey::derive`] for its id: the generator is instantiated once
+    /// for the batch, then every device is reseeded and generated in its own
+    /// lane ([`HmacDrbg::fill_lanes`]).
+    pub fn derive_batch<const N: usize>(master_seed: &[u8], device_ids: [u64; N]) -> [Self; N] {
+        let ids = device_ids.map(u64::to_be_bytes);
+        HmacDrbg::new(master_seed, b"erasmus-device-key")
+            .fill_lanes(ids.each_ref().map(|id| id.as_slice()))
+            .map(Self::from_bytes)
+    }
+
     /// Borrows the raw key bytes.
     ///
     /// In the real architectures this is only possible from within the
@@ -111,6 +122,29 @@ mod tests {
             let hex: String = key.as_bytes().iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(hex, expected, "device {device}");
         }
+    }
+
+    #[test]
+    fn derive_batch_matches_derive_in_every_lane() {
+        let mut rng = erasmus_sim::SimRng::seed_from(0x6b65_7973);
+        let pinned = [0, 1, 1 << 40];
+        let random = (0..29).map(|_| rng.next_u64());
+        let ids: Vec<u64> = pinned.into_iter().chain(random).collect();
+        for (batch, lanes) in ids.chunks_exact(8).enumerate() {
+            let lanes: [u64; 8] = lanes.try_into().expect("8 ids");
+            let keys = DeviceKey::derive_batch(b"erasmus-fleet", lanes);
+            for (id, key) in lanes.iter().zip(&keys) {
+                assert_eq!(
+                    *key,
+                    DeviceKey::derive(b"erasmus-fleet", *id),
+                    "batch {batch}, id {id}"
+                );
+            }
+        }
+        assert_eq!(
+            DeviceKey::derive_batch(b"master", [7]),
+            [DeviceKey::derive(b"master", 7)]
+        );
     }
 
     #[test]
