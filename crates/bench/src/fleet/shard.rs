@@ -201,7 +201,9 @@ impl DeviceState {
 /// Each event owns its payload. A [`CollectionResponse`] is 40 bytes and
 /// rides by value without growing the event past the inline
 /// [`OnDemandRequest`] of [`FleetEvent::OnDemand`]; the much larger
-/// [`OnDemandExchange`] is boxed, so a queued event stays 80 bytes.
+/// [`OnDemandExchange`] is boxed, so on x86-64 an event stays 80 bytes and
+/// a queued [`ScheduledEvent`] 96, the bound
+/// `a_queued_event_fits_in_96_bytes` pins.
 enum FleetEvent {
     /// Tick `tick` (1-based) of a stagger cohort's lattice,
     /// `offset + tick·T_M`: every active member measures — in

@@ -81,6 +81,10 @@ pub struct Prover {
     /// measurement — mirroring how SMART+/HYDRA-style firmware holds `K`.
     keyed: KeyedMac,
     last_request_seen: Option<SimTime>,
+    /// What one self-measurement costs this device. The profile, memory
+    /// size and MAC are fixed for the prover's life, so `new` prices it
+    /// once.
+    measurement_cost: SimDuration,
     busy_time: SimDuration,
     measurements_taken: u64,
     aborted_measurements: u64,
@@ -110,6 +114,9 @@ impl Prover {
         let buffer = MeasurementBuffer::new(config.buffer_slots(), config.measurement_interval());
         let keyed = config.mac_algorithm().with_key(key.as_bytes());
         let mcu = Mcu::new(profile, key);
+        let measurement_cost = mcu
+            .cost_model()
+            .measurement(mcu.app_memory_len(), config.mac_algorithm());
         Ok(Self {
             id,
             mcu,
@@ -118,6 +125,7 @@ impl Prover {
             scheduler,
             keyed,
             last_request_seen: None,
+            measurement_cost,
             busy_time: SimDuration::ZERO,
             measurements_taken: 0,
             aborted_measurements: 0,
@@ -194,15 +202,11 @@ impl Prover {
     /// the trusted measurement context.
     pub fn self_measure(&mut self, now: SimTime) -> Result<MeasurementOutcome, Error> {
         self.mcu.advance_time_to(now);
-        let alg = self.config.mac_algorithm();
         let keyed = &self.keyed;
         let measurement = self.mcu.run_trusted(|ctx| {
             Measurement::from_digest_keyed(keyed, ctx.now(), ctx.memory_digest())
         })?;
-        let duration = self
-            .mcu
-            .cost_model()
-            .measurement(self.mcu.app_memory_len(), alg);
+        let duration = self.measurement_cost;
         self.busy_time += duration;
         self.measurements_taken += 1;
         let slot = self.buffer.store(measurement.clone());
@@ -268,11 +272,7 @@ impl Prover {
             .zip(measurements)
             .zip(outcomes.iter_mut())
         {
-            let alg = prover.config.mac_algorithm();
-            let duration = prover
-                .mcu
-                .cost_model()
-                .measurement(prover.mcu.app_memory_len(), alg);
+            let duration = prover.measurement_cost;
             prover.busy_time += duration;
             prover.measurements_taken += 1;
             let slot = prover.buffer.store(measurement.clone());
@@ -404,7 +404,8 @@ impl Prover {
             (ok, fresh)
         })?;
         // The prover pays for the request check whether or not it succeeds.
-        let mut prover_time = self.mcu.cost_model().verify_request(alg);
+        let cost = self.mcu.cost_model();
+        let mut prover_time = cost.verify_request(alg);
         if !request_ok {
             self.busy_time += prover_time;
             return Err(Error::RequestRejected {
@@ -426,14 +427,7 @@ impl Prover {
             .collect();
 
         let payload = fresh.wire_size() + history.iter().map(Measurement::wire_size).sum::<usize>();
-        prover_time += self
-            .mcu
-            .cost_model()
-            .measurement(self.mcu.app_memory_len(), alg)
-            + self
-                .mcu
-                .cost_model()
-                .erasmus_collection(history.len(), payload);
+        prover_time += self.measurement_cost + cost.erasmus_collection(history.len(), payload);
         self.busy_time += prover_time;
 
         Ok(OnDemandResponse {
@@ -450,7 +444,7 @@ mod tests {
     use super::*;
     use crate::schedule::ScheduleKind;
     use erasmus_crypto::MacAlgorithm;
-    use erasmus_hw::MpuConfig;
+    use erasmus_hw::{CostModel, MpuConfig};
 
     const KEY_BYTES: [u8; 32] = [0x11u8; 32];
 
@@ -659,6 +653,51 @@ mod tests {
                 assert_eq!(a.next_measurement_due(), b.next_measurement_due());
                 assert_eq!(a.buffer().len(), b.buffer().len());
                 assert_eq!(a.mcu().trusted_invocations(), b.mcu().trusted_invocations());
+            }
+        }
+    }
+
+    #[test]
+    fn every_measurement_charges_the_cost_model_price() {
+        // `Prover::new` prices a measurement once; k measurements, scalar
+        // or batched, must charge exactly k times the cost model's price.
+        const K: u64 = 3;
+        for base in [
+            DeviceProfile::msp430_8mhz(0),
+            DeviceProfile::imx6_sabre_lite(0),
+        ] {
+            for alg in MacAlgorithm::ALL {
+                for len in [0usize, 64, 1024, 10 * 1024] {
+                    let profile = base.with_app_memory(len);
+                    let price = CostModel::new(&profile).measurement(len, alg);
+                    let config = ProverConfig::builder()
+                        .measurement_interval(SimDuration::from_secs(10))
+                        .buffer_slots(8)
+                        .mac_algorithm(alg)
+                        .build()
+                        .expect("valid config");
+                    let make = |seed: u8| {
+                        Prover::new(
+                            DeviceId::new(seed.into()),
+                            profile,
+                            DeviceKey::from_bytes([seed; 32]),
+                            config.clone(),
+                        )
+                        .expect("provisioning succeeds")
+                    };
+                    let mut scalar = make(0);
+                    let [mut a, mut b] = [make(1), make(2)];
+                    for tick in 1..=K {
+                        let now = SimTime::from_secs(10 * tick);
+                        scalar.self_measure(now).expect("scalar measures");
+                        Prover::self_measure_batch::<2>([&mut a, &mut b], now)
+                            .expect("batch measures");
+                    }
+                    let label = format!("{} {alg} {len} B", profile.name());
+                    for prover in [&scalar, &a, &b] {
+                        assert_eq!(prover.total_busy_time(), price * K, "{label}");
+                    }
+                }
             }
         }
     }

@@ -204,39 +204,6 @@ impl<const N: usize> Sha256xN<N> {
         }
     }
 
-    /// Transposes `N` scalar midstates into one lane-major state.
-    ///
-    /// This is how [`MultiKeyedMac`] rides the precomputed HMAC ipad/opad
-    /// midstates: each lane starts from a *different* keyed midstate and the
-    /// lanes then absorb their messages in lockstep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any midstate holds buffered partial input (lanes must be
-    /// block-aligned to share a schedule) or if the midstates have absorbed
-    /// different message lengths.
-    pub fn from_midstates(states: [&Sha256; N]) -> Self {
-        assert!(N >= 1, "at least one lane is required");
-        let (_, total_len, _) = states[0].lane_parts();
-        let state = std::array::from_fn(|word| {
-            std::array::from_fn(|lane| {
-                let (words, lane_total, buffered) = states[lane].lane_parts();
-                assert_eq!(buffered, 0, "lane midstates must be block-aligned");
-                assert_eq!(
-                    lane_total, total_len,
-                    "lane midstates must have absorbed equal lengths"
-                );
-                words[word]
-            })
-        });
-        Self {
-            state,
-            buffer: [[0u8; 64]; N],
-            buffer_len: 0,
-            total_len,
-        }
-    }
-
     /// One-shot helper: hash `N` equal-length messages in lockstep.
     ///
     /// # Panics
@@ -315,15 +282,19 @@ impl<const N: usize> Sha256xN<N> {
         padding[1 + zero_count..pad_len].copy_from_slice(&bit_len.to_be_bytes());
         self.update([&padding[..pad_len]; N]);
         debug_assert_eq!(self.buffer_len, 0);
-
-        std::array::from_fn(|lane| {
-            let mut out = [0u8; 32];
-            for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
-                chunk.copy_from_slice(&word[lane].to_be_bytes());
-            }
-            out
-        })
+        digest_bytes(&self.state)
     }
+}
+
+/// Each lane's big-endian digest bytes from a lane-major state.
+fn digest_bytes<const N: usize>(state: &[[u32; N]; 8]) -> [[u8; 32]; N] {
+    std::array::from_fn(|lane| {
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word[lane].to_be_bytes());
+        }
+        out
+    })
 }
 
 impl<const N: usize> Default for Sha256xN<N> {
@@ -336,28 +307,47 @@ impl<const N: usize> Default for Sha256xN<N> {
 // HMAC-SHA256, N lanes.
 // ---------------------------------------------------------------------------
 
-/// `N` HMAC-SHA256 key schedules in lane form: each lane's ipad and opad
-/// midstates, transposed into two [`Sha256xN`] states.
+/// `N` HMAC-SHA256 key schedules in lane form: each lane's chaining state
+/// after its ipad block and after its opad block, transposed lane-major.
+///
+/// Both states sit exactly one 64-byte block into their hash: the inner
+/// hash streams through a [`Sha256xN`] started at the inner state, and the
+/// outer hash over the 32-byte inner digest is one block.
 #[derive(Clone)]
 pub(crate) struct HmacSha256xN<const N: usize> {
-    inner: Sha256xN<N>,
-    outer: Sha256xN<N>,
+    inner: [[u32; N]; 8],
+    outer: [[u32; N]; 8],
 }
 
 impl<const N: usize> HmacSha256xN<N> {
     /// Transposes `N` precomputed scalar schedules.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a midstate has absorbed anything but its one key block.
     pub(crate) fn from_schedules(keys: [&HmacKey<Sha256>; N]) -> Self {
+        let transpose = |states: [&Sha256; N]| -> [[u32; N]; 8] {
+            let words = states.map(|state| {
+                let (words, total_len, buffered) = state.lane_parts();
+                assert!(
+                    total_len == 64 && buffered == 0,
+                    "an HMAC midstate holds exactly its key block"
+                );
+                words
+            });
+            std::array::from_fn(|word| std::array::from_fn(|lane| words[lane][word]))
+        };
+        let midstates = keys.map(HmacKey::lane_midstates);
         Self {
-            inner: Sha256xN::from_midstates(keys.map(|key| key.lane_midstates().0)),
-            outer: Sha256xN::from_midstates(keys.map(|key| key.lane_midstates().1)),
+            inner: transpose(midstates.map(|(inner, _)| inner)),
+            outer: transpose(midstates.map(|(_, outer)| outer)),
         }
     }
 
-    /// Keys each lane with its own 32-byte key, absorbing the lanes' ipad
+    /// Keys each lane with its own 32-byte key, compressing the lanes' ipad
     /// and then opad blocks in lockstep, bit-identical to [`HmacKey::new`].
     pub(crate) fn new(keys: &[[u8; 32]; N]) -> Self {
         let keyed = |pad: u8| {
-            let mut lanes = Sha256xN::new();
             let blocks = keys.map(|key| {
                 let mut block = [pad; 64];
                 for (byte, key) in block.iter_mut().zip(key) {
@@ -365,8 +355,9 @@ impl<const N: usize> HmacSha256xN<N> {
                 }
                 block
             });
-            lanes.update(blocks.each_ref().map(|block| block.as_slice()));
-            lanes
+            let mut state = SHA256_H0.map(splat);
+            sha256_compress(&mut state, blocks.each_ref());
+            state
         };
         Self {
             inner: keyed(0x36),
@@ -378,18 +369,36 @@ impl<const N: usize> HmacSha256xN<N> {
     /// [`Sha256xN::update`], then pass the state to
     /// [`HmacSha256xN::finish`].
     pub(crate) fn begin(&self) -> Sha256xN<N> {
-        self.inner.clone()
+        Sha256xN {
+            state: self.inner,
+            buffer: [[0u8; 64]; N],
+            buffer_len: 0,
+            total_len: 64,
+        }
     }
 
-    /// Finishes the MACs [`HmacSha256xN::begin`] started.
+    /// Finishes the MACs [`HmacSha256xN::begin`] started. Each lane's
+    /// 32-byte inner digest pads into one block behind the opad block,
+    /// `digest ‖ 0x80 ‖ 0… ‖ BE64(96·8)`, so the outer hash is one
+    /// compression.
     pub(crate) fn finish(&self, inner: Sha256xN<N>) -> [[u8; 32]; N] {
-        let digests = inner.finalize();
-        let mut outer = self.outer.clone();
-        outer.update(digests.each_ref().map(|digest| digest.as_slice()));
-        outer.finalize()
+        let blocks = inner.finalize().map(|digest| {
+            let mut block = [0u8; 64];
+            block[..32].copy_from_slice(&digest);
+            block[32] = 0x80;
+            block[56..].copy_from_slice(&(96u64 * 8).to_be_bytes());
+            block
+        });
+        let mut state = self.outer;
+        sha256_compress(&mut state, blocks.each_ref());
+        digest_bytes(&state)
     }
 
     /// One MAC per lane over `N` equal-length messages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the messages are not all the same length.
     pub(crate) fn mac(&self, messages: [&[u8]; N]) -> [[u8; 32]; N] {
         let mut inner = self.begin();
         inner.update(messages);
@@ -407,9 +416,9 @@ impl<const N: usize> HmacSha256xN<N> {
 /// Built from existing [`KeyedMac`] schedules, so the once-per-device key
 /// derivation is shared with the scalar hot path:
 ///
-/// * HMAC-SHA256 — the ipad and opad midstates of each lane are transposed
-///   into two [`Sha256xN`] states; a MAC is one lockstep inner pass and one
-///   lockstep outer pass.
+/// * HMAC-SHA256 — the ipad and opad chaining states of each lane are
+///   transposed into two lane-major states; a MAC is one lockstep inner
+///   pass through [`Sha256xN`] and one lockstep outer compression.
 /// * HMAC-SHA1 and keyed BLAKE2s — [`Sha256xN`] is the only lane core, so
 ///   the lanes fall back to the scalar schedules (still one `MultiKeyedMac`
 ///   call site for every algorithm). A fleet run under either MAC therefore

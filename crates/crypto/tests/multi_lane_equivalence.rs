@@ -205,6 +205,43 @@ proptest! {
     }
 }
 
+proptest! {
+    // Each case walks all 81 lengths, so a few key draws suffice.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every message length from 0 to 80 bytes, with random per-lane keys
+    /// (short, block-sized and hashed-down long ones): the HMAC-SHA256 lanes
+    /// equal the scalar tag on both sides of the 55/56-byte limit past which
+    /// the inner padding spills into a second block, and of the 64-byte
+    /// block boundary, at width 1, 4 and 8.
+    #[test]
+    fn hmac_sha256_lanes_equal_scalar_across_the_padding_limits(
+        keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..100), 8),
+        fill in any::<u8>(),
+    ) {
+        let lanes = keyed_lanes(MacAlgorithm::HmacSha256, 8, &keys);
+        let x8 = MultiKeyedMac::<8>::new(std::array::from_fn(|i| &lanes[i]));
+        let x4 = MultiKeyedMac::<4>::new(std::array::from_fn(|i| &lanes[i]));
+        let x1 = MultiKeyedMac::<1>::new([&lanes[0]]);
+        for len in 0..=80usize {
+            let messages: Vec<Vec<u8>> = (0..8u8)
+                .map(|lane| (0..len).map(|i| (i as u8 ^ fill).wrapping_add(lane.wrapping_mul(29))).collect())
+                .collect();
+            let tags8 = x8.mac(std::array::from_fn(|i| &messages[i][..]));
+            let tags4 = x4.mac(std::array::from_fn(|i| &messages[i][..]));
+            let tags1 = x1.mac([&messages[0][..]]);
+            for lane in 0..8 {
+                let scalar: MacTag = lanes[lane].mac(&messages[lane]);
+                prop_assert_eq!(&tags8[lane], &scalar, "x8 len {} lane {}", len, lane);
+                if lane < 4 {
+                    prop_assert_eq!(&tags4[lane], &scalar, "x4 len {} lane {}", len, lane);
+                }
+            }
+            prop_assert_eq!(&tags1[0], &tags8[0], "x1 len {}", len);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // HMAC-DRBG lanes: each lane is a reseeded clone of the shared generator.
 // ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ use crate::profile::DeviceProfile;
 /// // Table 2 of the paper reports 285.6 ms for this operation.
 /// assert!((t.as_millis_f64() - 285.6).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     profile: DeviceProfile,
 }
@@ -33,9 +33,7 @@ pub struct CostModel {
 impl CostModel {
     /// Creates a cost model for the given device profile.
     pub fn new(profile: &DeviceProfile) -> Self {
-        Self {
-            profile: profile.clone(),
-        }
+        Self { profile: *profile }
     }
 
     /// The underlying profile.

@@ -98,7 +98,7 @@ impl Mcu {
         &self.profile
     }
 
-    /// The device's cost model.
+    /// The device's cost model: a copy of the profile, so no allocation.
     pub fn cost_model(&self) -> CostModel {
         CostModel::new(&self.profile)
     }

@@ -65,18 +65,107 @@ pub struct MpuRule {
     pub access: AccessKind,
 }
 
+// The subjects, regions and access kinds in declaration order.
+const SUBJECTS: [Subject; 3] = [
+    Subject::AttestationCode,
+    Subject::Application,
+    Subject::Peripheral,
+];
+const REGIONS: [RegionKind; 5] = [
+    RegionKind::Rom,
+    RegionKind::Key,
+    RegionKind::Application,
+    RegionKind::MeasurementStore,
+    RegionKind::Peripheral,
+];
+const ACCESSES: [AccessKind; 3] = [AccessKind::Read, AccessKind::Write, AccessKind::Execute];
+
+/// All 45 (subject, region, access) triples, in declaration order.
+fn triples() -> impl Iterator<Item = MpuRule> {
+    SUBJECTS.into_iter().flat_map(|subject| {
+        REGIONS.into_iter().flat_map(move |region| {
+            ACCESSES
+                .into_iter()
+                .map(move |access| MpuRule::allow(subject, region, access))
+        })
+    })
+}
+
 impl MpuRule {
     /// Creates an allow-rule.
-    pub fn allow(subject: Subject, region: RegionKind, access: AccessKind) -> Self {
+    pub const fn allow(subject: Subject, region: RegionKind, access: AccessKind) -> Self {
         Self {
             subject,
             region,
             access,
         }
     }
+
+    /// This rule's bit in the allow-mask: `subject·15 + region·3 + access`,
+    /// each part an explicit index that follows declaration order.
+    const fn bit(self) -> u64 {
+        let subject = match self.subject {
+            Subject::AttestationCode => 0,
+            Subject::Application => 1,
+            Subject::Peripheral => 2,
+        };
+        let region = match self.region {
+            RegionKind::Rom => 0,
+            RegionKind::Key => 1,
+            RegionKind::Application => 2,
+            RegionKind::MeasurementStore => 3,
+            RegionKind::Peripheral => 4,
+        };
+        let access = match self.access {
+            AccessKind::Read => 0,
+            AccessKind::Write => 1,
+            AccessKind::Execute => 2,
+        };
+        1 << (subject * 15 + region * 3 + access)
+    }
 }
 
+/// The SMART+ rule table of Figure 5 (see [`MpuConfig::smart_plus`]).
+const SMART_PLUS_RULES: [MpuRule; 15] = {
+    use AccessKind::{Execute, Read, Write};
+    [
+        MpuRule::allow(Subject::AttestationCode, RegionKind::Rom, Execute),
+        MpuRule::allow(Subject::AttestationCode, RegionKind::Rom, Read),
+        MpuRule::allow(Subject::AttestationCode, RegionKind::Key, Read),
+        MpuRule::allow(Subject::AttestationCode, RegionKind::Application, Read),
+        MpuRule::allow(Subject::AttestationCode, RegionKind::MeasurementStore, Read),
+        MpuRule::allow(
+            Subject::AttestationCode,
+            RegionKind::MeasurementStore,
+            Write,
+        ),
+        MpuRule::allow(Subject::AttestationCode, RegionKind::Peripheral, Read),
+        MpuRule::allow(Subject::Application, RegionKind::Application, Read),
+        MpuRule::allow(Subject::Application, RegionKind::Application, Write),
+        MpuRule::allow(Subject::Application, RegionKind::Application, Execute),
+        MpuRule::allow(Subject::Application, RegionKind::Rom, Read),
+        MpuRule::allow(Subject::Application, RegionKind::MeasurementStore, Read),
+        MpuRule::allow(Subject::Application, RegionKind::MeasurementStore, Write),
+        MpuRule::allow(Subject::Application, RegionKind::Peripheral, Read),
+        MpuRule::allow(Subject::Peripheral, RegionKind::MeasurementStore, Read),
+    ]
+};
+
+/// The one rule HYDRA adds to SMART+ (see [`MpuConfig::hydra`]).
+const HYDRA_PERIPHERAL_WRITE: MpuRule = MpuRule::allow(
+    Subject::AttestationCode,
+    RegionKind::Peripheral,
+    AccessKind::Write,
+);
+
 /// A default-deny access-rule table.
+///
+/// The table is a fixed allow-mask with one bit per (subject, region,
+/// access) triple, 3 × 5 × 3 = 45 of them, the way SMART+ wires its rules
+/// into the memory backbone: it needs no heap, it is `Copy`, and a check is
+/// one AND. Since only the allow-set is stored, two configurations compare
+/// equal when they allow the same triples, whatever the order of, or the
+/// duplicates in, the rule lists they were built from.
 ///
 /// # Example
 ///
@@ -90,20 +179,27 @@ impl MpuRule {
 /// // …the application (and thus malware) may not.
 /// assert!(mpu.check(Subject::Application, RegionKind::Key, AccessKind::Read).is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct MpuConfig {
-    rules: Vec<MpuRule>,
+    /// A rule is allowed when its bit (`MpuRule::bit`) is set.
+    allowed: u64,
 }
 
 impl MpuConfig {
     /// Creates an empty (deny-everything) configuration.
     pub fn deny_all() -> Self {
-        Self { rules: Vec::new() }
+        Self { allowed: 0 }
     }
 
     /// Creates a configuration from explicit rules.
     pub fn new(rules: Vec<MpuRule>) -> Self {
-        Self { rules }
+        Self::from_rules(&rules)
+    }
+
+    fn from_rules(rules: &[MpuRule]) -> Self {
+        Self {
+            allowed: rules.iter().fold(0, |mask, rule| mask | rule.bit()),
+        }
     }
 
     /// The SMART+ rule table of Figure 5:
@@ -116,28 +212,7 @@ impl MpuConfig {
     ///   collection responses can be transmitted without invoking the
     ///   attestation code.
     pub fn smart_plus() -> Self {
-        use AccessKind::{Execute, Read, Write};
-        Self::new(vec![
-            MpuRule::allow(Subject::AttestationCode, RegionKind::Rom, Execute),
-            MpuRule::allow(Subject::AttestationCode, RegionKind::Rom, Read),
-            MpuRule::allow(Subject::AttestationCode, RegionKind::Key, Read),
-            MpuRule::allow(Subject::AttestationCode, RegionKind::Application, Read),
-            MpuRule::allow(Subject::AttestationCode, RegionKind::MeasurementStore, Read),
-            MpuRule::allow(
-                Subject::AttestationCode,
-                RegionKind::MeasurementStore,
-                Write,
-            ),
-            MpuRule::allow(Subject::AttestationCode, RegionKind::Peripheral, Read),
-            MpuRule::allow(Subject::Application, RegionKind::Application, Read),
-            MpuRule::allow(Subject::Application, RegionKind::Application, Write),
-            MpuRule::allow(Subject::Application, RegionKind::Application, Execute),
-            MpuRule::allow(Subject::Application, RegionKind::Rom, Read),
-            MpuRule::allow(Subject::Application, RegionKind::MeasurementStore, Read),
-            MpuRule::allow(Subject::Application, RegionKind::MeasurementStore, Write),
-            MpuRule::allow(Subject::Application, RegionKind::Peripheral, Read),
-            MpuRule::allow(Subject::Peripheral, RegionKind::MeasurementStore, Read),
-        ])
+        Self::from_rules(&SMART_PLUS_RULES)
     }
 
     /// The HYDRA capability assignment of Figure 7. The shape is the same as
@@ -146,29 +221,26 @@ impl MpuConfig {
     /// peripherals, because HYDRA builds its reliable clock in software from
     /// a hardware counter (Section 4.2).
     pub fn hydra() -> Self {
-        let mut config = Self::smart_plus();
-        config.rules.push(MpuRule::allow(
-            Subject::AttestationCode,
-            RegionKind::Peripheral,
-            AccessKind::Write,
-        ));
         // PrAtt code lives in RAM but is writable only by itself (enforced by
         // seL4 capabilities); modelled as attestation-code write access to ROM
         // being *absent* and application write access to ROM being absent too,
         // which the smart_plus table already guarantees by default-deny.
-        config
+        Self {
+            allowed: Self::smart_plus().allowed | HYDRA_PERIPHERAL_WRITE.bit(),
+        }
     }
 
-    /// All rules in the table.
-    pub fn rules(&self) -> &[MpuRule] {
-        &self.rules
+    /// The allowed rules, decoded from the mask in (subject, region, access)
+    /// declaration order, each once.
+    pub fn rules(&self) -> Vec<MpuRule> {
+        triples()
+            .filter(|rule| self.allowed & rule.bit() != 0)
+            .collect()
     }
 
     /// Returns whether `subject` may perform `access` on `region`.
     pub fn is_allowed(&self, subject: Subject, region: RegionKind, access: AccessKind) -> bool {
-        self.rules
-            .iter()
-            .any(|rule| rule.subject == subject && rule.region == region && rule.access == access)
+        self.allowed & MpuRule::allow(subject, region, access).bit() != 0
     }
 
     /// Checks an access, returning an [`HwError::AccessViolation`] when it is
@@ -195,9 +267,75 @@ impl MpuConfig {
     }
 }
 
+impl std::fmt::Debug for MpuConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MpuConfig")
+            .field("rules", &self.rules())
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The mask answers every triple exactly as a linear scan of the rule
+    /// list it was built from would.
+    fn assert_mask_matches(config: &MpuConfig, list: &[MpuRule]) {
+        for triple in triples() {
+            assert_eq!(
+                config.is_allowed(triple.subject, triple.region, triple.access),
+                list.contains(&triple),
+                "{triple:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn stock_masks_match_their_rule_lists() {
+        let mut hydra = SMART_PLUS_RULES.to_vec();
+        hydra.push(HYDRA_PERIPHERAL_WRITE);
+        assert_mask_matches(&MpuConfig::smart_plus(), &SMART_PLUS_RULES);
+        assert_mask_matches(&MpuConfig::hydra(), &hydra);
+        assert_mask_matches(&MpuConfig::deny_all(), &[]);
+        assert_eq!(MpuConfig::smart_plus().rules().len(), 15);
+        assert_eq!(MpuConfig::hydra().rules().len(), 16);
+        for config in [
+            MpuConfig::smart_plus(),
+            MpuConfig::hydra(),
+            MpuConfig::deny_all(),
+        ] {
+            assert_eq!(MpuConfig::new(config.rules()), config);
+        }
+    }
+
+    proptest! {
+        /// Random rule lists, in any order and with duplicates: the mask
+        /// agrees with the list on all 45 triples, `rules()` decodes each
+        /// allowed triple once in declaration order and round-trips, and a
+        /// reordered, duplicated list builds an equal configuration.
+        #[test]
+        fn mask_matches_random_rule_lists(
+            picks in proptest::collection::vec((0usize..3, 0usize..5, 0usize..3), 0..60),
+        ) {
+            let list: Vec<MpuRule> = picks
+                .iter()
+                .map(|&(s, r, a)| MpuRule::allow(SUBJECTS[s], REGIONS[r], ACCESSES[a]))
+                .collect();
+            let config = MpuConfig::new(list.clone());
+            assert_mask_matches(&config, &list);
+
+            let decoded = config.rules();
+            let expected: Vec<MpuRule> = triples().filter(|t| list.contains(t)).collect();
+            prop_assert_eq!(&decoded, &expected);
+            prop_assert_eq!(MpuConfig::new(decoded), config);
+
+            let mut shuffled: Vec<MpuRule> = list.iter().rev().copied().collect();
+            shuffled.extend_from_slice(&list);
+            prop_assert_eq!(MpuConfig::new(shuffled), config);
+        }
+    }
 
     #[test]
     fn default_deny() {

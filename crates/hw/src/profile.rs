@@ -48,6 +48,10 @@ impl fmt::Display for SecurityArchitecture {
 
 /// Calibrated performance and size constants of one evaluation platform.
 ///
+/// A profile is a set of constants and a static name, so it is `Copy`:
+/// [`Mcu::cost_model`](crate::Mcu::cost_model) copies it and never
+/// allocates.
+///
 /// # Example
 ///
 /// ```
@@ -58,9 +62,9 @@ impl fmt::Display for SecurityArchitecture {
 /// assert_eq!(msp430.clock_hz(), 8_000_000);
 /// assert_eq!(msp430.app_memory_bytes(), 10 * 1024);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceProfile {
-    name: String,
+    name: &'static str,
     architecture: SecurityArchitecture,
     clock_hz: u64,
     app_memory_bytes: usize,
@@ -92,7 +96,7 @@ impl DeviceProfile {
     /// `app_memory_bytes` of measured memory (the paper sweeps 0–10 KB).
     pub fn msp430_8mhz(app_memory_bytes: usize) -> Self {
         Self {
-            name: "MSP430 @ 8 MHz (SMART+)".to_owned(),
+            name: "MSP430 @ 8 MHz (SMART+)",
             architecture: SecurityArchitecture::SmartPlus,
             clock_hz: 8_000_000,
             app_memory_bytes,
@@ -114,7 +118,7 @@ impl DeviceProfile {
     /// with `app_memory_bytes` of measured memory (the paper sweeps 0–10 MB).
     pub fn imx6_sabre_lite(app_memory_bytes: usize) -> Self {
         Self {
-            name: "i.MX6 Sabre Lite @ 1 GHz (HYDRA)".to_owned(),
+            name: "i.MX6 Sabre Lite @ 1 GHz (HYDRA)",
             architecture: SecurityArchitecture::Hydra,
             clock_hz: 1_000_000_000,
             app_memory_bytes,
@@ -137,14 +141,15 @@ impl DeviceProfile {
     /// Returns a copy of the profile with a different measured-memory size
     /// (used by the Figure 6/8 memory sweeps).
     pub fn with_app_memory(&self, app_memory_bytes: usize) -> Self {
-        let mut profile = self.clone();
-        profile.app_memory_bytes = app_memory_bytes;
-        profile
+        Self {
+            app_memory_bytes,
+            ..*self
+        }
     }
 
     /// Human-readable platform name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     /// The security architecture this platform implements.

@@ -126,7 +126,7 @@ impl Swarm {
                 .map_err(|source| SwarmError::Device { index, source })?;
             let prover = Prover::new(
                 DeviceId::new(index as u64),
-                config.profile.clone(),
+                config.profile,
                 key.clone(),
                 prover_config,
             )

@@ -37,8 +37,7 @@ fn full_lifecycle_on_both_architectures_and_all_macs() {
         DeviceProfile::imx6_sabre_lite(64 * 1024),
     ] {
         for alg in MacAlgorithm::ALL {
-            let (mut prover, mut verifier) =
-                provision(profile.clone(), alg, SimDuration::from_secs(30), 8);
+            let (mut prover, mut verifier) = provision(profile, alg, SimDuration::from_secs(30), 8);
             prover
                 .run_until(SimTime::from_secs(240))
                 .expect("measurements");
