@@ -129,9 +129,13 @@ impl MeasurementBuffer {
     /// present, returns all of them (the paper clamps `k = n` when a
     /// verifier over-asks).
     pub fn latest(&self, k: usize) -> Vec<Measurement> {
-        let mut present: Vec<&Measurement> = self.slots.iter().flatten().collect();
-        present.sort_by_key(|m| std::cmp::Reverse(m.timestamp()));
-        present.into_iter().take(k).cloned().collect()
+        // One allocation: the occupied slots in slot order, then a stable
+        // sort, so equal timestamps (a forged copy) keep their slot order.
+        let mut latest = Vec::with_capacity(self.slots.len());
+        latest.extend(self.slots.iter().flatten().cloned());
+        latest.sort_by_key(|m| std::cmp::Reverse(m.timestamp()));
+        latest.truncate(k);
+        latest
     }
 
     /// All stored measurements, oldest first.
@@ -319,6 +323,47 @@ mod tests {
 
         buffer.tamper_clear();
         assert!(buffer.is_empty());
+    }
+
+    /// `latest` as it was first written: sorted references, then clones of
+    /// the newest `k` into a second `Vec`.
+    fn latest_two_vecs(buffer: &MeasurementBuffer, k: usize) -> Vec<Measurement> {
+        let mut present: Vec<&Measurement> = buffer.slots.iter().flatten().collect();
+        present.sort_by_key(|m| std::cmp::Reverse(m.timestamp()));
+        present.into_iter().take(k).cloned().collect()
+    }
+
+    proptest::proptest! {
+        /// Stores and tampering in any order leave `latest(k)` equal to the
+        /// two-`Vec` version for every `k`, ties between a measurement and
+        /// a forged copy of its timestamp included.
+        #[test]
+        fn latest_matches_the_two_vec_version(
+            slots in 1usize..=8,
+            ops in proptest::collection::vec((0u8..4, 0usize..10, 0usize..10, 0u64..24), 0..40),
+        ) {
+            let mut buffer = MeasurementBuffer::new(slots, TM);
+            for (i, (op, a, b, secs)) in ops.into_iter().enumerate() {
+                let distinct = Measurement::from_parts(
+                    SimTime::from_secs(secs * 5),
+                    [i as u8; 32],
+                    erasmus_crypto::MacTag::new(vec![i as u8; 32]),
+                );
+                match op {
+                    0 => {
+                        buffer.store(distinct);
+                    }
+                    1 => {
+                        buffer.tamper_delete(a);
+                    }
+                    2 => buffer.tamper_replace(a, distinct),
+                    _ => buffer.tamper_swap(a, b),
+                }
+            }
+            for k in 0..=slots + 1 {
+                proptest::prop_assert_eq!(buffer.latest(k), latest_two_vecs(&buffer, k));
+            }
+        }
     }
 
     #[test]

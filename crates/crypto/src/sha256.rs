@@ -59,6 +59,160 @@ fn schedule(w: &mut [u32; 16], t: usize) -> u32 {
     w[t & 15]
 }
 
+/// The software compression, eight rounds at a time: the working variables
+/// rotate by name, so every eighth round finds them back under their
+/// starting names.
+fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+    for t in (0..64).step_by(8) {
+        round!(a, b, c, d, e, f, g, h, K[t], schedule(&mut w, t));
+        round!(h, a, b, c, d, e, f, g, K[t + 1], schedule(&mut w, t + 1));
+        round!(g, h, a, b, c, d, e, f, K[t + 2], schedule(&mut w, t + 2));
+        round!(f, g, h, a, b, c, d, e, K[t + 3], schedule(&mut w, t + 3));
+        round!(e, f, g, h, a, b, c, d, K[t + 4], schedule(&mut w, t + 4));
+        round!(d, e, f, g, h, a, b, c, K[t + 5], schedule(&mut w, t + 5));
+        round!(c, d, e, f, g, h, a, b, K[t + 6], schedule(&mut w, t + 6));
+        round!(b, c, d, e, f, g, h, a, K[t + 7], schedule(&mut w, t + 7));
+    }
+
+    for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(v);
+    }
+}
+
+/// Compresses `blocks`, a run of whole 64-byte blocks, into `state`: on the
+/// CPU's SHA extensions where it has them, else block by block through
+/// [`compress_block`]. The CPU picks; nothing else does.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "only whole blocks compress");
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::detected() {
+        // SAFETY: `sha_ni::detected` has just checked, with
+        // `is_x86_feature_detected!`, every feature `sha_ni::compress_blocks`
+        // is compiled for, so this CPU executes each instruction it holds.
+        // Nothing else is asked of the caller: the kernel's body is safe.
+        #[expect(unsafe_code, reason = "SHA-NI runs only where it is detected")]
+        unsafe {
+            sha_ni::compress_blocks(state, blocks);
+        }
+        return;
+    }
+    for block in blocks.chunks_exact(64) {
+        compress_block(state, block.try_into().expect("64-byte chunk"));
+    }
+}
+
+/// The compression on x86-64's SHA extensions (SHA-NI).
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use std::arch::x86_64::{
+        _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8,
+    };
+
+    use super::K;
+
+    /// Whether this CPU has every feature [`compress_blocks`] enables.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Rounds `t..t + 4`, on schedule words `w`: each `sha256rnds2` runs
+    /// two rounds and swaps which half of the state it advances.
+    macro_rules! rounds4 {
+        ($abef:ident, $cdgh:ident, $w:expr, $t:expr) => {
+            let k = [K[$t + 3], K[$t + 2], K[$t + 1], K[$t]].map(|word| word as i32);
+            let wk = _mm_add_epi32($w, _mm_set_epi32(k[0], k[1], k[2], k[3]));
+            $cdgh = _mm_sha256rnds2_epu32($cdgh, $abef, wk);
+            $abef = _mm_sha256rnds2_epu32($abef, $cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+        };
+    }
+
+    /// The next four schedule words, from the sixteen before them.
+    macro_rules! schedule4 {
+        ($w0:expr, $w1:expr, $w2:expr, $w3:expr) => {
+            _mm_sha256msg2_epu32(
+                _mm_add_epi32(
+                    _mm_sha256msg1_epu32($w0, $w1),
+                    _mm_alignr_epi8::<4>($w3, $w2),
+                ),
+                $w3,
+            )
+        };
+    }
+
+    /// Compresses each 64-byte block of `blocks` into `state` in turn. The
+    /// chaining state stays in two registers for the whole run, in the
+    /// instructions' `ABEF`/`CDGH` layout (`A` in the high lane).
+    ///
+    /// Never inlined: the SHA instructions exist only in the legacy SSE
+    /// encoding, and in a caller that leaves the upper halves of the AVX
+    /// registers dirty (`target-cpu=native` code) every one of them pays an
+    /// SSE/AVX transition penalty, which made a 1 KiB digest over 100×
+    /// slower on an AVX-512 Xeon. A call starts with those halves cleared:
+    /// the compiler puts a `vzeroupper` in front of it.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    #[inline(never)]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        // Reverses the bytes of each 32-bit lane: the block's words are
+        // big-endian.
+        let byte_swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+
+        for block in blocks.chunks_exact(64) {
+            let words = |i: usize| {
+                let half = |j: usize| {
+                    i64::from_le_bytes(block[8 * j..8 * j + 8].try_into().expect("8-byte half"))
+                };
+                _mm_shuffle_epi8(_mm_set_epi64x(half(2 * i + 1), half(2 * i)), byte_swap)
+            };
+            let (mut w0, mut w1, mut w2, mut w3) = (words(0), words(1), words(2), words(3));
+            let (abef_in, cdgh_in) = (abef, cdgh);
+
+            rounds4!(abef, cdgh, w0, 0);
+            rounds4!(abef, cdgh, w1, 4);
+            rounds4!(abef, cdgh, w2, 8);
+            rounds4!(abef, cdgh, w3, 12);
+            for t in (16..64).step_by(16) {
+                w0 = schedule4!(w0, w1, w2, w3);
+                rounds4!(abef, cdgh, w0, t);
+                w1 = schedule4!(w1, w2, w3, w0);
+                rounds4!(abef, cdgh, w1, t + 4);
+                w2 = schedule4!(w2, w3, w0, w1);
+                rounds4!(abef, cdgh, w2, t + 8);
+                w3 = schedule4!(w3, w0, w1, w2);
+                rounds4!(abef, cdgh, w3, t + 12);
+            }
+
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        *state = [
+            _mm_extract_epi32::<3>(abef) as u32,
+            _mm_extract_epi32::<2>(abef) as u32,
+            _mm_extract_epi32::<3>(cdgh) as u32,
+            _mm_extract_epi32::<2>(cdgh) as u32,
+            _mm_extract_epi32::<1>(abef) as u32,
+            _mm_extract_epi32::<0>(abef) as u32,
+            _mm_extract_epi32::<1>(cdgh) as u32,
+            _mm_extract_epi32::<0>(cdgh) as u32,
+        ];
+    }
+}
+
 /// Incremental SHA-256 hasher.
 ///
 /// # Example
@@ -96,32 +250,6 @@ impl Sha256 {
         }
     }
 
-    /// Eight rounds at a time: the working variables rotate by name, so
-    /// every eighth round finds them back under their starting names.
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 16];
-        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
-            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-
-        for t in (0..64).step_by(8) {
-            round!(a, b, c, d, e, f, g, h, K[t], schedule(&mut w, t));
-            round!(h, a, b, c, d, e, f, g, K[t + 1], schedule(&mut w, t + 1));
-            round!(g, h, a, b, c, d, e, f, K[t + 2], schedule(&mut w, t + 2));
-            round!(f, g, h, a, b, c, d, e, K[t + 3], schedule(&mut w, t + 3));
-            round!(e, f, g, h, a, b, c, d, K[t + 4], schedule(&mut w, t + 4));
-            round!(d, e, f, g, h, a, b, c, K[t + 5], schedule(&mut w, t + 5));
-            round!(c, d, e, f, g, h, a, b, K[t + 6], schedule(&mut w, t + 6));
-            round!(b, c, d, e, f, g, h, a, K[t + 7], schedule(&mut w, t + 7));
-        }
-
-        for (word, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *word = word.wrapping_add(v);
-        }
-    }
-
     /// Lane view used by the multi-lane cores to transpose midstates:
     /// `(state words, absorbed bytes, buffered bytes)`.
     pub(crate) fn lane_parts(&self) -> ([u32; 8], u64, usize) {
@@ -149,49 +277,36 @@ impl Digest for Sha256 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
 
         if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(data.len());
+            let take = (64 - self.buffer_len).min(data.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
 
-        // Aligned full blocks compress straight from the input slice; the
-        // copy through `self.buffer` is only for partial blocks.
-        let mut chunks = data.chunks_exact(64);
-        for chunk in &mut chunks {
-            self.compress(chunk.try_into().expect("64-byte chunk"));
+        // Whole blocks compress straight from the input slice, as one run;
+        // the copy through `self.buffer` is only for a partial block.
+        let (blocks, rem) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            self.buffer[..rem.len()].copy_from_slice(rem);
-            self.buffer_len = rem.len();
-        }
+        self.buffer[..rem.len()].copy_from_slice(rem);
+        self.buffer_len = rem.len();
     }
 
     fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80, then zeros, then the 64-bit big-endian length — at
-        // most 72 bytes, built on the stack.
-        let mut padding = [0u8; 72];
-        padding[0] = 0x80;
-        let msg_len = (self.total_len % 64) as usize;
-        let zero_count = if msg_len < 56 {
-            55 - msg_len
-        } else {
-            119 - msg_len
-        };
-        let pad_len = 1 + zero_count + 8;
-        padding[1 + zero_count..pad_len].copy_from_slice(&bit_len.to_be_bytes());
-
-        // `update` adjusts total_len but padding length no longer matters.
-        self.update(&padding[..pad_len]);
-        debug_assert_eq!(self.buffer_len, 0);
+        // The buffered bytes, 0x80, zeros and the 64-bit big-endian bit
+        // length: one block, or two when fewer than 9 bytes are left free.
+        let mut tail = [0u8; 128];
+        tail[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
+        tail[self.buffer_len] = 0x80;
+        let tail_len = if self.buffer_len < 56 { 64 } else { 128 };
+        tail[tail_len - 8..tail_len].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress(&mut self.state, &tail[..tail_len]);
 
         let mut out = [0u8; 32];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
@@ -255,23 +370,117 @@ mod tests {
         }
     }
 
+    /// SHA-256 on the software kernel alone, padded as FIPS 180-2 spells it
+    /// out: the reference for the dispatching [`Sha256`].
+    fn software_digest(data: &[u8]) -> [u8; 32] {
+        let mut message = data.to_vec();
+        message.push(0x80);
+        while message.len() % 64 != 56 {
+            message.push(0);
+        }
+        message.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in message.chunks_exact(64) {
+            compress_block(&mut state, block.try_into().expect("64 bytes"));
+        }
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// Whether [`compress`] runs the SHA-NI kernel on this CPU. Where it
+    /// does not, `test` says so on stderr, so that its pass is not read as
+    /// covering that kernel.
+    fn sha_ni_or_notice(test: &str) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::detected() {
+            return true;
+        }
+        eprintln!(
+            "{test}: no x86-64 SHA extensions on this CPU, so the SHA-NI kernel went unchecked"
+        );
+        false
+    }
+
+    // Properties without `#[test]`: the tests below run them once they know
+    // which kernel `compress` picks on this CPU.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The unrolled kernel equals the FIPS-literal one on any chaining
-        /// state, not only on the states reachable from `H0`.
-        #[test]
-        fn compress_matches_the_fips_reference(
+        /// Both kernels equal the FIPS-literal one on any chaining state,
+        /// not only on the states reachable from `H0`: the software kernel
+        /// directly, and the SHA-NI kernel through `compress`.
+        fn kernels_match_the_fips_reference(
             state in proptest::collection::vec(any::<u32>(), 8),
             block in proptest::collection::vec(any::<u8>(), 64),
         ) {
             let state: [u32; 8] = state.try_into().expect("8 words");
             let block: [u8; 64] = block.try_into().expect("64 bytes");
-            let mut hasher = Sha256 { state, ..Sha256::new() };
-            hasher.compress(&block);
             let mut expected = state;
             compress_reference(&mut expected, &block);
-            prop_assert_eq!(hasher.state, expected);
+            let mut software = state;
+            compress_block(&mut software, &block);
+            prop_assert_eq!(software, expected);
+            let mut dispatched = state;
+            compress(&mut dispatched, &block);
+            prop_assert_eq!(dispatched, expected);
+        }
+
+        /// A run of 1–20 blocks through one `compress` call, the chaining
+        /// state in registers throughout, equals block-at-a-time software
+        /// compression.
+        fn runs_match_block_at_a_time_software(
+            state in proptest::collection::vec(any::<u32>(), 8),
+            blocks in 1usize..=20,
+            bytes in proptest::collection::vec(any::<u8>(), 20 * 64),
+        ) {
+            let state: [u32; 8] = state.try_into().expect("8 words");
+            let run = &bytes[..64 * blocks];
+            let mut expected = state;
+            for block in run.chunks_exact(64) {
+                compress_block(&mut expected, block.try_into().expect("64 bytes"));
+            }
+            let mut dispatched = state;
+            compress(&mut dispatched, run);
+            prop_assert_eq!(dispatched, expected);
+        }
+    }
+
+    #[test]
+    fn compress_matches_the_fips_reference() {
+        sha_ni_or_notice("compress_matches_the_fips_reference");
+        kernels_match_the_fips_reference();
+    }
+
+    #[test]
+    fn sha_ni_runs_of_blocks_match_the_software_kernel() {
+        if sha_ni_or_notice("sha_ni_runs_of_blocks_match_the_software_kernel") {
+            runs_match_block_at_a_time_software();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `Sha256` equals the software-only digest at every length from 0
+        /// to 1 100 bytes (both padding cases, and runs of up to 17 whole
+        /// blocks), however its input is split across two `update`s.
+        #[test]
+        fn digest_matches_a_software_only_digest(
+            len in 0usize..=1100,
+            split in 0usize..=1100,
+            bytes in proptest::collection::vec(any::<u8>(), 1100),
+        ) {
+            let data = &bytes[..len];
+            let expected = software_digest(data);
+            prop_assert_eq!(Sha256::digest(data), expected);
+            let (head, tail) = data.split_at(split % (len + 1));
+            let mut hasher = Sha256::new();
+            hasher.update(head);
+            hasher.update(tail);
+            prop_assert_eq!(hasher.finalize(), expected);
         }
     }
 
