@@ -1,18 +1,15 @@
 //! Raw throughput of the from-scratch MAC implementations (the primitive
 //! behind Figures 6 and 8): bytes per second of SHA-256, HMAC-SHA256,
 //! SHA-1, HMAC-SHA1 and keyed BLAKE2s on the host, the re-keyed vs
-//! precomputed key-schedule comparison on measurement-sized inputs, the
-//! scalar vs 4-lane vs 8-lane SHA-256 comparison behind the fleet's
-//! lane-batched measurement path, and the verifier's check of a whole
-//! collection response under each MAC.
+//! precomputed key-schedule comparison on measurement-sized inputs, device
+//! key derivation, and the verifier's check of a whole collection response
+//! under each MAC.
 
 #![deny(clippy::disallowed_types)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use erasmus_core::{CollectionRequest, DeviceId, Prover, ProverConfig, Verifier};
-use erasmus_crypto::{
-    Blake2s, Digest, HmacSha1, HmacSha256, MacAlgorithm, Sha1, Sha256, Sha256x4, Sha256x8,
-};
+use erasmus_crypto::{Blake2s, Digest, HmacSha1, HmacSha256, MacAlgorithm, Sha1, Sha256};
 use erasmus_hw::{DeviceKey, DeviceProfile};
 use erasmus_sim::{SimDuration, SimTime};
 
@@ -52,9 +49,10 @@ fn bench_mac_throughput(c: &mut Criterion) {
 /// The ERASMUS hot path MACs a 40-byte `(t, H(mem_t))` input per
 /// measurement. Re-deriving the HMAC key schedule dominates at that size;
 /// the precomputed `KeyedMac` midstate amortizes it to once per device.
-/// The device keys themselves come from HMAC-DRBG at provisioning, one
-/// device at a time (`derive`) or 8 lanes at a time (`derive_batch/8`),
-/// both priced per device.
+/// The device keys themselves come from HMAC-DRBG at provisioning: one
+/// generator per key (`derive`), or one generator instantiated for a
+/// range of devices and cloned per device, as a fleet shard provisions
+/// (`derive_range/64`); both are priced per device.
 fn bench_key_schedule(c: &mut Criterion) {
     let key = [0x42u8; 32];
     // Timestamp + SHA-256 digest, as built by `Measurement::mac_input`.
@@ -81,53 +79,22 @@ fn bench_key_schedule(c: &mut Criterion) {
             std::hint::black_box(DeviceKey::derive(b"erasmus-fleet", device))
         })
     });
-    group.throughput(Throughput::Elements(8));
-    group.bench_function("derive_batch/8", |b| {
+    const RANGE: u64 = 64;
+    group.throughput(Throughput::Elements(RANGE));
+    group.bench_function("derive_range/64", |b| {
         b.iter(|| {
-            device += 8;
-            let ids = std::array::from_fn(|lane| device + lane as u64);
-            std::hint::black_box(DeviceKey::derive_batch::<8>(b"erasmus-fleet", ids))
+            let ids = device..device + RANGE;
+            device += RANGE;
+            for key in DeviceKey::derive_range(b"erasmus-fleet", ids) {
+                std::hint::black_box(key);
+            }
         })
     });
     group.finish();
 }
 
-/// Scalar vs lane-interleaved hashing at measurement-like sizes: the
-/// throughput is bytes hashed across *all* lanes, so the multi-buffer wins
-/// show up directly as higher GiB/s at identical per-message work.
-fn bench_multi_buffer(c: &mut Criterion) {
-    let mut group = c.benchmark_group("multi_buffer");
-    for size in [1024usize, 4 * 1024, 64 * 1024] {
-        let images: Vec<Vec<u8>> = (0..8u8).map(|lane| vec![lane ^ 0xab; size]).collect();
-
-        group.throughput(Throughput::Bytes(8 * size as u64));
-        group.bench_with_input(BenchmarkId::new("SHA-256/scalar", size), &images, |b, m| {
-            b.iter(|| {
-                for image in m.iter() {
-                    std::hint::black_box(Sha256::digest(image));
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("SHA-256/x4", size), &images, |b, m| {
-            b.iter(|| {
-                for pair in m.chunks_exact(4) {
-                    std::hint::black_box(Sha256x4::digest(std::array::from_fn(|i| &pair[i][..])));
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("SHA-256/x8", size), &images, |b, m| {
-            b.iter(|| {
-                std::hint::black_box(Sha256x8::digest(std::array::from_fn(|i| &m[i][..])));
-            })
-        });
-    }
-    group.finish();
-}
-
 /// `Verifier::verify_collection` of one 16-measurement response, priced
-/// per measurement, under each MAC. HMAC-SHA256 checks the tags 8 lanes
-/// wide (two passes); HMAC-SHA1 and keyed BLAKE2s have no lane core, so
-/// they check them one at a time.
+/// per measurement, under each MAC: one tag check per measurement.
 fn bench_verify_collection(c: &mut Criterion) {
     const MEASUREMENTS: usize = 16;
     let mut group = c.benchmark_group("verify_collection");
@@ -163,7 +130,6 @@ criterion_group!(
     benches,
     bench_mac_throughput,
     bench_key_schedule,
-    bench_multi_buffer,
     bench_verify_collection
 );
 criterion_main!(benches);

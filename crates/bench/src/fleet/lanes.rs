@@ -1,25 +1,23 @@
-//! Lane widths for batched measurement hashing.
+//! The group widths of the fleet benchmark's traced replica.
 //!
-//! The fleet harness batches same-instant measurements into multi-lane hash
-//! jobs (the private `shard` module) through
-//! [`erasmus_core::Measurement::compute_keyed_batch`]. This module fixes
-//! which widths have a lane-interleaved core behind them and how a
-//! requested [`super::FleetConfig::lanes`] bound maps onto one. The
-//! `multi_buffer` group of the `mac_throughput` criterion bench prices
-//! scalar against 4- and 8-lane hashing.
+//! The fleet runtime measures every device through the scalar path and
+//! never reads [`super::FleetConfig::lanes`]. Only the replica of the
+//! runtime in the fleet benchmark (`crates/bench/examples/benchmark`,
+//! `pipeline.rs`) still reads it: it maps the bound onto a group width
+//! here and hands each group of due devices to
+//! [`erasmus_core::Prover::self_measure_batch`], which measures them one
+//! at a time. ROADMAP item 2 deletes the replica, and this module with it.
 
-/// Lane widths with a lane-interleaved core behind them, widest first.
-pub const SUPPORTED_WIDTHS: [usize; 2] = [8, 4];
-
-/// The widest supported lane width not exceeding `lanes` (1 = scalar).
+/// The widest of 8 and 4 not exceeding `lanes`, or 1 when `lanes` < 4.
 ///
-/// `lanes` is an upper bound, not an exact width: 6 batches in groups of
-/// 4, 32 in groups of 8, and 2 falls back to the scalar path.
+/// `lanes` is an upper bound, not an exact width: 6 groups by 4, 32 by 8,
+/// and 2 by 1.
 pub fn effective_width(lanes: usize) -> usize {
-    SUPPORTED_WIDTHS
-        .into_iter()
-        .find(|&width| lanes >= width)
-        .unwrap_or(1)
+    match lanes {
+        8.. => 8,
+        4..=7 => 4,
+        _ => 1,
+    }
 }
 
 #[cfg(test)]

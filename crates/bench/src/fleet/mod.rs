@@ -29,16 +29,13 @@
 //! against a serial oracle that calls the protocol directly, with no engine
 //! and no codec.
 //!
-//! With `lanes` ≥ 4 each shard coalesces same-instant measurements —
-//! devices sharing a stagger-group offset — into lane-interleaved hash jobs
-//! ([`erasmus_crypto::Sha256xN`] via
-//! [`erasmus_core::Measurement::compute_keyed_batch`]), falling back to the
-//! scalar path for ragged remainders; totals stay bit-identical at every
-//! lane width (see [`lanes`]). The verifier side is 8 lanes wide whatever
-//! `lanes` says: each shard derives its device keys 8 at a time
-//! ([`erasmus_hw::DeviceKey::derive_batch`]), its hub extends the chains of
-//! up to 8 devices of a frame at once, and the merged hub re-verifies 8
-//! devices' chains at once ([`erasmus_core::VerifierHub::verified_chains`]).
+//! Every hash of a run is a scalar `erasmus-crypto` call over one message,
+//! one device at a time: each shard instantiates the key-derivation
+//! generator once and clones it per device
+//! ([`erasmus_hw::DeviceKey::derive_range`]), each measurement hashes one
+//! memory image, each frame record is verified and folded into its hub
+//! history in turn, and the merged hub re-verifies each device's chain
+//! ([`erasmus_core::VerifierHub::verified_chains`]).
 //!
 //! Injected faults ride the same deterministic draws: duplicated frames
 //! are deduplicated by the hubs' per-flow sequence windows, reordered
@@ -130,12 +127,10 @@ pub struct FleetConfig {
     /// Fleet-wide count of authenticated on-demand requests (ERASMUS+OD)
     /// injected at deterministic instants during the run.
     pub on_demand: usize,
-    /// Upper bound on the lane width of the provers' self-measurement: 1
-    /// runs the scalar per-device path; ≥ 4 coalesces same-instant
-    /// measurements into lane-interleaved hash jobs of the widest supported
-    /// width not exceeding this value (see [`lanes::effective_width`]).
-    /// Totals are bit-identical at every width. It sets nothing else: hub
-    /// chain folds and key derivation are always 8 lanes wide.
+    /// Group width bound for the fleet benchmark's traced replica of this
+    /// runtime, its only reader (see [`lanes`]). [`run_threaded`] ignores
+    /// it and measures every device through the scalar path; ROADMAP item
+    /// 2 deletes it with the replica.
     pub lanes: usize,
     /// Per-device verifier-history ring: resident state is capped at
     /// O(capacity) per device, evicted entries are sealed into the hash
@@ -391,9 +386,6 @@ pub struct FleetReport {
     pub on_demand_p99: SimDuration,
     /// Devices that left and rejoined during the run.
     pub devices_churned: u64,
-    /// Multi-lane hash jobs executed across all shards (0 when `lanes` is
-    /// 1 or no cohort filled a lane group).
-    pub lane_jobs: u64,
     /// Scheduled measurements: every due device of a stagger cohort's tick
     /// counts once.
     pub events_scheduled: u64,
@@ -580,7 +572,6 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         on_demand_p90: percentile(&total.on_demand_latencies, 0.90),
         on_demand_p99: percentile(&total.on_demand_latencies, 0.99),
         devices_churned: total.devices_churned,
-        lane_jobs: total.lane_jobs,
         events_scheduled: total.events_scheduled,
         singleton_events: total.singleton_events,
         coalesced_events: total.coalesced_events,
@@ -913,29 +904,24 @@ mod tests {
 
     #[test]
     fn coalescing_ledger_conserves_scheduled_events() {
-        // coalesced + singleton == scheduled, in every mode — and with
-        // more devices than stagger groups the cohort path must actually
-        // save queue slots.
-        for lanes in [1usize, 8] {
-            let mut config = tiny(MacAlgorithm::HmacSha256);
-            config.provers = 64;
-            config.stagger_groups = 4;
-            config.lanes = lanes;
-            let report = run_threaded(&config, 2);
-            assert_eq!(
-                report.coalesced_events + report.singleton_events,
-                report.events_scheduled,
-                "lanes={lanes}"
-            );
-            assert_eq!(report.events_scheduled, report.measurements_total);
-            assert!(
-                report.coalesced_events > 0,
-                "16 devices per stagger group must coalesce (lanes={lanes})"
-            );
-            // Queue accounting: every push is eventually popped.
-            assert_eq!(report.queue.pushes, report.queue.pops);
-            assert!(report.queue.max_pending > 0);
-        }
+        // coalesced + singleton == scheduled — and with more devices than
+        // stagger groups the cohort path must actually save queue slots.
+        let mut config = tiny(MacAlgorithm::HmacSha256);
+        config.provers = 64;
+        config.stagger_groups = 4;
+        let report = run_threaded(&config, 2);
+        assert_eq!(
+            report.coalesced_events + report.singleton_events,
+            report.events_scheduled
+        );
+        assert_eq!(report.events_scheduled, report.measurements_total);
+        assert!(
+            report.coalesced_events > 0,
+            "16 devices per stagger group must coalesce"
+        );
+        // Queue accounting: every push is eventually popped.
+        assert_eq!(report.queue.pushes, report.queue.pops);
+        assert!(report.queue.max_pending > 0);
     }
 
     #[test]

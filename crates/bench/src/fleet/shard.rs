@@ -61,16 +61,15 @@
 //! * Every device measures and is collected on its stagger cohort's
 //!   lattice `offset + k·T_M`, so the schedule is one
 //!   [`FleetEvent::CohortTick`] per (instant, cohort): the tick measures
-//!   the due members (lane-batched, or as width-1 scalar jobs) and, when
-//!   it ends a round, collects every member. Each cohort has exactly one
-//!   tick pending, so the engine's binary heap holds the cohorts plus the
-//!   traffic in flight, never one event per device or per round. The
-//!   per-shard ledger keeps the conservation invariant
+//!   the due members one by one and, when it ends a round, collects every
+//!   member. Each cohort has exactly one tick pending, so the engine's
+//!   binary heap holds the cohorts plus the traffic in flight, never one
+//!   event per device or per round. The per-shard ledger keeps the
+//!   conservation invariant
 //!   `coalesced_events + singleton_events == events_scheduled`.
 //! * Per-device hot state is struct-of-arrays ([`DeviceState`]): activity,
 //!   epoch tags and sequence counters live in parallel vecs indexed by
-//!   dense local slot, next to the `provers` column lane batching selects
-//!   disjoint `&mut Prover`s from.
+//!   dense local slot, next to the `provers` and `verifiers` columns.
 //! * Events own their payloads: a collection response rides its
 //!   [`FleetEvent::CollectDeliver`] or [`FleetEvent::CollectRetry`] by
 //!   value, and an on-demand exchange rides its
@@ -129,32 +128,11 @@ fn flow(global: u64, channel: u64) -> u64 {
 /// The master seed every fleet device key derives from.
 const FLEET_SEED: &[u8] = b"erasmus-fleet";
 
-/// Device keys derived per lane pass ([`DeviceKey::derive_batch`]).
-const KEY_LANES: usize = 8;
-
-/// The keys of the devices with global indices `range`, in order: full
-/// groups of [`KEY_LANES`] through [`DeviceKey::derive_batch`], the
-/// remainder through [`DeviceKey::derive`]. Every key equals `derive`'s.
-fn fleet_keys(range: Range<usize>) -> impl Iterator<Item = DeviceKey> {
-    let batched_end = range.start + range.len() / KEY_LANES * KEY_LANES;
-    let batched = (range.start..batched_end)
-        .step_by(KEY_LANES)
-        .flat_map(|first| {
-            DeviceKey::derive_batch::<KEY_LANES>(
-                FLEET_SEED,
-                std::array::from_fn(|lane| (first + lane) as u64),
-            )
-        });
-    let remainder = (batched_end..range.end).map(|i| DeviceKey::derive(FLEET_SEED, i as u64));
-    batched.chain(remainder)
-}
-
 /// Struct-of-arrays device state: every hot per-device scalar lives in its
 /// own parallel vec, indexed by dense local slot.
 ///
-/// Lane batching selects disjoint `&mut Prover`s straight out of the
-/// `provers` column. A device's global fleet index (keys, phase offsets,
-/// network flows) is `base + local`; it is never stored per device.
+/// A device's global fleet index (keys, phase offsets, network flows) is
+/// `base + local`; it is never stored per device.
 struct DeviceState {
     provers: Vec<Prover>,
     verifiers: Vec<Verifier>,
@@ -206,10 +184,9 @@ impl DeviceState {
 /// `a_queued_event_fits_in_96_bytes` pins.
 enum FleetEvent {
     /// Tick `tick` (1-based) of a stagger cohort's lattice,
-    /// `offset + tick·T_M`: every active member measures — in
-    /// lane-interleaved groups when lanes are on, scalar width-1 jobs
-    /// otherwise — and, when the tick ends a round, the verifier's
-    /// collection request reaches every member.
+    /// `offset + tick·T_M`: every active member measures and, when the
+    /// tick ends a round, the verifier's collection request reaches every
+    /// member.
     CohortTick { cohort: usize, tick: usize },
     /// A collection response reaches the verifier side.
     CollectDeliver {
@@ -350,8 +327,6 @@ pub(crate) struct Shard {
     churn: Vec<(usize, SimTime, SimTime)>,
     /// `(local index, issue instant)` on-demand plan, sorted by time.
     on_demand: Vec<(usize, SimTime)>,
-    /// Effective lane width for batched measurement (1 = scalar jobs).
-    lane_width: usize,
     /// Stagger cohorts (one per phase offset present in this shard).
     cohorts: Vec<Cohort>,
 }
@@ -447,13 +422,6 @@ pub struct ShardReport {
     pub on_demand_latencies: Vec<SimDuration>,
     /// Devices of this shard that leave and rejoin during the run.
     pub devices_churned: u64,
-    /// Multi-lane hash jobs this shard executed (lane-batched mode).
-    pub lane_jobs: u64,
-    /// Measurements that fell back to the scalar path as the ragged
-    /// remainder of a lane-batched cohort (fewer than 4 devices left after
-    /// the lane groups). Every scheduled measurement runs on a cohort tick,
-    /// so with lanes on this counts every scalar one.
-    pub lane_remainder: u64,
     /// Scheduled measurements, each taken on its cohort's tick.
     pub events_scheduled: u64,
     /// Cohort ticks that carried at least one due measurement.
@@ -522,8 +490,6 @@ impl ShardReport {
         self.on_demand_latencies
             .extend_from_slice(&other.on_demand_latencies);
         self.devices_churned += other.devices_churned;
-        self.lane_jobs += other.lane_jobs;
-        self.lane_remainder += other.lane_remainder;
         self.events_scheduled += other.events_scheduled;
         self.singleton_events += other.singleton_events;
         self.coalesced_events += other.coalesced_events;
@@ -535,8 +501,9 @@ impl ShardReport {
 
 impl Shard {
     /// Provisions the devices with global fleet indices `range`: per-device
-    /// keys (derived 8 at a time, see `fleet_keys`), precomputed MAC
-    /// schedules, reference digests, stagger cohorts —
+    /// keys (from one key-derivation generator per shard, see
+    /// [`DeviceKey::derive_range`]), precomputed MAC schedules, reference
+    /// digests, stagger cohorts —
     /// plus the shard's slices of the deterministic churn and on-demand
     /// plans.
     ///
@@ -554,7 +521,8 @@ impl Shard {
         let buffer_slots = config.measurements_per_round.max(1);
         let span = MEASUREMENT_INTERVAL * (config.measurements_per_round * config.rounds) as u64;
         let mut devices = DeviceState::with_capacity(range.len());
-        for (i, key) in range.clone().zip(fleet_keys(range.clone())) {
+        let keys = DeviceKey::derive_range(FLEET_SEED, range.start as u64..range.end as u64);
+        for (i, key) in range.clone().zip(keys) {
             // The device's phase offset goes into its *prover schedule*:
             // measurements genuinely fire at `offset + k·T_M`, so at any
             // simulated instant only one stagger group is busy measuring.
@@ -610,9 +578,8 @@ impl Shard {
 
         // Group the shard's devices into stagger cohorts — one cohort per
         // phase offset, i.e. per set of devices measured and collected at
-        // the same simulated instants. Cohorts drive the schedule in every
-        // mode: the queue holds one tick per (instant, cohort) whether the
-        // jobs then run lane-batched or scalar.
+        // the same simulated instants: the queue holds one tick per
+        // (instant, cohort).
         let mut cohorts: Vec<Cohort> = Vec::new();
         let mut by_group: std::collections::BTreeMap<usize, usize> =
             std::collections::BTreeMap::new();
@@ -637,7 +604,6 @@ impl Shard {
             engine: Engine::new(),
             churn,
             on_demand,
-            lane_width: super::lanes::effective_width(config.lanes),
             cohorts,
         }
     }
@@ -980,13 +946,8 @@ impl Shard {
         }
     }
 
-    /// Fires every due measurement of a stagger cohort at `now` as
-    /// lane-interleaved batch jobs: groups of `lane_width` (with a narrower
-    /// 4-lane pass when an 8-lane shard leaves 4–7 devices over) hash their
-    /// memory images in lockstep through `Prover::self_measure_batch`; the
-    /// ragged remainder falls back to the scalar path. Every device's
-    /// measurement is bit-identical to the scalar timeline, so totals,
-    /// health and hub coverage do not depend on the lane width.
+    /// Fires every due measurement of a stagger cohort at `now`, one
+    /// device at a time in ascending local order.
     fn measure_cohort(&mut self, state: &mut RunState, cohort: usize, now: SimTime) {
         // One scratch vec is reused across ticks.
         let mut due = std::mem::take(&mut state.due_scratch);
@@ -1011,49 +972,16 @@ impl Shard {
             state.report.singleton_events += 1;
             state.report.coalesced_events += due.len() as u64 - 1;
             let started = Instant::now();
-            let mut rest: &[usize] = &due;
-            if self.lane_width >= 8 {
-                while rest.len() >= 8 {
-                    let (group, tail) = rest.split_at(8);
-                    self.measure_lane_group::<8>(group.try_into().expect("8 lanes"), now, state);
-                    rest = tail;
-                }
-            }
-            if self.lane_width >= 4 {
-                while rest.len() >= 4 {
-                    let (group, tail) = rest.split_at(4);
-                    self.measure_lane_group::<4>(group.try_into().expect("4 lanes"), now, state);
-                    rest = tail;
-                }
-            }
-            for &local in rest {
+            for &local in &due {
                 self.devices.provers[local]
                     .self_measure(now)
                     .expect("fleet measurement");
-                state.report.measurements += 1;
-                if self.lane_width > 1 {
-                    state.report.lane_remainder += 1;
-                }
             }
+            state.report.measurements += due.len() as u64;
             state.report.measure_wall += started.elapsed();
         }
         due.clear();
         state.due_scratch = due;
-    }
-
-    /// One multi-lane measurement job over `N` cohort members (ascending
-    /// local indices), selected as disjoint `&mut Prover`s straight out of
-    /// the SoA prover column.
-    fn measure_lane_group<const N: usize>(
-        &mut self,
-        group: [usize; N],
-        now: SimTime,
-        state: &mut RunState,
-    ) {
-        let provers = select_mut(&mut self.devices.provers, &group);
-        Prover::self_measure_batch(provers, now).expect("fleet lane measurement");
-        state.report.measurements += N as u64;
-        state.report.lane_jobs += 1;
     }
 
     /// Buffers a raw collection response into the current delivery burst;
@@ -1274,22 +1202,6 @@ impl Shard {
     }
 }
 
-/// Disjoint mutable borrows of `indices` (strictly ascending) out of
-/// `items`, via progressive `split_at_mut` — no unsafe, O(N) total.
-fn select_mut<'a, T, const N: usize>(items: &'a mut [T], indices: &[usize; N]) -> [&'a mut T; N] {
-    let mut rest: &'a mut [T] = items;
-    let mut consumed = 0usize;
-    let mut out: [Option<&'a mut T>; N] = [const { None }; N];
-    for (slot, &index) in out.iter_mut().zip(indices) {
-        let (_, tail) = rest.split_at_mut(index - consumed);
-        let (first, tail) = tail.split_first_mut().expect("index within the shard");
-        *slot = Some(first);
-        consumed = index + 1;
-        rest = tail;
-    }
-    out.map(|item| item.expect("every lane selected"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1468,74 +1380,6 @@ mod tests {
         // Each exchange takes one fresh measurement on top of the schedule.
         assert_eq!(report.measurements, config.total_measurements() + 5);
         assert!(report.all_healthy);
-    }
-
-    #[test]
-    fn lane_batched_shard_is_observationally_identical_to_scalar() {
-        // 24 devices over 3 stagger groups → cohorts of 8 per instant:
-        // enough for full 8-lane jobs, 4-lane jobs and scalar remainders at
-        // the narrower widths.
-        for alg in [MacAlgorithm::HmacSha256, MacAlgorithm::KeyedBlake2s] {
-            let config = FleetConfig::new(24, 3, 2, 256, 3, alg);
-            let mut scalar_shard = shard_for(&config, 0..24, 0);
-            let scalar = scalar_shard.run(&config);
-            assert_eq!(scalar.lane_jobs, 0);
-            let scalar_hub = scalar_shard.into_hub();
-            for lanes in [4usize, 8] {
-                let mut config = config.clone();
-                config.lanes = lanes;
-                let mut shard = shard_for(&config, 0..24, 0);
-                let report = shard.run(&config);
-                assert_eq!(report.measurements, scalar.measurements, "{alg} x{lanes}");
-                assert_eq!(report.verifications, scalar.verifications, "{alg} x{lanes}");
-                assert_eq!(report.all_healthy, scalar.all_healthy, "{alg} x{lanes}");
-                assert_eq!(
-                    report.simulated_busy, scalar.simulated_busy,
-                    "{alg} x{lanes}"
-                );
-                assert!(report.lane_jobs > 0, "{alg} x{lanes} batched nothing");
-                // The verifier side learned byte-identical histories.
-                let hub = shard.into_hub();
-                assert_eq!(hub.len(), scalar_hub.len());
-                assert_eq!(hub.total_entries(), scalar_hub.total_entries());
-                for id in 0..24u64 {
-                    let batched: Vec<_> = hub
-                        .history(DeviceId::new(id))
-                        .expect("tracked")
-                        .entries()
-                        .collect();
-                    let reference: Vec<_> = scalar_hub
-                        .history(DeviceId::new(id))
-                        .expect("tracked")
-                        .entries()
-                        .collect();
-                    assert_eq!(batched, reference, "{alg} x{lanes} device {id}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_batched_shard_handles_churn_and_ragged_cohorts() {
-        // 10 devices in 2 groups → cohorts of 5: one 4-lane job plus one
-        // scalar remainder per instant; churn shrinks cohorts mid-run.
-        let mut config = FleetConfig::new(10, 2, 3, 128, 2, MacAlgorithm::HmacSha256);
-        config.churn = 0.6;
-        config.seed = 11;
-        let scalar = shard_for(&config, 0..10, 0).run(&config);
-        config.lanes = 4;
-        let mut shard = shard_for(&config, 0..10, 0);
-        let report = shard.run(&config);
-        assert!(report.devices_churned > 0, "plan drew no churners");
-        assert_eq!(report.measurements, scalar.measurements);
-        assert_eq!(report.verifications, scalar.verifications);
-        assert_eq!(report.simulated_busy, scalar.simulated_busy);
-        assert_eq!(report.collections_dropped, scalar.collections_dropped);
-        assert!(report.lane_jobs > 0);
-        assert!(
-            report.lane_remainder > 0,
-            "no scalar remainder in a 5-cohort"
-        );
     }
 
     #[test]

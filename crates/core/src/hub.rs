@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::encoding::{DecodeError, FrameView, ResponseView};
-use crate::history::{fold_chains, oldest_first, ChainFold, DeviceHistory, HistoryMode, LANES};
+use crate::history::{DeviceHistory, HistoryMode};
 use crate::ids::DeviceId;
 use crate::report::CollectionReport;
 
@@ -77,20 +77,6 @@ pub struct FrameIngest {
     /// Size of the decoded frame in bytes, including the count header.
     pub bytes: u64,
 }
-
-/// A report placed in its device's history by [`DeviceHistory::place_append`]
-/// whose head waits to be extended beside the rest of its lane group.
-struct PendingAppend {
-    device: DeviceId,
-    /// The device's head before the append.
-    head: [u8; 32],
-    /// How many of the report's entries the chain seals.
-    sealed_new: usize,
-    report: CollectionReport,
-}
-
-/// The pending appends of one lane group, at most one per lane.
-type LaneGroup = [Option<PendingAppend>; LANES];
 
 /// Per-device [`DeviceHistory`] map covering a fleet.
 ///
@@ -165,8 +151,8 @@ impl VerifierHub {
     }
 
     /// Routes a collection report to the history of the device it is about,
-    /// creating that history on first contact. Frames fold their reports in
-    /// through here, one at a time.
+    /// creating that history on first contact. Every verified frame record
+    /// folds in through here too, one report at a time.
     ///
     /// Returns `false` if the per-device history rejected the report (the
     /// [`DeviceHistory::ingest`] device-ID cross-check failed — impossible
@@ -194,18 +180,8 @@ impl VerifierHub {
     /// [`FrameIngest::verify_failed`]) — e.g. for a record about an unknown
     /// device or one that fails MAC-level verification.
     ///
-    /// Each record is verified in wire order and its report placed at once.
-    /// A report that [`DeviceHistory::ingest`] would append wholesale
-    /// (newest first, all new, sealing none or all of the old residents)
-    /// is placed in its history with its head extension deferred to the
-    /// frame's lane group; any other report goes through
-    /// [`VerifierHub::ingest`]. The group's deferred heads are extended in
-    /// lockstep, one device per [`crate::extend_digest_x8`] lane, before a
-    /// report is placed while the group is full (8 reports) or holds that
-    /// report's device, and at the end of the frame. A frame of one record
-    /// goes straight through [`VerifierHub::ingest`]. So at most one group
-    /// of at most 8 reports is in flight, and when the call returns every
-    /// history's head again folds from its chain and resident window.
+    /// Each record is verified in wire order, and the report it yields goes
+    /// through [`VerifierHub::ingest`] before the next record is verified.
     ///
     /// # Errors
     ///
@@ -235,8 +211,8 @@ impl VerifierHub {
     /// The `Ok(Some(ingest))` outcome doubles as the hub's acknowledgement:
     /// in a live deployment this is the point where an ack for `(flow,
     /// sequence)` would be sent back to the collector. A fresh frame is
-    /// verified and folded in lane groups exactly as
-    /// [`VerifierHub::ingest_frame`] does.
+    /// verified and folded in exactly as [`VerifierHub::ingest_frame`]
+    /// does.
     ///
     /// # Errors
     ///
@@ -261,8 +237,8 @@ impl VerifierHub {
     }
 
     /// Shared tail of the frame-ingestion paths: verify each response off
-    /// the already-validated frame and fold the reports in, one lane group
-    /// at a time (see [`VerifierHub::ingest_frame`]).
+    /// the already-validated frame and fold its report in (see
+    /// [`VerifierHub::ingest_frame`]).
     fn ingest_parsed<F>(&mut self, parsed: &FrameView<'_>, mut verify: F) -> FrameIngest
     where
         F: FnMut(ResponseView<'_>) -> Option<CollectionReport>,
@@ -272,77 +248,18 @@ impl VerifierHub {
             bytes: u64::try_from(parsed.frame_len()).unwrap_or(u64::MAX),
             ..FrameIngest::default()
         };
-        let mut group = LaneGroup::default();
         for view in parsed.responses() {
-            let accepted = match verify(view) {
-                // A lone record has no other chain to fold beside it.
-                Some(report) if parsed.len() == 1 => self.ingest(&report),
-                Some(report) => self.place(&mut group, report),
-                None => {
-                    outcome.verify_failed += 1;
-                    continue;
-                }
+            let Some(report) = verify(view) else {
+                outcome.verify_failed += 1;
+                continue;
             };
-            if accepted {
+            if self.ingest(&report) {
                 outcome.accepted += 1;
             } else {
                 outcome.rejected += 1;
             }
         }
-        self.extend_group(&mut group);
         outcome
-    }
-
-    /// Folds one report in: placed with its head extension deferred to
-    /// `group` when it is a wholesale append, through
-    /// [`VerifierHub::ingest`] otherwise. A full group, or one that defers
-    /// the report's device, is extended first. Returns whether the report
-    /// was accepted.
-    fn place(&mut self, group: &mut LaneGroup, report: CollectionReport) -> bool {
-        let device = report.device();
-        let full = group.iter().all(Option::is_some);
-        let deferred = group
-            .iter()
-            .flatten()
-            .any(|pending| pending.device == device);
-        if full || deferred {
-            self.extend_group(group);
-        }
-        let history = self.history_mut(device);
-        let head = *history.head_digest();
-        let Some(sealed_new) = history.place_append(&report) else {
-            return self.ingest(&report);
-        };
-        self.ingested += 1;
-        if let Some(slot) = group.iter_mut().find(|slot| slot.is_none()) {
-            *slot = Some(PendingAppend {
-                device,
-                head,
-                sealed_new,
-                report,
-            });
-        }
-        true
-    }
-
-    /// Extends the deferred heads of `group` in lockstep and empties it.
-    fn extend_group(&mut self, group: &mut LaneGroup) {
-        let folds = fold_chains(group.each_ref().map(|pending| {
-            pending.as_ref().map(|pending| {
-                ChainFold::new(
-                    pending.head,
-                    oldest_first(&pending.report),
-                    pending.sealed_new,
-                )
-            })
-        }));
-        for (pending, fold) in group.iter_mut().zip(folds) {
-            if let (Some(pending), Some((head, sealed))) = (pending.take(), fold) {
-                if let Some(history) = self.histories.get_mut(&pending.device) {
-                    history.settle(head, sealed);
-                }
-            }
-        }
     }
 
     /// The history of one device, if any report (or registration) mentioned
@@ -419,28 +336,10 @@ impl VerifierHub {
     }
 
     /// Re-verifies every device's hash chain — `head == fold(chain,
-    /// resident entries)` — and returns how many devices passed. A healthy
-    /// hub returns [`VerifierHub::len`].
-    ///
-    /// Devices are refolded 8 at a time, one per
-    /// [`crate::extend_digest_x8`] lane; the last fewer than 8 go through
-    /// [`DeviceHistory::verify_chain`].
+    /// resident entries)`, [`DeviceHistory::verify_chain`] — and returns
+    /// how many devices passed. A healthy hub returns [`VerifierHub::len`].
     pub fn verified_chains(&self) -> usize {
-        let mut histories = self.histories.values();
-        let mut verified = 0;
-        while histories.len() >= LANES {
-            let group: [Option<&DeviceHistory>; LANES] = std::array::from_fn(|_| histories.next());
-            let folds = fold_chains(group.map(|history| history.map(DeviceHistory::resident_fold)));
-            verified += group
-                .iter()
-                .zip(folds)
-                .filter(|(history, fold)| match (history, fold) {
-                    (Some(history), Some((head, _))) => history.head_digest() == head,
-                    _ => false,
-                })
-                .count();
-        }
-        verified + histories.filter(|h| h.verify_chain()).count()
+        self.histories.values().filter(|h| h.verify_chain()).count()
     }
 
     /// Devices whose timeline contains at least one non-healthy measurement,
@@ -1048,14 +947,13 @@ mod tests {
     }
 
     #[test]
-    fn verified_chains_catches_a_bad_head_in_every_lane() {
+    fn verified_chains_catches_a_bad_head_on_every_device() {
         use crate::measurement::Measurement;
         use crate::report::{AttestationVerdict, VerifiedMeasurement};
         use erasmus_crypto::MacTag;
 
-        // 19 devices: two 8-lane groups and a scalar tail of 3. Windows of
-        // 1 to 6 entries into a ring of 4 make the lanes ragged, and some
-        // chains sealed.
+        // 19 devices with windows of 1 to 6 entries into a ring of 4, so
+        // some chains are sealed and some are not.
         let mut hub = VerifierHub::with_history(HistoryMode::Ring(4));
         for id in 0..19u64 {
             let verified = (1..=id % 6 + 1)

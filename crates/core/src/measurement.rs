@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use erasmus_crypto::{Digest, KeyedMac, MacAlgorithm, MacTag, MultiKeyedMac, Sha256, Sha256xN};
+use erasmus_crypto::{Digest, KeyedMac, MacAlgorithm, MacTag, Sha256};
 use erasmus_sim::SimTime;
 
 /// Byte length of the memory digest `H(mem_t)` (always SHA-256).
@@ -22,10 +22,12 @@ pub const MAC_INPUT_LEN: usize = 8 + DIGEST_LEN;
 /// mangle them, but — lacking `K` — it cannot forge a valid one, so any
 /// tampering is detected at the next collection.
 ///
-/// Computing and verifying a measurement is the system's hot path: both are
-/// allocation-free, and the keyed variants ([`Measurement::compute_keyed`],
-/// [`Measurement::verify_keyed`]) reuse a once-per-device [`KeyedMac`]
-/// schedule instead of re-deriving the HMAC key schedule per measurement.
+/// Computing and verifying a measurement is the system's hot path. Both are
+/// allocation-free and run one device at a time: one scalar [`Sha256`] over
+/// the memory image, then one MAC. The keyed variants
+/// ([`Measurement::compute_keyed`], [`Measurement::verify_keyed`]) reuse a
+/// once-per-device [`KeyedMac`] schedule instead of re-deriving the HMAC
+/// key schedule per measurement.
 ///
 /// # Example
 ///
@@ -74,57 +76,6 @@ impl Measurement {
         Self::from_digest_keyed(keyed, timestamp, digest)
     }
 
-    /// Computes `N` measurements over `N` equal-length memory images in
-    /// lockstep — the fleet's lane-batched hot path.
-    ///
-    /// The memory digests ride the lane-interleaved SHA-256 core
-    /// ([`Sha256xN`]) and the tags ride the transposed per-device key
-    /// schedules ([`MultiKeyedMac`]); every lane's measurement is
-    /// bit-identical to [`Measurement::compute_keyed`] under the same key,
-    /// timestamp and memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the memory images are not all the same length (the lanes
-    /// share one block counter). Mixed-size fleets must batch per size
-    /// class or fall back to the scalar path.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use erasmus_core::Measurement;
-    /// use erasmus_crypto::{MacAlgorithm, MultiKeyedMac};
-    /// use erasmus_sim::SimTime;
-    ///
-    /// let keys: Vec<_> = (0u8..4)
-    ///     .map(|i| MacAlgorithm::HmacSha256.with_key(&[i; 32]))
-    ///     .collect();
-    /// let multi = MultiKeyedMac::<4>::new(std::array::from_fn(|i| &keys[i]));
-    /// let images: Vec<Vec<u8>> = (0u8..4).map(|i| vec![i; 1024]).collect();
-    /// let t = [SimTime::from_secs(60); 4];
-    /// let batch =
-    ///     Measurement::compute_keyed_batch(&multi, t, std::array::from_fn(|i| &images[i][..]));
-    /// for (lane, keyed) in keys.iter().enumerate() {
-    ///     let scalar = Measurement::compute_keyed(keyed, t[lane], &images[lane]);
-    ///     assert_eq!(batch[lane], scalar);
-    /// }
-    /// ```
-    pub fn compute_keyed_batch<const N: usize>(
-        keyed: &MultiKeyedMac<N>,
-        timestamps: [SimTime; N],
-        memories: [&[u8]; N],
-    ) -> [Measurement; N] {
-        let digests = Sha256xN::<N>::digest(memories);
-        let inputs: [[u8; MAC_INPUT_LEN]; N] =
-            std::array::from_fn(|lane| Self::mac_input(timestamps[lane], &digests[lane]));
-        let tags = keyed.mac(std::array::from_fn(|lane| &inputs[lane][..]));
-        std::array::from_fn(|lane| Self {
-            timestamp: timestamps[lane],
-            digest: digests[lane],
-            tag: tags[lane],
-        })
-    }
-
     /// Computes a measurement from an already-hashed memory digest.
     ///
     /// The prover's trusted code hashes memory inside the security
@@ -168,10 +119,8 @@ impl Measurement {
     }
 
     /// The canonical MAC input: the big-endian timestamp followed by the
-    /// memory digest, built on the stack. Crate-visible so the verifier can
-    /// check MACs straight off borrowed wire-frame slices without
-    /// materializing a `Measurement` first.
-    pub(crate) fn mac_input(timestamp: SimTime, digest: &MemoryDigest) -> [u8; MAC_INPUT_LEN] {
+    /// memory digest, built on the stack.
+    fn mac_input(timestamp: SimTime, digest: &MemoryDigest) -> [u8; MAC_INPUT_LEN] {
         let mut input = [0u8; MAC_INPUT_LEN];
         input[..8].copy_from_slice(&timestamp.as_nanos().to_be_bytes());
         input[8..].copy_from_slice(digest);
@@ -265,39 +214,6 @@ mod tests {
             let wrong = alg.with_key(&[0u8; 32]);
             assert!(!precomputed.verify_keyed(&wrong), "{alg}");
         }
-    }
-
-    #[test]
-    fn batch_path_is_byte_identical_to_scalar_per_lane() {
-        for alg in MacAlgorithm::ALL {
-            let keys: Vec<KeyedMac> = (0u8..8).map(|i| alg.with_key(&[i ^ 0xa5; 32])).collect();
-            let multi = MultiKeyedMac::<8>::new(std::array::from_fn(|i| &keys[i]));
-            let images: Vec<Vec<u8>> = (0u8..8).map(|i| vec![i.wrapping_mul(31); 300]).collect();
-            let timestamps: [SimTime; 8] = std::array::from_fn(|i| SimTime::from_secs(i as u64));
-            let batch = Measurement::compute_keyed_batch(
-                &multi,
-                timestamps,
-                std::array::from_fn(|i| &images[i][..]),
-            );
-            for lane in 0..8 {
-                let scalar =
-                    Measurement::compute_keyed(&keys[lane], timestamps[lane], &images[lane]);
-                assert_eq!(batch[lane], scalar, "{alg} lane {lane}");
-                assert!(batch[lane].verify_keyed(&keys[lane]), "{alg} lane {lane}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn batch_path_rejects_ragged_memory_images() {
-        let keyed = MacAlgorithm::HmacSha256.with_key(&KEY);
-        let multi = MultiKeyedMac::<2>::new([&keyed, &keyed]);
-        let _ = Measurement::compute_keyed_batch(
-            &multi,
-            [SimTime::ZERO; 2],
-            [&b"short"[..], b"longer-image"],
-        );
     }
 
     #[test]

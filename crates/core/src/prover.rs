@@ -1,6 +1,6 @@
 //! The ERASMUS prover: a device that periodically measures itself.
 
-use erasmus_crypto::{KeyedMac, MultiKeyedMac};
+use erasmus_crypto::KeyedMac;
 use erasmus_hw::{DeviceKey, DeviceProfile, Mcu};
 use erasmus_sim::{SimDuration, SimTime};
 
@@ -219,71 +219,37 @@ impl Prover {
     }
 
     /// Takes one self-measurement on each of `N` provers at time `now`,
-    /// hashing their memory images in lockstep through the lane-interleaved
-    /// SHA-256 core and MACing the timestamped digests through the
-    /// transposed per-device key schedules.
+    /// all or nothing: the trusted-entry gate (MPU rules and secure boot)
+    /// is checked on every device before any device measures, then each
+    /// device measures through [`Prover::self_measure`]`(now)`. Per device,
+    /// the outcome, the stored measurement and the cost-model charge are
+    /// exactly those of that call.
     ///
-    /// Per device, the outcome is bit-identical to
-    /// [`Prover::self_measure`]`(now)`: same trusted-entry gate (MPU rules
-    /// and secure boot are checked on every device before any memory is
-    /// read), same timestamps, same stored measurements, same cost-model
-    /// charge. Only the host wall-clock differs — that is the point: `N`
-    /// equal-sized memory images hash in one vectorized pass.
-    ///
-    /// All provers must use the same MAC algorithm and equal-sized
-    /// application memories; fleet drivers batch devices per size class and
-    /// fall back to [`Prover::self_measure`] for ragged remainders.
+    /// Only the fleet benchmark's traced replica of the fleet runtime
+    /// (`crates/bench/examples/benchmark/src/pipeline.rs`) calls this. The
+    /// runtime itself measures each device through `self_measure`, and
+    /// ROADMAP item 2 deletes the replica and this function with it.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Hardware`] if any device refuses entry to the
     /// trusted measurement context; no measurement is stored on any device
     /// in that case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the provers mix MAC algorithms or memory sizes.
     pub fn self_measure_batch<const N: usize>(
         mut provers: [&mut Prover; N],
         now: SimTime,
     ) -> Result<[MeasurementOutcome; N], Error> {
-        // Gate every device first: a batch either measures everywhere or
-        // nowhere, so a mid-batch MPU fault cannot leave half the lanes
-        // with stored evidence.
         for prover in provers.iter_mut() {
             prover.mcu.advance_time_to(now);
         }
         for prover in provers.iter() {
             prover.mcu.trusted_entry_allowed()?;
         }
-        for prover in provers.iter_mut() {
-            prover.mcu.enter_trusted()?;
-        }
-        let timestamps: [SimTime; N] = std::array::from_fn(|i| provers[i].mcu.rroc_now());
-        let measurements = {
-            let keyed = MultiKeyedMac::new(std::array::from_fn(|i| &provers[i].keyed));
-            let memories: [&[u8]; N] = std::array::from_fn(|i| provers[i].mcu.app_memory());
-            Measurement::compute_keyed_batch(&keyed, timestamps, memories)
-        };
-
         let mut outcomes: [Option<MeasurementOutcome>; N] = [const { None }; N];
-        for ((prover, measurement), outcome) in provers
-            .into_iter()
-            .zip(measurements)
-            .zip(outcomes.iter_mut())
-        {
-            let duration = prover.measurement_cost;
-            prover.busy_time += duration;
-            prover.measurements_taken += 1;
-            let slot = prover.buffer.store(measurement.clone());
-            prover.scheduler.mark_completed(now);
-            *outcome = Some(MeasurementOutcome {
-                measurement,
-                slot,
-                duration,
-            });
+        for (prover, outcome) in provers.into_iter().zip(outcomes.iter_mut()) {
+            *outcome = Some(prover.self_measure(now)?);
         }
-        Ok(outcomes.map(|outcome| outcome.expect("every lane produced an outcome")))
+        Ok(outcomes.map(|outcome| outcome.expect("every device measured")))
     }
 
     /// Performs every scheduled self-measurement due up to and including

@@ -10,14 +10,14 @@
     clippy::as_conversions
 )]
 
-use erasmus_crypto::{KeyedMac, MacAlgorithm, MultiKeyedMac};
+use erasmus_crypto::{KeyedMac, MacAlgorithm};
 use erasmus_hw::DeviceKey;
 use erasmus_sim::{SimDuration, SimTime};
 
 use crate::encoding::ResponseView;
 use crate::error::Error;
 use crate::ids::DeviceId;
-use crate::measurement::{Measurement, MemoryDigest, MAC_INPUT_LEN};
+use crate::measurement::{Measurement, MemoryDigest};
 use crate::protocol::{CollectionRequest, CollectionResponse, OnDemandRequest, OnDemandResponse};
 use crate::report::{
     AttestationVerdict, CollectionReport, MeasurementVerdict, VerifiedMeasurement,
@@ -149,54 +149,6 @@ impl Verifier {
         }
     }
 
-    /// Marks every measurement whose tag does not verify as
-    /// [`MeasurementVerdict::Forged`]. HMAC-SHA256 checks 8 and then 4 tags
-    /// per lockstep pass; the remainder, and HMAC-SHA1 and keyed BLAKE2s
-    /// (which have no lane core), verify one tag at a time.
-    fn check_tags(&self, verified: &mut [VerifiedMeasurement]) {
-        let mut rest = verified;
-        if self.alg == MacAlgorithm::HmacSha256 {
-            rest = self.check_tag_lanes::<8>(rest);
-            rest = self.check_tag_lanes::<4>(rest);
-        }
-        for vm in rest {
-            if !vm.measurement.verify_keyed(&self.keyed) {
-                vm.verdict = MeasurementVerdict::Forged;
-            }
-        }
-    }
-
-    /// Checks the tags of every whole `N`-measurement chunk in lockstep and
-    /// returns the unchecked remainder (fewer than `N` measurements). The
-    /// lane state is built on the stack, once per call, from this
-    /// verifier's own key schedule in every lane.
-    fn check_tag_lanes<'a, const N: usize>(
-        &self,
-        verified: &'a mut [VerifiedMeasurement],
-    ) -> &'a mut [VerifiedMeasurement] {
-        let mut chunks = verified.chunks_exact_mut(N);
-        if chunks.len() > 0 {
-            let lanes = MultiKeyedMac::<N>::new([&self.keyed; N]);
-            for chunk in &mut chunks {
-                // `chunks_exact_mut` yields exactly `N` measurements, so the
-                // zip below meets every one of them with its lane's tag.
-                let mut records = chunk.iter().map(|vm| &vm.measurement);
-                let inputs: [[u8; MAC_INPUT_LEN]; N] = std::array::from_fn(|_| {
-                    records.next().map_or([0; MAC_INPUT_LEN], |m| {
-                        Measurement::mac_input(m.timestamp(), m.digest())
-                    })
-                });
-                let tags = lanes.mac(inputs.each_ref().map(|input| input.as_slice()));
-                for (vm, tag) in chunk.iter_mut().zip(&tags) {
-                    if !tag.ct_eq(vm.measurement.tag()) {
-                        vm.verdict = MeasurementVerdict::Forged;
-                    }
-                }
-            }
-        }
-        chunks.into_remainder()
-    }
-
     /// Verifies an ERASMUS collection response (Figure 2, verifier side).
     ///
     /// Each measurement's MAC is checked in constant time; timestamps are
@@ -241,9 +193,8 @@ impl Verifier {
 
     /// The shared verification loop behind [`Verifier::verify_collection`]
     /// and [`Verifier::verify_frame_response`]: the measurements land in
-    /// the report's `Vec` first, their tags are checked there (lanes where
-    /// the algorithm has them), then each gets its reference-digest and
-    /// timestamp checks.
+    /// the report's `Vec` first, then each gets its tag, reference-digest
+    /// and timestamp checks in one pass.
     fn verify_evidence(
         &mut self,
         device: DeviceId,
@@ -259,7 +210,6 @@ impl Verifier {
         if verified.is_empty() {
             return Err(Error::NoMeasurements);
         }
-        self.check_tags(&mut verified);
 
         let mut any_forged = false;
         let mut any_compromised = false;
@@ -268,11 +218,12 @@ impl Verifier {
         let mut newest: Option<SimTime> = None;
         for vm in &mut verified {
             let timestamp = vm.measurement.timestamp();
-            if vm.verdict == MeasurementVerdict::Healthy
-                && self
-                    .reference_digest
-                    .as_ref()
-                    .is_some_and(|reference| vm.measurement.digest() != reference)
+            if !vm.measurement.verify_keyed(&self.keyed) {
+                vm.verdict = MeasurementVerdict::Forged;
+            } else if self
+                .reference_digest
+                .as_ref()
+                .is_some_and(|reference| vm.measurement.digest() != reference)
             {
                 vm.verdict = MeasurementVerdict::Compromised;
             }
@@ -627,7 +578,7 @@ mod tests {
     }
 
     /// One tampered measurement, placed at every position of a response by
-    /// `lane_verification_matches_a_per_measurement_oracle`.
+    /// `verification_matches_a_per_measurement_oracle`.
     #[derive(Debug, Clone, Copy)]
     enum Fault {
         ForgedTag,
@@ -692,7 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_verification_matches_a_per_measurement_oracle() {
+    fn verification_matches_a_per_measurement_oracle() {
         use crate::encoding::{encode_collection_batch, FrameView};
         use erasmus_crypto::{Digest, MacTag, Sha256};
 
@@ -711,8 +662,8 @@ mod tests {
             verifier.set_reference_digest(reference);
             verifier.set_expected_interval(SimDuration::from_secs(10));
             verifier.last_collection = Some(SimTime::ZERO);
-            // Lengths 1..=20 cover every split into 8-lane, 4-lane and
-            // scalar checks.
+            // Every response length from 1 to 20, with each fault at
+            // every position.
             for len in 1..=20u64 {
                 let now = SimTime::from_secs(10 * len + 3);
                 // Newest first: t = 10·len s down to 10 s.

@@ -139,8 +139,8 @@ proptest! {
     }
 }
 
-/// Devices a generated frame's records are about: more than a lane group
-/// holds, and few enough that one frame often repeats a device.
+/// Devices a generated frame's records are about: few enough that one
+/// frame often repeats a device.
 const FRAME_DEVICES: u8 = 12;
 
 /// One generated response record: `((device selector, (step, back)),
@@ -238,12 +238,10 @@ impl FrameFleet {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Frame ingest takes its records in lane groups and extends the
-    /// chains of several devices at once. Whatever the records (repeated
-    /// devices, ragged lengths, overlaps, stale, shuffled or refused
-    /// reports), the hub and the frame's accounting must equal those of a
-    /// hub that ingests the same reports one at a time, and every chain
-    /// must verify.
+    /// Whatever a frame's records (repeated devices, ragged lengths,
+    /// overlaps, stale, shuffled or refused reports), the hub and the
+    /// frame's accounting must equal those of a hub that ingests the same
+    /// reports one at a time, and every chain must verify.
     #[test]
     fn frame_ingest_matches_one_report_at_a_time(frames in arb_frames()) {
         let mut fleet = FrameFleet::new();

@@ -7,7 +7,6 @@
 //! output into a bounded interval exactly as the paper's `map` function does.
 
 use crate::hmac::HmacKey;
-use crate::multi::HmacSha256xN;
 use crate::sha256::Sha256;
 
 /// Deterministic HMAC-SHA256-based pseudo-random generator.
@@ -82,37 +81,6 @@ impl HmacDrbg {
             chunk.copy_from_slice(&self.value[..chunk.len()]);
         }
         self.update(None);
-    }
-
-    /// Reseeds `N` copies of this generator, one per additional input, and
-    /// generates 32 bytes from each, all in lockstep: lane `l` equals
-    /// cloning `self`, then [`HmacDrbg::reseed`] with `additional[l]`, then
-    /// [`HmacDrbg::fill`] of 32 bytes.
-    ///
-    /// Every HMAC, and the keying of every lane's new HMAC key, runs
-    /// through [`Sha256xN`](crate::Sha256xN) with one key per lane. This is
-    /// how a fleet derives its device keys 8 at a time from one
-    /// instantiated generator. The state update that ends `fill` is
-    /// skipped, since the lane states are dropped; the output does not
-    /// depend on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the additional inputs are not all the same length (the
-    /// lanes share one block counter, as in `Sha256xN::update`).
-    pub fn fill_lanes<const N: usize>(&self, additional: [&[u8]; N]) -> [[u8; 32]; N] {
-        let mut schedule = HmacSha256xN::from_schedules([&self.schedule; N]);
-        let mut value = [self.value; N];
-        // The two `rekey` steps of `reseed`, then the one block of `fill`.
-        for domain in [[0x00u8], [0x01]] {
-            let mut mac = schedule.begin();
-            mac.update(value.each_ref().map(|value| value.as_slice()));
-            mac.update([domain.as_slice(); N]);
-            mac.update(additional);
-            schedule = HmacSha256xN::new(&schedule.finish(mac));
-            value = schedule.mac(value.each_ref().map(|value| value.as_slice()));
-        }
-        schedule.mac(value.each_ref().map(|value| value.as_slice()))
     }
 
     /// Generates `len` pseudo-random bytes.

@@ -88,12 +88,6 @@ impl<D: Digest> HmacKey<D> {
     pub fn verify(&self, message: &[u8], tag: &[u8]) -> bool {
         constant_time_eq(self.mac(message).as_ref(), tag)
     }
-
-    /// The `(inner, outer)` midstates, for transposition into lane-major
-    /// form by the multi-lane MAC.
-    pub(crate) fn lane_midstates(&self) -> (&D, &D) {
-        (&self.inner, &self.outer)
-    }
 }
 
 impl<D: Digest> std::fmt::Debug for HmacKey<D> {

@@ -27,13 +27,12 @@
 //! Digest finalizers and MAC tags are fixed-size stack values — the hot path
 //! performs no heap allocation.
 //!
-//! For fleet-scale measurement the [`multi`] module adds one lane-interleaved
-//! multi-buffer core, [`Sha256xN`] (N = 4 or 8), plus [`MultiKeyedMac`],
-//! which transposes existing HMAC-SHA256 [`KeyedMac`] schedules across
-//! lanes: N equal-length messages are hashed in lockstep so LLVM
-//! autovectorizes the compression to SSE/AVX/NEON — each lane's output
-//! stays bit-identical to the scalar path. HMAC-SHA1 and keyed BLAKE2s tags
-//! take the scalar fallback.
+//! Every hash in the workspace goes through one of these scalar types, one
+//! message at a time: a fleet's memory digests, measurement tags, tag
+//! checks, history chain steps and device keys alike. On a CPU with SHA-NI,
+//! eight scalar [`Sha256`] digests of 1 KiB take about as long as one
+//! lane-interleaved pass over all eight once did, so the crate keeps no
+//! second, multi-buffer SHA-256.
 //!
 //! # Example
 //!
@@ -69,7 +68,6 @@ pub mod digest;
 pub mod drbg;
 pub mod hmac;
 pub mod mac;
-pub mod multi;
 pub mod sha1;
 pub mod sha256;
 
@@ -79,6 +77,5 @@ pub use digest::Digest;
 pub use drbg::HmacDrbg;
 pub use hmac::{Hmac, HmacKey, HmacSha1, HmacSha256};
 pub use mac::{KeyedMac, MacAlgorithm, MacTag, ParseMacAlgorithmError, MAX_TAG_LEN};
-pub use multi::{MultiKeyedMac, Sha256x4, Sha256x8, Sha256xN};
 pub use sha1::Sha1;
 pub use sha256::Sha256;

@@ -8,7 +8,7 @@ use crate::digest::Digest;
 
 /// Round constants (first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes).
-pub(crate) const K: [u32; 64] = [
+const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -21,7 +21,7 @@ pub(crate) const K: [u32; 64] = [
 
 /// Initial hash state (first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes).
-pub(crate) const H0: [u32; 8] = [
+const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -248,12 +248,6 @@ impl Sha256 {
             buffer_len: 0,
             total_len: 0,
         }
-    }
-
-    /// Lane view used by the multi-lane cores to transpose midstates:
-    /// `(state words, absorbed bytes, buffered bytes)`.
-    pub(crate) fn lane_parts(&self) -> ([u32; 8], u64, usize) {
-        (self.state, self.total_len, self.buffer_len)
     }
 }
 

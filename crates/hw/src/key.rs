@@ -1,8 +1,12 @@
 //! The device attestation key `K`.
 
 use std::fmt;
+use std::ops::Range;
 
 use erasmus_crypto::HmacDrbg;
+
+/// Domain-separation string of the key-derivation generator.
+const PERSONALIZATION: &[u8] = b"erasmus-device-key";
 
 /// The symmetric key shared between prover and verifier.
 ///
@@ -37,22 +41,24 @@ impl DeviceKey {
     /// Derives a per-device key from a deployment master seed and a device
     /// identifier, the way a fleet operator would provision keys.
     pub fn derive(master_seed: &[u8], device_id: u64) -> Self {
-        let mut drbg = HmacDrbg::new(master_seed, b"erasmus-device-key");
+        Self::from_generator(HmacDrbg::new(master_seed, PERSONALIZATION), device_id)
+    }
+
+    /// Derives the keys of the devices `device_ids`, in order, each
+    /// bit-identical to [`DeviceKey::derive`] for its id. The generator is
+    /// instantiated once for the whole range and cloned for each device,
+    /// which spares every key but the first the instantiation's hashing.
+    pub fn derive_range(master_seed: &[u8], device_ids: Range<u64>) -> impl Iterator<Item = Self> {
+        let instantiated = HmacDrbg::new(master_seed, PERSONALIZATION);
+        device_ids.map(move |id| Self::from_generator(instantiated.clone(), id))
+    }
+
+    /// The key of `device_id` from a freshly instantiated generator.
+    fn from_generator(mut drbg: HmacDrbg, device_id: u64) -> Self {
         drbg.reseed(&device_id.to_be_bytes());
         let mut bytes = [0u8; 32];
         drbg.fill(&mut bytes);
         Self { bytes }
-    }
-
-    /// Derives the keys of `N` devices at once, each bit-identical to
-    /// [`DeviceKey::derive`] for its id: the generator is instantiated once
-    /// for the batch, then every device is reseeded and generated in its own
-    /// lane ([`HmacDrbg::fill_lanes`]).
-    pub fn derive_batch<const N: usize>(master_seed: &[u8], device_ids: [u64; N]) -> [Self; N] {
-        let ids = device_ids.map(u64::to_be_bytes);
-        HmacDrbg::new(master_seed, b"erasmus-device-key")
-            .fill_lanes(ids.each_ref().map(|id| id.as_slice()))
-            .map(Self::from_bytes)
     }
 
     /// Borrows the raw key bytes.
@@ -125,26 +131,19 @@ mod tests {
     }
 
     #[test]
-    fn derive_batch_matches_derive_in_every_lane() {
-        let mut rng = erasmus_sim::SimRng::seed_from(0x6b65_7973);
-        let pinned = [0, 1, 1 << 40];
-        let random = (0..29).map(|_| rng.next_u64());
-        let ids: Vec<u64> = pinned.into_iter().chain(random).collect();
-        for (batch, lanes) in ids.chunks_exact(8).enumerate() {
-            let lanes: [u64; 8] = lanes.try_into().expect("8 ids");
-            let keys = DeviceKey::derive_batch(b"erasmus-fleet", lanes);
-            for (id, key) in lanes.iter().zip(&keys) {
-                assert_eq!(
-                    *key,
-                    DeviceKey::derive(b"erasmus-fleet", *id),
-                    "batch {batch}, id {id}"
-                );
-            }
+    fn derive_range_matches_derive_for_every_id() {
+        // 21 ids starting off a multiple of 8, as a shard's range may.
+        let ids = 13..34;
+        let keys: Vec<DeviceKey> = DeviceKey::derive_range(b"erasmus-fleet", ids.clone()).collect();
+        assert_eq!(keys.len(), 21);
+        for (id, key) in ids.zip(&keys) {
+            assert_eq!(*key, DeviceKey::derive(b"erasmus-fleet", id), "id {id}");
         }
-        assert_eq!(
-            DeviceKey::derive_batch(b"master", [7]),
-            [DeviceKey::derive(b"master", 7)]
-        );
+        let far = (1 << 40) - 3..(1 << 40) + 1;
+        for (id, key) in far.clone().zip(DeviceKey::derive_range(b"master", far)) {
+            assert_eq!(key, DeviceKey::derive(b"master", id), "id {id}");
+        }
+        assert_eq!(DeviceKey::derive_range(b"erasmus-fleet", 5..5).count(), 0);
     }
 
     #[test]

@@ -256,35 +256,14 @@ impl Mcu {
 
     /// Checks whether the trusted attestation context *could* be entered —
     /// the [`Mcu::run_trusted`] gate without the invocation accounting.
-    /// Batch drivers use this to make a multi-device measurement
-    /// all-or-nothing: every device is gated before any device commits.
+    /// Multi-device callers use this to make a batch of measurements
+    /// all-or-nothing: every device is gated before any device measures.
     ///
     /// # Errors
     ///
     /// Exactly the errors of [`Mcu::run_trusted`].
     pub fn trusted_entry_allowed(&self) -> Result<(), HwError> {
         self.check_trusted_entry()
-    }
-
-    /// Enters the trusted attestation context without running a closure:
-    /// the same MPU rule-table and secure-boot gate as [`Mcu::run_trusted`],
-    /// and the same invocation accounting — but the caller reads the device
-    /// state through the public accessors afterwards instead of through a
-    /// [`TrustedContext`].
-    ///
-    /// This exists for the lane-batched measurement path, which must hold
-    /// several devices' memory views *simultaneously* to hash them in
-    /// lockstep — a per-device closure cannot express that. The key never
-    /// leaves the ROM on this path: batched measurements ride the
-    /// precomputed per-device MAC schedules derived at provisioning.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`Mcu::run_trusted`].
-    pub fn enter_trusted(&mut self) -> Result<(), HwError> {
-        self.check_trusted_entry()?;
-        self.trusted_invocations += 1;
-        Ok(())
     }
 
     /// Replaces the MPU configuration. Exists so tests can demonstrate what
@@ -453,17 +432,17 @@ mod tests {
     }
 
     #[test]
-    fn enter_trusted_shares_the_run_trusted_gate_and_accounting() {
+    fn trusted_entry_allowed_shares_the_run_trusted_gate_without_accounting() {
         let mut mcu = device();
-        mcu.enter_trusted().expect("entry allowed");
-        assert_eq!(mcu.trusted_invocations(), 1);
+        mcu.trusted_entry_allowed().expect("entry allowed");
+        assert_eq!(mcu.trusted_invocations(), 0);
         mcu.run_trusted(|_| ()).expect("closure entry allowed");
-        assert_eq!(mcu.trusted_invocations(), 2);
-        // The batch entry is gated by the same MPU rule table.
+        assert_eq!(mcu.trusted_invocations(), 1);
+        // The check is gated by the same MPU rule table.
         mcu.set_mpu(MpuConfig::deny_all());
-        let err = mcu.enter_trusted().unwrap_err();
+        let err = mcu.trusted_entry_allowed().unwrap_err();
         assert!(matches!(err, HwError::AccessViolation { .. }));
-        assert_eq!(mcu.trusted_invocations(), 2);
+        assert_eq!(mcu.trusted_invocations(), 1);
     }
 
     #[test]
