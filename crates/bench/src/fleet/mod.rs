@@ -12,6 +12,12 @@
 //! module): each scoped `std::thread` worker provisions its
 //! `(Prover, Verifier)` pairs, owns them outright and drives them through
 //! its own [`erasmus_sim::Engine`] as one event-driven timeline.
+//! A device holds only what differs between devices. Every device boots
+//! the same blank application image, so each shard builds that image once
+//! and shares it copy-on-write among its provers
+//! ([`erasmus_core::Prover::with_app_image`]), and hashes it once for its
+//! verifiers' reference digest. Every measurement still hashes its own
+//! device's bytes.
 //! Each stagger group of the [`erasmus_swarm::StaggeredSchedule`] (the
 //! Section 6 availability argument) ticks once per `T_M` on its own
 //! phase offset: the tick measures the group's devices and, at the end of

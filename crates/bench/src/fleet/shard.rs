@@ -86,6 +86,7 @@
 )]
 
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use erasmus_core::{
@@ -94,7 +95,8 @@ use erasmus_core::{
     MeasurementVerdict, OnDemandRequest, OnDemandResponse, Prover, ProverConfig, RetryPolicy,
     Verifier, VerifierHub, MAX_BATCH_RESPONSES,
 };
-use erasmus_hw::{DeviceKey, DeviceProfile};
+use erasmus_crypto::{Digest, Sha256};
+use erasmus_hw::{DeviceKey, DeviceProfile, Mcu};
 use erasmus_sim::{
     Corruption, Delivery, Engine, NetworkModel, QueueStats, ScheduledEvent, SimDuration, SimRng,
     SimTime,
@@ -502,10 +504,14 @@ impl ShardReport {
 impl Shard {
     /// Provisions the devices with global fleet indices `range`: per-device
     /// keys (from one key-derivation generator per shard, see
-    /// [`DeviceKey::derive_range`]), precomputed MAC schedules, reference
-    /// digests, stagger cohorts —
-    /// plus the shard's slices of the deterministic churn and on-demand
-    /// plans.
+    /// [`DeviceKey::derive_range`]), precomputed MAC schedules, stagger
+    /// cohorts — plus the shard's slices of the deterministic churn and
+    /// on-demand plans.
+    ///
+    /// Every device boots the same blank application image, so the shard
+    /// builds it once, hands every prover a clone of the `Arc` (copied on a
+    /// device's first write, see [`Prover::with_app_image`]) and hashes it
+    /// once for every verifier's reference digest.
     ///
     /// `on_demand_plan` is the fleet-wide `(global device, issue instant)`
     /// plan (time-sorted); the shard keeps the entries that fall into its
@@ -521,6 +527,9 @@ impl Shard {
         let buffer_slots = config.measurements_per_round.max(1);
         let span = MEASUREMENT_INTERVAL * (config.measurements_per_round * config.rounds) as u64;
         let mut devices = DeviceState::with_capacity(range.len());
+        let profile = DeviceProfile::msp430_8mhz(config.memory_bytes);
+        let image = Mcu::zeroed_image(&profile);
+        let reference = Sha256::digest(&image);
         let keys = DeviceKey::derive_range(FLEET_SEED, range.start as u64..range.end as u64);
         for (i, key) in range.clone().zip(keys) {
             // The device's phase offset goes into its *prover schedule*:
@@ -534,15 +543,16 @@ impl Shard {
                 .phase_offset(offset)
                 .build()
                 .expect("fleet prover config is valid");
-            let prover = Prover::new(
+            let prover = Prover::with_app_image(
                 DeviceId::new(i as u64),
-                DeviceProfile::msp430_8mhz(config.memory_bytes),
+                profile,
                 key.clone(),
                 prover_config,
+                Arc::clone(&image),
             )
             .expect("fleet prover provisions");
             let mut verifier = Verifier::new(key, config.algorithm);
-            verifier.learn_reference_image(prover.mcu().app_memory());
+            verifier.set_reference_digest(reference);
             verifier.set_expected_interval(MEASUREMENT_INTERVAL);
             devices.push(prover, verifier);
         }
@@ -1397,6 +1407,22 @@ mod tests {
         assert_eq!(report.wire_responses, 1100);
         assert_eq!(report.wire_accepted, 1100);
         assert!(report.all_healthy);
+    }
+
+    #[test]
+    fn a_shard_shares_one_image_and_one_reference_digest() {
+        let config = config();
+        let shard = shard_for(&config, 1..6, 0);
+        let provers = &shard.devices.provers;
+        assert_eq!(provers.len(), 5);
+        let image = provers[0].mcu().app_memory();
+        assert_eq!(image.len(), config.memory_bytes);
+        assert!(image.iter().all(|&b| b == 0));
+        let digest = Sha256::digest(image);
+        for (prover, verifier) in provers.iter().zip(&shard.devices.verifiers) {
+            assert!(std::ptr::eq(prover.mcu().app_memory(), image));
+            assert_eq!(verifier.reference_digest(), Some(&digest));
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The ERASMUS prover: a device that periodically measures itself.
 
+use std::sync::Arc;
+
 use erasmus_crypto::KeyedMac;
 use erasmus_hw::{DeviceKey, DeviceProfile, Mcu};
 use erasmus_sim::{SimDuration, SimTime};
@@ -92,18 +94,42 @@ pub struct Prover {
 
 impl Prover {
     /// Provisions a prover: installs the key into the device ROM, configures
-    /// the measurement schedule and allocates the rolling buffer.
+    /// the measurement schedule and allocates the rolling buffer. The device
+    /// boots with a zeroed application memory of its own; this is
+    /// [`Prover::with_app_image`] with [`Mcu::zeroed_image`].
     ///
     /// # Errors
     ///
-    /// Currently infallible for valid [`ProverConfig`]s (the config was
-    /// validated by its builder), but returns `Result` so provisioning-time
-    /// checks can be added without breaking callers.
+    /// Infallible for valid [`ProverConfig`]s (the config was validated by
+    /// its builder) and the image built here, but returns `Result` for the
+    /// provisioning-time checks of [`Prover::with_app_image`].
     pub fn new(
         id: DeviceId,
         profile: DeviceProfile,
         key: DeviceKey,
         config: ProverConfig,
+    ) -> Result<Self, Error> {
+        let image = Mcu::zeroed_image(&profile);
+        Self::with_app_image(id, profile, key, config, image)
+    }
+
+    /// Provisions a prover like [`Prover::new`], booting the device with
+    /// the application `image`. Devices provisioned from clones of one
+    /// `Arc` share its bytes until a device writes its memory, which gives
+    /// that device its own copy ([`Mcu::with_app_image`]); every
+    /// measurement hashes the device's current bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Hardware`] with
+    /// [`erasmus_hw::HwError::ImageSizeMismatch`] if `image` is not exactly
+    /// the profile's application-memory size.
+    pub fn with_app_image(
+        id: DeviceId,
+        profile: DeviceProfile,
+        key: DeviceKey,
+        config: ProverConfig,
+        image: Arc<[u8]>,
     ) -> Result<Self, Error> {
         let scheduler = MeasurementScheduler::new_with_phase(
             config.schedule().clone(),
@@ -113,7 +139,7 @@ impl Prover {
         );
         let buffer = MeasurementBuffer::new(config.buffer_slots(), config.measurement_interval());
         let keyed = config.mac_algorithm().with_key(key.as_bytes());
-        let mcu = Mcu::new(profile, key);
+        let mcu = Mcu::with_app_image(profile, key, image)?;
         let measurement_cost = mcu
             .cost_model()
             .measurement(mcu.app_memory_len(), config.mac_algorithm());
@@ -681,6 +707,53 @@ mod tests {
         assert_eq!(healthy.buffer().len(), 0);
         assert_eq!(healthy.total_busy_time(), SimDuration::ZERO);
         assert_eq!(healthy.mcu().trusted_invocations(), 0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_prover_fits_in_768_bytes_and_its_scheduler_in_96() {
+        use std::mem::size_of;
+        let prover = size_of::<Prover>();
+        let scheduler = size_of::<MeasurementScheduler>();
+        assert!(
+            prover <= 768,
+            "a Prover grew to {prover} bytes (bound 768): Mcu {} B, ProverConfig {} B, \
+             MeasurementBuffer {} B, MeasurementScheduler {scheduler} B, KeyedMac {} B; \
+             share or box what is the same on every device",
+            size_of::<Mcu>(),
+            size_of::<ProverConfig>(),
+            size_of::<MeasurementBuffer>(),
+            size_of::<KeyedMac>(),
+        );
+        assert!(
+            scheduler <= 96,
+            "a MeasurementScheduler grew to {scheduler} bytes (bound 96): ScheduleKind {} B; \
+             the irregular schedule's HmacDrbg must stay boxed",
+            size_of::<ScheduleKind>(),
+        );
+    }
+
+    #[test]
+    fn an_image_of_the_wrong_size_fails_provisioning() {
+        let config = ProverConfig::builder()
+            .measurement_interval(SimDuration::from_secs(10))
+            .buffer_slots(8)
+            .build()
+            .expect("valid config");
+        let result = Prover::with_app_image(
+            DeviceId::new(1),
+            DeviceProfile::msp430_8mhz(2048),
+            DeviceKey::from_bytes(KEY_BYTES),
+            config,
+            Arc::from(vec![0u8; 1024]),
+        );
+        assert!(matches!(
+            result,
+            Err(Error::Hardware(erasmus_hw::HwError::ImageSizeMismatch {
+                expected: 2048,
+                actual: 1024
+            }))
+        ));
     }
 
     #[test]

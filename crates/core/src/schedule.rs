@@ -48,8 +48,9 @@ impl fmt::Display for ScheduleKind {
 /// Stateful scheduler deciding when the prover self-measures.
 ///
 /// Only an irregular schedule holds a CSPRNG ([`HmacDrbg`], seeded with the
-/// device key). Regular and lenient schedules never draw from one, so they
-/// are built without it and cost a fleet nothing at provisioning.
+/// device key), in a box of its own. Regular and lenient schedules never
+/// draw from one, so they are built without it and carry only an empty
+/// pointer.
 ///
 /// # Example
 ///
@@ -75,8 +76,9 @@ pub struct MeasurementScheduler {
     /// availability — see `erasmus_swarm::StaggeredSchedule`).
     phase: SimDuration,
     /// The CSPRNG behind irregular intervals, seeded with the device key.
-    /// Only irregular schedules draw from it, so only they carry one.
-    drbg: Option<HmacDrbg>,
+    /// Only irregular schedules draw from it, so only they carry one, boxed
+    /// so that every other schedule stays small.
+    drbg: Option<Box<HmacDrbg>>,
     next_due: SimTime,
     /// Nominal due time of the pending measurement (lenient schedules only);
     /// deferral may push `next_due` past it, up to
@@ -133,7 +135,7 @@ impl MeasurementScheduler {
             ScheduleKind::Irregular { lower, upper } => {
                 let mut drbg = HmacDrbg::new(key, b"erasmus-irregular-schedule");
                 let nanos = drbg.next_in_range(lower.as_nanos(), upper.as_nanos());
-                (Some(drbg), SimDuration::from_nanos(nanos))
+                (Some(Box::new(drbg)), SimDuration::from_nanos(nanos))
             }
             ScheduleKind::Regular | ScheduleKind::Lenient { .. } => (None, interval),
         };

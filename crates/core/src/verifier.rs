@@ -99,6 +99,11 @@ impl Verifier {
         self.reference_digest = Some(digest);
     }
 
+    /// The registered reference digest, if any.
+    pub fn reference_digest(&self) -> Option<&MemoryDigest> {
+        self.reference_digest.as_ref()
+    }
+
     /// Convenience: computes and registers the reference digest from a copy
     /// of the healthy memory image.
     pub fn learn_reference_image(&mut self, image: &[u8]) {

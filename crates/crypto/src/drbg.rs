@@ -76,11 +76,24 @@ impl HmacDrbg {
     /// Fills `out` with pseudo-random bytes, without heap allocation: one
     /// generate call of `out.len()` bytes.
     pub fn fill(&mut self, out: &mut [u8]) {
+        self.generate_into(out);
+        self.update(None);
+    }
+
+    /// The generator's last draw: writes the bytes [`HmacDrbg::fill`] would
+    /// write and consumes the generator, skipping `fill`'s closing state
+    /// update, which only a later draw could read.
+    pub fn fill_last(mut self, out: &mut [u8]) {
+        self.generate_into(out);
+    }
+
+    /// The generate loop shared by [`HmacDrbg::fill`] and
+    /// [`HmacDrbg::fill_last`]: `V = HMAC(K, V)` per 32-byte block.
+    fn generate_into(&mut self, out: &mut [u8]) {
         for chunk in out.chunks_mut(self.value.len()) {
             self.value = self.schedule.mac(&self.value);
             chunk.copy_from_slice(&self.value[..chunk.len()]);
         }
-        self.update(None);
     }
 
     /// Generates `len` pseudo-random bytes.
@@ -184,6 +197,19 @@ mod tests {
         let mut drbg = HmacDrbg::new(b"seed", b"len");
         for len in [0usize, 1, 31, 32, 33, 64, 100] {
             assert_eq!(drbg.generate(len).len(), len);
+        }
+    }
+
+    #[test]
+    fn fill_last_returns_the_bytes_of_fill() {
+        let mut drbg = HmacDrbg::new(b"seed", b"last");
+        drbg.reseed(b"device 7");
+        for len in [0usize, 1, 31, 32, 33, 64, 100] {
+            let mut expected = vec![0u8; len];
+            drbg.clone().fill(&mut expected);
+            let mut last = vec![0u8; len];
+            drbg.clone().fill_last(&mut last);
+            assert_eq!(last, expected, "{len} bytes");
         }
     }
 

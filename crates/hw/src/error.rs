@@ -37,6 +37,14 @@ pub enum HwError {
         /// Name of the second region.
         second: String,
     },
+    /// An application image handed to a device does not have the size of
+    /// the device's application memory.
+    ImageSizeMismatch {
+        /// The profile's application-memory size in bytes.
+        expected: usize,
+        /// The image's length in bytes.
+        actual: usize,
+    },
 }
 
 impl fmt::Display for HwError {
@@ -67,6 +75,12 @@ impl fmt::Display for HwError {
             }
             HwError::OverlappingRegions { first, second } => {
                 write!(f, "memory regions `{first}` and `{second}` overlap")
+            }
+            HwError::ImageSizeMismatch { expected, actual } => {
+                write!(
+                    f,
+                    "application image of {actual} bytes does not fit {expected} bytes of application memory"
+                )
             }
         }
     }
@@ -104,6 +118,12 @@ mod tests {
             second: "ram".into(),
         };
         assert!(err.to_string().contains("overlap"));
+
+        let err = HwError::ImageSizeMismatch {
+            expected: 1024,
+            actual: 64,
+        };
+        assert!(err.to_string().contains("64 bytes"));
     }
 
     #[test]

@@ -53,11 +53,12 @@ impl DeviceKey {
         device_ids.map(move |id| Self::from_generator(instantiated.clone(), id))
     }
 
-    /// The key of `device_id` from a freshly instantiated generator.
+    /// The key of `device_id`: the last draw ([`HmacDrbg::fill_last`]) of a
+    /// freshly instantiated generator, reseeded with the id.
     fn from_generator(mut drbg: HmacDrbg, device_id: u64) -> Self {
         drbg.reseed(&device_id.to_be_bytes());
         let mut bytes = [0u8; 32];
-        drbg.fill(&mut bytes);
+        drbg.fill_last(&mut bytes);
         Self { bytes }
     }
 

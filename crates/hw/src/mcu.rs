@@ -1,6 +1,8 @@
 //! The simulated device (MCU / SoC).
 
-use erasmus_sim::{SimDuration, SimTime};
+use std::sync::Arc;
+
+use erasmus_sim::SimTime;
 
 use crate::cost::CostModel;
 use crate::error::HwError;
@@ -27,6 +29,18 @@ use crate::secure_boot::SecureBoot;
 /// [`Mcu::run_trusted`], which models entering the ROM-resident / PrAtt
 /// attestation code atomically.
 ///
+/// Inline, a device holds its key, clock, counters, MPU table and a copy
+/// of its profile. What is the same on every device is shared or derived:
+/// the attestation image is one process-wide copy (see [`Rom`]), the
+/// memory map is rebuilt from the profile on request
+/// ([`Mcu::memory_map`]), and the application memory is an `Arc<[u8]>`
+/// that devices provisioned from one image share
+/// ([`Mcu::with_app_image`]) until they write it: the first write through
+/// [`Mcu::write_app_memory`] or [`Mcu::load_app_image`] gives the device
+/// its own copy, so no write is ever seen by another device. A cloned
+/// `Mcu` behaves the same way: it shares the bytes until either side
+/// writes.
+///
 /// # Example
 ///
 /// ```
@@ -43,54 +57,75 @@ use crate::secure_boot::SecureBoot;
 #[derive(Debug, Clone)]
 pub struct Mcu {
     profile: DeviceProfile,
-    memory_map: MemoryMap,
     mpu: MpuConfig,
     rom: Rom,
     rroc: Rroc,
     secure_boot: Option<SecureBoot>,
-    app_memory: Vec<u8>,
+    /// Copy-on-write: shared with the devices built from the same image
+    /// until this device writes it.
+    app_memory: Arc<[u8]>,
     trusted_invocations: u64,
 }
 
+/// Size of the measurement store in the memory map. Its exact size does not
+/// affect any experiment (the rolling buffer lives in erasmus-core).
+const MEASUREMENT_STORE_BYTES: usize = 4 * 1024;
+
 impl Mcu {
-    /// Builds a device from a profile and its provisioned key.
-    ///
-    /// The memory map, MPU rule table and (for HYDRA) secure-boot reference
-    /// are derived from the profile's architecture. The ROM carries the
-    /// synthetic [`crate::ATTESTATION_CODE_SIZE`]-byte attestation image:
-    /// one process-wide copy, built and hashed on first use and shared by
-    /// every device, with this device's `key` attached.
+    /// Builds a device from a profile and its provisioned key, with a fresh
+    /// zeroed application memory of its own: [`Mcu::with_app_image`] with
+    /// [`Mcu::zeroed_image`].
     pub fn new(profile: DeviceProfile, key: DeviceKey) -> Self {
-        let app_size = profile.app_memory_bytes();
-        // Reserve a comfortable measurement store; its exact size does not
-        // affect any experiment (the rolling buffer lives in erasmus-core).
-        let store_size = 4 * 1024;
-        let (memory_map, mpu) = match profile.architecture() {
-            SecurityArchitecture::SmartPlus => (
-                MemoryMap::smart_plus_layout(app_size, store_size)
-                    .expect("smart+ layout never overlaps"),
-                MpuConfig::smart_plus(),
-            ),
-            SecurityArchitecture::Hydra => (
-                MemoryMap::hydra_layout(app_size, store_size).expect("hydra layout never overlaps"),
-                MpuConfig::hydra(),
-            ),
-        };
+        Self::with_app_image(profile, key, Self::zeroed_image(&profile))
+            .expect("a zeroed image has the profile's size")
+    }
+
+    /// A zeroed application image of `profile`'s memory size, in one
+    /// allocation: what [`Mcu::new`] boots a device with, and what a fleet
+    /// of blank devices can share through [`Mcu::with_app_image`].
+    pub fn zeroed_image(profile: &DeviceProfile) -> Arc<[u8]> {
+        std::iter::repeat_n(0u8, profile.app_memory_bytes()).collect()
+    }
+
+    /// Builds a device from a profile, its provisioned key and the
+    /// application `image` it boots with.
+    ///
+    /// The device shares `image` with every other holder of the same `Arc`
+    /// and copies it on its first write. The MPU rule table and (for HYDRA)
+    /// secure-boot reference are derived from the profile's architecture.
+    /// The ROM carries the synthetic [`crate::ATTESTATION_CODE_SIZE`]-byte
+    /// attestation image: one process-wide copy, built and hashed on first
+    /// use and shared by every device, with this device's `key` attached.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HwError::ImageSizeMismatch`] if `image` is not exactly
+    /// [`DeviceProfile::app_memory_bytes`] long.
+    pub fn with_app_image(
+        profile: DeviceProfile,
+        key: DeviceKey,
+        image: Arc<[u8]>,
+    ) -> Result<Self, HwError> {
+        if image.len() != profile.app_memory_bytes() {
+            return Err(HwError::ImageSizeMismatch {
+                expected: profile.app_memory_bytes(),
+                actual: image.len(),
+            });
+        }
         let rom = Rom::attestation(key);
-        let secure_boot = match profile.architecture() {
-            SecurityArchitecture::SmartPlus => None,
-            SecurityArchitecture::Hydra => Some(SecureBoot::provision(&rom)),
+        let (mpu, secure_boot) = match profile.architecture() {
+            SecurityArchitecture::SmartPlus => (MpuConfig::smart_plus(), None),
+            SecurityArchitecture::Hydra => (MpuConfig::hydra(), Some(SecureBoot::provision(&rom))),
         };
-        Self {
-            app_memory: vec![0u8; app_size],
+        Ok(Self {
+            app_memory: image,
             profile,
-            memory_map,
             mpu,
             rom,
             rroc: Rroc::new(),
             secure_boot,
             trusted_invocations: 0,
-        }
+        })
     }
 
     /// The device profile.
@@ -103,9 +138,20 @@ impl Mcu {
         CostModel::new(&self.profile)
     }
 
-    /// The memory map (Figure 5 / Figure 7 layout).
-    pub fn memory_map(&self) -> &MemoryMap {
-        &self.memory_map
+    /// The memory map (Figure 5 / Figure 7 layout), built from the
+    /// profile's architecture and memory size on each call.
+    pub fn memory_map(&self) -> MemoryMap {
+        let app_size = self.profile.app_memory_bytes();
+        match self.profile.architecture() {
+            SecurityArchitecture::SmartPlus => {
+                MemoryMap::smart_plus_layout(app_size, MEASUREMENT_STORE_BYTES)
+                    .expect("smart+ layout never overlaps")
+            }
+            SecurityArchitecture::Hydra => {
+                MemoryMap::hydra_layout(app_size, MEASUREMENT_STORE_BYTES)
+                    .expect("hydra layout never overlaps")
+            }
+        }
     }
 
     /// The MPU / capability rule table.
@@ -127,12 +173,6 @@ impl Mcu {
     /// writing is restricted (there is no API for that at all).
     pub fn rroc_now(&self) -> SimTime {
         self.rroc.now()
-    }
-
-    /// Advances device time by `elapsed`. Called by scenario drivers as
-    /// simulated time passes.
-    pub fn advance_time(&mut self, elapsed: SimDuration) -> SimTime {
-        self.rroc.advance(elapsed)
     }
 
     /// Advances device time to `target` (no-op if already past it).
@@ -187,17 +227,17 @@ impl Mcu {
                 region_size: self.app_memory.len(),
             });
         }
-        self.app_memory[offset..end].copy_from_slice(data);
+        Arc::make_mut(&mut self.app_memory)[offset..end].copy_from_slice(data);
         Ok(())
     }
 
     /// Fills application memory from an iterator of bytes, truncating or
     /// zero-padding to the memory size. Used to install a "benign software
-    /// image" at the start of a scenario.
+    /// image" at the start of a scenario. Like
+    /// [`Mcu::write_app_memory`], it copies a shared image first.
     pub fn load_app_image<I: IntoIterator<Item = u8>>(&mut self, image: I) {
-        let len = self.app_memory.len();
         let mut iter = image.into_iter();
-        for slot in self.app_memory.iter_mut().take(len) {
+        for slot in Arc::make_mut(&mut self.app_memory).iter_mut() {
             *slot = iter.next().unwrap_or(0);
         }
     }
@@ -376,6 +416,80 @@ mod tests {
     }
 
     #[test]
+    fn devices_share_one_image_until_they_write_it() {
+        let image: Arc<[u8]> = vec![0x5a; 1024].into();
+        let pristine = image.to_vec();
+        let build = |seed: u8| {
+            Mcu::with_app_image(
+                DeviceProfile::msp430_8mhz(1024),
+                DeviceKey::from_bytes([seed; 32]),
+                Arc::clone(&image),
+            )
+            .expect("the image fits")
+        };
+        let (mut writer, mut loader, mut sibling) = (build(1), build(2), build(3));
+        assert!(std::ptr::eq(writer.app_memory(), &image[..]));
+        assert!(std::ptr::eq(loader.app_memory(), &image[..]));
+
+        writer.write_app_memory(0, b"implant").expect("write");
+        assert_eq!(&writer.app_memory()[..7], b"implant");
+        assert_eq!(&writer.app_memory()[7..], &pristine[7..]);
+        loader.load_app_image([0xbb; 10]);
+        assert_eq!(&loader.app_memory()[..10], &[0xbb; 10]);
+        assert!(loader.app_memory()[10..].iter().all(|&b| b == 0));
+
+        // The sibling and the image itself never see either write.
+        assert_eq!(sibling.app_memory(), &pristine[..]);
+        assert_eq!(&image[..], &pristine[..]);
+        assert!(std::ptr::eq(sibling.app_memory(), &image[..]));
+        // Each trusted measurement hashes its own device's bytes.
+        let digest = |mcu: &mut Mcu| mcu.run_trusted(|ctx| ctx.memory_digest()).expect("digest");
+        let clean = digest(&mut sibling);
+        assert_ne!(digest(&mut writer), clean);
+        assert_ne!(digest(&mut loader), clean);
+
+        // A device's own copy is written in place from then on.
+        let own = writer.app_memory().as_ptr();
+        writer.write_app_memory(8, b"again").expect("write");
+        assert_eq!(writer.app_memory().as_ptr(), own);
+        assert_eq!(&image[..], &pristine[..]);
+    }
+
+    #[test]
+    fn a_cloned_device_stays_independent_after_a_write() {
+        let mut original = device();
+        original.write_app_memory(0, b"before").expect("write");
+        let mut copy = original.clone();
+        assert!(std::ptr::eq(original.app_memory(), copy.app_memory()));
+
+        copy.write_app_memory(0, b"after!").expect("write");
+        assert_eq!(&original.app_memory()[..6], b"before");
+        assert_eq!(&copy.app_memory()[..6], b"after!");
+        original.write_app_memory(100, b"x").expect("write");
+        assert_eq!(original.app_memory()[100], b'x');
+        assert_eq!(copy.app_memory()[100], 0);
+    }
+
+    #[test]
+    fn an_image_of_the_wrong_length_is_refused() {
+        for len in [0, 1023, 1025] {
+            let err = Mcu::with_app_image(
+                DeviceProfile::msp430_8mhz(1024),
+                DeviceKey::from_bytes([7; 32]),
+                vec![0u8; len].into(),
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                HwError::ImageSizeMismatch {
+                    expected: 1024,
+                    actual: len
+                }
+            );
+        }
+    }
+
+    #[test]
     fn untrusted_writes_are_bounded() {
         let mut mcu = device();
         assert!(mcu.write_app_memory(0, &[1, 2, 3]).is_ok());
@@ -398,7 +512,7 @@ mod tests {
     #[test]
     fn trusted_context_exposes_key_memory_and_clock() {
         let mut mcu = device();
-        mcu.advance_time(SimDuration::from_secs(42));
+        mcu.advance_time_to(SimTime::from_secs(42));
         mcu.write_app_memory(0, b"state").expect("write");
         let (tag, now) = mcu
             .run_trusted(|ctx| {
@@ -448,7 +562,7 @@ mod tests {
     #[test]
     fn rroc_only_moves_forward_through_public_api() {
         let mut mcu = device();
-        mcu.advance_time(SimDuration::from_secs(10));
+        mcu.advance_time_to(SimTime::from_secs(10));
         mcu.advance_time_to(SimTime::from_secs(5)); // no-op
         assert_eq!(mcu.rroc_now(), SimTime::from_secs(10));
         mcu.advance_time_to(SimTime::from_secs(20));

@@ -159,16 +159,6 @@ impl MemoryMap {
     pub fn region(&self, kind: RegionKind) -> Option<&MemoryRegion> {
         self.regions.iter().find(|r| r.kind == kind)
     }
-
-    /// The region containing `addr`, if any.
-    pub fn region_containing(&self, addr: usize) -> Option<&MemoryRegion> {
-        self.regions.iter().find(|r| r.contains(addr))
-    }
-
-    /// Total mapped size in bytes.
-    pub fn total_size(&self) -> usize {
-        self.regions.iter().map(|r| r.size).sum()
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +211,7 @@ mod tests {
             map.region(RegionKind::Application).map(|r| r.size),
             Some(10 * 1024)
         );
-        assert!(map.total_size() > 10 * 1024);
+        assert!(map.regions().iter().map(|r| r.size).sum::<usize>() > 10 * 1024);
     }
 
     #[test]
@@ -232,17 +222,6 @@ mod tests {
             Some(10 * 1024 * 1024)
         );
         assert!(map.region(RegionKind::Rom).map(|r| r.size).unwrap() >= 32 * 1024);
-    }
-
-    #[test]
-    fn region_containing_lookup() {
-        let map = MemoryMap::smart_plus_layout(1024, 256).expect("layout");
-        let app = map.region(RegionKind::Application).expect("app region");
-        let found = map
-            .region_containing(app.base + 5)
-            .expect("containing region");
-        assert_eq!(found.kind, RegionKind::Application);
-        assert!(map.region_containing(usize::MAX / 2).is_none());
     }
 
     #[test]

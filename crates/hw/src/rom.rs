@@ -17,10 +17,10 @@ pub const ATTESTATION_CODE_SIZE: usize = 5 * 1024;
 /// `K`. Neither can be modified at runtime; the [`Rom::code_digest`] is what
 /// secure boot (HYDRA) checks before handing control to the system.
 ///
-/// The code bytes sit behind an [`Arc`]: every device of a deployment runs
-/// the same attestation image, so [`crate::Mcu::new`] hands all of them one
-/// process-wide copy, built and hashed once, and only the key is per
-/// device.
+/// The code bytes and their digest sit together behind one [`Arc`]: every
+/// device of a deployment runs the same attestation image, so
+/// [`crate::Mcu::new`] hands all of them one process-wide copy, built and
+/// hashed once. A `Rom` is the per-device key plus a pointer to that image.
 ///
 /// # Example
 ///
@@ -34,25 +34,44 @@ pub const ATTESTATION_CODE_SIZE: usize = 5 * 1024;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rom {
     key: DeviceKey,
-    code: Arc<[u8]>,
-    code_digest: [u8; 32],
+    image: Arc<CodeImage>,
+}
+
+/// Attestation code and its SHA-256 digest, hashed once when built.
+#[derive(Debug, PartialEq, Eq)]
+struct CodeImage {
+    code: Box<[u8]>,
+    digest: [u8; 32],
+}
+
+impl CodeImage {
+    fn hashed(code: Box<[u8]>) -> Arc<Self> {
+        let digest = Sha256::digest(&code);
+        Arc::new(Self { code, digest })
+    }
 }
 
 /// Deterministic, compressible-looking filler: a repeating counter.
-fn synthetic_code(code_size: usize) -> Arc<[u8]> {
+fn synthetic_code(code_size: usize) -> Box<[u8]> {
     (0..code_size).map(|i| (i % 251) as u8).collect()
 }
 
 impl Rom {
     /// Creates a ROM image holding `key` and the attestation `code` bytes.
     pub fn new(key: DeviceKey, code: Vec<u8>) -> Self {
-        Self::hashed(key, code.into())
+        Self {
+            key,
+            image: CodeImage::hashed(code.into_boxed_slice()),
+        }
     }
 
     /// Creates a ROM with a synthetic attestation-code image of `code_size`
     /// bytes (used when only the *size* matters, e.g. for Table 1 models).
     pub fn with_synthetic_code(key: DeviceKey, code_size: usize) -> Self {
-        Self::hashed(key, synthetic_code(code_size))
+        Self {
+            key,
+            image: CodeImage::hashed(synthetic_code(code_size)),
+        }
     }
 
     /// The synthetic [`ATTESTATION_CODE_SIZE`]-byte image, holding `key`.
@@ -60,25 +79,11 @@ impl Rom {
     /// every ROM made here; the result equals
     /// `Rom::with_synthetic_code(key, ATTESTATION_CODE_SIZE)`.
     pub(crate) fn attestation(key: DeviceKey) -> Self {
-        static IMAGE: OnceLock<(Arc<[u8]>, [u8; 32])> = OnceLock::new();
-        let (code, code_digest) = IMAGE.get_or_init(|| {
-            let code = synthetic_code(ATTESTATION_CODE_SIZE);
-            let digest = Sha256::digest(&code);
-            (code, digest)
-        });
+        static IMAGE: OnceLock<Arc<CodeImage>> = OnceLock::new();
+        let image = IMAGE.get_or_init(|| CodeImage::hashed(synthetic_code(ATTESTATION_CODE_SIZE)));
         Self {
             key,
-            code: Arc::clone(code),
-            code_digest: *code_digest,
-        }
-    }
-
-    fn hashed(key: DeviceKey, code: Arc<[u8]>) -> Self {
-        let code_digest = Sha256::digest(&code);
-        Self {
-            key,
-            code,
-            code_digest,
+            image: Arc::clone(image),
         }
     }
 
@@ -90,17 +95,17 @@ impl Rom {
 
     /// The attestation code bytes.
     pub fn code(&self) -> &[u8] {
-        &self.code
+        &self.image.code
     }
 
     /// SHA-256 digest of the attestation code, as checked by secure boot.
     pub fn code_digest(&self) -> &[u8; 32] {
-        &self.code_digest
+        &self.image.digest
     }
 
     /// Size of the attestation code in bytes.
     pub fn code_size(&self) -> usize {
-        self.code.len()
+        self.image.code.len()
     }
 }
 

@@ -6,8 +6,10 @@ use erasmus::core::{
     Measurement, MeasurementVerdict, OnDemandRequest, Prover, ProverConfig, TamperStrategy,
     Verifier,
 };
-use erasmus::crypto::{MacAlgorithm, MacTag};
-use erasmus::hw::DeviceProfile;
+use std::sync::Arc;
+
+use erasmus::crypto::{Digest, MacAlgorithm, MacTag, Sha256};
+use erasmus::hw::{DeviceProfile, Mcu};
 use erasmus::sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -200,6 +202,78 @@ fn on_demand_request_forgery_and_replay_are_rejected() {
     assert!(prover
         .handle_on_demand(&request, SimTime::from_secs(140))
         .is_err());
+}
+
+#[test]
+fn malware_on_one_device_never_reaches_a_sibling_sharing_its_image() {
+    // Two devices provisioned the way a fleet shard provisions them: one
+    // shared image, and one reference digest hashed once for both verifiers.
+    let profile = DeviceProfile::msp430_8mhz(2 * 1024);
+    let image = Mcu::zeroed_image(&profile);
+    let reference = Sha256::digest(&image);
+    let config = ProverConfig::builder()
+        .measurement_interval(T_M)
+        .buffer_slots(32)
+        .build()
+        .expect("valid config");
+    let mut devices: Vec<(Prover, Verifier)> = (20..22)
+        .map(|seed| {
+            let key = DeviceKey::derive(b"security properties", seed);
+            let prover = Prover::with_app_image(
+                DeviceId::new(seed),
+                profile,
+                key.clone(),
+                config.clone(),
+                Arc::clone(&image),
+            )
+            .expect("provisioning");
+            let mut verifier = Verifier::new(key, MacAlgorithm::HmacSha256);
+            verifier.set_reference_digest(reference);
+            verifier.set_expected_interval(T_M);
+            (prover, verifier)
+        })
+        .collect();
+    assert!(std::ptr::eq(
+        devices[0].0.mcu().app_memory(),
+        devices[1].0.mcu().app_memory()
+    ));
+
+    for (prover, _) in &mut devices {
+        prover
+            .run_until(SimTime::from_secs(20))
+            .expect("measurements");
+    }
+    devices[0]
+        .0
+        .mcu_mut()
+        .write_app_memory(64, b"implant")
+        .expect("infection");
+    for (prover, _) in &mut devices {
+        prover
+            .run_until(SimTime::from_secs(40))
+            .expect("measurements");
+    }
+    assert!(
+        image.iter().all(|&b| b == 0),
+        "the shared image was written"
+    );
+
+    let verdicts: Vec<Vec<MeasurementVerdict>> = devices
+        .iter_mut()
+        .map(|(prover, verifier)| {
+            let response =
+                prover.handle_collection(&CollectionRequest::latest(4), SimTime::from_secs(40));
+            let report = verifier
+                .verify_collection(&response, SimTime::from_secs(40))
+                .expect("report");
+            report.measurements().iter().map(|vm| vm.verdict).collect()
+        })
+        .collect();
+    // Newest first: the infected device's two measurements since the write
+    // are compromised, the two before it healthy; its sibling stays healthy.
+    use MeasurementVerdict::{Compromised, Healthy};
+    assert_eq!(verdicts[0], [Compromised, Compromised, Healthy, Healthy]);
+    assert_eq!(verdicts[1], [Healthy; 4]);
 }
 
 proptest! {
