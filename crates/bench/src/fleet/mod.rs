@@ -65,10 +65,14 @@
 //! digest ([`AggregationReport`]).
 //!
 //! Shard results are merged into one [`FleetReport`] that keeps the
-//! per-shard breakdown. The repository's fleet benchmark (`BENCHMARK.json`)
-//! times [`run_threaded`] on pinned workloads and gates every rep on its
-//! totals; `tests/fleet_determinism.rs` checks the report's ledger laws on
-//! every run it makes.
+//! per-shard breakdown. Shards keep counters, not verdicts: the report's
+//! health and every history total are read off the merged hub, so which
+//! verdicts flag a device is decided once, in `erasmus-core`'s
+//! [`erasmus_core::VerifierHub`] and [`erasmus_core::DeviceHistory`]. The
+//! repository's fleet benchmark (`BENCHMARK.json`) times [`run_threaded`]
+//! on pinned workloads and gates every rep on its totals;
+//! `tests/fleet_determinism.rs` checks the report's ledger laws on every
+//! run it makes.
 
 pub mod lanes;
 mod shard;
@@ -293,9 +297,10 @@ pub struct FleetReport {
     /// Aggregate *simulated* prover busy time, for cross-checking against
     /// the paper's cost model.
     pub simulated_busy: SimDuration,
-    /// Whether the run stayed healthy: no forged or compromised
-    /// measurement anywhere, no hub rejection — and, in a gap-free run (no
-    /// loss, no churn), every delivered report fully `AllHealthy`.
+    /// Whether the run stayed healthy: no device history in the merged hub
+    /// holds a forged or compromised measurement, and the hub rejected no
+    /// report. Read off the merged hub alone, the one place verdicts are
+    /// kept.
     pub all_healthy: bool,
     /// Devices tracked by the merged verifier-side history hub.
     pub devices_tracked: usize,
@@ -538,7 +543,7 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         measure_wall: total.measure_wall,
         verify_wall: total.verify_wall,
         simulated_busy: total.simulated_busy,
-        all_healthy: total.all_healthy && hub.all_healthy() && hub.rejected() == 0,
+        all_healthy: hub.all_healthy() && hub.rejected() == 0,
         devices_tracked: hub.len(),
         history_entries: hub.total_entries(),
         history_resident,

@@ -28,7 +28,10 @@
 //!
 //! The event loop counts straight into the shard's [`ShardReport`], the
 //! one declaration of every shard counter; `run_threaded` folds the shards
-//! together with [`ShardReport::absorb`].
+//! together with [`ShardReport::absorb`]. The shard only carries evidence
+//! to its hub: it keeps no verdict of its own. Whether the fleet is healthy
+//! is read off the merged hub (`FleetReport::all_healthy`), whose device
+//! histories hold every verdict the verifiers reached.
 //!
 //! # Reliability
 //!
@@ -91,9 +94,9 @@ use std::time::{Duration, Instant};
 
 use erasmus_core::{
     decode_hub_snapshot, encode_collection_batch_into, encode_hub_snapshot, AttestationVerdict,
-    CollectionReport, CollectionRequest, CollectionResponse, DeviceId, FrameView, Measurement,
-    MeasurementVerdict, OnDemandRequest, OnDemandResponse, Prover, ProverConfig, RetryPolicy,
-    Verifier, VerifierHub, MAX_BATCH_RESPONSES,
+    CollectionRequest, CollectionResponse, DeviceId, FrameView, Measurement, OnDemandRequest,
+    OnDemandResponse, Prover, ProverConfig, RetryPolicy, Verifier, VerifierHub,
+    MAX_BATCH_RESPONSES,
 };
 use erasmus_crypto::{Digest, Sha256};
 use erasmus_hw::{DeviceKey, DeviceProfile, Mcu};
@@ -246,10 +249,6 @@ struct RunState {
     round_ticks: usize,
     /// The run's final tick, `measurements_per_round × rounds`.
     last_tick: usize,
-    /// Whether the run is expected to be gap-free (no loss, no churn,
-    /// latency bounded below `T_M`): only then does a non-`AllHealthy`
-    /// report verdict flag the run.
-    strict: bool,
     /// ARQ retry policy shared by the collect and frame hops.
     policy: RetryPolicy,
     /// Raw collection responses of the current burst awaiting frame
@@ -265,13 +264,12 @@ struct RunState {
 }
 
 impl RunState {
-    fn new(strict: bool, policy: RetryPolicy, config: &FleetConfig) -> Self {
+    fn new(policy: RetryPolicy, config: &FleetConfig) -> Self {
         Self {
             report: ShardReport::new(policy.budget),
             request: CollectionRequest::latest(config.measurements_per_round),
             round_ticks: config.measurements_per_round,
             last_tick: config.measurements_per_round * config.rounds,
-            strict,
             policy,
             pending_responses: Vec::new(),
             pending_at: None,
@@ -280,28 +278,6 @@ impl RunState {
             due_scratch: Vec::new(),
         }
     }
-
-    /// Folds one verified report into the health verdict. Gap verdicts
-    /// (missing/tampering) only count against a gap-free run; authentic
-    /// evidence of forged or compromised measurements always does.
-    fn note_health(&mut self, report: &CollectionReport, scheduled: bool) {
-        if self.strict && scheduled {
-            self.report.all_healthy &= report.all_valid();
-        } else {
-            self.report.all_healthy &= report_is_clean(report);
-        }
-    }
-}
-
-fn report_is_clean(report: &CollectionReport) -> bool {
-    report
-        .with_verdict(MeasurementVerdict::Forged)
-        .next()
-        .is_none()
-        && report
-            .with_verdict(MeasurementVerdict::Compromised)
-            .next()
-            .is_none()
 }
 
 /// One stagger cohort: the local devices sharing a phase offset, i.e.
@@ -353,9 +329,6 @@ pub struct ShardReport {
     pub verify_wall: Duration,
     /// Simulated busy time accumulated by this shard's provers.
     pub simulated_busy: SimDuration,
-    /// Whether every delivered report of this shard verified healthy (see
-    /// `FleetReport::all_healthy` for the loss/churn semantics).
-    pub all_healthy: bool,
     /// Scheduled collection attempts against this shard's devices.
     pub collections_attempted: u64,
     /// Collection responses that reached the verifier side.
@@ -389,8 +362,6 @@ pub struct ShardReport {
     pub frames_exhausted: u64,
     /// Response records carried by those exhausted frames.
     pub frame_lost_responses: u64,
-    /// Duplicate frames the hub's dedup window dropped.
-    pub hub_duplicates: u64,
     /// Hub crash/restart cycles survived via snapshot recovery.
     pub hub_crashes: u64,
     /// Total bytes of the recovery snapshots taken at those crashes.
@@ -437,11 +408,10 @@ pub struct ShardReport {
 }
 
 impl ShardReport {
-    /// An empty, healthy ledger whose retry histogram has a bucket for
-    /// every attempt a `retries` budget allows.
+    /// An empty ledger whose retry histogram has a bucket for every attempt
+    /// a `retries` budget allows.
     pub(crate) fn new(retries: u32) -> Self {
         Self {
-            all_healthy: true,
             retry_histogram: vec![0; retries as usize + 1],
             ..Self::default()
         }
@@ -449,8 +419,8 @@ impl ShardReport {
 
     /// Folds another shard's ledger into this one. Walls, burst sizes and
     /// queue high-water marks take the maximum, since shards run
-    /// concurrently; health takes the AND; latencies are appended in
-    /// shard order; every other counter is added. `shard` is left alone.
+    /// concurrently; latencies are appended in shard order; every other
+    /// counter is added. `shard` is left alone.
     pub(crate) fn absorb(&mut self, other: &ShardReport) {
         self.provers += other.provers;
         self.measurements += other.measurements;
@@ -458,7 +428,6 @@ impl ShardReport {
         self.measure_wall = self.measure_wall.max(other.measure_wall);
         self.verify_wall = self.verify_wall.max(other.verify_wall);
         self.simulated_busy += other.simulated_busy;
-        self.all_healthy &= other.all_healthy;
         self.collections_attempted += other.collections_attempted;
         self.collections_delivered += other.collections_delivered;
         self.collections_dropped += other.collections_dropped;
@@ -476,7 +445,6 @@ impl ShardReport {
         self.corrupt_tamper_drops += other.corrupt_tamper_drops;
         self.frames_exhausted += other.frames_exhausted;
         self.frame_lost_responses += other.frame_lost_responses;
-        self.hub_duplicates += other.hub_duplicates;
         self.hub_crashes += other.hub_crashes;
         self.snapshot_bytes += other.snapshot_bytes;
         self.hub_batches += other.hub_batches;
@@ -632,18 +600,7 @@ impl Shard {
     /// invariant.
     pub(crate) fn run(&mut self, config: &FleetConfig) -> ShardReport {
         let network = NetworkModel::new(config.network, config.seed);
-        // Strict (AllHealthy-or-bust) health accounting is only sound when
-        // nothing can legitimately open a gap: no loss, no churn, no
-        // injected faults (an exhausted frame or a reorder-delayed delivery
-        // legitimately shifts coverage windows), and latency small against
-        // `T_M` — a delivery shifted by `T_M` or more moves the verifier's
-        // coverage window enough to report a missing measurement on a
-        // perfectly healthy fleet.
-        let strict = config.network.loss == 0.0
-            && config.churn == 0.0
-            && !config.network.has_faults()
-            && config.network.base_latency + config.network.jitter < MEASUREMENT_INTERVAL;
-        let mut state = RunState::new(strict, RetryPolicy::with_budget(config.retries), config);
+        let mut state = RunState::new(RetryPolicy::with_budget(config.retries), config);
         let span = MEASUREMENT_INTERVAL * state.last_tick as u64;
         let mut engine = std::mem::take(&mut self.engine);
 
@@ -716,7 +673,6 @@ impl Shard {
             shard: self.index,
             provers: self.devices.len(),
             simulated_busy,
-            hub_duplicates: self.hub.duplicates(),
             devices_churned: self.churn.len() as u64,
             queue,
             ..state.report
@@ -830,8 +786,9 @@ impl Shard {
                         .on_demand_latencies
                         .push(now.saturating_duration_since(exchange.issued));
                     state.report.verifications += report.measurements().len() as u64;
-                    state.note_health(&report, false);
-                    state.report.all_healthy &= self.hub.ingest(&report);
+                    // A refused report is counted in `VerifierHub::rejected`,
+                    // which the fleet's verdict reads off the merged hub.
+                    self.hub.ingest(&report);
                 }
             }
             FleetEvent::HubCrash => {
@@ -1102,7 +1059,6 @@ impl Shard {
                         .verify_frame_response(&view, at)
                         .expect("fleet collection verifies");
                     state.report.verifications += report.measurements().len() as u64;
-                    state.note_health(&report, true);
                     Some(report)
                 })
                 .expect("shard-encoded frame decodes")
@@ -1112,7 +1068,6 @@ impl Shard {
             state.report.verify_wall += elapsed;
             state.report.wire_responses += outcome.responses;
             state.report.wire_accepted += outcome.accepted;
-            state.report.all_healthy &= outcome.rejected == 0 && outcome.verify_failed == 0;
             if draw.duplicate.is_some() {
                 // The link re-delivers the acked copy; the dedup window
                 // must drop the echo without running any verification.
@@ -1222,6 +1177,14 @@ mod tests {
         FleetConfig::new(6, 3, 2, 256, 3, MacAlgorithm::HmacSha256)
     }
 
+    /// The fleet's health verdict for one shard: every device history is
+    /// free of forged and compromised entries, and the hub refused no
+    /// report.
+    fn assert_hub_healthy(hub: &VerifierHub) {
+        assert!(hub.all_healthy(), "a device history holds a bad verdict");
+        assert_eq!(hub.rejected(), 0, "the hub refused a report");
+    }
+
     fn shard_for(config: &FleetConfig, range: Range<usize>, index: usize) -> Shard {
         let schedule = config.schedule();
         Shard::provision(
@@ -1242,7 +1205,6 @@ mod tests {
         assert_eq!(report.provers, 3);
         assert_eq!(report.measurements, 3 * 3 * 2);
         assert_eq!(report.verifications, report.measurements);
-        assert!(report.all_healthy);
         assert!(report.simulated_busy > SimDuration::ZERO);
         assert_eq!(report.collections_attempted, 3 * 2);
         assert_eq!(report.collections_delivered, 3 * 2);
@@ -1251,8 +1213,9 @@ mod tests {
         assert!(report.largest_batch >= 1);
 
         // The hub tracks exactly the shard's devices, under their *global*
-        // fleet ids.
+        // fleet ids, and every one of them is healthy.
         let hub = shard.into_hub();
+        assert_hub_healthy(&hub);
         assert_eq!(hub.len(), 3);
         for id in 2..5u64 {
             let history = hub.history(DeviceId::new(id)).expect("tracked");
@@ -1346,7 +1309,8 @@ mod tests {
             report.collections_delivered + report.collections_dropped,
             report.collections_attempted
         );
-        assert!(report.all_healthy, "gaps must not read as compromise");
+        // Gaps must not read as compromise.
+        assert_hub_healthy(&shard.hub);
 
         // Identical simulated outcome on a re-run (wall clocks aside).
         let mut again = shard_for(&config, 0..8, 0);
@@ -1375,7 +1339,8 @@ mod tests {
         let report = shard.run(&config);
         assert_eq!(report.collections_delivered, report.collections_attempted);
         assert_eq!(report.collections_dropped, 0);
-        assert!(report.all_healthy, "latency gaps read as compromise");
+        // Latency gaps must not read as compromise.
+        assert_hub_healthy(&shard.hub);
     }
 
     #[test]
@@ -1389,7 +1354,7 @@ mod tests {
         assert_eq!(report.on_demand_latencies.len(), 5);
         // Each exchange takes one fresh measurement on top of the schedule.
         assert_eq!(report.measurements, config.total_measurements() + 5);
-        assert!(report.all_healthy);
+        assert_hub_healthy(&shard.hub);
     }
 
     #[test]
@@ -1406,7 +1371,7 @@ mod tests {
         assert_eq!(report.wire_frames, 2);
         assert_eq!(report.wire_responses, 1100);
         assert_eq!(report.wire_accepted, 1100);
-        assert!(report.all_healthy);
+        assert_hub_healthy(&shard.hub);
     }
 
     #[test]
@@ -1443,7 +1408,7 @@ mod tests {
         let report = shard.run(&config);
         assert_eq!(report.provers, 0);
         assert_eq!(report.measurements, 0);
-        assert!(report.all_healthy);
+        assert_hub_healthy(&shard.hub);
         assert!(shard.into_hub().is_empty());
     }
 
@@ -1498,10 +1463,12 @@ mod tests {
         assert_eq!(report.frames_exhausted, 0);
         assert_eq!(report.frame_lost_responses, 0);
         assert_eq!(report.wire_responses, report.collections_delivered);
-        assert_eq!(report.hub_duplicates, report.frame_duplicates);
 
-        // The hub saw everything exactly once.
+        // The hub saw everything exactly once, dropped every duplicate
+        // frame, and recovery reads as no compromise.
         let hub = shard.into_hub();
+        assert_eq!(hub.duplicates(), report.frame_duplicates);
+        assert_hub_healthy(&hub);
         assert_eq!(
             hub.ingested(),
             report.collections_delivered + report.on_demand_completed

@@ -40,8 +40,6 @@ use crate::measurement::Measurement;
 pub struct MeasurementBuffer {
     slots: Vec<Option<Measurement>>,
     measurement_interval: SimDuration,
-    /// Total number of measurements ever stored (including overwritten ones).
-    stored: u64,
     /// Number of stores that overwrote a not-yet-collected slot.
     overwrites: u64,
 }
@@ -65,7 +63,6 @@ impl MeasurementBuffer {
         Self {
             slots: vec![None; slots],
             measurement_interval,
-            stored: 0,
             overwrites: 0,
         }
     }
@@ -90,11 +87,6 @@ impl MeasurementBuffer {
         self.len() == 0
     }
 
-    /// Total measurements stored over the buffer's lifetime.
-    pub fn total_stored(&self) -> u64 {
-        self.stored
-    }
-
     /// Number of stores that overwrote an existing (uncollected) slot.
     pub fn overwrites(&self) -> u64 {
         self.overwrites
@@ -115,7 +107,6 @@ impl MeasurementBuffer {
             self.overwrites += 1;
         }
         self.slots[slot] = Some(measurement);
-        self.stored += 1;
         slot
     }
 
@@ -264,7 +255,6 @@ mod tests {
         buffer.store(m(50));
         assert_eq!(buffer.overwrites(), 1);
         assert_eq!(buffer.len(), 4);
-        assert_eq!(buffer.total_stored(), 5);
         let timestamps: Vec<u64> = buffer
             .all()
             .iter()

@@ -392,7 +392,9 @@ impl DeviceHistory {
     /// simply append: a known timestamp keeps its verdict unless the
     /// incoming one is more alarming; a fresh timestamp extends the hash
     /// chain; a timestamp older than an already-evicted window is counted
-    /// as a stale discard and dropped.
+    /// as a stale discard and dropped. A stale entry's non-healthy verdict
+    /// still flags the device: it is authentic evidence, and only the
+    /// sealed chain is closed to it.
     pub fn observe(&mut self, entry: HistoryEntry) {
         match self
             .ring
@@ -420,8 +422,14 @@ impl DeviceHistory {
             Err(index) => {
                 if index == 0 && self.rollup.evictions > 0 {
                     // The entry predates the retained window: the chain has
-                    // already sealed past it.
+                    // already sealed past it. Entry and verdict counts, the
+                    // chain and the head stay as they are, but compromise
+                    // evidence is never dropped.
                     self.rollup.stale_discards += 1;
+                    if entry.verdict != MeasurementVerdict::Healthy {
+                        self.rollup
+                            .note_compromise(entry.timestamp, entry.collected_at);
+                    }
                     return;
                 }
                 self.record_new(&entry);
@@ -810,6 +818,35 @@ mod tests {
         history.observe(healthy_at(30));
         assert_eq!(history.stale_discards(), 1);
         assert_eq!(history.len(), 4);
+    }
+
+    #[test]
+    fn a_stale_bad_verdict_still_flags_the_device() {
+        let mut history = DeviceHistory::with_mode(DeviceId::new(4), HistoryMode::Ring(2));
+        for secs in [10, 20, 30, 40] {
+            history.observe(healthy_at(secs));
+        }
+        let sealed = history.clone();
+        // A forged entry at t = 15 s arrives behind the sealed window
+        // [30, 40]: it cannot enter the chain, but it is evidence.
+        history.observe(HistoryEntry {
+            timestamp: SimTime::from_secs(15),
+            verdict: MeasurementVerdict::Forged,
+            collected_at: SimTime::from_secs(50),
+        });
+        assert_eq!(history.stale_discards(), 1);
+        assert_eq!(history.first_compromise(), Some(SimTime::from_secs(15)));
+        assert_eq!(
+            history.first_compromise_detected_at(),
+            Some(SimTime::from_secs(50))
+        );
+        // Entry and verdict counts, the chain and the head are untouched.
+        assert_eq!(history.len(), sealed.len());
+        assert_eq!(history.count(MeasurementVerdict::Forged), 0);
+        assert_eq!(history.count(MeasurementVerdict::Healthy), 4);
+        assert_eq!(history.chain_digest(), sealed.chain_digest());
+        assert_eq!(history.head_digest(), sealed.head_digest());
+        assert!(history.verify_chain());
     }
 
     #[test]

@@ -946,36 +946,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn verified_chains_catches_a_bad_head_on_every_device() {
+    /// A report about `device` collected at `collected_secs`, carrying one
+    /// measurement per `(timestamp secs, verdict)` in the given order, with
+    /// placeholder digests and tags: what a verifier would have concluded,
+    /// without the crypto.
+    fn report_of(
+        device: u64,
+        entries: impl IntoIterator<Item = (u64, MeasurementVerdict)>,
+        collected_secs: u64,
+    ) -> CollectionReport {
         use crate::measurement::Measurement;
         use crate::report::{AttestationVerdict, VerifiedMeasurement};
         use erasmus_crypto::MacTag;
 
+        let verified = entries
+            .into_iter()
+            .map(|(secs, verdict)| VerifiedMeasurement {
+                measurement: Measurement::from_parts(
+                    SimTime::from_secs(secs),
+                    [0u8; 32],
+                    MacTag::new([0u8; 32]),
+                ),
+                verdict,
+            })
+            .collect();
+        CollectionReport::new(
+            DeviceId::new(device),
+            verified,
+            AttestationVerdict::AllHealthy,
+            0,
+            SimDuration::ZERO,
+            SimTime::from_secs(collected_secs),
+        )
+    }
+
+    #[test]
+    fn verified_chains_catches_a_bad_head_on_every_device() {
         // 19 devices with windows of 1 to 6 entries into a ring of 4, so
         // some chains are sealed and some are not.
         let mut hub = VerifierHub::with_history(HistoryMode::Ring(4));
         for id in 0..19u64 {
-            let verified = (1..=id % 6 + 1)
+            let entries = (1..=id % 6 + 1)
                 .rev()
-                .map(|tick| VerifiedMeasurement {
-                    measurement: Measurement::from_parts(
-                        SimTime::from_secs(10 * tick + id),
-                        [0u8; 32],
-                        MacTag::new([0u8; 32]),
-                    ),
-                    verdict: MeasurementVerdict::Healthy,
-                })
-                .collect();
-            let report = CollectionReport::new(
-                DeviceId::new(id),
-                verified,
-                AttestationVerdict::AllHealthy,
-                0,
-                SimDuration::ZERO,
-                SimTime::from_secs(100),
-            );
-            assert!(hub.ingest(&report));
+                .map(|tick| (10 * tick + id, MeasurementVerdict::Healthy));
+            assert!(hub.ingest(&report_of(id, entries, 100)));
         }
         assert_eq!(hub.verified_chains(), 19);
         for id in 0..19u64 {
@@ -987,6 +1001,33 @@ mod tests {
             history.head[0] ^= 0x01;
             assert_eq!(corrupted.verified_chains(), 18, "device {id}");
         }
+    }
+
+    #[test]
+    fn a_stale_forged_entry_flags_its_device_and_survives_a_snapshot() {
+        use crate::encoding::{decode_hub_snapshot, encode_hub_snapshot};
+
+        let device = DeviceId::new(7);
+        let healthy = [40, 30, 20, 10].map(|secs| (secs, MeasurementVerdict::Healthy));
+        let mut hub = VerifierHub::with_history(HistoryMode::Ring(2));
+        assert!(hub.ingest(&report_of(7, healthy, 45)));
+        assert!(hub.all_healthy());
+        // A late report carries a forged entry from behind the sealed ring.
+        assert!(hub.ingest(&report_of(7, [(15, MeasurementVerdict::Forged)], 50)));
+        assert_eq!(hub.total_stale_discards(), 1);
+        assert!(!hub.all_healthy());
+        assert_eq!(hub.compromised_devices(), vec![device]);
+
+        // Crash recovery keeps the evidence.
+        let restored = decode_hub_snapshot(&encode_hub_snapshot(&hub)).expect("snapshot decodes");
+        assert_eq!(restored, hub);
+        assert!(!restored.all_healthy());
+        let history = restored.history(device).expect("tracked");
+        assert_eq!(history.first_compromise(), Some(SimTime::from_secs(15)));
+        assert_eq!(
+            history.first_compromise_detected_at(),
+            Some(SimTime::from_secs(50))
+        );
     }
 
     #[test]

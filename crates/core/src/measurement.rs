@@ -162,13 +162,6 @@ impl Measurement {
     pub fn wire_size(&self) -> usize {
         8 + self.digest.len() + self.tag.len()
     }
-
-    /// Freshness of this measurement at `now`: how long ago it was taken.
-    /// Returns zero if `now` is earlier than the timestamp (clock skew in a
-    /// tampered response).
-    pub fn age_at(&self, now: SimTime) -> erasmus_sim::SimDuration {
-        now.saturating_duration_since(self.timestamp)
-    }
 }
 
 impl fmt::Display for Measurement {
@@ -285,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_size_and_age() {
+    fn wire_size() {
         let m = Measurement::compute(
             &KEY,
             MacAlgorithm::HmacSha256,
@@ -293,14 +286,6 @@ mod tests {
             b"mem",
         );
         assert_eq!(m.wire_size(), 8 + 32 + 32);
-        assert_eq!(
-            m.age_at(SimTime::from_secs(25)),
-            erasmus_sim::SimDuration::from_secs(15)
-        );
-        assert_eq!(
-            m.age_at(SimTime::from_secs(5)),
-            erasmus_sim::SimDuration::ZERO
-        );
     }
 
     #[test]

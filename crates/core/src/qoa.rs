@@ -129,12 +129,6 @@ impl QoaParams {
         self.measurement_interval + self.collection_interval
     }
 
-    /// Expected detection delay for persistent malware with uniformly random
-    /// arrival: `T_M / 2 + T_C / 2`.
-    pub fn expected_detection_delay(&self) -> SimDuration {
-        self.measurement_interval / 2 + self.collection_interval / 2
-    }
-
     /// Whether a verifier collecting every `T_C` from a buffer of `n` slots
     /// can lose measurements (`T_C > n · T_M`).
     pub fn loses_measurements_with(&self, buffer_slots: usize) -> bool {
@@ -200,7 +194,6 @@ mod tests {
     fn detection_delay_bounds() {
         let q = qoa(60, 600);
         assert_eq!(q.worst_case_detection_delay(), SimDuration::from_secs(660));
-        assert_eq!(q.expected_detection_delay(), SimDuration::from_secs(330));
     }
 
     #[test]

@@ -94,18 +94,6 @@ pub struct ScenarioOutcome {
     pub trace: Trace,
 }
 
-impl ScenarioOutcome {
-    /// Number of infections that were detected.
-    pub fn detected_count(&self) -> usize {
-        self.infections.iter().filter(|i| i.detected).count()
-    }
-
-    /// Number of infections that escaped detection.
-    pub fn undetected_count(&self) -> usize {
-        self.infections.len() - self.detected_count()
-    }
-}
-
 /// Builder/driver for one scenario.
 ///
 /// # Example
@@ -490,7 +478,7 @@ mod tests {
         assert_eq!(outcome.alarms, 0);
         assert_eq!(outcome.collections, 5);
         assert!(outcome.measurements_taken >= 29);
-        assert!(outcome.detected_count() == 0 && outcome.undetected_count() == 0);
+        assert!(outcome.infections.is_empty());
         assert!(outcome.trace.of_kind("measurement").count() as u64 == outcome.measurements_taken);
     }
 
@@ -577,7 +565,6 @@ mod tests {
             .run()
             .expect("scenario runs");
         assert_eq!(outcome.infections.len(), 1);
-        assert_eq!(outcome.detected_count() + outcome.undetected_count(), 1);
         assert!(outcome.prover_busy_time > SimDuration::ZERO);
     }
 }

@@ -60,17 +60,21 @@ fn offset_of_a_full_interval_is_rejected_by_config_validation() {
         .is_ok());
 }
 
-#[test]
-fn max_offset_device_still_yields_full_rounds() {
-    // A device at the extreme offset must produce exactly
-    // `measurements_per_round` measurements inside every collection window
-    // `(r-1)·span + o .. r·span + o`, like any other stagger group.
+/// Provisions a device at phase `offset` with a buffer of one round,
+/// collects it at every round horizon `r·span + offset` and verifies each
+/// response `delay(r)` later, as a slow network would deliver it. Returns
+/// each round's `missing()` count; every gap-free report must be fully
+/// valid.
+fn missing_per_round(
+    offset: SimDuration,
+    rounds: usize,
+    delay: impl Fn(usize) -> SimDuration,
+) -> Vec<usize> {
     let measurements_per_round = 3usize;
-    let rounds = 2usize;
     let config = ProverConfig::builder()
         .measurement_interval(TM)
         .buffer_slots(measurements_per_round)
-        .phase_offset(MAX_OFFSET)
+        .phase_offset(offset)
         .build()
         .expect("valid config");
     let key = DeviceKey::from_bytes(KEY);
@@ -86,17 +90,58 @@ fn max_offset_device_still_yields_full_rounds() {
     verifier.set_expected_interval(TM);
 
     let span = TM * measurements_per_round as u64;
-    for round in 1..=rounds {
-        let horizon = SimTime::ZERO + span * round as u64 + MAX_OFFSET;
-        let outcomes = prover.run_until(horizon).expect("measurements");
-        assert_eq!(outcomes.len(), measurements_per_round, "round {round}");
-        let response =
-            prover.handle_collection(&CollectionRequest::latest(measurements_per_round), horizon);
-        let report = verifier
-            .verify_collection(&response, horizon)
-            .expect("report");
-        assert!(report.all_valid(), "round {round}: {:?}", report.verdict());
-        assert_eq!(report.missing(), 0);
+    (1..=rounds)
+        .map(|round| {
+            let horizon = SimTime::ZERO + span * round as u64 + offset;
+            let outcomes = prover.run_until(horizon).expect("measurements");
+            assert_eq!(outcomes.len(), measurements_per_round, "round {round}");
+            let response = prover
+                .handle_collection(&CollectionRequest::latest(measurements_per_round), horizon);
+            let report = verifier
+                .verify_collection(&response, horizon + delay(round))
+                .expect("report");
+            if report.missing() == 0 {
+                assert!(report.all_valid(), "round {round}: {:?}", report.verdict());
+            }
+            report.missing()
+        })
+        .collect()
+}
+
+#[test]
+fn max_offset_device_still_yields_full_rounds() {
+    // A device at either extreme offset must produce exactly
+    // `measurements_per_round` measurements inside every collection window
+    // `(r-1)·span + o .. r·span + o`, like any other stagger group, and a
+    // delivery delay below `T_M` must never read as a gap: with each round
+    // verified at `horizon + d`, `d` swinging between `T_M − 1 ns` and 0,
+    // every report is gap-free and fully valid.
+    let swing = |round: usize| {
+        if round % 2 == 1 {
+            TM - SimDuration::from_nanos(1)
+        } else {
+            SimDuration::ZERO
+        }
+    };
+    for offset in [SimDuration::ZERO, MAX_OFFSET] {
+        assert_eq!(
+            missing_per_round(offset, 4, |_| SimDuration::ZERO),
+            [0; 4],
+            "on-time delivery, offset {offset}"
+        );
+        assert_eq!(
+            missing_per_round(offset, 4, swing),
+            [0; 4],
+            "delay swinging below T_M, offset {offset}"
+        );
+        // A delay that grows by a full `T_M` between two rounds stretches
+        // the verifier's coverage window over one more scheduled
+        // measurement than the response carries.
+        assert_eq!(
+            missing_per_round(offset, 2, |round| TM * (round as u64 - 1)),
+            [0, 1],
+            "delay growing by T_M, offset {offset}"
+        );
     }
 }
 

@@ -183,18 +183,6 @@ impl Swarm {
         })
     }
 
-    /// Mutable access to one device (used by tests and malware models).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SwarmError::UnknownDevice`] for out-of-range indices.
-    pub fn prover_mut(&mut self, index: usize) -> Result<&mut Prover, SwarmError> {
-        let size = self.provers.len();
-        self.provers
-            .get_mut(index)
-            .ok_or(SwarmError::UnknownDevice { index, size })
-    }
-
     /// Advances every device to `horizon`, letting scheduled self-
     /// measurements fire.
     ///
@@ -429,7 +417,6 @@ mod tests {
         // Same memory contents and timestamp, different keys → different tags.
         assert_eq!(m0.digest(), m1.digest());
         assert_ne!(m0.tag(), m1.tag());
-        let _ = swarm.prover_mut(0).expect("device");
     }
 
     #[test]

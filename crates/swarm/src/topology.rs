@@ -129,11 +129,6 @@ impl Topology {
         }
     }
 
-    /// Whether `a` and `b` are directly linked.
-    pub fn has_link(&self, a: usize, b: usize) -> bool {
-        a < self.nodes && self.adjacency[a].contains(&b)
-    }
-
     /// Neighbours of `node`, in ascending order.
     pub fn neighbors(&self, node: usize) -> Vec<usize> {
         self.adjacency
@@ -240,9 +235,9 @@ mod tests {
         topology.add_link(1, 2);
         topology.add_link(2, 3);
         assert!(topology.is_connected());
-        assert!(topology.has_link(1, 2));
+        assert_eq!(topology.link_count(), 3);
         topology.remove_link(1, 2);
-        assert!(!topology.has_link(1, 2));
+        assert_eq!(topology.link_count(), 2);
         assert!(!topology.is_connected());
         assert_eq!(topology.reachable_from(0), BTreeSet::from([0, 1]));
         // Self-links and out-of-range links are ignored.
