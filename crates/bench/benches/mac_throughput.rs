@@ -47,8 +47,12 @@ fn bench_mac_throughput(c: &mut Criterion) {
 }
 
 /// The ERASMUS hot path MACs a 40-byte `(t, H(mem_t))` input per
-/// measurement. Re-deriving the HMAC key schedule dominates at that size;
-/// the precomputed `KeyedMac` midstate amortizes it to once per device.
+/// measurement. Re-deriving the HMAC key schedule dominates at that size,
+/// so a `KeyedMac` derives it once per device: the two chaining states
+/// left after the ipad and opad blocks. A message of at most 55 bytes then
+/// costs one compression after each state (`precomputed/*/40`); from 56
+/// bytes on, the padding spills into a second block, and the inner hash
+/// compresses twice (`precomputed/*/56`).
 /// The device keys themselves come from HMAC-DRBG at provisioning: one
 /// generator per key (`derive`), or one generator instantiated for a
 /// range of devices and cloned per device, as a fleet shard provisions
@@ -57,6 +61,8 @@ fn bench_key_schedule(c: &mut Criterion) {
     let key = [0x42u8; 32];
     // Timestamp + SHA-256 digest, as built by `Measurement::mac_input`.
     let mac_input = [0x5au8; 40];
+    // The shortest message whose padding spills into a second block.
+    let spilled_input = [0x5au8; 56];
     let mut group = c.benchmark_group("key_schedule");
     for alg in MacAlgorithm::ALL {
         group.bench_with_input(
@@ -65,11 +71,13 @@ fn bench_key_schedule(c: &mut Criterion) {
             |b, input| b.iter(|| std::hint::black_box(alg.mac(&key, input))),
         );
         let keyed = alg.with_key(&key);
-        group.bench_with_input(
-            BenchmarkId::new("precomputed", alg.to_string()),
-            &mac_input,
-            |b, input| b.iter(|| std::hint::black_box(keyed.mac(input))),
-        );
+        for input in [&mac_input[..], &spilled_input] {
+            group.bench_with_input(
+                BenchmarkId::new("precomputed", format!("{alg}/{}", input.len())),
+                input,
+                |b, input| b.iter(|| std::hint::black_box(keyed.mac(input))),
+            );
+        }
     }
     let mut device = 0u64;
     group.throughput(Throughput::Elements(1));

@@ -711,13 +711,13 @@ mod tests {
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn a_prover_fits_in_768_bytes_and_its_scheduler_in_96() {
+    fn a_prover_fits_in_576_bytes_and_its_scheduler_in_96() {
         use std::mem::size_of;
         let prover = size_of::<Prover>();
         let scheduler = size_of::<MeasurementScheduler>();
         assert!(
-            prover <= 768,
-            "a Prover grew to {prover} bytes (bound 768): Mcu {} B, ProverConfig {} B, \
+            prover <= 576,
+            "a Prover grew to {prover} bytes (bound 576): Mcu {} B, ProverConfig {} B, \
              MeasurementBuffer {} B, MeasurementScheduler {scheduler} B, KeyedMac {} B; \
              share or box what is the same on every device",
             size_of::<Mcu>(),

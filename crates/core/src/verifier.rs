@@ -756,6 +756,23 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_verifier_fits_in_160_bytes() {
+        use std::mem::size_of;
+        let verifier = size_of::<Verifier>();
+        assert!(
+            verifier <= 160,
+            "a Verifier grew to {verifier} bytes (bound 160): KeyedMac {} B, \
+             Option<MemoryDigest> {} B, Option<SimDuration> {} B, Option<SimTime> {} B; \
+             keep only the key's chaining states and what differs per device",
+            size_of::<KeyedMac>(),
+            size_of::<Option<MemoryDigest>>(),
+            size_of::<Option<SimDuration>>(),
+            size_of::<Option<SimTime>>(),
+        );
+    }
+
+    #[test]
     fn request_timestamps_are_strictly_increasing() {
         let (_, mut verifier) = setup();
         let first = verifier.make_on_demand_request(1, SimTime::from_secs(10));

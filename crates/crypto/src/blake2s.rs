@@ -6,7 +6,6 @@
 //! targets; its keyed mode is a MAC by construction, so no HMAC wrapper is
 //! needed.
 
-use crate::ct::constant_time_eq;
 use crate::digest::Digest;
 
 /// BLAKE2s initialization vector (identical to the SHA-256 IV).
@@ -104,11 +103,6 @@ impl Blake2s {
         let mut mac = Self::new_keyed(key);
         mac.update(message);
         mac.finalize()
-    }
-
-    /// Verifies a keyed-BLAKE2s tag in constant time.
-    pub fn verify_keyed(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
-        constant_time_eq(&Self::keyed_mac(key, message), tag)
     }
 
     fn increment_counter(&mut self, bytes: u32) {
@@ -210,6 +204,53 @@ impl Digest for Blake2s {
     }
 }
 
+/// A keyed-BLAKE2s key, held inline: at most 32 bytes, as
+/// [`Blake2s::new_keyed`] truncates longer keys to the RFC 7693 maximum.
+///
+/// Each tag starts a keyed hasher from it. A hasher keyed ahead of time
+/// would save no work: BLAKE2s holds the key block back until it knows
+/// whether that block is the last. The key is key material: its `Debug`
+/// output is redacted.
+///
+/// # Example
+///
+/// ```
+/// use erasmus_crypto::{Blake2s, Blake2sKey};
+///
+/// let key = Blake2sKey::new(b"device key");
+/// assert_eq!(key.mac(b"message"), Blake2s::keyed_mac(b"device key", b"message"));
+/// ```
+#[derive(Clone)]
+pub struct Blake2sKey {
+    bytes: [u8; MAX_KEY_BYTES],
+    len: u8,
+}
+
+impl Blake2sKey {
+    /// Holds `key`, truncated to 32 bytes.
+    pub fn new(key: &[u8]) -> Self {
+        let len = key.len().min(MAX_KEY_BYTES);
+        let mut bytes = [0u8; MAX_KEY_BYTES];
+        bytes[..len].copy_from_slice(&key[..len]);
+        Self {
+            bytes,
+            len: len as u8,
+        }
+    }
+
+    /// The keyed-BLAKE2s tag of `message`.
+    pub fn mac(&self, message: &[u8]) -> [u8; 32] {
+        Blake2s::keyed_mac(&self.bytes[..usize::from(self.len)], message)
+    }
+}
+
+impl std::fmt::Debug for Blake2sKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The key itself; never print it.
+        f.write_str("Blake2sKey(..redacted..)")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,14 +344,25 @@ mod tests {
     }
 
     #[test]
-    fn verify_keyed_rejects_tampering() {
-        let tag = Blake2s::keyed_mac(b"key", b"message");
-        assert!(Blake2s::verify_keyed(b"key", b"message", &tag));
-        assert!(!Blake2s::verify_keyed(b"key", b"message!", &tag));
-        assert!(!Blake2s::verify_keyed(b"yek", b"message", &tag));
-        let mut bad = tag;
-        bad[31] ^= 0x80;
-        assert!(!Blake2s::verify_keyed(b"key", b"message", &bad));
+    fn a_held_key_tags_as_a_freshly_keyed_hasher() {
+        // 33 and 64 bytes exceed the maximum, so both hold the first 32.
+        let key: Vec<u8> = (0..64u8).collect();
+        for key_len in [0usize, 1, 31, 32, 33, 64] {
+            let held = Blake2sKey::new(&key[..key_len]);
+            for message in [&b""[..], b"m", &[0xabu8; 129]] {
+                assert_eq!(
+                    held.mac(message),
+                    Blake2s::keyed_mac(&key[..key_len], message),
+                    "key length {key_len}"
+                );
+            }
+        }
+        assert_eq!(
+            Blake2sKey::new(&key).mac(b"m"),
+            Blake2s::keyed_mac(&key[..32], b"m")
+        );
+        let text = format!("{:?}", Blake2sKey::new(&[0xffu8; 32]));
+        assert_eq!(text, "Blake2sKey(..redacted..)");
     }
 
     #[test]

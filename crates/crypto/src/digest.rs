@@ -52,9 +52,3 @@ pub trait Digest: Clone {
         hasher.finalize()
     }
 }
-
-/// Largest digest block size among the hashes in this crate (all three are
-/// 64-byte-block constructions), used to key HMAC without heap-allocating
-/// the padded key block. `HmacKey::new` debug-asserts against it, so adding
-/// a wider-block digest (e.g. SHA-512) forces this constant to grow with it.
-pub(crate) const MAX_BLOCK_SIZE: usize = 64;

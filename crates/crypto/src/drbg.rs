@@ -32,7 +32,7 @@ pub struct HmacDrbg {
     value: [u8; 32],
     /// Precomputed HMAC schedule for the current `K` — the generate loop
     /// MACs under the same key until the next state update, so the ipad/opad
-    /// midstates are derived once per rekey instead of once per block.
+    /// chaining states are derived once per rekey instead of once per block.
     schedule: HmacKey<Sha256>,
 }
 

@@ -1,27 +1,49 @@
-//! HMAC (RFC 2104) over any [`Digest`].
+//! HMAC (RFC 2104) over SHA-256 or SHA-1.
 //!
 //! HMAC-SHA256 is the reference MAC in both the SMART+ and HYDRA
 //! implementations of the paper (Table 1, Figures 6 and 8). The paper sizes
 //! HMAC-SHA1 in Table 1 for comparison only; here it is a full MAC option
 //! that whole fleets run.
 //!
-//! The implementation is midstate-based: keying absorbs the ipad and opad
-//! blocks into two digest states exactly once, and every subsequent MAC
-//! clones those cheap fixed-size states instead of re-deriving the key
-//! schedule. [`HmacKey`] exposes the precomputed form directly, which is how
-//! real SMART+/HYDRA-style deployments hold the device key — derived once at
-//! provisioning, reused for every self-measurement.
+//! A key schedule is two chaining states, as RFC 2104 §4 suggests: the
+//! hash's state after the ipad block and after the opad block, derived once
+//! per key. [`HmacKey`] holds those two and nothing else (64 bytes for
+//! SHA-256, 40 for SHA-1), which is how SMART+/HYDRA-style deployments hold
+//! the device key: derived once at provisioning, reused for every
+//! self-measurement. Every tag streams through two hashers resumed from the
+//! states ([`HmacKey::begin`]). The states are key material: no `Debug`
+//! output prints them.
 
-use crate::ct::constant_time_eq;
-use crate::digest::{Digest, MAX_BLOCK_SIZE};
 use crate::sha1::Sha1;
 use crate::sha256::Sha256;
 
-/// Precomputed HMAC key schedule: the inner (ipad) and outer (opad)
-/// midstates, each one compression ahead.
+/// The block size of every hash HMAC runs over here.
+const BLOCK: usize = 64;
+
+pub(crate) mod sealed {
+    /// A hash that HMAC can key once and resume from its chaining states:
+    /// SHA-256 and SHA-1, whose 64-byte blocks chain through a fixed-size
+    /// state.
+    pub trait ChainingHash: crate::Digest {
+        /// The chaining state between two blocks.
+        type State: Copy;
+
+        /// The chaining state of a hasher that has absorbed whole blocks.
+        fn chaining_state(&self) -> Self::State;
+
+        /// A hasher that resumes from `state`, `absorbed` bytes (whole
+        /// blocks) into its message.
+        fn resume(state: Self::State, absorbed: u64) -> Self;
+    }
+}
+
+use sealed::ChainingHash;
+
+/// An HMAC key schedule: the two chaining states left after the ipad and
+/// opad blocks, and nothing else.
 ///
-/// Cloning an `HmacKey` or starting a MAC from it copies two fixed-size
-/// digest states — no allocation, no re-hashing of the key.
+/// Cloning an `HmacKey` copies the two states; a tag resumes a hasher from
+/// each, with no re-hashing of the key.
 ///
 /// # Example
 ///
@@ -33,71 +55,62 @@ use crate::sha256::Sha256;
 /// assert_eq!(precomputed, HmacSha256::mac(b"device key", b"message"));
 /// ```
 #[derive(Clone)]
-pub struct HmacKey<D: Digest> {
-    inner: D,
-    outer: D,
+pub struct HmacKey<D: ChainingHash> {
+    /// The chaining state after the ipad block.
+    inner: D::State,
+    /// The chaining state after the opad block.
+    outer: D::State,
 }
 
-impl<D: Digest> HmacKey<D> {
-    /// Derives the ipad/opad midstates from `key`.
+impl<D: ChainingHash> HmacKey<D> {
+    /// Derives the ipad/opad chaining states from `key`.
     ///
     /// Keys longer than the digest block size are first hashed, exactly as
     /// RFC 2104 prescribes; shorter keys are zero-padded.
     pub fn new(key: &[u8]) -> Self {
-        debug_assert!(D::BLOCK_SIZE <= MAX_BLOCK_SIZE);
-        let mut key_block = [0u8; MAX_BLOCK_SIZE];
-        if key.len() > D::BLOCK_SIZE {
+        let mut key_block = [0u8; BLOCK];
+        if key.len() > BLOCK {
             let hashed = D::digest(key);
             key_block[..hashed.as_ref().len()].copy_from_slice(hashed.as_ref());
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
-
-        let mut pad = [0u8; MAX_BLOCK_SIZE];
-        for (p, k) in pad.iter_mut().zip(key_block.iter()) {
-            *p = k ^ 0x36;
+        let padded = |pad: u8| {
+            let mut hasher = D::new();
+            hasher.update(&key_block.map(|k| k ^ pad));
+            hasher.chaining_state()
+        };
+        Self {
+            inner: padded(0x36),
+            outer: padded(0x5c),
         }
-        let mut inner = D::new();
-        inner.update(&pad[..D::BLOCK_SIZE]);
-
-        for (p, k) in pad.iter_mut().zip(key_block.iter()) {
-            *p = k ^ 0x5c;
-        }
-        let mut outer = D::new();
-        outer.update(&pad[..D::BLOCK_SIZE]);
-
-        Self { inner, outer }
     }
 
-    /// Starts an incremental MAC computation from the precomputed midstates.
+    /// Starts an incremental MAC computation: two hashers resumed from the
+    /// chaining states.
     pub fn begin(&self) -> Hmac<D> {
         Hmac {
-            inner: self.inner.clone(),
-            outer: self.outer.clone(),
+            inner: D::resume(self.inner, BLOCK as u64),
+            outer: D::resume(self.outer, BLOCK as u64),
         }
     }
 
-    /// Computes the tag of `message` in one call, reusing the midstates.
+    /// Computes the tag of `message` in one call, through [`HmacKey::begin`].
     pub fn mac(&self, message: &[u8]) -> D::Output {
         let mut hmac = self.begin();
         hmac.update(message);
         hmac.finalize()
     }
-
-    /// Verifies `tag` against the MAC of `message` in constant time.
-    pub fn verify(&self, message: &[u8], tag: &[u8]) -> bool {
-        constant_time_eq(self.mac(message).as_ref(), tag)
-    }
 }
 
-impl<D: Digest> std::fmt::Debug for HmacKey<D> {
+impl<D: ChainingHash> std::fmt::Debug for HmacKey<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The midstates are key material; never print them.
+        // The chaining states are key material; never print them.
         f.write_str("HmacKey(..redacted..)")
     }
 }
 
-/// HMAC keyed with an arbitrary-length key over digest `D`.
+/// HMAC keyed with an arbitrary-length key over SHA-256 or SHA-1.
 ///
 /// # Example
 ///
@@ -105,21 +118,22 @@ impl<D: Digest> std::fmt::Debug for HmacKey<D> {
 /// use erasmus_crypto::{Hmac, Sha256};
 ///
 /// let mut mac = Hmac::<Sha256>::new(b"key");
-/// mac.update(b"The quick brown fox jumps over the lazy dog");
+/// mac.update(b"The quick brown fox ");
+/// mac.update(b"jumps over the lazy dog");
 /// let tag = mac.finalize();
 /// assert_eq!(tag.len(), 32);
-/// assert!(Hmac::<Sha256>::verify(b"key", b"The quick brown fox jumps over the lazy dog", &tag));
+/// assert_eq!(tag, Hmac::<Sha256>::mac(b"key", b"The quick brown fox jumps over the lazy dog"));
 /// ```
 #[derive(Clone)]
-pub struct Hmac<D: Digest> {
+pub struct Hmac<D: ChainingHash> {
     inner: D,
     /// Outer state with the opad block already absorbed.
     outer: D,
 }
 
-impl<D: Digest> std::fmt::Debug for Hmac<D> {
+impl<D: ChainingHash> std::fmt::Debug for Hmac<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Both midstates are key-equivalent material; never print them.
+        // Both states are key-equivalent material; never print them.
         f.write_str("Hmac(..redacted..)")
     }
 }
@@ -130,7 +144,7 @@ pub type HmacSha1 = Hmac<Sha1>;
 /// HMAC-SHA256 alias (the paper's reference MAC).
 pub type HmacSha256 = Hmac<Sha256>;
 
-impl<D: Digest> Hmac<D> {
+impl<D: ChainingHash> Hmac<D> {
     /// Creates an HMAC instance keyed with `key`.
     pub fn new(key: &[u8]) -> Self {
         HmacKey::new(key).begin()
@@ -154,12 +168,6 @@ impl<D: Digest> Hmac<D> {
         let mut hmac = Self::new(key);
         hmac.update(message);
         hmac.finalize()
-    }
-
-    /// Verifies `tag` against the MAC of `message` under `key` in constant
-    /// time.
-    pub fn verify(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
-        constant_time_eq(Self::mac(key, message).as_ref(), tag)
     }
 }
 
@@ -262,18 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_accepts_correct_tag_and_rejects_wrong() {
-        let tag = HmacSha256::mac(b"k", b"m");
-        assert!(HmacSha256::verify(b"k", b"m", &tag));
-        assert!(!HmacSha256::verify(b"k", b"m2", &tag));
-        assert!(!HmacSha256::verify(b"k2", b"m", &tag));
-        let mut bad = tag;
-        bad[0] ^= 1;
-        assert!(!HmacSha256::verify(b"k", b"m", &bad));
-        assert!(!HmacSha256::verify(b"k", b"m", &tag[..31]));
-    }
-
-    #[test]
     fn incremental_matches_oneshot() {
         let mut mac = HmacSha256::new(b"incremental key");
         mac.update(b"part one / ");
@@ -295,7 +291,6 @@ mod tests {
                     HmacSha256::mac(&key, message),
                     "key length {key_len}"
                 );
-                assert!(schedule.verify(message, &HmacSha256::mac(&key, message)));
             }
         }
     }
@@ -324,6 +319,6 @@ mod tests {
     fn empty_key_and_message_are_valid_inputs() {
         let tag = HmacSha256::mac(b"", b"");
         assert_eq!(tag.len(), 32);
-        assert!(HmacSha256::verify(b"", b"", &tag));
+        assert_eq!(HmacKey::<Sha256>::new(b"").mac(b""), tag);
     }
 }

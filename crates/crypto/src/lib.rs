@@ -11,7 +11,7 @@
 //!   extensions (SHA-NI) where `is_x86_feature_detected!` finds them, and
 //!   in portable code everywhere else; the call into that kernel is the
 //!   workspace's one `unsafe` block.
-//! * [`Hmac`] — RFC 2104 HMAC over any [`Digest`].
+//! * [`Hmac`] — RFC 2104 HMAC over [`Sha256`] or [`Sha1`].
 //! * [`Blake2s`] — RFC 7693 BLAKE2s with native keyed mode.
 //! * [`HmacDrbg`] — deterministic CSPRNG (HMAC-DRBG construction) used for
 //!   the irregular measurement schedule of Section 3.5.
@@ -19,10 +19,13 @@
 //!
 //! The [`MacAlgorithm`] enum gives the rest of the workspace a single switch
 //! point for the three MAC constructions evaluated in the paper.
-//! [`MacAlgorithm::with_key`] precomputes the key schedule ([`KeyedMac`]),
-//! which is what provers and verifiers hold, so the measure/verify hot
-//! paths absorb the HMAC ipad/opad blocks (or the BLAKE2s key block) exactly
-//! once per device.
+//! [`MacAlgorithm::with_key`] derives the key schedule ([`KeyedMac`]) once
+//! per device, and provers and verifiers hold it. An HMAC key schedule
+//! ([`HmacKey`]) is the two chaining states the ipad and opad blocks leave,
+//! and nothing else, so those blocks are absorbed once per device; every
+//! tag streams through two hashers resumed from the states. A keyed-BLAKE2s
+//! schedule ([`Blake2sKey`]) is the key itself, at most 32 bytes. Both are
+//! key material, so their `Debug` output is redacted.
 //!
 //! Digest finalizers and MAC tags are fixed-size stack values — the hot path
 //! performs no heap allocation.
@@ -71,7 +74,7 @@ pub mod mac;
 pub mod sha1;
 pub mod sha256;
 
-pub use blake2s::Blake2s;
+pub use blake2s::{Blake2s, Blake2sKey};
 pub use ct::constant_time_eq;
 pub use digest::Digest;
 pub use drbg::HmacDrbg;

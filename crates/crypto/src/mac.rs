@@ -5,18 +5,19 @@
 //! verifier and benchmark in the workspace select among them with a single
 //! value, mirroring the columns of Table 1 and the curves of Figures 6/8.
 //!
-//! [`KeyedMac`] is the precomputed form: the HMAC ipad/opad blocks (or the
-//! BLAKE2s key block) are absorbed exactly once per device, and every
-//! subsequent tag clones the cheap fixed-size midstate. This matches how the
-//! paper's SMART+/HYDRA-style implementations hold `K`, and it is what the
-//! prover/verifier hot paths use.
+//! [`KeyedMac`] is the precomputed form: the HMAC ipad/opad blocks are
+//! absorbed exactly once per device, and an HMAC key is then the two
+//! chaining states they leave; keyed BLAKE2s holds its key of at most 32
+//! bytes. This matches how the paper's SMART+/HYDRA-style implementations
+//! hold `K`, and it is what the prover/verifier hot paths use. Every
+//! `Prover` and every `Verifier` holds one, so its size is a per-device
+//! cost: 72 bytes at most on 64-bit targets, pinned by a test.
 
 use std::fmt;
 use std::str::FromStr;
 
-use crate::blake2s::Blake2s;
+use crate::blake2s::{Blake2s, Blake2sKey};
 use crate::ct::constant_time_eq;
-use crate::digest::Digest;
 use crate::hmac::{HmacKey, HmacSha1, HmacSha256};
 use crate::sha1::Sha1;
 use crate::sha256::Sha256;
@@ -163,7 +164,7 @@ impl MacAlgorithm {
         match self {
             MacAlgorithm::HmacSha1 => KeyedMac::HmacSha1(HmacKey::new(key)),
             MacAlgorithm::HmacSha256 => KeyedMac::HmacSha256(HmacKey::new(key)),
-            MacAlgorithm::KeyedBlake2s => KeyedMac::KeyedBlake2s(Blake2s::new_keyed(key)),
+            MacAlgorithm::KeyedBlake2s => KeyedMac::KeyedBlake2s(Blake2sKey::new(key)),
         }
     }
 
@@ -210,10 +211,12 @@ impl fmt::Display for MacAlgorithm {
 
 /// A MAC with its key schedule already derived.
 ///
-/// For HMAC this holds the ipad/opad midstates (each one compression ahead);
-/// for keyed BLAKE2s it holds the parameterized state with the key block
-/// absorbed. Producing a tag clones the fixed-size state and runs only the
-/// per-message compressions — no allocation, no re-keying.
+/// For HMAC this holds the two chaining states left after the ipad and opad
+/// blocks, and a tag streams through hashers resumed from them. For keyed
+/// BLAKE2s it holds the key itself, inline; BLAKE2s holds its key block
+/// back until it knows whether that block is the last, so a hasher keyed
+/// ahead of time would save no compression. Producing a tag allocates
+/// nothing. Both are key material, so `Debug` prints only the algorithm.
 ///
 /// # Example
 ///
@@ -228,12 +231,12 @@ impl fmt::Display for MacAlgorithm {
 /// ```
 #[derive(Clone)]
 pub enum KeyedMac {
-    /// Precomputed HMAC-SHA1 midstates.
+    /// HMAC-SHA1's two chaining states.
     HmacSha1(HmacKey<Sha1>),
-    /// Precomputed HMAC-SHA256 midstates.
+    /// HMAC-SHA256's two chaining states.
     HmacSha256(HmacKey<Sha256>),
-    /// Keyed BLAKE2s state with the key block absorbed.
-    KeyedBlake2s(Blake2s),
+    /// Keyed BLAKE2s's key, at most 32 bytes.
+    KeyedBlake2s(Blake2sKey),
 }
 
 impl KeyedMac {
@@ -242,11 +245,7 @@ impl KeyedMac {
         match self {
             KeyedMac::HmacSha1(key) => MacTag::from(key.mac(message)),
             KeyedMac::HmacSha256(key) => MacTag::from(key.mac(message)),
-            KeyedMac::KeyedBlake2s(state) => {
-                let mut mac = state.clone();
-                mac.update(message);
-                MacTag::from(mac.finalize())
-            }
+            KeyedMac::KeyedBlake2s(key) => MacTag::from(key.mac(message)),
         }
     }
 
@@ -263,16 +262,11 @@ impl KeyedMac {
             KeyedMac::KeyedBlake2s(_) => MacAlgorithm::KeyedBlake2s,
         }
     }
-
-    /// Tag length in bytes.
-    pub fn tag_len(&self) -> usize {
-        self.algorithm().tag_len()
-    }
 }
 
 impl fmt::Debug for KeyedMac {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The midstates are key-derived; never print them.
+        // The chaining states and the key are key material; never print them.
         write!(f, "KeyedMac({}, ..redacted..)", self.algorithm())
     }
 }
@@ -331,7 +325,6 @@ mod tests {
         for alg in MacAlgorithm::ALL {
             let keyed = alg.with_key(&key);
             assert_eq!(keyed.algorithm(), alg);
-            assert_eq!(keyed.tag_len(), alg.tag_len());
             for message in [&b""[..], b"m", &[0xcdu8; 129]] {
                 let precomputed = keyed.mac(message);
                 assert_eq!(precomputed, alg.mac(&key, message), "{alg}");
@@ -339,6 +332,38 @@ mod tests {
                 assert!(!keyed.verify(b"other", &precomputed), "{alg}");
             }
         }
+    }
+
+    #[test]
+    fn verify_accepts_the_tag_and_rejects_any_other() {
+        for alg in MacAlgorithm::ALL {
+            let keyed = alg.with_key(b"k");
+            let tag = keyed.mac(b"m");
+            assert!(keyed.verify(b"m", &tag), "{alg}");
+            assert!(!keyed.verify(b"m2", &tag), "{alg}");
+            assert!(!alg.with_key(b"k2").verify(b"m", &tag), "{alg}");
+            let mut flipped = tag.into_bytes();
+            flipped[0] ^= 1;
+            assert!(!keyed.verify(b"m", &MacTag::new(&flipped)), "{alg}");
+            let truncated = MacTag::new(&tag.as_bytes()[..tag.len() - 1]);
+            assert!(!keyed.verify(b"m", &truncated), "{alg}");
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_keyed_mac_fits_in_72_bytes() {
+        use std::mem::size_of;
+        let keyed = size_of::<KeyedMac>();
+        assert!(
+            keyed <= 72,
+            "a KeyedMac grew to {keyed} bytes (bound 72): HmacKey<Sha256> {} B, \
+             HmacKey<Sha1> {} B, Blake2sKey {} B; an HMAC key holds two chaining \
+             states, and a BLAKE2s key its bytes",
+            size_of::<HmacKey<Sha256>>(),
+            size_of::<HmacKey<Sha1>>(),
+            size_of::<Blake2sKey>(),
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! of the workspace defaults to SHA-256 or BLAKE2s.
 
 use crate::digest::Digest;
+use crate::hmac::sealed::ChainingHash;
 
 const H0: [u32; 5] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0];
 
@@ -181,6 +182,24 @@ impl Digest for Sha1 {
             chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
+    }
+}
+
+impl ChainingHash for Sha1 {
+    type State = [u32; 5];
+
+    fn chaining_state(&self) -> [u32; 5] {
+        debug_assert_eq!(self.buffer_len, 0, "only whole blocks chain");
+        self.state
+    }
+
+    fn resume(state: [u32; 5], absorbed: u64) -> Self {
+        debug_assert_eq!(absorbed % 64, 0, "only whole blocks chain");
+        Self {
+            state,
+            total_len: absorbed,
+            ..Self::new()
+        }
     }
 }
 

@@ -5,6 +5,7 @@
 //! throughout the workspace.
 
 use crate::digest::Digest;
+use crate::hmac::sealed::ChainingHash;
 
 /// Round constants (first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes).
@@ -307,6 +308,24 @@ impl Digest for Sha256 {
             chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
+    }
+}
+
+impl ChainingHash for Sha256 {
+    type State = [u32; 8];
+
+    fn chaining_state(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buffer_len, 0, "only whole blocks chain");
+        self.state
+    }
+
+    fn resume(state: [u32; 8], absorbed: u64) -> Self {
+        debug_assert_eq!(absorbed % 64, 0, "only whole blocks chain");
+        Self {
+            state,
+            total_len: absorbed,
+            ..Self::new()
+        }
     }
 }
 

@@ -2,12 +2,13 @@
 //! byte-identical tags to the one-shot [`MacAlgorithm::mac`] path for every
 //! algorithm, on known-answer vectors and on random inputs.
 //!
-//! The precomputed path is what provers and verifiers actually run; the
-//! one-shot path is the reference construction checked against the RFC
-//! vectors in the unit tests. This suite pins the two together so a midstate
-//! bug cannot silently diverge from the spec.
+//! The precomputed path is what provers and verifiers actually run: for
+//! HMAC, hashers resumed from the key's two chaining states. The one-shot
+//! path is the reference construction checked against the RFC vectors in
+//! the unit tests. This suite pins the two together so a chaining-state or
+//! resume bug cannot silently diverge from the spec.
 
-use erasmus_crypto::{HmacKey, KeyedMac, MacAlgorithm, MacTag, Sha1, Sha256};
+use erasmus_crypto::{Digest, Hmac, HmacKey, KeyedMac, MacAlgorithm, MacTag, Sha1, Sha256};
 use proptest::prelude::*;
 
 fn hex(bytes: &[u8]) -> String {
@@ -107,35 +108,68 @@ fn keyed_path_reproduces_every_known_answer() {
     }
 }
 
+/// HMAC straight from RFC 2104's definition over whole-message digests,
+/// `H((K ⊕ opad) ‖ H((K ⊕ ipad) ‖ m))`, with no state kept between blocks.
+fn hmac_by_definition<D: Digest>(key: &[u8], message: &[u8]) -> D::Output {
+    let mut key_block = [0u8; 64];
+    if key.len() > 64 {
+        let hashed = D::digest(key);
+        key_block[..hashed.as_ref().len()].copy_from_slice(hashed.as_ref());
+    } else {
+        key_block[..key.len()].copy_from_slice(key);
+    }
+    let padded = |pad: u8, tail: &[u8]| -> Vec<u8> {
+        key_block
+            .iter()
+            .map(|k| k ^ pad)
+            .chain(tail.iter().copied())
+            .collect()
+    };
+    let inner = D::digest(&padded(0x36, message));
+    D::digest(&padded(0x5c, inner.as_ref()))
+}
+
 #[test]
 fn hmac_key_incremental_absorption_matches_oneshot_at_block_boundaries() {
-    // Message lengths straddling the 64-byte block boundary exercise the
-    // midstate buffering logic in both digests.
-    let key = [0x7eu8; 32];
-    let sha256 = HmacKey::<Sha256>::new(&key);
-    let sha1 = HmacKey::<Sha1>::new(&key);
-    for len in [0usize, 1, 23, 55, 56, 63, 64, 65, 119, 120, 127, 128, 129] {
-        let message: Vec<u8> = (0..len as u32).map(|i| (i * 31 % 256) as u8).collect();
-        assert_eq!(
-            sha256.mac(&message),
-            erasmus_crypto::HmacSha256::mac(&key, &message),
-            "sha256 length {len}"
-        );
-        assert_eq!(
-            sha1.mac(&message),
-            erasmus_crypto::HmacSha1::mac(&key, &message),
-            "sha1 length {len}"
-        );
-        // Byte-at-a-time absorption through the midstate.
-        let mut incremental = sha256.begin();
-        for byte in &message {
-            incremental.update(std::slice::from_ref(byte));
+    // Every length up to 130 bytes: from 56 on the padding spills into a
+    // second block after the key block, and 64 and 128 fill whole blocks.
+    // The keys cover empty, short, one block, one byte over (hashed first)
+    // and RFC 4231's 131 bytes.
+    let message: Vec<u8> = (0..130u32).map(|i| (i * 31 % 256) as u8).collect();
+    for key_len in [0usize, 20, 32, 64, 65, 131] {
+        let key: Vec<u8> = (0..key_len as u32).map(|i| (i * 7 + 1) as u8).collect();
+        macro_rules! check {
+            ($hash:ty) => {{
+                let schedule = HmacKey::<$hash>::new(&key);
+                for len in 0..=message.len() {
+                    let message = &message[..len];
+                    let tag = schedule.mac(message);
+                    let name = stringify!($hash);
+                    assert_eq!(
+                        tag,
+                        Hmac::<$hash>::mac(&key, message),
+                        "{name}: key {key_len} B, message {len} B"
+                    );
+                    assert_eq!(
+                        tag,
+                        hmac_by_definition::<$hash>(&key, message),
+                        "{name} by definition: key {key_len} B, message {len} B"
+                    );
+                    // Byte-at-a-time absorption through the resumed hashers.
+                    let mut incremental = schedule.begin();
+                    for byte in message {
+                        incremental.update(std::slice::from_ref(byte));
+                    }
+                    assert_eq!(
+                        incremental.finalize(),
+                        tag,
+                        "{name} incremental: key {key_len} B, message {len} B"
+                    );
+                }
+            }};
         }
-        assert_eq!(
-            incremental.finalize(),
-            sha256.mac(&message),
-            "sha256 incremental length {len}"
-        );
+        check!(Sha256);
+        check!(Sha1);
     }
 }
 
