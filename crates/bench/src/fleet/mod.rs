@@ -8,10 +8,14 @@
 //! [`erasmus_crypto::KeyedMac`] schedules derived once per device — and
 //! reports the run's totals, ledgers and phase walls.
 //!
-//! The fleet is partitioned into per-thread **shards** (the private `shard`
-//! module): each scoped `std::thread` worker provisions its
-//! `(Prover, Verifier)` pairs, owns them outright and drives them through
-//! its own [`erasmus_sim::Engine`] as one event-driven timeline.
+//! The fleet is cut into balanced, contiguous **shards** of at most 512
+//! devices (the private `shard` module), at least one per worker. Scoped
+//! `std::thread` workers claim shards in turn: a worker provisions its
+//! shard's `(Prover, Verifier)` pairs, owns them outright, drives them
+//! through the shard's own [`erasmus_sim::Engine`] as one event-driven
+//! timeline and drops them before it claims the next shard, so live
+//! device state is bounded by the pool, not by the fleet, and a worker
+//! that finishes early takes more shards instead of idling.
 //! A device holds only what differs between devices. Every device boots
 //! the same blank application image, so each shard builds that image once
 //! and shares it copy-on-write among its provers
@@ -31,17 +35,18 @@
 //! (ERASMUS+OD, Figure 4) and device churn interleave with the schedule on
 //! the same timeline. Because every random draw is keyed by the *global*
 //! device index, totals are thread-count-invariant by construction, lossy
-//! runs included. `tests/fleet_determinism.rs` pins the lossless totals
-//! against a serial oracle that calls the protocol directly, with no engine
-//! and no codec.
+//! runs included, and so is the root digest. `tests/fleet_determinism.rs`
+//! pins the lossless totals against a serial oracle that calls the protocol
+//! directly, with no engine and no codec.
 //!
 //! Every hash of a run is a scalar `erasmus-crypto` call over one message,
 //! one device at a time: each shard instantiates the key-derivation
 //! generator once and clones it per device
 //! ([`erasmus_hw::DeviceKey::derive_range`]), each measurement hashes one
 //! memory image, each frame record is verified and folded into its hub
-//! history in turn, and the merged hub re-verifies each device's chain
-//! ([`erasmus_core::VerifierHub::verified_chains`]).
+//! history in turn, and each shard hub re-verifies its devices' chains on
+//! its worker ([`erasmus_core::VerifierHub::verified_chains`]) before the
+//! merge.
 //!
 //! Injected faults ride the same deterministic draws: duplicated frames
 //! are deduplicated by the hubs' per-flow sequence windows, reordered
@@ -80,6 +85,7 @@ mod shard;
 pub use shard::ShardReport;
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use erasmus_core::{DeviceHistory, HistoryEntry, HistoryMode, VerifierHub};
@@ -130,9 +136,11 @@ pub struct FleetConfig {
     /// many times with exponential backoff
     /// ([`erasmus_core::RetryPolicy`]). 0 disables retransmission.
     pub retries: u32,
-    /// Scheduled verifier-hub crash/restart cycles per shard: at each, the
-    /// hub state is serialized to its wire-format snapshot, dropped, and
-    /// restored from the bytes alone — recovery must be bit-identical.
+    /// Scheduled verifier-hub crash/restart cycles: at each of these
+    /// instants, spread evenly over the run, every shard's hub state is
+    /// serialized to its wire-format snapshot, dropped, and restored from
+    /// the bytes alone — recovery must be bit-identical. A run restores
+    /// `shards × hub_crashes` hubs ([`FleetReport::hub_crashes`]).
     pub hub_crashes: usize,
     /// Fleet-wide count of authenticated on-demand requests (ERASMUS+OD)
     /// injected at deterministic instants during the run.
@@ -278,20 +286,22 @@ impl AggregationReport {
 pub struct FleetReport {
     /// The configuration that produced this report.
     pub config: FleetConfig,
-    /// Worker threads (shards) the fleet was partitioned into.
+    /// Worker threads that ran the shards: the requested count, clamped
+    /// to the shard count.
     pub threads: usize,
     /// Self-measurements taken across the fleet (scheduled + on-demand).
     pub measurements_total: u64,
     /// Individual measurement MACs verified across all delivered reports.
     pub verifications_total: u64,
-    /// Wall-clock time of the measurement work: the *slowest shard's*
-    /// accumulated measurement time, since shards run concurrently. Only
-    /// self-measurements and on-demand exchanges count; provisioning (which
-    /// derives every key schedule once) is not measurement work.
+    /// Worker time spent on measurement work, summed over shards, so it
+    /// reads the same whatever the partition (and can exceed the run's
+    /// wall when workers overlap). Only self-measurements and on-demand
+    /// exchanges count; provisioning (which derives every key schedule
+    /// once) is not measurement work.
     pub measure_wall: Duration,
-    /// Wall-clock time of the verifier-side work — frame ingest (decode,
-    /// MAC verify, hub fold) and on-demand verification — same
-    /// slowest-shard convention. The prover answering a collection is not
+    /// Worker time spent on verifier-side work — frame ingest (decode, MAC
+    /// verify, hub fold) and on-demand verification — summed over shards
+    /// like `measure_wall`. The prover answering a collection is not
     /// charged here.
     pub verify_wall: Duration,
     /// Aggregate *simulated* prover busy time, for cross-checking against
@@ -319,7 +329,9 @@ pub struct FleetReport {
     /// window.
     pub history_stale_discards: u64,
     /// Device histories whose head digest re-verified as `chain` folded
-    /// over the resident window — must equal `devices_tracked`.
+    /// over the resident window — must equal `devices_tracked`. Each
+    /// worker counts its shard hub's before the merge, which moves the
+    /// histories unchanged; this is the sum.
     pub chains_verified: u64,
     /// Resident verifier state across the merged hub, in bytes: per-device
     /// fixed struct size plus the retained entries: O(devices × capacity)
@@ -366,7 +378,9 @@ pub struct FleetReport {
     /// Duplicate frames the hubs' dedup windows dropped — must equal
     /// `frame_duplicates` (exactly-once delivery).
     pub hub_duplicates: u64,
-    /// Hub crash/restart cycles survived via snapshot recovery.
+    /// Shard-hub crash/restart cycles survived via snapshot recovery: every
+    /// shard hub restores at each of the [`FleetConfig::hub_crashes`]
+    /// instants, so this is `shards.len() × hub_crashes`.
     pub hub_crashes: u64,
     /// Total bytes of the recovery snapshots taken at those crashes.
     pub snapshot_bytes: u64,
@@ -379,11 +393,11 @@ pub struct FleetReport {
     /// Frame-decoded responses whose reports the hubs accepted:
     /// `decoded_accepted + on_demand_completed == collections_ingested`.
     pub decoded_accepted: u64,
-    /// Wall-clock time the slowest shard spent serializing frames
-    /// (excluded from `verify_wall`).
+    /// Worker time spent serializing frames, summed over shards (excluded
+    /// from `verify_wall`).
     pub encode_wall: Duration,
-    /// Wall-clock time of the slowest shard's frame-ingest spans (decode +
-    /// verify + hub fold, included in `verify_wall`).
+    /// Worker time of the frame-ingest spans (decode + verify + hub fold),
+    /// summed over shards; included in `verify_wall`.
     pub wire_ingest_wall: Duration,
     /// On-demand requests issued across the fleet.
     pub on_demand_attempted: u64,
@@ -416,7 +430,8 @@ pub struct FleetReport {
     /// Merged event-queue counters: pushes and pops summed over shards,
     /// `max_pending` the per-shard maximum; `overflow_pushes` is always 0.
     pub queue: QueueStats,
-    /// Per-shard breakdown, in shard order.
+    /// One report per shard, in shard order (fleet order of their device
+    /// ranges), whichever worker ran it.
     pub shards: Vec<ShardReport>,
 }
 
@@ -431,7 +446,7 @@ fn percentile(sorted: &[SimDuration], q: f64) -> SimDuration {
 
 pub(crate) const MEASUREMENT_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
-/// Single-threaded fleet run: [`run_threaded`] with one shard.
+/// Single-threaded fleet run: [`run_threaded`] with one worker.
 ///
 /// # Panics
 ///
@@ -442,14 +457,26 @@ pub fn run(config: &FleetConfig) -> FleetReport {
     run_threaded(config, 1)
 }
 
-/// Partitions the fleet into `threads` shards and runs each on a scoped
-/// worker thread, which provisions the shard's devices and drives them
-/// through its own event-driven engine; then merges the shard results.
+/// Most devices one shard holds. Workers provision, run and drop one shard
+/// at a time, so live device state is bounded by `threads × SHARD_DEVICES`
+/// devices, not by the fleet. A device's live state (prover, verifier,
+/// rolling buffer and hub history) is about 1.5–3 KB, so a 512-device
+/// shard's working set fits a core's 2 MB L2 cache.
+const SHARD_DEVICES: usize = 512;
+
+/// Cuts the fleet into balanced, contiguous shards of at most 512 devices,
+/// at least `threads` of them (one per device for a fleet smaller than
+/// that), and runs them on `threads` scoped workers. Each worker claims
+/// the next shard index in turn, provisions that shard's devices and
+/// drives them through its own event-driven engine, then drops them before
+/// it claims another; the shard results merge in shard order.
 ///
-/// The partition only changes *which worker* drives a device; every device
-/// performs identical simulated work, and every packet suffers the same
-/// deterministic fate, regardless of `threads` — so all totals (including
-/// delivered/dropped splits under loss) are identical across thread counts.
+/// The partition only changes *which shard* drives a device, and the
+/// thread count only *which worker* runs a shard; every device performs
+/// identical simulated work, and every packet suffers the same
+/// deterministic fate, regardless of either — so all totals (including
+/// delivered/dropped splits under loss) and the root digest are identical
+/// across thread counts.
 ///
 /// # Panics
 ///
@@ -468,16 +495,19 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         config.rounds > 0,
         "a fleet run needs at least one collection round"
     );
-    let threads = threads.min(config.provers.max(1));
+    let shards = threads
+        .max(config.provers.div_ceil(SHARD_DEVICES))
+        .min(config.provers.max(1));
+    let threads = threads.min(shards);
     let schedule = config.schedule();
     let plan = on_demand_plan(config);
 
     // The partition is balanced: the remainder is spread over the first
-    // shards, so no worker idles while another owns two extra devices.
-    let base = config.provers / threads;
-    let remainder = config.provers % threads;
+    // shards, so no shard holds two devices more than another.
+    let base = config.provers / shards;
+    let remainder = config.provers % shards;
     let mut start = 0usize;
-    let ranges: Vec<Range<usize>> = (0..threads)
+    let ranges: Vec<Range<usize>> = (0..shards)
         .map(|index| {
             let size = base + usize::from(index < remainder);
             let range = start..start + size;
@@ -486,33 +516,43 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         })
         .collect();
 
-    // Each worker provisions its own devices (keys, MAC schedules, reference
-    // digests, scenario plans), drives them and hands back its hub.
-    // Provisioning is part of the run's wall time; done on the workers, it
-    // runs in parallel like the event loops.
-    let drive = |index: usize, range: Range<usize>| {
-        let mut shard = Shard::provision(index, config, &schedule, range, &plan);
-        let report = shard.run(config);
-        (report, shard.into_hub())
+    // Each worker claims shards in turn until none is left. Per shard it
+    // provisions the devices (keys, MAC schedules, reference digests,
+    // scenario plans), drives them, counts the hub's verified chains and
+    // keeps only the report and the hub: the devices are dropped before the
+    // next claim. Provisioning is part of the run's wall time; done on the
+    // workers, it runs in parallel like the event loops. The claim counter
+    // publishes no data (the ranges are shared read-only and results come
+    // back through the joins), so `Relaxed` suffices: each index is still
+    // handed out exactly once.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(range) = ranges.get(index) else {
+                return done;
+            };
+            let mut shard = Shard::provision(index, config, &schedule, range.clone(), &plan);
+            let report = shard.run(config);
+            done.push((report, shard.into_hub()));
+        }
     };
-    let finished: Vec<(ShardReport, VerifierHub)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .enumerate()
-            .map(|(index, range)| scope.spawn(move || drive(index, range)))
-            .collect();
+    let mut finished: Vec<(ShardReport, VerifierHub)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
         handles
             .into_iter()
-            .map(|handle| {
+            .flat_map(|handle| {
                 handle
                     .join()
                     .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
             })
             .collect()
     });
+    finished.sort_unstable_by_key(|(report, _)| report.shard);
 
-    // Hubs merge in shard-index order, whatever order the workers finished,
-    // and the shard ledgers fold into one total.
+    // Hubs merge in shard order, whichever worker ran each shard and
+    // whenever it finished, and the shard ledgers fold into one total.
     let mut hub = VerifierHub::with_history(config.history);
     let mut total = ShardReport::new(config.retries);
     let mut shard_reports = Vec::with_capacity(finished.len());
@@ -549,7 +589,7 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         history_resident,
         history_evictions: hub.total_evictions(),
         history_stale_discards: hub.total_stale_discards(),
-        chains_verified: hub.verified_chains() as u64,
+        chains_verified: total.chains_verified,
         resident_state_bytes,
         aggregation,
         collections_ingested: hub.total_collections(),

@@ -1,20 +1,23 @@
-//! Per-thread fleet shards, driven by a discrete-event engine.
+//! Fleet shards, driven by a discrete-event engine.
 //!
-//! [`Shard`] is the unit of parallelism of the fleet harness: a contiguous
-//! slice of the fleet whose `(Prover, Verifier)` pairs are *owned* by one
-//! scoped worker thread, so the hot loops run without any cross-thread
-//! sharing or locking. Each shard owns an [`erasmus_sim::Engine`] and runs
-//! its slice of the fleet as one interleaved timeline of [`FleetEvent`]s:
-//! stagger-cohort ticks that measure and collect, responses travelling
-//! back through the [`NetworkModel`], on-demand attestations racing the
-//! schedule, and devices leaving/rejoining the fleet (churn).
+//! [`Shard`] is the unit of work of the fleet harness: a contiguous slice
+//! of the fleet whose `(Prover, Verifier)` pairs are *owned* by the scoped
+//! worker thread that claimed it, so the hot loops run without any
+//! cross-thread sharing or locking. The worker provisions the shard, runs
+//! it, counts its hub's verified chains and hands back its report and hub,
+//! dropping every device before it claims the next shard. Each shard owns
+//! an [`erasmus_sim::Engine`] and runs its slice of the fleet as one
+//! interleaved timeline of [`FleetEvent`]s: stagger-cohort ticks that
+//! measure and collect, responses travelling back through the
+//! [`NetworkModel`], on-demand attestations racing the schedule, and
+//! devices leaving/rejoining the fleet (churn).
 //!
 //! Devices keep their global fleet index for key derivation, for their
 //! [`StaggeredSchedule`] phase offset and for their network flows, which
 //! makes shard boundaries invisible to the simulated protocol: a device
 //! performs the same measurements at the same simulated instants — and its
-//! packets suffer the same fates — whether the fleet runs on one thread or
-//! sixteen.
+//! packets suffer the same fates — whether its shard holds one device or
+//! five hundred, and whichever worker drives it.
 //!
 //! Delivered collection responses are verified at their (per-device,
 //! latency-shifted) arrival instants; responses arriving at the same
@@ -24,7 +27,8 @@
 //! [`VerifierHub::ingest_sequenced_frame`], verifying each record
 //! zero-copy off the frame. On-demand reports are verified when they
 //! arrive and go into the hub there and then, through
-//! [`VerifierHub::ingest`].
+//! [`VerifierHub::ingest`], after the open burst seals, so a device's
+//! reports reach the hub in arrival order whatever else the shard carries.
 //!
 //! The event loop counts straight into the shard's [`ShardReport`], the
 //! one declaration of every shard counter; `run_threaded` folds the shards
@@ -291,7 +295,7 @@ struct Cohort {
     members: Vec<usize>,
 }
 
-/// A worker thread's slice of the fleet.
+/// A contiguous slice of the fleet, driven by one worker at a time.
 pub(crate) struct Shard {
     index: usize,
     /// Global fleet index of the shard's first device: the range is
@@ -314,7 +318,7 @@ pub(crate) struct Shard {
 /// is the one place that knows how each counter combines across shards.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardReport {
-    /// Shard index (0-based, matches spawn order).
+    /// Shard index: 0-based, in fleet order, whichever worker ran it.
     pub shard: usize,
     /// Devices driven by this shard.
     pub provers: usize,
@@ -362,6 +366,10 @@ pub struct ShardReport {
     pub frames_exhausted: u64,
     /// Response records carried by those exhausted frames.
     pub frame_lost_responses: u64,
+    /// Device histories in the shard hub whose head digest re-verified as
+    /// the chain folded over the resident window, counted on the worker
+    /// before the hub is merged.
+    pub chains_verified: u64,
     /// Hub crash/restart cycles survived via snapshot recovery.
     pub hub_crashes: u64,
     /// Total bytes of the recovery snapshots taken at those crashes.
@@ -417,16 +425,17 @@ impl ShardReport {
         }
     }
 
-    /// Folds another shard's ledger into this one. Walls, burst sizes and
-    /// queue high-water marks take the maximum, since shards run
-    /// concurrently; latencies are appended in shard order; every other
-    /// counter is added. `shard` is left alone.
+    /// Folds another shard's ledger into this one. Burst sizes and queue
+    /// high-water marks take the maximum; latencies are appended in shard
+    /// order; every other counter is added, the walls included, so they
+    /// read worker time per layer whatever the partition. `shard` is left
+    /// alone.
     pub(crate) fn absorb(&mut self, other: &ShardReport) {
         self.provers += other.provers;
         self.measurements += other.measurements;
         self.verifications += other.verifications;
-        self.measure_wall = self.measure_wall.max(other.measure_wall);
-        self.verify_wall = self.verify_wall.max(other.verify_wall);
+        self.measure_wall += other.measure_wall;
+        self.verify_wall += other.verify_wall;
         self.simulated_busy += other.simulated_busy;
         self.collections_attempted += other.collections_attempted;
         self.collections_delivered += other.collections_delivered;
@@ -445,6 +454,7 @@ impl ShardReport {
         self.corrupt_tamper_drops += other.corrupt_tamper_drops;
         self.frames_exhausted += other.frames_exhausted;
         self.frame_lost_responses += other.frame_lost_responses;
+        self.chains_verified += other.chains_verified;
         self.hub_crashes += other.hub_crashes;
         self.snapshot_bytes += other.snapshot_bytes;
         self.hub_batches += other.hub_batches;
@@ -453,8 +463,8 @@ impl ShardReport {
         self.wire_bytes += other.wire_bytes;
         self.wire_responses += other.wire_responses;
         self.wire_accepted += other.wire_accepted;
-        self.encode_wall = self.encode_wall.max(other.encode_wall);
-        self.wire_ingest_wall = self.wire_ingest_wall.max(other.wire_ingest_wall);
+        self.encode_wall += other.encode_wall;
+        self.wire_ingest_wall += other.wire_ingest_wall;
         self.on_demand_attempted += other.on_demand_attempted;
         self.on_demand_completed += other.on_demand_completed;
         self.on_demand_latencies
@@ -673,6 +683,7 @@ impl Shard {
             shard: self.index,
             provers: self.devices.len(),
             simulated_busy,
+            chains_verified: self.hub.verified_chains() as u64,
             devices_churned: self.churn.len() as u64,
             queue,
             ..state.report
@@ -771,6 +782,12 @@ impl Shard {
                 }
             }
             FleetEvent::OnDemandDeliver(exchange) => {
+                // The burst in flight seals first. It may hold a collection
+                // of this device delivered at an earlier instant; whichever
+                // report reaches the hub first sets `collected_at` on the
+                // entries both carry, and a burst only seals on a later
+                // delivery, which depends on the shard's other traffic.
+                self.flush_batch(state, network);
                 let device = exchange.device;
                 let started = Instant::now();
                 let verified = self.devices.verifiers[device].verify_on_demand(

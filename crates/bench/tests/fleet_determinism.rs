@@ -120,10 +120,22 @@ fn run(config: &FleetConfig, threads: usize) -> FleetReport {
         );
     }
 
+    // The pool: at least one shard per worker, reported in shard order,
+    // whose sizes differ by at most one device.
+    let shards = &report.shards;
+    assert!(shards.len() >= report.threads, "shard count, {at}");
+    assert!(
+        shards.iter().enumerate().all(|(index, s)| s.shard == index),
+        "shard order, {at}"
+    );
+    let sizes = || shards.iter().map(|s| s.provers);
+    assert!(
+        sizes().max().unwrap_or(0) - sizes().min().unwrap_or(0) <= 1,
+        "shard sizes differ by more than one, {at}"
+    );
+
     // The shards add up to the fleet: every counter the fold adds sums,
     // and the retry histogram sums bucket by bucket.
-    let shards = &report.shards;
-    assert_eq!(shards.len(), report.threads, "shard count, {at}");
     let sum = |field: fn(&fleet::ShardReport) -> u64| shards.iter().map(field).sum::<u64>();
     // A counter both reports carry under the same name.
     macro_rules! summed {
@@ -172,6 +184,7 @@ fn run(config: &FleetConfig, threads: usize) -> FleetReport {
         summed!(corrupt_tamper_drops),
         summed!(frames_exhausted),
         summed!(frame_lost_responses),
+        summed!(chains_verified),
         summed!(hub_crashes),
         summed!(snapshot_bytes),
         summed!(wire_frames),
@@ -371,6 +384,10 @@ fn churn_and_on_demand_stay_thread_invariant() {
     assert_eq!(single.history_entries, threaded.history_entries);
     assert_eq!(single.simulated_busy, threaded.simulated_busy);
     assert_eq!(single.all_healthy, threaded.all_healthy);
+    assert_eq!(
+        single.aggregation.root_digest,
+        threaded.aggregation.root_digest
+    );
 
     assert!(single.devices_churned > 0, "25% churn drew no churners");
     assert_eq!(single.on_demand_attempted, 24);
@@ -614,6 +631,145 @@ fn faulty_runs_recover_every_report_and_stay_thread_invariant() {
     assert_eq!(single.collections_ingested, threaded.collections_ingested);
     assert_eq!(single.history_entries, threaded.history_entries);
     assert_eq!(single.simulated_busy, threaded.simulated_busy);
+    assert_eq!(
+        single.aggregation.root_digest,
+        threaded.aggregation.root_digest
+    );
+}
+
+/// What a run must reproduce however the fleet is partitioned: every
+/// total, the verdict, the on-demand percentiles and the root digest. The
+/// shard breakdown, wire and frame counts, frame-hop fault counts, cohort
+/// ticks, queue counters, hub crashes, snapshot bytes and walls depend on
+/// the partition and are left out.
+fn partition_invariant(report: &FleetReport) -> Vec<(&'static str, String)> {
+    let totals = [
+        ("measurements", report.measurements_total),
+        ("verifications", report.verifications_total),
+        ("simulated_busy", report.simulated_busy.as_nanos()),
+        ("devices_tracked", report.devices_tracked as u64),
+        ("history_entries", report.history_entries),
+        ("history_resident", report.history_resident),
+        ("history_evictions", report.history_evictions),
+        ("history_stale_discards", report.history_stale_discards),
+        ("chains_verified", report.chains_verified),
+        ("collections_ingested", report.collections_ingested),
+        ("collections_attempted", report.collections_attempted),
+        ("collections_delivered", report.collections_delivered),
+        ("collections_dropped", report.collections_dropped),
+        ("collect_retransmits", report.collect_retransmits),
+        ("exhausted_retries", report.exhausted_retries),
+        ("churn_losses", report.churn_losses),
+        ("stale_retries", report.stale_retries),
+        ("reorders", report.reorders),
+        ("decoded_accepted", report.decoded_accepted),
+        ("on_demand_attempted", report.on_demand_attempted),
+        ("on_demand_completed", report.on_demand_completed),
+        ("on_demand_p50", report.on_demand_p50.as_nanos()),
+        ("on_demand_p90", report.on_demand_p90.as_nanos()),
+        ("on_demand_p99", report.on_demand_p99.as_nanos()),
+        ("devices_churned", report.devices_churned),
+        ("events_scheduled", report.events_scheduled),
+    ];
+    totals
+        .into_iter()
+        .map(|(name, value)| (name, value.to_string()))
+        .chain([
+            ("all_healthy", report.all_healthy.to_string()),
+            ("retry_histogram", format!("{:?}", report.retry_histogram)),
+            ("root_digest", report.aggregation.root_digest.clone()),
+        ])
+        .collect()
+}
+
+#[test]
+fn on_demand_reports_land_after_older_collections_at_every_thread_count() {
+    // A device's on-demand report can arrive while one of its collections,
+    // delivered at an earlier instant, still waits in the shard's open
+    // burst. Whichever reaches the hub first sets `collected_at` on the
+    // entries both carry, so the burst must seal before the on-demand
+    // report goes in, or the root digest depends on the shard's other
+    // traffic. 24 threads put one device in each shard.
+    let mut config = FleetConfig::new(24, 3, 4, 64, 4, MacAlgorithm::HmacSha256);
+    config.network = NetworkConfig {
+        base_latency: SimDuration::from_millis(20),
+        jitter: SimDuration::from_millis(10),
+        ..NetworkConfig::IDEAL
+    };
+    config.on_demand = 24;
+    config.seed = 42;
+
+    let single = run(&config, 1);
+    assert!(single.on_demand_completed > 0, "no on-demand report landed");
+    for threads in [2usize, 3, 4, 8, 24] {
+        let report = run(&config, threads);
+        assert_eq!(
+            partition_invariant(&report),
+            partition_invariant(&single),
+            "threads={threads}"
+        );
+    }
+}
+
+#[test]
+fn a_fleet_of_several_pool_shards_is_partition_invariant() {
+    // Just over two 512-device shards, with every scenario knob on: at 1, 2
+    // and 3 threads the workers pull the same three shards in turn, and 8
+    // threads cut eight. Whichever worker drives a shard, and however many
+    // shards there are, the run's totals and root digest stay the same.
+    let mut config = FleetConfig::new(1_030, 2, 3, 64, 4, MacAlgorithm::HmacSha256);
+    config.network = NetworkConfig {
+        base_latency: SimDuration::from_millis(10),
+        jitter: SimDuration::from_millis(5),
+        loss: 0.05,
+        duplicate: 0.02,
+        reorder: 0.02,
+        corrupt: 0.01,
+    };
+    config.retries = 3;
+    config.churn = 0.05;
+    config.on_demand = 50;
+    config.hub_crashes = 2;
+    config.seed = 42;
+
+    let mut expected = None;
+    for threads in [1usize, 2, 3, 8] {
+        let report = run(&config, threads);
+        let label = format!("threads={threads}");
+        assert_eq!(
+            report.shards.len(),
+            threads.max(config.provers.div_ceil(512)),
+            "{label}"
+        );
+        assert!(report.shards.iter().all(|s| s.provers <= 512), "{label}");
+        assert_eq!(report.threads, threads, "{label}");
+        assert_eq!(
+            report.hub_crashes,
+            (report.shards.len() * config.hub_crashes) as u64,
+            "{label}"
+        );
+        assert!(report.all_healthy, "{label}");
+        assert!(
+            report.devices_churned > 0,
+            "{label}: churn drew no churners"
+        );
+        assert!(report.on_demand_completed > 0, "{label}");
+        assert!(
+            report.frame_duplicates > 0,
+            "{label}: no duplicate injected"
+        );
+        assert!(report.reorders > 0, "{label}: reorder faults never drew");
+        assert!(
+            report.corrupt_decode_drops + report.corrupt_tamper_drops > 0,
+            "{label}: no corrupted copy exercised the reject paths"
+        );
+        let invariant = partition_invariant(&report);
+        assert_eq!(
+            expected.get_or_insert_with(|| invariant.clone()),
+            &invariant,
+            "{label}"
+        );
+    }
 }
 
 #[test]
@@ -634,7 +790,7 @@ fn hub_crash_recovery_is_invisible_in_the_totals() {
         // Crashes happened and produced snapshots (one cycle per shard).
         assert_eq!(
             crashed.hub_crashes,
-            (threads * crashing.hub_crashes) as u64,
+            (crashed.shards.len() * crashing.hub_crashes) as u64,
             "{label}"
         );
         assert!(crashed.snapshot_bytes > 0, "{label}");

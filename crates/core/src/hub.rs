@@ -10,7 +10,7 @@
 //!
 //! Hubs are cheap to create per worker/shard and can be [`merged`] back into
 //! one fleet-wide view, which is how the parallel fleet harness in
-//! `erasmus-bench` combines its per-thread shards.
+//! `erasmus-bench` combines its shards.
 //!
 //! [`merged`]: VerifierHub::merge
 
