@@ -46,7 +46,7 @@
 //! memory image, each frame record is verified and folded into its hub
 //! history in turn, and each shard hub re-verifies its devices' chains on
 //! its worker ([`erasmus_core::VerifierHub::verified_chains`]) before the
-//! merge.
+//! hub goes with its shard.
 //!
 //! Injected faults ride the same deterministic draws: duplicated frames
 //! are deduplicated by the hubs' per-flow sequence windows, reordered
@@ -62,22 +62,25 @@
 //! ring of [`erasmus_core::DEFAULT_RING_CAPACITY`] entries unless set
 //! otherwise caps every device at a fixed-size retained window plus a
 //! rollup summary and a PCR-style hash chain over the evicted entries, so
-//! the merged hub's resident footprint is O(devices × capacity) regardless
-//! of run length.
+//! a shard hub's resident footprint is O(devices × capacity) regardless of
+//! run length.
 //! Lifetime totals and chain heads do not depend on the capacity as long as
-//! it covers each device's reordering window. After the merge an
-//! [`erasmus_swarm::AggregationTree`] folds every chain head into one root
-//! digest ([`AggregationReport`]).
+//! it covers each device's reordering window.
 //!
-//! Shard results are merged into one [`FleetReport`] that keeps the
-//! per-shard breakdown. Shards keep counters, not verdicts: the report's
-//! health and every history total are read off the merged hub, so which
-//! verdicts flag a device is decided once, in `erasmus-core`'s
-//! [`erasmus_core::VerifierHub`] and [`erasmus_core::DeviceHistory`]. The
-//! repository's fleet benchmark (`BENCHMARK.json`) times [`run_threaded`]
-//! on pinned workloads and gates every rep on its totals;
-//! `tests/fleet_determinism.rs` checks the report's ledger laws on every
-//! run it makes.
+//! No hub outlives its shard. Like a sub-verifier of the swarm setting
+//! (Section 6), each worker reads off its shard hub everything the fleet
+//! report needs (its history and health counts, and one fixed-size leaf
+//! aggregate per device) and drops the hub with the shard's devices.
+//! The shard ledgers fold in shard order into one [`FleetReport`] that
+//! keeps the per-shard breakdown, and the leaves, concatenated in device
+//! order, build the [`erasmus_swarm::AggregationTree`] that folds every
+//! chain head into one root digest ([`AggregationReport`]). Shards keep
+//! counters, not verdicts: whether a device is flagged is decided once, in
+//! `erasmus-core`'s [`erasmus_core::DeviceHistory`], and read off each
+//! shard hub on its worker as a count. The repository's fleet benchmark
+//! (`BENCHMARK.json`) times [`run_threaded`] on pinned workloads and gates
+//! every rep on its totals; `tests/fleet_determinism.rs` checks the
+//! report's ledger laws on every run it makes.
 
 pub mod lanes;
 mod shard;
@@ -88,10 +91,10 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use erasmus_core::{DeviceHistory, HistoryEntry, HistoryMode, VerifierHub};
+use erasmus_core::{DeviceHistory, HistoryEntry, HistoryMode};
 use erasmus_crypto::MacAlgorithm;
 use erasmus_sim::{NetworkConfig, QueueStats, SimDuration, SimRng, SimTime};
-use erasmus_swarm::{digest_hex, AggregationTree, StaggeredSchedule};
+use erasmus_swarm::{digest_hex, AggregationTree, StaggeredSchedule, SubtreeAggregate};
 
 use shard::Shard;
 
@@ -235,14 +238,14 @@ pub(crate) fn on_demand_plan(config: &FleetConfig) -> Vec<(usize, SimTime)> {
     plan
 }
 
-/// Fan-out of the hierarchical aggregation tree built over the merged hub:
-/// each sub-verifier folds up to this many children into one fixed-size
+/// Fan-out of the hierarchical aggregation tree built over the fleet's
+/// leaf aggregates: each sub-verifier folds up to this many children into one fixed-size
 /// subtree aggregate (SANA/slimIoT style, Section 6 scale argument).
 pub const AGGREGATION_FANOUT: usize = 64;
 
-/// Summary of the [`erasmus_swarm::AggregationTree`] built over the merged
-/// hub after a run: the root verifier's view of the whole fleet in one
-/// fixed-size record.
+/// Summary of the [`erasmus_swarm::AggregationTree`] built after a run
+/// over the leaf aggregates each worker read off its shard hubs: the root
+/// verifier's view of the whole fleet in one fixed-size record.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AggregationReport {
     /// Children per internal node.
@@ -264,8 +267,10 @@ pub struct AggregationReport {
 }
 
 impl AggregationReport {
-    fn from_hub(hub: &VerifierHub) -> Self {
-        let tree = AggregationTree::from_hub(hub, AGGREGATION_FANOUT);
+    /// Builds the tree over the fleet's leaf aggregates, in device order,
+    /// and reads its shape and root.
+    fn from_leaf_aggregates(leaves: Vec<SubtreeAggregate>) -> Self {
+        let tree = AggregationTree::from_leaf_aggregates(leaves, AGGREGATION_FANOUT);
         let stats = tree.stats();
         Self {
             fanout: stats.fanout,
@@ -307,18 +312,21 @@ pub struct FleetReport {
     /// Aggregate *simulated* prover busy time, for cross-checking against
     /// the paper's cost model.
     pub simulated_busy: SimDuration,
-    /// Whether the run stayed healthy: no device history in the merged hub
-    /// holds a forged or compromised measurement, and the hub rejected no
-    /// report. Read off the merged hub alone, the one place verdicts are
-    /// kept.
+    /// Whether the run stayed healthy: no device history in any shard hub
+    /// holds a forged or compromised measurement, and no shard hub rejected
+    /// a report. The hubs' histories are the one place verdicts are kept;
+    /// each worker reads its shard hub's compromised devices and rejected
+    /// reports as counts ([`ShardReport::compromised_devices`],
+    /// [`ShardReport::hub_rejected`]), and the run is healthy when both
+    /// sums are 0.
     pub all_healthy: bool,
-    /// Devices tracked by the merged verifier-side history hub.
+    /// Devices tracked by the shard hubs, summed over shards.
     pub devices_tracked: usize,
     /// Distinct measurements recorded across all per-device histories
     /// (lifetime count — mode-invariant, evicted entries included).
     pub history_entries: u64,
-    /// Entries resident in the per-device windows after the merge, bounded
-    /// by `devices_tracked × ring capacity`.
+    /// Entries resident in the per-device windows when each shard ended,
+    /// summed over shards, bounded by `devices_tracked × ring capacity`.
     pub history_resident: u64,
     /// Entries evicted from bounded rings into their sealed hash chains.
     /// Conservation (checked on every benchmark rep and every
@@ -330,15 +338,16 @@ pub struct FleetReport {
     pub history_stale_discards: u64,
     /// Device histories whose head digest re-verified as `chain` folded
     /// over the resident window — must equal `devices_tracked`. Each
-    /// worker counts its shard hub's before the merge, which moves the
-    /// histories unchanged; this is the sum.
+    /// worker counts its shard hub's before dropping it; this is the sum.
     pub chains_verified: u64,
-    /// Resident verifier state across the merged hub, in bytes: per-device
-    /// fixed struct size plus the retained entries: O(devices × capacity)
-    /// regardless of run length. `fleet_determinism` bounds it by
+    /// Resident verifier state of the shard hubs when each shard ended,
+    /// summed, in bytes: per-device fixed struct size plus the retained
+    /// entries, O(devices × capacity) regardless of run length. Each hub is
+    /// dropped with its shard, so this much is never resident at once. `fleet_determinism` bounds it by
     /// `devices × (1024 + 64 × capacity)` on every run.
     pub resident_state_bytes: u64,
-    /// Hierarchical swarm aggregation built over the merged hub.
+    /// Hierarchical swarm aggregation built over the shard hubs' leaf
+    /// aggregates.
     pub aggregation: AggregationReport,
     /// Collection reports folded into the hub across the whole run.
     pub collections_ingested: u64,
@@ -375,8 +384,8 @@ pub struct FleetReport {
     pub frames_exhausted: u64,
     /// Response records carried by those exhausted frames.
     pub frame_lost_responses: u64,
-    /// Duplicate frames the hubs' dedup windows dropped — must equal
-    /// `frame_duplicates` (exactly-once delivery).
+    /// Duplicate frames the shard hubs' dedup windows dropped, summed over
+    /// shards — must equal `frame_duplicates` (exactly-once delivery).
     pub hub_duplicates: u64,
     /// Shard-hub crash/restart cycles survived via snapshot recovery: every
     /// shard hub restores at each of the [`FleetConfig::hub_crashes`]
@@ -468,8 +477,9 @@ const SHARD_DEVICES: usize = 512;
 /// at least `threads` of them (one per device for a fleet smaller than
 /// that), and runs them on `threads` scoped workers. Each worker claims
 /// the next shard index in turn, provisions that shard's devices and
-/// drives them through its own event-driven engine, then drops them before
-/// it claims another; the shard results merge in shard order.
+/// drives them through its own event-driven engine, reduces the shard hub
+/// to its counts and leaf aggregates, then drops the shard, hub included,
+/// before it claims another; the shard results fold in shard order.
 ///
 /// The partition only changes *which shard* drives a device, and the
 /// thread count only *which worker* runs a shard; every device performs
@@ -518,9 +528,10 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
 
     // Each worker claims shards in turn until none is left. Per shard it
     // provisions the devices (keys, MAC schedules, reference digests,
-    // scenario plans), drives them, counts the hub's verified chains and
-    // keeps only the report and the hub: the devices are dropped before the
-    // next claim. Provisioning is part of the run's wall time; done on the
+    // scenario plans) and drives them; the shard's report reads the hub's
+    // counts, and the hub's leaf aggregates go up as the shard's slice of the
+    // tree's level 0. The shard, hub included, is dropped before the next
+    // claim. Provisioning is part of the run's wall time; done on the
     // workers, it runs in parallel like the event loops. The claim counter
     // publishes no data (the ranges are shared read-only and results come
     // back through the joins), so `Relaxed` suffices: each index is still
@@ -535,10 +546,10 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
             };
             let mut shard = Shard::provision(index, config, &schedule, range.clone(), &plan);
             let report = shard.run(config);
-            done.push((report, shard.into_hub()));
+            done.push((report, AggregationTree::leaf_aggregates(&shard.hub)));
         }
     };
-    let mut finished: Vec<(ShardReport, VerifierHub)> = std::thread::scope(|scope| {
+    let mut finished: Vec<(ShardReport, Vec<SubtreeAggregate>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
         handles
             .into_iter()
@@ -551,29 +562,27 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
     });
     finished.sort_unstable_by_key(|(report, _)| report.shard);
 
-    // Hubs merge in shard order, whichever worker ran each shard and
-    // whenever it finished, and the shard ledgers fold into one total.
-    let mut hub = VerifierHub::with_history(config.history);
+    // The shard ledgers fold in shard order, whichever worker ran each shard
+    // and whenever it finished, and the shards' contiguous device ranges
+    // concatenate their leaves into the tree's level 0 in device order.
     let mut total = ShardReport::new(config.retries);
     let mut shard_reports = Vec::with_capacity(finished.len());
-    for (report, shard_hub) in finished {
-        let merged = hub.merge(shard_hub);
-        assert!(
-            merged,
-            "shard hubs share the ring capacity and own disjoint devices and flows"
-        );
+    let mut leaves = Vec::with_capacity(config.provers);
+    for (report, shard_leaves) in finished {
         total.absorb(&report);
         shard_reports.push(report);
+        leaves.extend(shard_leaves);
     }
     total.on_demand_latencies.sort_unstable();
-
-    let history_resident = hub.total_resident();
-    let aggregation = AggregationReport::from_hub(&hub);
-    // Informational estimate of the merged hub's resident footprint: the
-    // fixed per-device struct plus the retained window entries, which the
-    // ring keeps O(devices × capacity) no matter how long the run was.
-    let resident_state_bytes = hub.len() as u64 * std::mem::size_of::<DeviceHistory>() as u64
-        + history_resident * std::mem::size_of::<HistoryEntry>() as u64;
+    let aggregation = AggregationReport::from_leaf_aggregates(leaves);
+    // Informational estimate of the shard hubs' resident footprint when
+    // each shard ended: the fixed per-device struct plus the retained window
+    // entries, which the ring keeps O(devices × capacity) no matter how long
+    // the run was. Each hub is dropped with its shard, so this much is never
+    // resident at once.
+    let resident_state_bytes = total.devices_tracked as u64
+        * std::mem::size_of::<DeviceHistory>() as u64
+        + total.history_resident * std::mem::size_of::<HistoryEntry>() as u64;
 
     FleetReport {
         config: config.clone(),
@@ -583,16 +592,16 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         measure_wall: total.measure_wall,
         verify_wall: total.verify_wall,
         simulated_busy: total.simulated_busy,
-        all_healthy: hub.all_healthy() && hub.rejected() == 0,
-        devices_tracked: hub.len(),
-        history_entries: hub.total_entries(),
-        history_resident,
-        history_evictions: hub.total_evictions(),
-        history_stale_discards: hub.total_stale_discards(),
+        all_healthy: total.compromised_devices == 0 && total.hub_rejected == 0,
+        devices_tracked: total.devices_tracked,
+        history_entries: total.history_entries,
+        history_resident: total.history_resident,
+        history_evictions: total.history_evictions,
+        history_stale_discards: total.history_stale_discards,
         chains_verified: total.chains_verified,
         resident_state_bytes,
         aggregation,
-        collections_ingested: hub.total_collections(),
+        collections_ingested: total.collections_ingested,
         collections_attempted: total.collections_attempted,
         collections_delivered: total.collections_delivered,
         collections_dropped: total.collections_dropped,
@@ -608,7 +617,7 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         corrupt_tamper_drops: total.corrupt_tamper_drops,
         frames_exhausted: total.frames_exhausted,
         frame_lost_responses: total.frame_lost_responses,
-        hub_duplicates: hub.duplicates(),
+        hub_duplicates: total.hub_duplicates,
         hub_crashes: total.hub_crashes,
         snapshot_bytes: total.snapshot_bytes,
         wire_frames: total.wire_frames,

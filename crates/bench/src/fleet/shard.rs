@@ -4,10 +4,10 @@
 //! of the fleet whose `(Prover, Verifier)` pairs are *owned* by the scoped
 //! worker thread that claimed it, so the hot loops run without any
 //! cross-thread sharing or locking. The worker provisions the shard, runs
-//! it, counts its hub's verified chains and hands back its report and hub,
-//! dropping every device before it claims the next shard. Each shard owns
-//! an [`erasmus_sim::Engine`] and runs its slice of the fleet as one
-//! interleaved timeline of [`FleetEvent`]s: stagger-cohort ticks that
+//! it, reads off its hub the counts and leaf aggregates the fleet needs,
+//! and drops the shard, hub included, before it claims the next one. Each
+//! shard owns an [`erasmus_sim::Engine`] and runs its slice of the fleet as
+//! one interleaved timeline of [`FleetEvent`]s: stagger-cohort ticks that
 //! measure and collect, responses travelling back through the
 //! [`NetworkModel`], on-demand attestations racing the schedule, and
 //! devices leaving/rejoining the fleet (churn).
@@ -31,11 +31,13 @@
 //! reports reach the hub in arrival order whatever else the shard carries.
 //!
 //! The event loop counts straight into the shard's [`ShardReport`], the
-//! one declaration of every shard counter; `run_threaded` folds the shards
-//! together with [`ShardReport::absorb`]. The shard only carries evidence
-//! to its hub: it keeps no verdict of its own. Whether the fleet is healthy
-//! is read off the merged hub (`FleetReport::all_healthy`), whose device
-//! histories hold every verdict the verifiers reached.
+//! one declaration of every shard counter, and [`Shard::run`] adds the hub's
+//! counts when the run ends; `run_threaded` folds the shards together with
+//! [`ShardReport::absorb`]. The shard only carries evidence to its hub: it
+//! keeps no verdict of its own. The hub's device histories hold every
+//! verdict the verifiers reached, and the shard report reads them off the
+//! hub on the worker, as counts of compromised devices and refused reports
+//! (`FleetReport::all_healthy` holds when both sums are 0).
 //!
 //! # Reliability
 //!
@@ -303,7 +305,9 @@ pub(crate) struct Shard {
     /// decoded frame record is routed back to its verifier.
     base: usize,
     devices: DeviceState,
-    hub: VerifierHub,
+    /// The shard's verifier-side histories. `run_threaded` reads their
+    /// leaf aggregates when the run ends and drops the hub with the shard.
+    pub(super) hub: VerifierHub,
     engine: Engine<FleetEvent>,
     /// `(local index, leave, rejoin)` churn plan, drawn per global device.
     churn: Vec<(usize, SimTime, SimTime)>,
@@ -314,8 +318,9 @@ pub(crate) struct Shard {
 }
 
 /// What one shard contributed to a fleet run: the one declaration of every
-/// shard counter. The event loop counts into it, and `ShardReport::absorb`
-/// is the one place that knows how each counter combines across shards.
+/// shard counter. The event loop counts into it, `Shard::run` reads the
+/// hub's counts into it when the run ends, and `ShardReport::absorb` is the
+/// one place that knows how each counter combines across shards.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardReport {
     /// Shard index: 0-based, in fleet order, whichever worker ran it.
@@ -366,10 +371,30 @@ pub struct ShardReport {
     pub frames_exhausted: u64,
     /// Response records carried by those exhausted frames.
     pub frame_lost_responses: u64,
-    /// Device histories in the shard hub whose head digest re-verified as
-    /// the chain folded over the resident window, counted on the worker
-    /// before the hub is merged.
+    /// Devices the shard hub tracks: one history per device that any
+    /// report reached.
+    pub devices_tracked: usize,
+    /// Collection reports recorded across the shard hub's histories.
+    pub collections_ingested: u64,
+    /// Distinct measurements recorded across those histories (lifetime
+    /// count, evicted entries included).
+    pub history_entries: u64,
+    /// Entries resident in the histories' rings when the shard ended.
+    pub history_resident: u64,
+    /// Entries evicted from the rings into their sealed hash chains.
+    pub history_evictions: u64,
+    /// Arrivals discarded for falling behind a sealed ring window.
+    pub history_stale_discards: u64,
+    /// Device histories whose head digest re-verified as the chain folded
+    /// over the resident window.
     pub chains_verified: u64,
+    /// Duplicate frames the shard hub's dedup window dropped.
+    pub hub_duplicates: u64,
+    /// Reports the shard hub refused ([`VerifierHub::rejected`]).
+    pub hub_rejected: u64,
+    /// Devices whose history holds a non-healthy measurement
+    /// ([`VerifierHub::compromised_devices`]).
+    pub compromised_devices: u64,
     /// Hub crash/restart cycles survived via snapshot recovery.
     pub hub_crashes: u64,
     /// Total bytes of the recovery snapshots taken at those crashes.
@@ -454,7 +479,16 @@ impl ShardReport {
         self.corrupt_tamper_drops += other.corrupt_tamper_drops;
         self.frames_exhausted += other.frames_exhausted;
         self.frame_lost_responses += other.frame_lost_responses;
+        self.devices_tracked += other.devices_tracked;
+        self.collections_ingested += other.collections_ingested;
+        self.history_entries += other.history_entries;
+        self.history_resident += other.history_resident;
+        self.history_evictions += other.history_evictions;
+        self.history_stale_discards += other.history_stale_discards;
         self.chains_verified += other.chains_verified;
+        self.hub_duplicates += other.hub_duplicates;
+        self.hub_rejected += other.hub_rejected;
+        self.compromised_devices += other.compromised_devices;
         self.hub_crashes += other.hub_crashes;
         self.snapshot_bytes += other.snapshot_bytes;
         self.hub_batches += other.hub_batches;
@@ -679,11 +713,23 @@ impl Shard {
             .map(|prover| prover.total_busy_time())
             .fold(SimDuration::ZERO, |acc, busy| acc + busy);
 
+        // What the fleet report needs of the hub is read here, on the
+        // worker, so the hub can go with the shard.
+        let hub = &self.hub;
         ShardReport {
             shard: self.index,
             provers: self.devices.len(),
             simulated_busy,
-            chains_verified: self.hub.verified_chains() as u64,
+            devices_tracked: hub.len(),
+            collections_ingested: hub.total_collections(),
+            history_entries: hub.total_entries(),
+            history_resident: hub.total_resident(),
+            history_evictions: hub.total_evictions(),
+            history_stale_discards: hub.total_stale_discards(),
+            chains_verified: hub.verified_chains() as u64,
+            hub_duplicates: hub.duplicates(),
+            hub_rejected: hub.rejected(),
+            compromised_devices: hub.compromised_devices().len() as u64,
             devices_churned: self.churn.len() as u64,
             queue,
             ..state.report
@@ -804,7 +850,7 @@ impl Shard {
                         .push(now.saturating_duration_since(exchange.issued));
                     state.report.verifications += report.measurements().len() as u64;
                     // A refused report is counted in `VerifierHub::rejected`,
-                    // which the fleet's verdict reads off the merged hub.
+                    // which the shard report reads off the hub at the end.
                     self.hub.ingest(&report);
                 }
             }
@@ -1176,12 +1222,6 @@ impl Shard {
         state.report.wire_ingest_wall += elapsed;
         state.report.verify_wall += elapsed;
     }
-
-    /// Surrenders the shard's history hub for merging into the fleet-wide
-    /// view.
-    pub(crate) fn into_hub(self) -> VerifierHub {
-        self.hub
-    }
 }
 
 #[cfg(test)]
@@ -1231,8 +1271,8 @@ mod tests {
 
         // The hub tracks exactly the shard's devices, under their *global*
         // fleet ids, and every one of them is healthy.
-        let hub = shard.into_hub();
-        assert_hub_healthy(&hub);
+        let hub = &shard.hub;
+        assert_hub_healthy(hub);
         assert_eq!(hub.len(), 3);
         for id in 2..5u64 {
             let history = hub.history(DeviceId::new(id)).expect("tracked");
@@ -1248,7 +1288,7 @@ mod tests {
         let schedule = config.schedule();
         let mut shard = shard_for(&config, 0..3, 0);
         shard.run(&config);
-        let hub = shard.into_hub();
+        let hub = &shard.hub;
         // Devices 0/1/2 sit in groups 0/1/2: their k-th measurements fire at
         // 10k, 10k + 3.33…, 10k + 6.66… seconds — never the same instant.
         let firsts: Vec<_> = (0..3u64)
@@ -1301,8 +1341,7 @@ mod tests {
         assert_eq!(report.measurements, 6 * 3 * 2);
         // Only delivered reports are verified.
         assert_eq!(report.verifications, report.collections_delivered * 3);
-        let hub = shard.into_hub();
-        assert_eq!(hub.ingested(), report.collections_delivered);
+        assert_eq!(shard.hub.ingested(), report.collections_delivered);
 
         // Determinism: the identical shard sees the identical fates.
         let mut again = shard_for(&config, 0..6, 0);
@@ -1358,6 +1397,33 @@ mod tests {
         assert_eq!(report.collections_dropped, 0);
         // Latency gaps must not read as compromise.
         assert_hub_healthy(&shard.hub);
+    }
+
+    #[test]
+    fn an_infected_device_is_counted_and_the_fold_keeps_it() {
+        // Device 1 carries an implant before its first measurement. The
+        // write gives its prover a private copy of the shared image, so
+        // every measurement it takes misses the reference digest.
+        let config = config();
+        let mut infected = shard_for(&config, 0..3, 0);
+        infected.devices.provers[1]
+            .mcu_mut()
+            .write_app_memory(0, b"implant")
+            .expect("infect");
+        let report = infected.run(&config);
+        assert_eq!(report.compromised_devices, 1);
+        assert_eq!(report.hub_rejected, 0);
+        assert_eq!(infected.hub.compromised_devices(), vec![DeviceId::new(1)]);
+
+        // Folded with a healthy shard's report, the count stays 1: the
+        // fleet reads unhealthy.
+        let healthy = shard_for(&config, 3..6, 1).run(&config);
+        assert_eq!(healthy.compromised_devices, 0);
+        let mut total = ShardReport::new(config.retries);
+        total.absorb(&report);
+        total.absorb(&healthy);
+        assert_eq!(total.compromised_devices, 1);
+        assert_eq!(total.devices_tracked, 6);
     }
 
     #[test]
@@ -1426,7 +1492,7 @@ mod tests {
         assert_eq!(report.provers, 0);
         assert_eq!(report.measurements, 0);
         assert_hub_healthy(&shard.hub);
-        assert!(shard.into_hub().is_empty());
+        assert!(shard.hub.is_empty());
     }
 
     /// A faulty-but-retried config used by the recovery tests: every fault
@@ -1483,9 +1549,9 @@ mod tests {
 
         // The hub saw everything exactly once, dropped every duplicate
         // frame, and recovery reads as no compromise.
-        let hub = shard.into_hub();
+        let hub = &shard.hub;
         assert_eq!(hub.duplicates(), report.frame_duplicates);
-        assert_hub_healthy(&hub);
+        assert_hub_healthy(hub);
         assert_eq!(
             hub.ingested(),
             report.collections_delivered + report.on_demand_completed
@@ -1509,8 +1575,8 @@ mod tests {
             lossless_report.collections_delivered
         );
         assert_eq!(faulty_report.measurements, lossless_report.measurements);
-        let faulty_hub = faulty_shard.into_hub();
-        let lossless_hub = lossless_shard.into_hub();
+        let faulty_hub = &faulty_shard.hub;
+        let lossless_hub = &lossless_shard.hub;
         assert_eq!(faulty_hub.ingested(), lossless_hub.ingested());
         assert_eq!(faulty_hub.total_entries(), lossless_hub.total_entries());
         assert_eq!(
@@ -1542,7 +1608,7 @@ mod tests {
         );
         // The crash/restore cycles must leave no trace: the recovered hub
         // equals the never-crashed one bit for bit.
-        assert_eq!(crashed_shard.into_hub(), smooth_shard.into_hub());
+        assert_eq!(crashed_shard.hub, smooth_shard.hub);
     }
 
     #[test]
@@ -1572,9 +1638,8 @@ mod tests {
         );
         // Every delivery is fresh-epoch by construction; the hub holds
         // exactly the delivered reports, no replayed extras.
-        let hub = shard.into_hub();
         assert_eq!(
-            hub.ingested(),
+            shard.hub.ingested(),
             report.collections_delivered + report.on_demand_completed
         );
     }

@@ -19,7 +19,8 @@ use erasmus_swarm::{digest_hex, AggregationTree};
 /// Runs `config` on `threads` workers and checks the laws every fleet
 /// report must satisfy, whatever the scenario: each ledger conserves, the
 /// resident state stays bounded by the ring, the aggregation covers every
-/// device once, and the shards add up to the fleet.
+/// device once, the shards add up to the fleet, and the health verdict
+/// agrees with the shards' health counts.
 fn run(config: &FleetConfig, threads: usize) -> FleetReport {
     let report = fleet::run_threaded(config, threads);
     let at = format!(
@@ -184,7 +185,18 @@ fn run(config: &FleetConfig, threads: usize) -> FleetReport {
         summed!(corrupt_tamper_drops),
         summed!(frames_exhausted),
         summed!(frame_lost_responses),
+        (
+            "devices_tracked",
+            sum(|s| s.devices_tracked as u64),
+            report.devices_tracked as u64,
+        ),
+        summed!(collections_ingested),
+        summed!(history_entries),
+        summed!(history_resident),
+        summed!(history_evictions),
+        summed!(history_stale_discards),
         summed!(chains_verified),
+        summed!(hub_duplicates),
         summed!(hub_crashes),
         summed!(snapshot_bytes),
         summed!(wire_frames),
@@ -205,6 +217,22 @@ fn run(config: &FleetConfig, threads: usize) -> FleetReport {
         let shard_sum: u64 = shards.iter().map(|s| s.retry_histogram[bucket]).sum();
         assert_eq!(shard_sum, total, "per-shard retry bucket {bucket}, {at}");
     }
+
+    // Health: each shard counts its hub's compromised devices and refused
+    // reports. Every device the tree calls unhealthy is counted once, and
+    // the fleet is healthy exactly when both sums are 0.
+    let compromised = sum(|s| s.compromised_devices);
+    let rejected = sum(|s| s.hub_rejected);
+    assert_eq!(
+        report.aggregation.healthy_devices + compromised,
+        devices,
+        "healthy plus compromised devices, {at}"
+    );
+    assert_eq!(
+        report.all_healthy,
+        compromised == 0 && rejected == 0,
+        "health verdict, {at}"
+    );
     report
 }
 
@@ -502,8 +530,8 @@ fn lossless_runs_match_the_serial_oracle_at_every_thread_count_and_lane_width() 
     // asserts `all_valid()` on every report (no missing measurement, no
     // bad verdict), and the equal root digest binds each history entry's
     // `collected_at`, so every fleet delivery lands at the oracle's
-    // collection instant. The fleet's own health verdict reads the merged
-    // hub only; gaps are not hub evidence.
+    // collection instant. The fleet's own health verdict sums the counts
+    // each worker reads off its shard hub; gaps are not hub evidence.
     let mut base = config(MacAlgorithm::HmacSha256);
     base.history = HistoryMode::Ring(2);
     let expected = serial_oracle(&base);

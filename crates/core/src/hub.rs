@@ -8,9 +8,10 @@
 //! history" property holds fleet-wide — and cross-device mixups are caught
 //! instead of silently corrupting a neighbour's timeline.
 //!
-//! Hubs are cheap to create per worker/shard and can be [`merged`] back into
-//! one fleet-wide view, which is how the parallel fleet harness in
-//! `erasmus-bench` combines its shards.
+//! Hubs are cheap to create per worker/shard, and hubs over disjoint
+//! devices can be [`merged`] into one view. The parallel fleet harness in
+//! `erasmus-bench` does not merge: each worker reads its shard hub's counts
+//! and aggregation leaves and drops the hub with its shard.
 //!
 //! [`merged`]: VerifierHub::merge
 

@@ -63,9 +63,7 @@ pub mod schedule;
 pub mod swarm;
 pub mod topology;
 
-pub use aggregate::{
-    digest_hex, AggregationLeaf, AggregationStats, AggregationTree, SubtreeAggregate,
-};
+pub use aggregate::{digest_hex, AggregationStats, AggregationTree, SubtreeAggregate};
 pub use error::SwarmError;
 pub use mobility::{MobilityModel, MobilitySimulator};
 pub use qosa::{DeviceStatus, QosaLevel, SwarmReport};
