@@ -49,9 +49,11 @@ fn bench_mac_throughput(c: &mut Criterion) {
 /// The ERASMUS hot path MACs a 40-byte `(t, H(mem_t))` input per
 /// measurement. Re-deriving the HMAC key schedule dominates at that size,
 /// so a `KeyedMac` derives it once per device: the two chaining states
-/// left after the ipad and opad blocks. A message of at most 55 bytes then
-/// costs one compression after each state (`precomputed/*/40`); from 56
-/// bytes on, the padding spills into a second block, and the inner hash
+/// left after the ipad and opad blocks. A tag hashes straight from them,
+/// with no hasher built: a message of at most 55 bytes costs one
+/// compression after each state (`precomputed/*/40`), on the CPU's SHA
+/// extensions where it has them, for SHA-1 as for SHA-256; from 56 bytes
+/// on, the padding spills into a second block, and the inner hash
 /// compresses twice (`precomputed/*/56`).
 /// The device keys themselves come from HMAC-DRBG at provisioning: one
 /// generator per key (`derive`), or one generator instantiated for a

@@ -33,10 +33,15 @@
 //! into the shard's [`erasmus_core::VerifierHub`] straight off the bytes
 //! via [`erasmus_core::VerifierHub::ingest_sequenced_frame`]; on-demand requests
 //! (ERASMUS+OD, Figure 4) and device churn interleave with the schedule on
-//! the same timeline. Because every random draw is keyed by the *global*
-//! device index, totals are thread-count-invariant by construction, lossy
-//! runs included, and so is the root digest. `tests/fleet_determinism.rs`
-//! pins the lossless totals against a serial oracle that calls the protocol
+//! the same timeline. Because every device-hop draw is keyed by the
+//! *global* device index, totals and the root digest are invariant under
+//! the thread count and the partition, lossy runs included, but only while
+//! no batch frame exhausts its retry budget. The frame hop draws per shard
+//! (`FRAME_STREAM ^ base` in `Shard::flush_batch`), so its own counters
+//! change with the partition, and an exhausted frame drops its responses
+//! (`frame_lost_responses`), which moves the totals and the root digest
+//! with it too (ROADMAP item 10). `tests/fleet_determinism.rs` pins the
+//! lossless totals against a serial oracle that calls the protocol
 //! directly, with no engine and no codec.
 //!
 //! Every hash of a run is a scalar `erasmus-crypto` call over one message,
@@ -483,10 +488,14 @@ const SHARD_DEVICES: usize = 512;
 ///
 /// The partition only changes *which shard* drives a device, and the
 /// thread count only *which worker* runs a shard; every device performs
-/// identical simulated work, and every packet suffers the same
-/// deterministic fate, regardless of either — so all totals (including
-/// delivered/dropped splits under loss) and the root digest are identical
-/// across thread counts.
+/// identical simulated work, and every device-hop packet suffers the same
+/// deterministic fate, regardless of either. So all totals but the frame
+/// hop's own counters (including delivered/dropped splits under loss) and
+/// the root digest are identical across thread counts, but only while no
+/// batch frame exhausts its retry budget: frame-hop draws are per shard,
+/// and an exhausted frame drops its responses (`frame_lost_responses`),
+/// which moves the totals and the root digest with the partition (ROADMAP
+/// item 10).
 ///
 /// # Panics
 ///

@@ -7,10 +7,10 @@
 //!
 //! * [`Sha1`] — FIPS 180-1 SHA-1 (the paper sizes it in Table 1 for
 //!   comparison only; not recommended for new measurements).
-//! * [`Sha256`] — FIPS 180-2 SHA-256. Its compression runs on the CPU's SHA
-//!   extensions (SHA-NI) where `is_x86_feature_detected!` finds them, and
-//!   in portable code everywhere else; the call into that kernel is the
-//!   workspace's one `unsafe` block.
+//! * [`Sha256`] — FIPS 180-2 SHA-256. It and [`Sha1`] compress on the
+//!   CPU's SHA extensions (SHA-NI) where `is_x86_feature_detected!` finds
+//!   them, and in portable code everywhere else; the call into each hash's
+//!   SHA-NI kernel is one of the workspace's two `unsafe` blocks.
 //! * [`Hmac`] — RFC 2104 HMAC over [`Sha256`] or [`Sha1`].
 //! * [`Blake2s`] — RFC 7693 BLAKE2s with native keyed mode.
 //! * [`HmacDrbg`] — deterministic CSPRNG (HMAC-DRBG construction) used for
@@ -23,9 +23,10 @@
 //! per device, and provers and verifiers hold it. An HMAC key schedule
 //! ([`HmacKey`]) is the two chaining states the ipad and opad blocks leave,
 //! and nothing else, so those blocks are absorbed once per device; every
-//! tag streams through two hashers resumed from the states. A keyed-BLAKE2s
-//! schedule ([`Blake2sKey`]) is the key itself, at most 32 bytes. Both are
-//! key material, so their `Debug` output is redacted.
+//! tag hashes straight from the states, in two compressions for a message
+//! of up to 55 bytes. A keyed-BLAKE2s schedule ([`Blake2sKey`]) is the key
+//! itself, at most 32 bytes. Both are key material, so their `Debug` output
+//! is redacted.
 //!
 //! Digest finalizers and MAC tags are fixed-size stack values — the hot path
 //! performs no heap allocation.
@@ -50,9 +51,10 @@
 //! assert!(MacAlgorithm::HmacSha256.verify(&key, &digest, &tag));
 //! ```
 
-// `deny`, not `forbid`, unlike the other crate roots: the SHA-NI call in
-// `sha256.rs` lifts it with an `#[expect]`. `tests/workspace_smoke.rs` pins
-// that call as the crate's only `unsafe` block.
+// `deny`, not `forbid`, unlike the other crate roots: the SHA-NI calls in
+// `sha256.rs` and `sha1.rs` lift it, each with an `#[expect]`.
+// `tests/workspace_smoke.rs` pins those two calls as the crate's only
+// `unsafe` blocks.
 #![deny(unsafe_code)]
 #![deny(
     clippy::dbg_macro,

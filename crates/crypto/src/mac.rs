@@ -212,11 +212,11 @@ impl fmt::Display for MacAlgorithm {
 /// A MAC with its key schedule already derived.
 ///
 /// For HMAC this holds the two chaining states left after the ipad and opad
-/// blocks, and a tag streams through hashers resumed from them. For keyed
-/// BLAKE2s it holds the key itself, inline; BLAKE2s holds its key block
-/// back until it knows whether that block is the last, so a hasher keyed
-/// ahead of time would save no compression. Producing a tag allocates
-/// nothing. Both are key material, so `Debug` prints only the algorithm.
+/// blocks, and a tag hashes straight from them. For keyed BLAKE2s it holds
+/// the key itself, inline; BLAKE2s holds its key block back until it knows
+/// whether that block is the last, so a hasher keyed ahead of time would
+/// save no compression. Producing a tag allocates nothing. Both are key
+/// material, so `Debug` prints only the algorithm.
 ///
 /// # Example
 ///

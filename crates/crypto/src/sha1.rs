@@ -7,7 +7,7 @@
 //! of the workspace defaults to SHA-256 or BLAKE2s.
 
 use crate::digest::Digest;
-use crate::hmac::sealed::ChainingHash;
+use crate::hmac::sealed::{pad, ChainingHash};
 
 const H0: [u32; 5] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0];
 
@@ -55,6 +55,148 @@ fn schedule(w: &mut [u32; 16], t: usize) -> u32 {
     w[t & 15]
 }
 
+/// The software compression, five rounds at a time, with the round
+/// function and constant fixed per 20-round stage: the working variables
+/// rotate by name, so every fifth round finds them back under their
+/// starting names.
+fn compress_block(state: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+
+    macro_rules! stage {
+        ($first:literal, $f:ident, $k:literal) => {
+            for t in ($first..$first + 20).step_by(5) {
+                round!(a, b, c, d, e, $f, $k, schedule(&mut w, t));
+                round!(e, a, b, c, d, $f, $k, schedule(&mut w, t + 1));
+                round!(d, e, a, b, c, $f, $k, schedule(&mut w, t + 2));
+                round!(c, d, e, a, b, $f, $k, schedule(&mut w, t + 3));
+                round!(b, c, d, e, a, $f, $k, schedule(&mut w, t + 4));
+            }
+        };
+    }
+    stage!(0, ch, 0x5a827999);
+    stage!(20, parity, 0x6ed9eba1);
+    stage!(40, maj, 0x8f1bbcdc);
+    stage!(60, parity, 0xca62c1d6);
+
+    for (word, v) in state.iter_mut().zip([a, b, c, d, e]) {
+        *word = word.wrapping_add(v);
+    }
+}
+
+/// Compresses `blocks`, a run of whole 64-byte blocks, into `state`: on the
+/// CPU's SHA extensions where it has them, else block by block through
+/// [`compress_block`]. The CPU picks; nothing else does.
+fn compress(state: &mut [u32; 5], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "only whole blocks compress");
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::detected() {
+        // SAFETY: `sha_ni::detected` has just checked, with
+        // `is_x86_feature_detected!`, every feature `sha_ni::compress_blocks`
+        // is compiled for, so this CPU executes each instruction it holds.
+        // Nothing else is asked of the caller: the kernel's body is safe.
+        #[expect(unsafe_code, reason = "SHA-NI runs only where it is detected")]
+        unsafe {
+            sha_ni::compress_blocks(state, blocks);
+        }
+        return;
+    }
+    for block in blocks.chunks_exact(64) {
+        compress_block(state, block.try_into().expect("64-byte chunk"));
+    }
+}
+
+/// The compression on x86-64's SHA extensions (SHA-NI).
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use std::arch::x86_64::{
+        _mm_add_epi32, _mm_extract_epi32, _mm_set_epi32, _mm_set_epi64x, _mm_sha1msg1_epu32,
+        _mm_sha1msg2_epu32, _mm_sha1nexte_epu32, _mm_sha1rnds4_epu32, _mm_shuffle_epi8,
+        _mm_xor_si128,
+    };
+
+    /// Whether this CPU has every feature [`compress_blocks`] enables.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Compresses each 64-byte block of `blocks` into `state` in turn. The
+    /// chaining state stays in two registers for the whole run: `ABCD`
+    /// (`A` in the high lane) and `E` (in the high lane of the other).
+    ///
+    /// Never inlined, for the reason `sha256.rs` gives for its kernel: the
+    /// SHA instructions exist only in the legacy SSE encoding, and a caller
+    /// that leaves the upper AVX halves dirty would make each of them pay
+    /// an SSE/AVX transition penalty. A call gets a `vzeroupper` first.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    #[inline(never)]
+    pub(super) fn compress_blocks(state: &mut [u32; 5], blocks: &[u8]) {
+        let [a, b, c, d, e] = state.map(|word| word as i32);
+        let mut abcd = _mm_set_epi32(a, b, c, d);
+        let mut e = _mm_set_epi32(e, 0, 0, 0);
+        // Reverses all sixteen bytes: the block's words are big-endian, and
+        // the instructions want the first of four in the high lane.
+        let reverse = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
+
+        for block in blocks.chunks_exact(64) {
+            let words = |i: usize| {
+                let half = |j: usize| {
+                    i64::from_le_bytes(block[8 * j..8 * j + 8].try_into().expect("8-byte half"))
+                };
+                _mm_shuffle_epi8(_mm_set_epi64x(half(2 * i + 1), half(2 * i)), reverse)
+            };
+            let mut w = [words(0), words(1), words(2), words(3)];
+            let (abcd_in, e_in) = (abcd, e);
+
+            // Rounds 0–3 add the chaining `E` to their first word. Each later
+            // four derive theirs with `sha1nexte` from `A` four rounds back
+            // (`back`), rotated, and take their schedule words from the
+            // sixteen before them, in a rolling window of four registers.
+            let mut back = abcd;
+            abcd = _mm_sha1rnds4_epu32::<0>(abcd, _mm_add_epi32(e, w[0]));
+            macro_rules! stage {
+                ($groups:expr, $f:literal) => {
+                    for t in $groups {
+                        if t >= 4 {
+                            let (w0, w1, w2, w3) =
+                                (w[t & 3], w[(t + 1) & 3], w[(t + 2) & 3], w[(t + 3) & 3]);
+                            w[t & 3] = _mm_sha1msg2_epu32(
+                                _mm_xor_si128(_mm_sha1msg1_epu32(w0, w1), w2),
+                                w3,
+                            );
+                        }
+                        let e_w = _mm_sha1nexte_epu32(back, w[t & 3]);
+                        back = abcd;
+                        abcd = _mm_sha1rnds4_epu32::<$f>(abcd, e_w);
+                    }
+                };
+            }
+            stage!(1..5, 0);
+            stage!(5..10, 1);
+            stage!(10..15, 2);
+            stage!(15..20, 3);
+
+            e = _mm_sha1nexte_epu32(back, e_in);
+            abcd = _mm_add_epi32(abcd, abcd_in);
+        }
+
+        *state = [
+            _mm_extract_epi32::<3>(abcd) as u32,
+            _mm_extract_epi32::<2>(abcd) as u32,
+            _mm_extract_epi32::<1>(abcd) as u32,
+            _mm_extract_epi32::<0>(abcd) as u32,
+            _mm_extract_epi32::<3>(e) as u32,
+        ];
+    }
+}
+
 /// Incremental SHA-1 hasher.
 ///
 /// # Example
@@ -83,38 +225,6 @@ impl Sha1 {
             total_len: 0,
         }
     }
-
-    /// Five rounds at a time, with the round function and constant fixed
-    /// per 20-round stage: the working variables rotate by name, so every
-    /// fifth round finds them back under their starting names.
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 16];
-        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
-            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-
-        macro_rules! stage {
-            ($first:literal, $f:ident, $k:literal) => {
-                for t in ($first..$first + 20).step_by(5) {
-                    round!(a, b, c, d, e, $f, $k, schedule(&mut w, t));
-                    round!(e, a, b, c, d, $f, $k, schedule(&mut w, t + 1));
-                    round!(d, e, a, b, c, $f, $k, schedule(&mut w, t + 2));
-                    round!(c, d, e, a, b, $f, $k, schedule(&mut w, t + 3));
-                    round!(b, c, d, e, a, $f, $k, schedule(&mut w, t + 4));
-                }
-            };
-        }
-        stage!(0, ch, 0x5a827999);
-        stage!(20, parity, 0x6ed9eba1);
-        stage!(40, maj, 0x8f1bbcdc);
-        stage!(60, parity, 0xca62c1d6);
-
-        for (word, v) in self.state.iter_mut().zip([a, b, c, d, e]) {
-            *word = word.wrapping_add(v);
-        }
-    }
 }
 
 impl Default for Sha1 {
@@ -137,51 +247,30 @@ impl Digest for Sha1 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
 
         if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(data.len());
+            let take = (64 - self.buffer_len).min(data.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
 
-        // Aligned full blocks compress straight from the input slice; the
-        // copy through `self.buffer` is only for partial blocks.
-        let mut chunks = data.chunks_exact(64);
-        for chunk in &mut chunks {
-            self.compress(chunk.try_into().expect("64-byte chunk"));
+        // Whole blocks compress straight from the input slice, as one run;
+        // the copy through `self.buffer` is only for a partial block.
+        let (blocks, rem) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            self.buffer[..rem.len()].copy_from_slice(rem);
-            self.buffer_len = rem.len();
-        }
+        self.buffer[..rem.len()].copy_from_slice(rem);
+        self.buffer_len = rem.len();
     }
 
-    fn finalize(mut self) -> [u8; 20] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        let mut padding = [0u8; 72];
-        padding[0] = 0x80;
-        let msg_len = (self.total_len % 64) as usize;
-        let zero_count = if msg_len < 56 {
-            55 - msg_len
-        } else {
-            119 - msg_len
-        };
-        let pad_len = 1 + zero_count + 8;
-        padding[1 + zero_count..pad_len].copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&padding[..pad_len]);
-        debug_assert_eq!(self.buffer_len, 0);
-
-        let mut out = [0u8; 20];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        out
+    fn finalize(self) -> [u8; 20] {
+        let absorbed = self.total_len.wrapping_sub(self.buffer_len as u64);
+        Self::finish(self.state, absorbed, &self.buffer[..self.buffer_len])
     }
 }
 
@@ -200,6 +289,15 @@ impl ChainingHash for Sha1 {
             total_len: absorbed,
             ..Self::new()
         }
+    }
+
+    fn finish(mut state: [u32; 5], absorbed: u64, rest: &[u8]) -> [u8; 20] {
+        pad(&mut state, absorbed, rest, compress);
+        let mut out = [0u8; 20];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
     }
 }
 
@@ -251,23 +349,117 @@ mod tests {
         }
     }
 
+    /// SHA-1 on the software kernel alone, padded as FIPS 180-1 spells it
+    /// out: the reference for the dispatching [`Sha1`].
+    fn software_digest(data: &[u8]) -> [u8; 20] {
+        let mut message = data.to_vec();
+        message.push(0x80);
+        while message.len() % 64 != 56 {
+            message.push(0);
+        }
+        message.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in message.chunks_exact(64) {
+            compress_block(&mut state, block.try_into().expect("64 bytes"));
+        }
+        let mut out = [0u8; 20];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// Whether [`compress`] runs the SHA-NI kernel on this CPU. Where it
+    /// does not, `test` says so on stderr, so that its pass is not read as
+    /// covering that kernel.
+    fn sha_ni_or_notice(test: &str) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::detected() {
+            return true;
+        }
+        eprintln!(
+            "{test}: no x86-64 SHA extensions on this CPU, so the SHA-NI kernel went unchecked"
+        );
+        false
+    }
+
+    // Properties without `#[test]`: the tests below run them once they know
+    // which kernel `compress` picks on this CPU.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The unrolled kernel equals the FIPS-literal one on any chaining
-        /// state, not only on the states reachable from `H0`.
-        #[test]
-        fn compress_matches_the_fips_reference(
+        /// Both kernels equal the FIPS-literal one on any chaining state,
+        /// not only on the states reachable from `H0`: the software kernel
+        /// directly, and the SHA-NI kernel through `compress`.
+        fn kernels_match_the_fips_reference(
             state in proptest::collection::vec(any::<u32>(), 5),
             block in proptest::collection::vec(any::<u8>(), 64),
         ) {
             let state: [u32; 5] = state.try_into().expect("5 words");
             let block: [u8; 64] = block.try_into().expect("64 bytes");
-            let mut hasher = Sha1 { state, ..Sha1::new() };
-            hasher.compress(&block);
             let mut expected = state;
             compress_reference(&mut expected, &block);
-            prop_assert_eq!(hasher.state, expected);
+            let mut software = state;
+            compress_block(&mut software, &block);
+            prop_assert_eq!(software, expected);
+            let mut dispatched = state;
+            compress(&mut dispatched, &block);
+            prop_assert_eq!(dispatched, expected);
+        }
+
+        /// A run of 1–4 blocks through one `compress` call, the chaining
+        /// state in registers throughout, equals block-at-a-time software
+        /// compression.
+        fn runs_match_block_at_a_time_software(
+            state in proptest::collection::vec(any::<u32>(), 5),
+            blocks in 1usize..=4,
+            bytes in proptest::collection::vec(any::<u8>(), 4 * 64),
+        ) {
+            let state: [u32; 5] = state.try_into().expect("5 words");
+            let run = &bytes[..64 * blocks];
+            let mut expected = state;
+            for block in run.chunks_exact(64) {
+                compress_block(&mut expected, block.try_into().expect("64 bytes"));
+            }
+            let mut dispatched = state;
+            compress(&mut dispatched, run);
+            prop_assert_eq!(dispatched, expected);
+        }
+    }
+
+    #[test]
+    fn compress_matches_the_fips_reference() {
+        sha_ni_or_notice("compress_matches_the_fips_reference");
+        kernels_match_the_fips_reference();
+    }
+
+    #[test]
+    fn sha_ni_runs_of_blocks_match_the_software_kernel() {
+        if sha_ni_or_notice("sha_ni_runs_of_blocks_match_the_software_kernel") {
+            runs_match_block_at_a_time_software();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `Sha1` equals the software-only digest at every length from 0
+        /// to 300 bytes (both padding cases, and runs of up to 4 whole
+        /// blocks), however its input is split across two `update`s.
+        #[test]
+        fn digest_matches_a_software_only_digest(
+            len in 0usize..=300,
+            split in 0usize..=300,
+            bytes in proptest::collection::vec(any::<u8>(), 300),
+        ) {
+            let data = &bytes[..len];
+            let expected = software_digest(data);
+            prop_assert_eq!(Sha1::digest(data), expected);
+            let (head, tail) = data.split_at(split % (len + 1));
+            let mut hasher = Sha1::new();
+            hasher.update(head);
+            hasher.update(tail);
+            prop_assert_eq!(hasher.finalize(), expected);
         }
     }
 

@@ -5,7 +5,7 @@
 //! throughout the workspace.
 
 use crate::digest::Digest;
-use crate::hmac::sealed::ChainingHash;
+use crate::hmac::sealed::{pad, ChainingHash};
 
 /// Round constants (first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes).
@@ -293,21 +293,9 @@ impl Digest for Sha256 {
         self.buffer_len = rem.len();
     }
 
-    fn finalize(mut self) -> [u8; 32] {
-        // The buffered bytes, 0x80, zeros and the 64-bit big-endian bit
-        // length: one block, or two when fewer than 9 bytes are left free.
-        let mut tail = [0u8; 128];
-        tail[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
-        tail[self.buffer_len] = 0x80;
-        let tail_len = if self.buffer_len < 56 { 64 } else { 128 };
-        tail[tail_len - 8..tail_len].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
-        compress(&mut self.state, &tail[..tail_len]);
-
-        let mut out = [0u8; 32];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        out
+    fn finalize(self) -> [u8; 32] {
+        let absorbed = self.total_len.wrapping_sub(self.buffer_len as u64);
+        Self::finish(self.state, absorbed, &self.buffer[..self.buffer_len])
     }
 }
 
@@ -326,6 +314,15 @@ impl ChainingHash for Sha256 {
             total_len: absorbed,
             ..Self::new()
         }
+    }
+
+    fn finish(mut state: [u32; 8], absorbed: u64, rest: &[u8]) -> [u8; 32] {
+        pad(&mut state, absorbed, rest, compress);
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
     }
 }
 

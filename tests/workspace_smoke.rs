@@ -80,12 +80,13 @@ fn unsafe_keyword_lines(source: &str) -> Vec<usize> {
         .collect()
 }
 
-/// `unsafe` is off in every first-party crate but for one audited block.
+/// `unsafe` is off in every first-party crate but for two audited blocks.
 /// Seven roots `forbid` it, so that no module below them can lift it.
-/// `erasmus-crypto` `deny`s it, so that its SHA-NI call can, once: that
-/// call is the crate's only `unsafe` block, carries a `// SAFETY:` comment
-/// that names `is_x86_feature_detected!`, and sits in the `if` that runs the
-/// detection of every feature its kernel is compiled for.
+/// `erasmus-crypto` `deny`s it, so that its SHA-NI calls can lift it, one
+/// per hash: the crate's `unsafe` blocks are exactly one in `sha256.rs`
+/// and one in `sha1.rs`. Each carries a `// SAFETY:` comment that names
+/// `is_x86_feature_detected!`, and sits in the `if` that runs the detection
+/// of every feature its file's kernel is compiled for.
 #[test]
 fn every_first_party_crate_root_forbids_unsafe_code() {
     let forbidding = [
@@ -140,52 +141,60 @@ fn every_first_party_crate_root_forbids_unsafe_code() {
                 .map(move |line| (file, line))
         })
         .collect();
+    let files: Vec<&str> = sites.iter().map(|&(file, _)| file).collect();
     assert_eq!(
-        sites.len(),
-        1,
-        "erasmus-crypto must hold exactly one `unsafe`, found it at (file, line index) {sites:?}"
+        files,
+        ["sha1.rs", "sha256.rs"],
+        "erasmus-crypto must hold exactly one `unsafe` per SHA-NI call, in sha1.rs and \
+         sha256.rs; found it at (file, line index) {sites:?}"
     );
-    let (file, block) = sites[0];
-    assert_eq!(
-        file, "sha256.rs",
-        "the one `unsafe` block belongs to the SHA-NI call"
-    );
-    let sha256 = crypto("sha256.rs");
-    let lines: Vec<&str> = sha256.lines().map(str::trim).collect();
-    assert_eq!(lines[block], "unsafe {", "the one `unsafe` is a block");
+    for (file, block) in sites {
+        audit_sha_ni_call(file, crypto(file), block);
+    }
+}
+
+/// Checks the `unsafe` at line index `block` of `file`: a block, guarded by
+/// an `if` with only comments and the lint expectation in between, whose
+/// `// SAFETY:` comment names `is_x86_feature_detected!`, in a file that
+/// detects every feature of its kernel's `#[target_feature(enable = ...)]`.
+fn audit_sha_ni_call(file: &str, source: &str, block: usize) {
+    let lines: Vec<&str> = source.lines().map(str::trim).collect();
+    assert_eq!(lines[block], "unsafe {", "{file}: the `unsafe` is a block");
 
     // Between the guarding `if` and the block: only its SAFETY comment and
     // its `#[expect(unsafe_code, ...)]`.
     let guard = lines[..block]
         .iter()
         .rposition(|line| line.starts_with("if "))
-        .expect("an `if` guards the `unsafe` block");
+        .unwrap_or_else(|| panic!("{file}: an `if` guards the `unsafe` block"));
     let preamble = &lines[guard + 1..block];
     assert!(
         preamble.iter().all(|line| line.starts_with("//") || line.starts_with("#[expect(unsafe_code")),
-        "only comments and the lint expectation may sit between the guard and the block: {preamble:?}"
+        "{file}: only comments and the lint expectation may sit between the guard and the block: {preamble:?}"
     );
     let safety = preamble
         .iter()
         .position(|line| line.starts_with("// SAFETY:"))
-        .expect("a `// SAFETY:` comment precedes the `unsafe` block");
+        .unwrap_or_else(|| panic!("{file}: a `// SAFETY:` comment precedes the `unsafe` block"));
     let comment = preamble[safety..].join(" ");
     assert!(
         comment.contains("is_x86_feature_detected!"),
-        "the SAFETY comment names the detection that makes the call sound: {comment}"
+        "{file}: the SAFETY comment names the detection that makes the call sound: {comment}"
     );
 
     // The detection covers every feature the kernel is compiled for.
     let attribute = lines
         .iter()
         .find_map(|line| line.strip_prefix("#[target_feature(enable = \""))
-        .expect("the SHA-NI kernel carries `#[target_feature(enable = ...)]`");
+        .unwrap_or_else(|| {
+            panic!("{file}: the SHA-NI kernel carries `#[target_feature(enable = ...)]`")
+        });
     let features = attribute.split('"').next().expect("a quoted feature list");
     for feature in features.split(',') {
         let detection = format!("is_x86_feature_detected!(\"{feature}\")");
         assert!(
-            sha256.contains(&detection),
-            "sha256.rs never runs `{detection}`"
+            source.contains(&detection),
+            "{file} never runs `{detection}`"
         );
     }
 }
