@@ -60,8 +60,8 @@
 //! [`FleetConfig::retries`] > 0 — every drop is retransmitted under an
 //! exponential-backoff ARQ loop ([`erasmus_core::RetryPolicy`]). Scheduled
 //! [`FleetConfig::hub_crashes`] serialize each shard hub to its wire-format
-//! snapshot ([`erasmus_core::encode_hub_snapshot`]) and restore it
-//! bit-identically mid-run.
+//! snapshot ([`erasmus_core::encode_hub_snapshot`]), drop it and restore
+//! it from the bytes mid-run.
 //!
 //! Per-device verifier state is governed by [`FleetConfig::history`]: a
 //! ring of [`erasmus_core::DEFAULT_RING_CAPACITY`] entries unless set
@@ -147,8 +147,8 @@ pub struct FleetConfig {
     /// Scheduled verifier-hub crash/restart cycles: at each of these
     /// instants, spread evenly over the run, every shard's hub state is
     /// serialized to its wire-format snapshot, dropped, and restored from
-    /// the bytes alone — recovery must be bit-identical. A run restores
-    /// `shards × hub_crashes` hubs ([`FleetReport::hub_crashes`]).
+    /// the bytes alone. A run restores `shards × hub_crashes` hubs
+    /// ([`FleetReport::hub_crashes`]).
     pub hub_crashes: usize,
     /// Fleet-wide count of authenticated on-demand requests (ERASMUS+OD)
     /// injected at deterministic instants during the run.

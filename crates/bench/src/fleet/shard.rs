@@ -858,13 +858,13 @@ impl Shard {
                 // Crash boundary. The burst in flight flushes first (frames
                 // already on the wire are the network's problem, not the
                 // restarting verifier's), then the hub is checkpointed,
-                // dropped, and rebuilt from the snapshot bytes alone — and
-                // the rebuilt state must be bit-identical.
+                // dropped, and rebuilt from the snapshot bytes alone.
+                // `hub_crashes_recover_bit_identically` pins the rebuilt
+                // hub to a never-crashed one.
                 self.flush_batch(state, network);
                 let snapshot = encode_hub_snapshot(&self.hub);
-                let restored = decode_hub_snapshot(&snapshot).expect("hub snapshot round-trips");
-                assert_eq!(restored, self.hub, "hub restores bit-identically");
-                self.hub = restored;
+                drop(std::mem::take(&mut self.hub));
+                self.hub = decode_hub_snapshot(&snapshot).expect("hub snapshot round-trips");
                 state.report.hub_crashes += 1;
                 state.report.snapshot_bytes += snapshot.len() as u64;
             }

@@ -54,9 +54,9 @@
 //! and hands out borrowed [`ResponseView`]s / [`MeasurementView`]s whose
 //! digest and tag point straight into the frame buffer. The verifier checks
 //! MACs off those borrowed slices; owned [`Measurement`]s are materialized
-//! only for the reports that survive verification. The owned decoders
-//! ([`decode_collection_batch`] & co.) are thin wrappers over the views, so
-//! there is exactly one strict contract.
+//! only for the reports that survive verification. The owned decoder,
+//! [`decode_collection_batch`], is a thin wrapper over the views, so there
+//! is exactly one strict contract.
 
 #![deny(
     clippy::unwrap_used,
@@ -323,8 +323,8 @@ fn measurement_view_from<'a>(reader: &mut Reader<'a>) -> Result<MeasurementView<
 
 /// Iterator over the [`MeasurementView`]s of one response record.
 ///
-/// Walks bytes that were already validated by [`FrameView::parse`] (or one
-/// of the owned decoders), so iteration itself cannot fail.
+/// Walks bytes that were already validated by [`FrameView::parse`], so
+/// iteration itself cannot fail.
 #[derive(Debug, Clone)]
 pub struct MeasurementViews<'a> {
     reader: Reader<'a>,
@@ -558,24 +558,6 @@ pub fn encode_measurement(measurement: &Measurement) -> Vec<u8> {
     out
 }
 
-fn decode_measurement_from(reader: &mut Reader<'_>) -> Result<Measurement, DecodeError> {
-    measurement_view_from(reader).map(|view| view.to_measurement())
-}
-
-/// Parses one measurement, rejecting trailing bytes.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] for truncated input, implausible field lengths
-/// or trailing garbage. A successfully decoded measurement still needs MAC
-/// verification — decoding performs no cryptography.
-pub fn decode_measurement(bytes: &[u8]) -> Result<Measurement, DecodeError> {
-    let mut reader = Reader::new(bytes);
-    let measurement = decode_measurement_from(&mut reader)?;
-    reader.finish()?;
-    Ok(measurement)
-}
-
 /// Appends the serialized collection response to `out`.
 ///
 /// # Panics
@@ -604,22 +586,6 @@ pub fn encode_collection_response(response: &CollectionResponse) -> Vec<u8> {
     let mut out = Vec::new();
     encode_collection_response_into(&mut out, response);
     out
-}
-
-/// Parses a collection response.
-///
-/// The prover-time field is not on the wire (it is a simulation artefact);
-/// the decoded response carries [`SimDuration::ZERO`] there.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] for truncated input, implausible counts or
-/// trailing garbage.
-pub fn decode_collection_response(bytes: &[u8]) -> Result<CollectionResponse, DecodeError> {
-    let mut reader = Reader::new(bytes);
-    let view = response_view_from(&mut reader)?;
-    reader.finish()?;
-    Ok(view.to_response())
 }
 
 /// Largest number of responses one batch frame may carry. Mirrors the
@@ -1095,94 +1061,39 @@ mod tests {
     }
 
     #[test]
-    fn measurement_roundtrip() {
-        let original = sample(1234);
-        let bytes = encode_measurement(&original);
-        assert_eq!(bytes.len(), original.wire_size() + 4);
-        let decoded = decode_measurement(&bytes).expect("decodes");
-        assert_eq!(decoded, original);
-        assert!(decoded.verify(&KEY, MacAlgorithm::HmacSha256));
-    }
-
-    #[test]
     fn collection_response_roundtrip() {
         let response = CollectionResponse {
             device: DeviceId::new(42),
             measurements: vec![sample(30), sample(20), sample(10)],
             prover_time: SimDuration::from_micros(15),
         };
-        let bytes = encode_collection_response(&response);
-        let decoded = decode_collection_response(&bytes).expect("decodes");
-        assert_eq!(decoded.device, DeviceId::new(42));
-        assert_eq!(decoded.measurements, response.measurements);
-        assert_eq!(decoded.prover_time, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn empty_response_roundtrip() {
-        let response = CollectionResponse {
-            device: DeviceId::new(7),
-            measurements: Vec::new(),
-            prover_time: SimDuration::ZERO,
-        };
-        let decoded =
-            decode_collection_response(&encode_collection_response(&response)).expect("decodes");
-        assert!(decoded.measurements.is_empty());
-    }
-
-    #[test]
-    fn truncated_input_is_rejected() {
-        let bytes = encode_measurement(&sample(5));
-        for len in [0usize, 1, 7, 9, bytes.len() - 1] {
-            let err = decode_measurement(&bytes[..len]).unwrap_err();
-            assert!(err.to_string().contains("decode error"), "{err}");
-            assert_eq!(err.kind(), DecodeErrorKind::Truncated, "cut at {len}");
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut bytes = encode_measurement(&sample(5));
-        bytes.push(0xff);
-        let err = decode_measurement(&bytes).unwrap_err();
-        assert!(err.to_string().contains("trailing"));
-        assert_eq!(err.kind(), DecodeErrorKind::TrailingBytes);
-    }
-
-    #[test]
-    fn implausible_lengths_are_rejected() {
-        // Hand-craft a measurement header with an absurd digest length.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&5u64.to_be_bytes());
-        bytes.extend_from_slice(&60000u16.to_be_bytes());
-        bytes.extend_from_slice(&[0u8; 16]);
-        let err = decode_measurement(&bytes).unwrap_err();
-        assert!(err.to_string().contains("implausible digest length"));
-        assert_eq!(err.kind(), DecodeErrorKind::DigestLength);
-        assert!(err.offset() >= 10);
-    }
-
-    #[test]
-    fn wrong_count_in_response_is_rejected() {
-        let response = CollectionResponse {
-            device: DeviceId::new(1),
-            measurements: vec![sample(1)],
-            prover_time: SimDuration::ZERO,
-        };
-        let mut bytes = encode_collection_response(&response);
-        // Claim two measurements but provide one.
-        bytes[9] = 2;
-        assert!(decode_collection_response(&bytes).is_err());
+        let first = &response.measurements[0];
+        assert_eq!(encode_measurement(first).len(), first.wire_size() + 4);
+        let bytes = encode_collection_batch(std::slice::from_ref(&response));
+        let decoded = decode_collection_batch(&bytes).expect("decodes");
+        assert_eq!(decoded.len(), 1);
+        assert_eq!(decoded[0].device, DeviceId::new(42));
+        assert_eq!(decoded[0].measurements, response.measurements);
+        assert!(decoded[0]
+            .measurements
+            .iter()
+            .all(|m| m.verify(&KEY, MacAlgorithm::HmacSha256)));
+        // The prover time is a simulation artefact, not on the wire.
+        assert_eq!(decoded[0].prover_time, SimDuration::ZERO);
     }
 
     #[test]
     fn decoded_tampered_bytes_fail_mac_verification() {
-        let original = sample(99);
-        let mut bytes = encode_measurement(&original);
-        // Flip one digest byte on the wire.
-        bytes[12] ^= 0x01;
-        let decoded = decode_measurement(&bytes).expect("still well-formed");
-        assert!(!decoded.verify(&KEY, MacAlgorithm::HmacSha256));
+        let mut bytes = encode_collection_batch(&[sample_response(1, 1)]);
+        // Flip one digest byte on the wire: count, device, measurement
+        // count, timestamp and digest length come first.
+        bytes[2 + 8 + 2 + 8 + 2] ^= 0x01;
+        let frame = FrameView::parse(&bytes).expect("still well-formed");
+        let response = frame.responses().next().expect("one response");
+        let measurement = response.measurements().next().expect("one measurement");
+        assert!(!measurement
+            .to_measurement()
+            .verify(&KEY, MacAlgorithm::HmacSha256));
     }
 
     fn sample_response(device: u64, count: usize) -> CollectionResponse {
@@ -1219,12 +1130,24 @@ mod tests {
 
     #[test]
     fn batch_with_missing_response_is_rejected() {
-        let mut bytes = encode_collection_batch(&[sample_response(1, 1)]);
+        let frame = encode_collection_batch(&[sample_response(1, 1)]);
         // Claim two responses but carry one.
-        bytes[1] = 2;
-        let err = decode_collection_batch(&bytes).unwrap_err();
-        assert!(err.to_string().contains("truncated"), "{err}");
-        assert_eq!(err.kind(), DecodeErrorKind::Truncated);
+        let mut missing_response = frame.clone();
+        missing_response[1] = 2;
+        // Claim two measurements in the response but carry one.
+        let mut missing_measurement = frame.clone();
+        missing_measurement[2 + 9] = 2;
+        // And every strict prefix of the frame.
+        let prefixes = (0..frame.len()).map(|len| frame[..len].to_vec());
+        for bytes in [missing_response, missing_measurement]
+            .into_iter()
+            .chain(prefixes)
+        {
+            let err = decode_collection_batch(&bytes).unwrap_err();
+            assert!(err.to_string().contains("decode error"), "{err}");
+            assert!(err.to_string().contains("truncated"), "{err}");
+            assert_eq!(err.kind(), DecodeErrorKind::Truncated, "{err}");
+        }
     }
 
     #[test]
@@ -1296,12 +1219,13 @@ mod tests {
             DecodeErrorKind::BatchCount
         );
         // TrailingBytes
-        let mut padded = encode_collection_batch(&[]);
-        padded.push(0);
-        assert_eq!(
-            decode_collection_batch(&padded).unwrap_err().kind(),
-            DecodeErrorKind::TrailingBytes
-        );
+        for batch in [vec![], vec![sample_response(1, 1)]] {
+            let mut padded = encode_collection_batch(&batch);
+            padded.push(0xff);
+            let err = decode_collection_batch(&padded).unwrap_err();
+            assert!(err.to_string().contains("trailing"), "{err}");
+            assert_eq!(err.kind(), DecodeErrorKind::TrailingBytes);
+        }
         // DigestLength and TagLength via a crafted single-measurement frame.
         let mut frame = Vec::new();
         frame.extend_from_slice(&1u16.to_be_bytes()); // 1 response
@@ -1316,18 +1240,25 @@ mod tests {
         frame.extend_from_slice(&[0u8; 4]);
         assert!(decode_collection_batch(&frame).is_ok());
 
-        let mut bad_digest = frame.clone();
-        bad_digest[digest_len_at + 1] = DIGEST_LEN as u8 + 1;
-        assert_eq!(
-            decode_collection_batch(&bad_digest).unwrap_err().kind(),
-            DecodeErrorKind::DigestLength
-        );
-        let mut bad_tag = frame.clone();
-        bad_tag[tag_len_at + 1] = 0;
-        assert_eq!(
-            decode_collection_batch(&bad_tag).unwrap_err().kind(),
-            DecodeErrorKind::TagLength
-        );
+        for digest_len in [DIGEST_LEN as u16 + 1, 60000] {
+            let mut bad_digest = frame.clone();
+            bad_digest[digest_len_at..digest_len_at + 2].copy_from_slice(&digest_len.to_be_bytes());
+            let err = decode_collection_batch(&bad_digest).unwrap_err();
+            assert!(
+                err.to_string().contains("implausible digest length"),
+                "{err}"
+            );
+            assert_eq!(err.kind(), DecodeErrorKind::DigestLength);
+            assert!(err.offset() >= digest_len_at + 2);
+        }
+        for tag_len in [0, MAX_TAG_LEN as u8 + 1] {
+            let mut bad_tag = frame.clone();
+            bad_tag[tag_len_at + 1] = tag_len;
+            assert_eq!(
+                decode_collection_batch(&bad_tag).unwrap_err().kind(),
+                DecodeErrorKind::TagLength
+            );
+        }
     }
 
     /// Ingests three entries per device for devices 2 (healthy) and
@@ -1726,21 +1657,6 @@ mod proptests {
     }
 
     proptest! {
-        /// Any well-formed measurement survives the wire byte-for-byte.
-        #[test]
-        fn measurement_roundtrips(measurement in arb_measurement()) {
-            let bytes = encode_measurement(&measurement);
-            prop_assert_eq!(decode_measurement(&bytes).unwrap(), measurement);
-        }
-
-        /// Any well-formed response — including ones with zero
-        /// measurements — survives the wire.
-        #[test]
-        fn response_roundtrips(response in arb_response()) {
-            let bytes = encode_collection_response(&response);
-            prop_assert_eq!(decode_collection_response(&bytes).unwrap(), response);
-        }
-
         /// A whole delivery batch survives the wire, preserving response
         /// order (the hub's per-device arrival order depends on it).
         #[test]

@@ -100,12 +100,11 @@ pub mod verifier;
 pub use buffer::MeasurementBuffer;
 pub use config::{ProverConfig, ProverConfigBuilder};
 pub use encoding::{
-    decode_collection_batch, decode_collection_response, decode_hub_snapshot, decode_measurement,
-    encode_collection_batch, encode_collection_batch_into, encode_collection_response,
-    encode_collection_response_into, encode_hub_snapshot, encode_hub_snapshot_into,
-    encode_measurement, encode_measurement_into, DecodeError, DecodeErrorKind, FrameView,
-    MeasurementView, MeasurementViews, ResponseView, ResponseViews, MAX_BATCH_RESPONSES,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    decode_collection_batch, decode_hub_snapshot, encode_collection_batch,
+    encode_collection_batch_into, encode_collection_response, encode_collection_response_into,
+    encode_hub_snapshot, encode_hub_snapshot_into, encode_measurement, encode_measurement_into,
+    DecodeError, DecodeErrorKind, FrameView, MeasurementView, MeasurementViews, ResponseView,
+    ResponseViews, MAX_BATCH_RESPONSES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use error::Error;
 pub use history::{

@@ -165,7 +165,6 @@ impl Default for Blake2s {
 
 impl Digest for Blake2s {
     const OUTPUT_SIZE: usize = OUT_BYTES;
-    const BLOCK_SIZE: usize = BLOCK_BYTES;
 
     type Output = [u8; 32];
 

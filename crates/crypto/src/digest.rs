@@ -27,8 +27,6 @@
 pub trait Digest: Clone {
     /// Size of the produced digest in bytes.
     const OUTPUT_SIZE: usize;
-    /// Internal block size in bytes (used by HMAC for key padding).
-    const BLOCK_SIZE: usize;
 
     /// The fixed-size digest array, `[u8; Self::OUTPUT_SIZE]`.
     type Output: Copy + AsRef<[u8]> + PartialEq + Eq + std::fmt::Debug;

@@ -17,56 +17,9 @@
 //! compressions. [`HmacKey::begin`] streams a message that arrives in
 //! parts. The states are key material: no `Debug` output prints them.
 
+use crate::md::{ChainingHash, BLOCK};
 use crate::sha1::Sha1;
 use crate::sha256::Sha256;
-
-/// The block size of every hash HMAC runs over here.
-const BLOCK: usize = 64;
-
-pub(crate) mod sealed {
-    /// A hash that HMAC can key once and resume from its chaining states:
-    /// SHA-256 and SHA-1, whose 64-byte blocks chain through a fixed-size
-    /// state.
-    pub trait ChainingHash: crate::Digest {
-        /// The chaining state between two blocks.
-        type State: Copy;
-
-        /// The chaining state of a hasher that has absorbed whole blocks.
-        fn chaining_state(&self) -> Self::State;
-
-        /// A hasher that resumes from `state`, `absorbed` bytes (whole
-        /// blocks) into its message.
-        fn resume(state: Self::State, absorbed: u64) -> Self;
-
-        /// The digest of a message whose first `absorbed` bytes (whole
-        /// blocks) left `state` and whose remaining bytes are `rest`, with
-        /// no hasher: what [`resume`](Self::resume), `update(rest)` and
-        /// `finalize` give. Each hash's `finalize` ends here too, so this
-        /// is its only padding code.
-        fn finish(state: Self::State, absorbed: u64, rest: &[u8]) -> Self::Output;
-    }
-
-    /// The end of every [`ChainingHash::finish`]: compresses into `state`
-    /// the whole blocks of `rest`, straight from the slice, then its tail,
-    /// `0x80`, zeros and the message's 64-bit big-endian bit length, from
-    /// one block on the stack or two when fewer than 9 bytes are left free.
-    pub fn pad<S>(state: &mut S, absorbed: u64, rest: &[u8], compress: impl Fn(&mut S, &[u8])) {
-        debug_assert_eq!(absorbed % 64, 0, "only whole blocks chain");
-        let (blocks, tail) = rest.split_at(rest.len() - rest.len() % 64);
-        if !blocks.is_empty() {
-            compress(state, blocks);
-        }
-        let mut last = [0u8; 128];
-        last[..tail.len()].copy_from_slice(tail);
-        last[tail.len()] = 0x80;
-        let last_len = if tail.len() < 56 { 64 } else { 128 };
-        let bits = absorbed.wrapping_add(rest.len() as u64).wrapping_mul(8);
-        last[last_len - 8..last_len].copy_from_slice(&bits.to_be_bytes());
-        compress(state, &last[..last_len]);
-    }
-}
-
-use sealed::ChainingHash;
 
 /// An HMAC key schedule: the two chaining states left after the ipad and
 /// opad blocks, and nothing else.
@@ -200,49 +153,9 @@ impl<D: ChainingHash> Hmac<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
-    }
-
-    /// `finish(state, absorbed, rest)`, and the digest of a hasher resumed
-    /// from the same point that streams `rest` and finalizes.
-    fn finished_and_streamed<D: ChainingHash>(
-        state: D::State,
-        absorbed: u64,
-        rest: &[u8],
-    ) -> (D::Output, D::Output) {
-        let mut hasher = D::resume(state, absorbed);
-        hasher.update(rest);
-        (D::finish(state, absorbed, rest), hasher.finalize())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Per hash, on any chaining state, `finish` equals resuming,
-        /// streaming and finalizing at every `rest.len()` from 0 to 130
-        /// (both padding cases, and up to two whole blocks taken from the
-        /// slice) after 0, 1 or 2 whole blocks.
-        #[test]
-        fn finish_equals_resume_update_finalize(
-            words in proptest::collection::vec(any::<u32>(), 8),
-            bytes in proptest::collection::vec(any::<u8>(), 130),
-        ) {
-            let sha256: [u32; 8] = words[..].try_into().expect("8 words");
-            let sha1: [u32; 5] = words[..5].try_into().expect("5 words");
-            for absorbed in [0, 64, 128] {
-                for len in 0..=130 {
-                    let (finished, streamed) =
-                        finished_and_streamed::<Sha256>(sha256, absorbed, &bytes[..len]);
-                    prop_assert_eq!(finished, streamed, "SHA-256, {} + {}", absorbed, len);
-                    let (finished, streamed) =
-                        finished_and_streamed::<Sha1>(sha1, absorbed, &bytes[..len]);
-                    prop_assert_eq!(finished, streamed, "SHA-1, {} + {}", absorbed, len);
-                }
-            }
-        }
     }
 
     // RFC 4231 test vectors for HMAC-SHA256.

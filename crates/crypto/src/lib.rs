@@ -7,10 +7,13 @@
 //!
 //! * [`Sha1`] — FIPS 180-1 SHA-1 (the paper sizes it in Table 1 for
 //!   comparison only; not recommended for new measurements).
-//! * [`Sha256`] — FIPS 180-2 SHA-256. It and [`Sha1`] compress on the
-//!   CPU's SHA extensions (SHA-NI) where `is_x86_feature_detected!` finds
-//!   them, and in portable code everywhere else; the call into each hash's
-//!   SHA-NI kernel is one of the workspace's two `unsafe` blocks.
+//! * [`Sha256`] — FIPS 180-2 SHA-256. It and [`Sha1`] are one
+//!   Merkle–Damgård front end, [`MdHasher`] (block buffer, padding, kernel
+//!   dispatch), over two cores of constants and kernels. They compress on
+//!   the CPU's SHA extensions (SHA-NI) where `is_x86_feature_detected!`
+//!   finds them, and in portable code everywhere else; the one
+//!   dispatcher's call into a SHA-NI kernel is the workspace's only
+//!   `unsafe` block.
 //! * [`Hmac`] — RFC 2104 HMAC over [`Sha256`] or [`Sha1`].
 //! * [`Blake2s`] — RFC 7693 BLAKE2s with native keyed mode.
 //! * [`HmacDrbg`] — deterministic CSPRNG (HMAC-DRBG construction) used for
@@ -51,10 +54,10 @@
 //! assert!(MacAlgorithm::HmacSha256.verify(&key, &digest, &tag));
 //! ```
 
-// `deny`, not `forbid`, unlike the other crate roots: the SHA-NI calls in
-// `sha256.rs` and `sha1.rs` lift it, each with an `#[expect]`.
-// `tests/workspace_smoke.rs` pins those two calls as the crate's only
-// `unsafe` blocks.
+// `deny`, not `forbid`, unlike the other crate roots: the SHA-NI call in
+// `md.rs`, the dispatcher both hashes share, lifts it with an `#[expect]`.
+// `tests/workspace_smoke.rs` pins that call as the crate's only `unsafe`
+// block.
 #![deny(unsafe_code)]
 #![deny(
     clippy::dbg_macro,
@@ -73,6 +76,7 @@ pub mod digest;
 pub mod drbg;
 pub mod hmac;
 pub mod mac;
+mod md;
 pub mod sha1;
 pub mod sha256;
 
@@ -82,5 +86,6 @@ pub use digest::Digest;
 pub use drbg::HmacDrbg;
 pub use hmac::{Hmac, HmacKey, HmacSha1, HmacSha256};
 pub use mac::{KeyedMac, MacAlgorithm, MacTag, ParseMacAlgorithmError, MAX_TAG_LEN};
+pub use md::MdHasher;
 pub use sha1::Sha1;
 pub use sha256::Sha256;

@@ -6,10 +6,7 @@
 //! `MacAlgorithm::HmacSha1`, which a fleet can run end to end, but the rest
 //! of the workspace defaults to SHA-256 or BLAKE2s.
 
-use crate::digest::Digest;
-use crate::hmac::sealed::{pad, ChainingHash};
-
-const H0: [u32; 5] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0];
+use crate::md::{Core, MdHasher};
 
 /// One SHA-1 round. Only `e` (which becomes the next round's `a`) and `b`
 /// (rotated into the next round's `c`) change; the caller renames the rest
@@ -55,58 +52,63 @@ fn schedule(w: &mut [u32; 16], t: usize) -> u32 {
     w[t & 15]
 }
 
-/// The software compression, five rounds at a time, with the round
-/// function and constant fixed per 20-round stage: the working variables
-/// rotate by name, so every fifth round finds them back under their
-/// starting names.
-fn compress_block(state: &mut [u32; 5], block: &[u8; 64]) {
-    let mut w = [0u32; 16];
-    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
-        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    }
+/// Incremental SHA-1 hasher.
+///
+/// # Example
+///
+/// ```
+/// use erasmus_crypto::{Digest, Sha1};
+///
+/// let digest = Sha1::digest(b"abc");
+/// assert_eq!(digest.len(), 20);
+/// ```
+pub type Sha1 = MdHasher<Sha1Core>;
 
-    let [mut a, mut b, mut c, mut d, mut e] = *state;
+/// SHA-1's constants and kernels, which the shared front end of [`Sha1`]
+/// drives.
+#[derive(Debug, Clone)]
+pub struct Sha1Core;
 
-    macro_rules! stage {
-        ($first:literal, $f:ident, $k:literal) => {
-            for t in ($first..$first + 20).step_by(5) {
-                round!(a, b, c, d, e, $f, $k, schedule(&mut w, t));
-                round!(e, a, b, c, d, $f, $k, schedule(&mut w, t + 1));
-                round!(d, e, a, b, c, $f, $k, schedule(&mut w, t + 2));
-                round!(c, d, e, a, b, $f, $k, schedule(&mut w, t + 3));
-                round!(b, c, d, e, a, $f, $k, schedule(&mut w, t + 4));
-            }
-        };
-    }
-    stage!(0, ch, 0x5a827999);
-    stage!(20, parity, 0x6ed9eba1);
-    stage!(40, maj, 0x8f1bbcdc);
-    stage!(60, parity, 0xca62c1d6);
+impl Core for Sha1Core {
+    type State = [u32; 5];
+    type Output = [u8; 20];
 
-    for (word, v) in state.iter_mut().zip([a, b, c, d, e]) {
-        *word = word.wrapping_add(v);
-    }
-}
+    const IV: [u32; 5] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0];
 
-/// Compresses `blocks`, a run of whole 64-byte blocks, into `state`: on the
-/// CPU's SHA extensions where it has them, else block by block through
-/// [`compress_block`]. The CPU picks; nothing else does.
-fn compress(state: &mut [u32; 5], blocks: &[u8]) {
-    debug_assert_eq!(blocks.len() % 64, 0, "only whole blocks compress");
     #[cfg(target_arch = "x86_64")]
-    if sha_ni::detected() {
-        // SAFETY: `sha_ni::detected` has just checked, with
-        // `is_x86_feature_detected!`, every feature `sha_ni::compress_blocks`
-        // is compiled for, so this CPU executes each instruction it holds.
-        // Nothing else is asked of the caller: the kernel's body is safe.
-        #[expect(unsafe_code, reason = "SHA-NI runs only where it is detected")]
-        unsafe {
-            sha_ni::compress_blocks(state, blocks);
+    const SHA_NI: crate::md::Kernel<[u32; 5]> = sha_ni::compress_blocks;
+
+    /// The software compression, five rounds at a time, with the round
+    /// function and constant fixed per 20-round stage: the working variables
+    /// rotate by name, so every fifth round finds them back under their
+    /// starting names.
+    fn compress_block(state: &mut [u32; 5], block: &[u8; 64]) {
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
-        return;
-    }
-    for block in blocks.chunks_exact(64) {
-        compress_block(state, block.try_into().expect("64-byte chunk"));
+
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
+
+        macro_rules! stage {
+            ($first:literal, $f:ident, $k:literal) => {
+                for t in ($first..$first + 20).step_by(5) {
+                    round!(a, b, c, d, e, $f, $k, schedule(&mut w, t));
+                    round!(e, a, b, c, d, $f, $k, schedule(&mut w, t + 1));
+                    round!(d, e, a, b, c, $f, $k, schedule(&mut w, t + 2));
+                    round!(c, d, e, a, b, $f, $k, schedule(&mut w, t + 3));
+                    round!(b, c, d, e, a, $f, $k, schedule(&mut w, t + 4));
+                }
+            };
+        }
+        stage!(0, ch, 0x5a827999);
+        stage!(20, parity, 0x6ed9eba1);
+        stage!(40, maj, 0x8f1bbcdc);
+        stage!(60, parity, 0xca62c1d6);
+
+        for (word, v) in state.iter_mut().zip([a, b, c, d, e]) {
+            *word = word.wrapping_add(v);
+        }
     }
 }
 
@@ -119,24 +121,12 @@ mod sha_ni {
         _mm_xor_si128,
     };
 
-    /// Whether this CPU has every feature [`compress_blocks`] enables.
-    pub(super) fn detected() -> bool {
-        is_x86_feature_detected!("sha")
-            && is_x86_feature_detected!("sse2")
-            && is_x86_feature_detected!("ssse3")
-            && is_x86_feature_detected!("sse4.1")
-    }
-
     /// Compresses each 64-byte block of `blocks` into `state` in turn. The
     /// chaining state stays in two registers for the whole run: `ABCD`
-    /// (`A` in the high lane) and `E` (in the high lane of the other).
-    ///
-    /// Never inlined, for the reason `sha256.rs` gives for its kernel: the
-    /// SHA instructions exist only in the legacy SSE encoding, and a caller
-    /// that leaves the upper AVX halves dirty would make each of them pay
-    /// an SSE/AVX transition penalty. A call gets a `vzeroupper` first.
+    /// (`A` in the high lane) and `E` (in the high lane of the other). It
+    /// runs only inside the shared dispatcher, which is never inlined (see
+    /// `md.rs`'s `compress` for why that matters).
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    #[inline(never)]
     pub(super) fn compress_blocks(state: &mut [u32; 5], blocks: &[u8]) {
         let [a, b, c, d, e] = state.map(|word| word as i32);
         let mut abcd = _mm_set_epi32(a, b, c, d);
@@ -197,113 +187,12 @@ mod sha_ni {
     }
 }
 
-/// Incremental SHA-1 hasher.
-///
-/// # Example
-///
-/// ```
-/// use erasmus_crypto::{Digest, Sha1};
-///
-/// let digest = Sha1::digest(b"abc");
-/// assert_eq!(digest.len(), 20);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Sha1 {
-    state: [u32; 5],
-    buffer: [u8; 64],
-    buffer_len: usize,
-    total_len: u64,
-}
-
-impl Sha1 {
-    /// Creates a fresh SHA-1 state.
-    pub fn new() -> Self {
-        Self {
-            state: H0,
-            buffer: [0u8; 64],
-            buffer_len: 0,
-            total_len: 0,
-        }
-    }
-}
-
-impl Default for Sha1 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Digest for Sha1 {
-    const OUTPUT_SIZE: usize = 20;
-    const BLOCK_SIZE: usize = 64;
-
-    type Output = [u8; 20];
-
-    fn new() -> Self {
-        Sha1::new()
-    }
-
-    fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-
-        if self.buffer_len > 0 {
-            let take = (64 - self.buffer_len).min(data.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
-            self.buffer_len += take;
-            data = &data[take..];
-            if self.buffer_len < 64 {
-                return;
-            }
-            compress(&mut self.state, &self.buffer);
-            self.buffer_len = 0;
-        }
-
-        // Whole blocks compress straight from the input slice, as one run;
-        // the copy through `self.buffer` is only for a partial block.
-        let (blocks, rem) = data.split_at(data.len() - data.len() % 64);
-        if !blocks.is_empty() {
-            compress(&mut self.state, blocks);
-        }
-        self.buffer[..rem.len()].copy_from_slice(rem);
-        self.buffer_len = rem.len();
-    }
-
-    fn finalize(self) -> [u8; 20] {
-        let absorbed = self.total_len.wrapping_sub(self.buffer_len as u64);
-        Self::finish(self.state, absorbed, &self.buffer[..self.buffer_len])
-    }
-}
-
-impl ChainingHash for Sha1 {
-    type State = [u32; 5];
-
-    fn chaining_state(&self) -> [u32; 5] {
-        debug_assert_eq!(self.buffer_len, 0, "only whole blocks chain");
-        self.state
-    }
-
-    fn resume(state: [u32; 5], absorbed: u64) -> Self {
-        debug_assert_eq!(absorbed % 64, 0, "only whole blocks chain");
-        Self {
-            state,
-            total_len: absorbed,
-            ..Self::new()
-        }
-    }
-
-    fn finish(mut state: [u32; 5], absorbed: u64, rest: &[u8]) -> [u8; 20] {
-        pad(&mut state, absorbed, rest, compress);
-        let mut out = [0u8; 20];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::md::compress;
+    use crate::md::tests::{front_end_matches, sha_ni_or_notice};
+    use crate::Digest;
     use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
@@ -358,9 +247,9 @@ mod tests {
             message.push(0);
         }
         message.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
-        let mut state = H0;
+        let mut state = Sha1Core::IV;
         for block in message.chunks_exact(64) {
-            compress_block(&mut state, block.try_into().expect("64 bytes"));
+            Sha1Core::compress_block(&mut state, block.try_into().expect("64 bytes"));
         }
         let mut out = [0u8; 20];
         for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
@@ -369,27 +258,13 @@ mod tests {
         out
     }
 
-    /// Whether [`compress`] runs the SHA-NI kernel on this CPU. Where it
-    /// does not, `test` says so on stderr, so that its pass is not read as
-    /// covering that kernel.
-    fn sha_ni_or_notice(test: &str) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if sha_ni::detected() {
-            return true;
-        }
-        eprintln!(
-            "{test}: no x86-64 SHA extensions on this CPU, so the SHA-NI kernel went unchecked"
-        );
-        false
-    }
-
-    // Properties without `#[test]`: the tests below run them once they know
+    // A property without `#[test]`: the test below runs it once it knows
     // which kernel `compress` picks on this CPU.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Both kernels equal the FIPS-literal one on any chaining state,
-        /// not only on the states reachable from `H0`: the software kernel
+        /// not only on the states reachable from the IV: the software kernel
         /// directly, and the SHA-NI kernel through `compress`.
         fn kernels_match_the_fips_reference(
             state in proptest::collection::vec(any::<u32>(), 5),
@@ -400,29 +275,10 @@ mod tests {
             let mut expected = state;
             compress_reference(&mut expected, &block);
             let mut software = state;
-            compress_block(&mut software, &block);
+            Sha1Core::compress_block(&mut software, &block);
             prop_assert_eq!(software, expected);
             let mut dispatched = state;
-            compress(&mut dispatched, &block);
-            prop_assert_eq!(dispatched, expected);
-        }
-
-        /// A run of 1–4 blocks through one `compress` call, the chaining
-        /// state in registers throughout, equals block-at-a-time software
-        /// compression.
-        fn runs_match_block_at_a_time_software(
-            state in proptest::collection::vec(any::<u32>(), 5),
-            blocks in 1usize..=4,
-            bytes in proptest::collection::vec(any::<u8>(), 4 * 64),
-        ) {
-            let state: [u32; 5] = state.try_into().expect("5 words");
-            let run = &bytes[..64 * blocks];
-            let mut expected = state;
-            for block in run.chunks_exact(64) {
-                compress_block(&mut expected, block.try_into().expect("64 bytes"));
-            }
-            let mut dispatched = state;
-            compress(&mut dispatched, run);
+            compress::<Sha1Core>(&mut dispatched, &block);
             prop_assert_eq!(dispatched, expected);
         }
     }
@@ -434,33 +290,11 @@ mod tests {
     }
 
     #[test]
-    fn sha_ni_runs_of_blocks_match_the_software_kernel() {
-        if sha_ni_or_notice("sha_ni_runs_of_blocks_match_the_software_kernel") {
-            runs_match_block_at_a_time_software();
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// `Sha1` equals the software-only digest at every length from 0
-        /// to 300 bytes (both padding cases, and runs of up to 4 whole
-        /// blocks), however its input is split across two `update`s.
-        #[test]
-        fn digest_matches_a_software_only_digest(
-            len in 0usize..=300,
-            split in 0usize..=300,
-            bytes in proptest::collection::vec(any::<u8>(), 300),
-        ) {
-            let data = &bytes[..len];
-            let expected = software_digest(data);
-            prop_assert_eq!(Sha1::digest(data), expected);
-            let (head, tail) = data.split_at(split % (len + 1));
-            let mut hasher = Sha1::new();
-            hasher.update(head);
-            hasher.update(tail);
-            prop_assert_eq!(hasher.finalize(), expected);
-        }
+    fn front_end_matches_the_software_only_digest() {
+        front_end_matches::<Sha1Core>(
+            "front_end_matches_the_software_only_digest",
+            software_digest,
+        );
     }
 
     #[test]
@@ -496,36 +330,6 @@ mod tests {
             hex(&Sha1::digest(&msg)),
             "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
         );
-    }
-
-    #[test]
-    fn incremental_matches_oneshot() {
-        let data: Vec<u8> = (0..777u32).map(|i| (i % 251) as u8).collect();
-        for split in [0usize, 1, 63, 64, 65, 200, 776, 777] {
-            let mut hasher = Sha1::new();
-            hasher.update(&data[..split]);
-            hasher.update(&data[split..]);
-            assert_eq!(hasher.finalize(), Sha1::digest(&data), "split at {split}");
-        }
-    }
-
-    #[test]
-    fn aligned_fast_path_is_stream_identical() {
-        // Regression for the direct-compress fast path (see the SHA-256
-        // twin test): aligned full blocks must hash identically whether
-        // they stream through the buffer or compress straight from input.
-        let data: Vec<u8> = (0..512u32).map(|i| (i * 7 % 251) as u8).collect();
-        let oneshot = Sha1::digest(&data);
-        let mut aligned = Sha1::new();
-        for chunk in data.chunks(64) {
-            aligned.update(chunk);
-        }
-        assert_eq!(aligned.finalize(), oneshot);
-        let mut mixed = Sha1::new();
-        mixed.update(&data[..10]);
-        mixed.update(&data[10..202]);
-        mixed.update(&data[202..512]);
-        assert_eq!(mixed.finalize(), oneshot);
     }
 
     #[test]

@@ -50,7 +50,7 @@ fn prelude_exposes_the_documented_surface() {
 /// Every source file of `erasmus-crypto`, the one crate whose root lets a
 /// module lift the `unsafe_code` lint. The test below fails when a file is
 /// added to `crates/crypto/src` and not to this list.
-const CRYPTO_SOURCES: [(&str, &str); 9] = [
+const CRYPTO_SOURCES: [(&str, &str); 10] = [
     (
         "blake2s.rs",
         include_str!("../crates/crypto/src/blake2s.rs"),
@@ -61,6 +61,7 @@ const CRYPTO_SOURCES: [(&str, &str); 9] = [
     ("hmac.rs", include_str!("../crates/crypto/src/hmac.rs")),
     ("lib.rs", include_str!("../crates/crypto/src/lib.rs")),
     ("mac.rs", include_str!("../crates/crypto/src/mac.rs")),
+    ("md.rs", include_str!("../crates/crypto/src/md.rs")),
     ("sha1.rs", include_str!("../crates/crypto/src/sha1.rs")),
     ("sha256.rs", include_str!("../crates/crypto/src/sha256.rs")),
 ];
@@ -80,13 +81,15 @@ fn unsafe_keyword_lines(source: &str) -> Vec<usize> {
         .collect()
 }
 
-/// `unsafe` is off in every first-party crate but for two audited blocks.
+/// `unsafe` is off in every first-party crate but for one audited block.
 /// Seven roots `forbid` it, so that no module below them can lift it.
-/// `erasmus-crypto` `deny`s it, so that its SHA-NI calls can lift it, one
-/// per hash: the crate's `unsafe` blocks are exactly one in `sha256.rs`
-/// and one in `sha1.rs`. Each carries a `// SAFETY:` comment that names
-/// `is_x86_feature_detected!`, and sits in the `if` that runs the detection
-/// of every feature its file's kernel is compiled for.
+/// `erasmus-crypto` `deny`s it, so that the SHA-NI dispatcher that SHA-256
+/// and SHA-1 share can lift it: the crate holds exactly one `unsafe` block,
+/// and the keyword appears once more, in the type of a SHA-NI kernel
+/// (`md.rs`'s `Kernel`, an `unsafe fn` pointer), which runs nothing until
+/// that block calls one. The block carries a `// SAFETY:` comment that
+/// names `is_x86_feature_detected!`, and sits in the `if` that runs the
+/// detection of every feature any crypto file's kernels are compiled for.
 #[test]
 fn every_first_party_crate_root_forbids_unsafe_code() {
     let forbidding = [
@@ -141,22 +144,34 @@ fn every_first_party_crate_root_forbids_unsafe_code() {
                 .map(move |line| (file, line))
         })
         .collect();
-    let files: Vec<&str> = sites.iter().map(|&(file, _)| file).collect();
+    let (kernel_type, blocks): (Vec<_>, Vec<_>) = sites.iter().partition(|&&(file, line)| {
+        crypto(file)
+            .lines()
+            .nth(line)
+            .is_some_and(|code| code.starts_with("pub type Kernel<S> = unsafe fn("))
+    });
     assert_eq!(
-        files,
-        ["sha1.rs", "sha256.rs"],
-        "erasmus-crypto must hold exactly one `unsafe` per SHA-NI call, in sha1.rs and \
-         sha256.rs; found it at (file, line index) {sites:?}"
+        kernel_type.len(),
+        1,
+        "the SHA-NI kernel type is `md.rs`'s one `Kernel` alias; found `unsafe` at \
+         (file, line index) {sites:?}"
     );
-    for (file, block) in sites {
-        audit_sha_ni_call(file, crypto(file), block);
-    }
+    assert_eq!(
+        blocks.len(),
+        1,
+        "erasmus-crypto must hold exactly one `unsafe` block, the SHA-NI call in `md.rs`; \
+         found `unsafe` at (file, line index) {sites:?}"
+    );
+    let &(file, block) = blocks[0];
+    audit_sha_ni_call(file, crypto(file), block);
 }
 
 /// Checks the `unsafe` at line index `block` of `file`: a block, guarded by
 /// an `if` with only comments and the lint expectation in between, whose
-/// `// SAFETY:` comment names `is_x86_feature_detected!`, in a file that
-/// detects every feature of its kernel's `#[target_feature(enable = ...)]`.
+/// `// SAFETY:` comment names `is_x86_feature_detected!`, in an
+/// `#[inline(never)]` function. The `if` calls a detection function of
+/// `file` that detects every feature of every
+/// `#[target_feature(enable = ...)]` in the crate.
 fn audit_sha_ni_call(file: &str, source: &str, block: usize) {
     let lines: Vec<&str> = source.lines().map(str::trim).collect();
     assert_eq!(lines[block], "unsafe {", "{file}: the `unsafe` is a block");
@@ -182,19 +197,60 @@ fn audit_sha_ni_call(file: &str, source: &str, block: usize) {
         "{file}: the SAFETY comment names the detection that makes the call sound: {comment}"
     );
 
-    // The detection covers every feature the kernel is compiled for.
-    let attribute = lines
+    // The function that holds the block, the only one a SHA-NI kernel may
+    // be inlined into, is never inlined itself: see `md.rs`'s `compress`.
+    let function = lines[..guard]
         .iter()
-        .find_map(|line| line.strip_prefix("#[target_feature(enable = \""))
+        .rposition(|line| line.contains("fn "))
+        .unwrap_or_else(|| panic!("{file}: a function holds the `unsafe` block"));
+    assert_eq!(
+        lines[function - 1],
+        "#[inline(never)]",
+        "{file}: `{}` must stay out of line",
+        lines[function]
+    );
+
+    // The guard's detection covers every feature any kernel is compiled for.
+    let detector = lines[guard]
+        .strip_prefix("if ")
+        .and_then(|condition| condition.strip_suffix("() {"))
         .unwrap_or_else(|| {
-            panic!("{file}: the SHA-NI kernel carries `#[target_feature(enable = ...)]`")
+            panic!(
+                "{file}: the guard is `if <detection>() {{`: {}",
+                lines[guard]
+            )
         });
-    let features = attribute.split('"').next().expect("a quoted feature list");
-    for feature in features.split(',') {
-        let detection = format!("is_x86_feature_detected!(\"{feature}\")");
-        assert!(
-            source.contains(&detection),
-            "{file} never runs `{detection}`"
-        );
+    let signature = format!("fn {detector}() -> bool {{");
+    let start = lines
+        .iter()
+        .position(|line| line.ends_with(&signature))
+        .unwrap_or_else(|| panic!("{file} defines `{signature}`"));
+    let end = start
+        + lines[start..]
+            .iter()
+            .position(|line| *line == "}")
+            .unwrap_or_else(|| panic!("{file}: `{detector}` ends"));
+    let detection = lines[start..end].join(" ");
+    let mut kernels = 0;
+    for (kernel_file, kernel_source) in CRYPTO_SOURCES {
+        for attribute in kernel_source
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix("#[target_feature(enable = \""))
+        {
+            kernels += 1;
+            let features = attribute.split('"').next().expect("a quoted feature list");
+            for feature in features.split(',') {
+                let check = format!("is_x86_feature_detected!(\"{feature}\")");
+                assert!(
+                    detection.contains(&check),
+                    "{kernel_file} compiles a kernel for `{feature}`, but `{detector}` never runs \
+                     `{check}`"
+                );
+            }
+        }
     }
+    assert!(
+        kernels > 0,
+        "the SHA-NI kernels carry `#[target_feature(enable = ...)]`"
+    );
 }
