@@ -21,15 +21,15 @@ use crate::measurement::Measurement;
 ///
 /// ```
 /// use erasmus_core::{Measurement, MeasurementBuffer};
-/// use erasmus_crypto::MacAlgorithm;
+/// use erasmus_crypto::{Digest, MacAlgorithm, Sha256};
 /// use erasmus_sim::{SimDuration, SimTime};
 ///
-/// let key = [1u8; 32];
+/// let keyed = MacAlgorithm::HmacSha256.with_key(&[1u8; 32]);
 /// let t_m = SimDuration::from_secs(10);
 /// let mut buffer = MeasurementBuffer::new(4, t_m);
 /// for i in 1..=6u64 {
 ///     let t = SimTime::from_secs(i * 10);
-///     buffer.store(Measurement::compute(&key, MacAlgorithm::HmacSha256, t, b"mem"));
+///     buffer.store(Measurement::from_digest_keyed(&keyed, t, Sha256::digest(b"mem")));
 /// }
 /// // Only the last 4 survive; the latest 2 are returned newest-first.
 /// let latest = buffer.latest(2);
@@ -174,29 +174,21 @@ impl MeasurementBuffer {
             *entry = Some(forged);
         }
     }
-
-    /// Swaps the contents of two slots (re-ordering attack).
-    pub fn tamper_swap(&mut self, a: usize, b: usize) {
-        if a < self.slots.len() && b < self.slots.len() {
-            self.slots.swap(a, b);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use erasmus_crypto::MacAlgorithm;
+    use erasmus_crypto::{Digest, MacAlgorithm, Sha256};
 
     const KEY: [u8; 32] = [9u8; 32];
     const TM: SimDuration = SimDuration::from_secs(10);
 
     fn m(t_secs: u64) -> Measurement {
-        Measurement::compute(
-            &KEY,
-            MacAlgorithm::HmacSha256,
+        Measurement::from_digest_keyed(
+            &MacAlgorithm::HmacSha256.with_key(&KEY),
             SimTime::from_secs(t_secs),
-            b"mem",
+            Sha256::digest(b"mem"),
         )
     }
 
@@ -295,9 +287,6 @@ mod tests {
         assert!(!buffer.tamper_delete(99));
         assert_eq!(buffer.len(), 3);
 
-        buffer.tamper_swap(2, 3);
-        assert_eq!(buffer.len(), 3);
-
         let forged = Measurement::from_parts(
             SimTime::from_secs(999),
             [0u8; 32],
@@ -309,7 +298,7 @@ mod tests {
         assert!(!buffer
             .slot(0)
             .expect("slot 0")
-            .verify(&KEY, MacAlgorithm::HmacSha256));
+            .verify_keyed(&MacAlgorithm::HmacSha256.with_key(&KEY)));
 
         buffer.tamper_clear();
         assert!(buffer.is_empty());
@@ -347,7 +336,9 @@ mod tests {
                         buffer.tamper_delete(a);
                     }
                     2 => buffer.tamper_replace(a, distinct),
-                    _ => buffer.tamper_swap(a, b),
+                    // Re-ordering attack: swap two slots in place.
+                    _ if a.max(b) < slots => buffer.slots.swap(a, b),
+                    _ => {}
                 }
             }
             for k in 0..=slots + 1 {

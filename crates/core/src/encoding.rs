@@ -1047,17 +1047,16 @@ pub fn decode_hub_snapshot(bytes: &[u8]) -> Result<VerifierHub, DecodeError> {
 mod tests {
     use super::*;
     use crate::history::HistoryMode;
-    use erasmus_crypto::MacAlgorithm;
+    use erasmus_crypto::{Digest, KeyedMac, MacAlgorithm, Sha256};
 
     const KEY: [u8; 32] = [0x33u8; 32];
 
+    fn keyed() -> KeyedMac {
+        MacAlgorithm::HmacSha256.with_key(&KEY)
+    }
+
     fn sample(secs: u64) -> Measurement {
-        Measurement::compute(
-            &KEY,
-            MacAlgorithm::HmacSha256,
-            SimTime::from_secs(secs),
-            b"mem",
-        )
+        Measurement::from_digest_keyed(&keyed(), SimTime::from_secs(secs), Sha256::digest(b"mem"))
     }
 
     #[test]
@@ -1077,7 +1076,7 @@ mod tests {
         assert!(decoded[0]
             .measurements
             .iter()
-            .all(|m| m.verify(&KEY, MacAlgorithm::HmacSha256)));
+            .all(|m| m.verify_keyed(&keyed())));
         // The prover time is a simulation artefact, not on the wire.
         assert_eq!(decoded[0].prover_time, SimDuration::ZERO);
     }
@@ -1091,9 +1090,7 @@ mod tests {
         let frame = FrameView::parse(&bytes).expect("still well-formed");
         let response = frame.responses().next().expect("one response");
         let measurement = response.measurements().next().expect("one measurement");
-        assert!(!measurement
-            .to_measurement()
-            .verify(&KEY, MacAlgorithm::HmacSha256));
+        assert!(!measurement.to_measurement().verify_keyed(&keyed()));
     }
 
     fn sample_response(device: u64, count: usize) -> CollectionResponse {

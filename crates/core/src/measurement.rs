@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use erasmus_crypto::{Digest, KeyedMac, MacAlgorithm, MacTag, Sha256};
+use erasmus_crypto::{KeyedMac, MacTag};
 use erasmus_sim::SimTime;
 
 /// Byte length of the memory digest `H(mem_t)` (always SHA-256).
@@ -23,30 +23,25 @@ pub const MAC_INPUT_LEN: usize = 8 + DIGEST_LEN;
 /// tampering is detected at the next collection.
 ///
 /// Computing and verifying a measurement is the system's hot path. Both are
-/// allocation-free and run one device at a time: one scalar [`Sha256`] over
-/// the memory image, then one MAC. The keyed variants
-/// ([`Measurement::compute_keyed`], [`Measurement::verify_keyed`]) reuse a
-/// once-per-device [`KeyedMac`] schedule instead of re-deriving the HMAC
-/// key schedule per measurement.
+/// allocation-free and run one device at a time: the prover's trusted code
+/// hashes its memory with SHA-256 ([`erasmus_hw::Mcu::run_trusted`]), then
+/// one MAC tags the timestamped digest. Both the tag and its check go
+/// through a once-per-device [`KeyedMac`] schedule, so no measurement
+/// re-derives the HMAC key schedule.
 ///
 /// # Example
 ///
 /// ```
 /// use erasmus_core::Measurement;
-/// use erasmus_crypto::MacAlgorithm;
+/// use erasmus_crypto::{Digest, MacAlgorithm, Sha256};
 /// use erasmus_sim::SimTime;
 ///
-/// let key = [0x42u8; 32];
+/// let keyed = MacAlgorithm::HmacSha256.with_key(&[0x42u8; 32]);
 /// let memory = vec![0u8; 1024];
-/// let m = Measurement::compute(&key, MacAlgorithm::HmacSha256, SimTime::from_secs(60), &memory);
-/// assert!(m.verify(&key, MacAlgorithm::HmacSha256));
+/// let m = Measurement::from_digest_keyed(&keyed, SimTime::from_secs(60), Sha256::digest(&memory));
+/// assert!(m.verify_keyed(&keyed));
+/// assert!(!m.verify_keyed(&MacAlgorithm::HmacSha256.with_key(&[0u8; 32])));
 /// assert_eq!(m.timestamp(), SimTime::from_secs(60));
-///
-/// // The precomputed path produces byte-identical measurements.
-/// let keyed = MacAlgorithm::HmacSha256.with_key(&key);
-/// let m2 = Measurement::compute_keyed(&keyed, SimTime::from_secs(60), &memory);
-/// assert_eq!(m, m2);
-/// assert!(m2.verify_keyed(&keyed));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Measurement {
@@ -56,48 +51,15 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Computes a measurement over `memory` at time `timestamp`, deriving
-    /// the MAC key schedule from scratch.
+    /// Tags an already-hashed memory digest `H(mem_t)` taken at
+    /// `timestamp` under the device's precomputed key schedule.
     ///
     /// `H(mem_t)` is always SHA-256 (the digest half of the construction is
     /// not varied in the paper's evaluation); the MAC over `(t, H(mem_t))`
-    /// uses the configured [`MacAlgorithm`]. Prefer
-    /// [`Measurement::compute_keyed`] when measuring repeatedly under the
-    /// same key.
-    pub fn compute(key: &[u8], alg: MacAlgorithm, timestamp: SimTime, memory: &[u8]) -> Self {
-        let digest = Sha256::digest(memory);
-        Self::from_digest(key, alg, timestamp, digest)
-    }
-
-    /// Computes a measurement over `memory` using a precomputed key
-    /// schedule — the per-device hot path.
-    pub fn compute_keyed(keyed: &KeyedMac, timestamp: SimTime, memory: &[u8]) -> Self {
-        let digest = Sha256::digest(memory);
-        Self::from_digest_keyed(keyed, timestamp, digest)
-    }
-
-    /// Computes a measurement from an already-hashed memory digest.
-    ///
-    /// The prover's trusted code hashes memory inside the security
-    /// architecture and then MACs the timestamped digest; splitting the two
-    /// steps keeps that structure visible and lets the cost model charge them
-    /// separately.
-    pub fn from_digest(
-        key: &[u8],
-        alg: MacAlgorithm,
-        timestamp: SimTime,
-        digest: MemoryDigest,
-    ) -> Self {
-        let tag = alg.mac(key, &Self::mac_input(timestamp, &digest));
-        Self {
-            timestamp,
-            digest,
-            tag,
-        }
-    }
-
-    /// Computes a measurement from an already-hashed memory digest using a
-    /// precomputed key schedule.
+    /// is `keyed`'s algorithm. The prover's trusted code hashes memory
+    /// inside the security architecture and then MACs the timestamped
+    /// digest; taking the digest here keeps that structure visible and lets
+    /// the cost model charge the two steps separately.
     pub fn from_digest_keyed(keyed: &KeyedMac, timestamp: SimTime, digest: MemoryDigest) -> Self {
         let tag = keyed.mac(&Self::mac_input(timestamp, &digest));
         Self {
@@ -109,7 +71,7 @@ impl Measurement {
 
     /// Reassembles a measurement from its stored parts (e.g. when reading
     /// the rolling buffer back from a wire format). No validation happens
-    /// here; call [`Measurement::verify`].
+    /// here; call [`Measurement::verify_keyed`].
     pub fn from_parts(timestamp: SimTime, digest: MemoryDigest, tag: MacTag) -> Self {
         Self {
             timestamp,
@@ -125,15 +87,6 @@ impl Measurement {
         input[..8].copy_from_slice(&timestamp.as_nanos().to_be_bytes());
         input[8..].copy_from_slice(digest);
         input
-    }
-
-    /// Verifies the MAC under `key`, deriving the key schedule from scratch.
-    pub fn verify(&self, key: &[u8], alg: MacAlgorithm) -> bool {
-        alg.verify(
-            key,
-            &Self::mac_input(self.timestamp, &self.digest),
-            &self.tag,
-        )
     }
 
     /// Verifies the MAC against a precomputed key schedule — the verifier's
@@ -181,121 +134,83 @@ impl fmt::Display for Measurement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use erasmus_crypto::{Digest, MacAlgorithm, Sha256};
 
     const KEY: [u8; 32] = [0xabu8; 32];
 
+    /// The prover's measurement of `memory` at `t` under [`KEY`].
+    fn measure(alg: MacAlgorithm, t: SimTime, memory: &[u8]) -> Measurement {
+        Measurement::from_digest_keyed(&alg.with_key(&KEY), t, Sha256::digest(memory))
+    }
+
     #[test]
-    fn compute_and_verify_roundtrip() {
+    fn measurement_verifies_only_under_its_key() {
         for alg in MacAlgorithm::ALL {
-            let m = Measurement::compute(&KEY, alg, SimTime::from_secs(10), b"memory image");
-            assert!(m.verify(&KEY, alg));
-            assert!(!m.verify(&[0u8; 32], alg), "wrong key must fail for {alg}");
+            let m = measure(alg, SimTime::from_secs(10), b"memory image");
+            assert!(m.verify_keyed(&alg.with_key(&KEY)), "{alg}");
+            assert!(
+                !m.verify_keyed(&alg.with_key(&[0u8; 32])),
+                "wrong key must fail for {alg}"
+            );
         }
     }
 
     #[test]
-    fn keyed_path_is_byte_identical_to_oneshot() {
+    fn tag_is_the_oneshot_mac_of_big_endian_time_then_digest() {
+        // The wire-level MAC input, built by hand: `t` as big-endian
+        // nanoseconds, then `H(mem_t)`.
+        let t = SimTime::from_nanos(0x0102_0304_0506_0708);
+        let digest = Sha256::digest(b"memory image");
+        let mut input = Vec::new();
+        input.extend_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        input.extend_from_slice(&digest);
+        assert_eq!(input.len(), MAC_INPUT_LEN);
         for alg in MacAlgorithm::ALL {
-            let keyed = alg.with_key(&KEY);
-            let oneshot = Measurement::compute(&KEY, alg, SimTime::from_secs(10), b"memory image");
-            let precomputed =
-                Measurement::compute_keyed(&keyed, SimTime::from_secs(10), b"memory image");
-            assert_eq!(oneshot, precomputed, "{alg}");
-            assert!(oneshot.verify_keyed(&keyed), "{alg}");
-            assert!(precomputed.verify(&KEY, alg), "{alg}");
-            // A schedule for a different key rejects.
-            let wrong = alg.with_key(&[0u8; 32]);
-            assert!(!precomputed.verify_keyed(&wrong), "{alg}");
+            let m = Measurement::from_digest_keyed(&alg.with_key(&KEY), t, digest);
+            assert_eq!(m.tag(), &alg.mac(&KEY, &input), "{alg}");
+            assert_eq!((m.timestamp(), m.digest()), (t, &digest), "{alg}");
         }
     }
 
     #[test]
     fn verification_fails_under_wrong_algorithm() {
-        let m = Measurement::compute(&KEY, MacAlgorithm::HmacSha256, SimTime::from_secs(1), b"x");
-        assert!(!m.verify(&KEY, MacAlgorithm::KeyedBlake2s));
+        let m = measure(MacAlgorithm::HmacSha256, SimTime::from_secs(1), b"x");
+        assert!(!m.verify_keyed(&MacAlgorithm::KeyedBlake2s.with_key(&KEY)));
     }
 
     #[test]
     fn tampering_with_timestamp_is_detected() {
-        let m = Measurement::compute(
-            &KEY,
-            MacAlgorithm::HmacSha256,
-            SimTime::from_secs(50),
-            b"mem",
-        );
+        let m = measure(MacAlgorithm::HmacSha256, SimTime::from_secs(50), b"mem");
         let forged = Measurement::from_parts(SimTime::from_secs(51), *m.digest(), *m.tag());
-        assert!(!forged.verify(&KEY, MacAlgorithm::HmacSha256));
+        assert!(!forged.verify_keyed(&MacAlgorithm::HmacSha256.with_key(&KEY)));
     }
 
     #[test]
     fn tampering_with_digest_is_detected() {
-        let m = Measurement::compute(
-            &KEY,
-            MacAlgorithm::HmacSha256,
-            SimTime::from_secs(50),
-            b"mem",
-        );
+        let m = measure(MacAlgorithm::HmacSha256, SimTime::from_secs(50), b"mem");
         let mut digest = *m.digest();
         digest[0] ^= 0xff;
         let forged = Measurement::from_parts(m.timestamp(), digest, *m.tag());
-        assert!(!forged.verify(&KEY, MacAlgorithm::HmacSha256));
+        assert!(!forged.verify_keyed(&MacAlgorithm::HmacSha256.with_key(&KEY)));
     }
 
     #[test]
     fn same_memory_different_time_gives_different_tag() {
-        let a = Measurement::compute(
-            &KEY,
-            MacAlgorithm::HmacSha256,
-            SimTime::from_secs(1),
-            b"mem",
-        );
-        let b = Measurement::compute(
-            &KEY,
-            MacAlgorithm::HmacSha256,
-            SimTime::from_secs(2),
-            b"mem",
-        );
+        let a = measure(MacAlgorithm::HmacSha256, SimTime::from_secs(1), b"mem");
+        let b = measure(MacAlgorithm::HmacSha256, SimTime::from_secs(2), b"mem");
         assert_eq!(a.digest(), b.digest());
         assert_ne!(a.tag(), b.tag());
     }
 
     #[test]
-    fn from_digest_matches_compute() {
-        let digest = Sha256::digest(b"the memory");
-        let a = Measurement::from_digest(
-            &KEY,
-            MacAlgorithm::HmacSha256,
-            SimTime::from_secs(9),
-            digest,
-        );
-        let b = Measurement::compute(
-            &KEY,
-            MacAlgorithm::HmacSha256,
-            SimTime::from_secs(9),
-            b"the memory",
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn wire_size() {
-        let m = Measurement::compute(
-            &KEY,
-            MacAlgorithm::HmacSha256,
-            SimTime::from_secs(10),
-            b"mem",
-        );
+        let m = measure(MacAlgorithm::HmacSha256, SimTime::from_secs(10), b"mem");
         assert_eq!(m.wire_size(), 8 + 32 + 32);
     }
 
     #[test]
     fn display_is_compact() {
-        let m = Measurement::compute(
-            &KEY,
-            MacAlgorithm::HmacSha256,
-            SimTime::from_secs(10),
-            b"mem",
-        );
+        let m = measure(MacAlgorithm::HmacSha256, SimTime::from_secs(10), b"mem");
         let text = m.to_string();
         assert!(text.starts_with("M(t=10.000s"));
         assert!(text.contains("H=0x"));

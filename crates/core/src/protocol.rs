@@ -11,7 +11,7 @@
     clippy::as_conversions
 )]
 
-use erasmus_crypto::{KeyedMac, MacAlgorithm, MacTag};
+use erasmus_crypto::{KeyedMac, MacTag};
 use erasmus_sim::{SimDuration, SimTime};
 
 use crate::ids::DeviceId;
@@ -81,7 +81,7 @@ pub struct OnDemandRequest {
 impl OnDemandRequest {
     /// Canonical MAC input for the request, built on the stack: the
     /// big-endian request timestamp followed by `k` as a big-endian u64.
-    pub fn mac_input(treq: SimTime, k: usize) -> [u8; 16] {
+    fn mac_input(treq: SimTime, k: usize) -> [u8; 16] {
         let [t0, t1, t2, t3, t4, t5, t6, t7] = treq.as_nanos().to_be_bytes();
         let [k0, k1, k2, k3, k4, k5, k6, k7] = u64::try_from(k).unwrap_or(u64::MAX).to_be_bytes();
         [
@@ -89,26 +89,15 @@ impl OnDemandRequest {
         ]
     }
 
-    /// Builds an authenticated request, deriving the key schedule from
-    /// scratch. Prefer [`OnDemandRequest::new_keyed`] when issuing requests
-    /// repeatedly under the same key.
-    pub fn new(key: &[u8], alg: MacAlgorithm, treq: SimTime, k: usize) -> Self {
-        let tag = alg.mac(key, &Self::mac_input(treq, k));
-        Self { treq, k, tag }
-    }
-
-    /// Builds an authenticated request from a precomputed key schedule.
+    /// Builds an authenticated request from the verifier's precomputed key
+    /// schedule, as [`crate::Verifier::make_on_demand_request`] does.
     pub fn new_keyed(keyed: &KeyedMac, treq: SimTime, k: usize) -> Self {
         let tag = keyed.mac(&Self::mac_input(treq, k));
         Self { treq, k, tag }
     }
 
-    /// Verifies the request MAC (done by the prover inside its trusted code).
-    pub fn verify(&self, key: &[u8], alg: MacAlgorithm) -> bool {
-        alg.verify(key, &Self::mac_input(self.treq, self.k), &self.tag)
-    }
-
-    /// Verifies the request MAC against a precomputed key schedule.
+    /// Verifies the request MAC against the prover's precomputed key
+    /// schedule (done inside its trusted code).
     pub fn verify_keyed(&self, keyed: &KeyedMac) -> bool {
         keyed.verify(&Self::mac_input(self.treq, self.k), &self.tag)
     }
@@ -211,8 +200,13 @@ impl Default for RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use erasmus_crypto::{Digest, MacAlgorithm, Sha256};
 
     const KEY: [u8; 32] = [5u8; 32];
+
+    fn request(treq: SimTime, k: usize) -> OnDemandRequest {
+        OnDemandRequest::new_keyed(&MacAlgorithm::HmacSha256.with_key(&KEY), treq, k)
+    }
 
     #[test]
     fn collection_request_constructors() {
@@ -222,46 +216,48 @@ mod tests {
 
     #[test]
     fn on_demand_request_roundtrip() {
-        let req = OnDemandRequest::new(&KEY, MacAlgorithm::HmacSha256, SimTime::from_secs(100), 5);
-        assert!(req.verify(&KEY, MacAlgorithm::HmacSha256));
-        assert!(!req.verify(&[0u8; 32], MacAlgorithm::HmacSha256));
+        let req = request(SimTime::from_secs(100), 5);
+        assert!(req.verify_keyed(&MacAlgorithm::HmacSha256.with_key(&KEY)));
+        assert!(!req.verify_keyed(&MacAlgorithm::HmacSha256.with_key(&[0u8; 32])));
     }
 
     #[test]
-    fn keyed_request_path_matches_oneshot() {
+    fn request_tag_is_the_oneshot_mac_of_big_endian_time_then_k() {
+        // The wire-level MAC input, built by hand: `t_req` as big-endian
+        // nanoseconds, then `k` as a big-endian u64.
+        let treq = SimTime::from_nanos(0x0102_0304_0506_0708);
+        let input = [1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0, 0, 0, 0x0a, 0x0b];
         for alg in MacAlgorithm::ALL {
-            let keyed = alg.with_key(&KEY);
-            let oneshot = OnDemandRequest::new(&KEY, alg, SimTime::from_secs(100), 5);
-            let precomputed = OnDemandRequest::new_keyed(&keyed, SimTime::from_secs(100), 5);
-            assert_eq!(oneshot, precomputed, "{alg}");
-            assert!(oneshot.verify_keyed(&keyed), "{alg}");
-            assert!(
-                !precomputed.verify_keyed(&alg.with_key(&[0u8; 32])),
-                "{alg}"
-            );
+            let req = OnDemandRequest::new_keyed(&alg.with_key(&KEY), treq, 0x0a0b);
+            assert_eq!(req.tag, alg.mac(&KEY, &input), "{alg}");
+            assert_eq!((req.treq, req.k), (treq, 0x0a0b), "{alg}");
         }
     }
 
     #[test]
     fn on_demand_request_binds_k_and_timestamp() {
-        let req = OnDemandRequest::new(&KEY, MacAlgorithm::HmacSha256, SimTime::from_secs(100), 5);
+        let keyed = MacAlgorithm::HmacSha256.with_key(&KEY);
+        let req = request(SimTime::from_secs(100), 5);
         // Replaying the tag with different parameters fails.
         let altered_k = OnDemandRequest {
             k: 6,
             ..req.clone()
         };
-        assert!(!altered_k.verify(&KEY, MacAlgorithm::HmacSha256));
+        assert!(!altered_k.verify_keyed(&keyed));
         let altered_t = OnDemandRequest {
             treq: SimTime::from_secs(101),
             ..req
         };
-        assert!(!altered_t.verify(&KEY, MacAlgorithm::HmacSha256));
+        assert!(!altered_t.verify_keyed(&keyed));
     }
 
     #[test]
     fn response_payload_accounting() {
-        let m1 = Measurement::compute(&KEY, MacAlgorithm::HmacSha256, SimTime::from_secs(1), b"a");
-        let m2 = Measurement::compute(&KEY, MacAlgorithm::HmacSha256, SimTime::from_secs(2), b"b");
+        let keyed = MacAlgorithm::HmacSha256.with_key(&KEY);
+        let measure = |secs, memory: &[u8]| {
+            Measurement::from_digest_keyed(&keyed, SimTime::from_secs(secs), Sha256::digest(memory))
+        };
+        let (m1, m2) = (measure(1, b"a"), measure(2, b"b"));
         let response = CollectionResponse {
             device: DeviceId::new(1),
             measurements: vec![m2.clone(), m1.clone()],

@@ -75,7 +75,6 @@ pub struct MeasurementOutcome {
 pub struct Prover {
     id: DeviceId,
     mcu: Mcu,
-    config: ProverConfig,
     buffer: MeasurementBuffer,
     scheduler: MeasurementScheduler,
     /// Precomputed MAC key schedule, derived once at provisioning: the
@@ -89,7 +88,6 @@ pub struct Prover {
     measurement_cost: SimDuration,
     busy_time: SimDuration,
     measurements_taken: u64,
-    aborted_measurements: u64,
 }
 
 impl Prover {
@@ -146,7 +144,6 @@ impl Prover {
         Ok(Self {
             id,
             mcu,
-            config,
             buffer,
             scheduler,
             keyed,
@@ -154,18 +151,12 @@ impl Prover {
             measurement_cost,
             busy_time: SimDuration::ZERO,
             measurements_taken: 0,
-            aborted_measurements: 0,
         })
     }
 
     /// The device identifier.
     pub fn device_id(&self) -> DeviceId {
         self.id
-    }
-
-    /// The prover configuration.
-    pub fn config(&self) -> &ProverConfig {
-        &self.config
     }
 
     /// The underlying simulated device.
@@ -215,7 +206,7 @@ impl Prover {
 
     /// Number of measurements deferred/aborted for time-critical tasks.
     pub fn aborted_measurements(&self) -> u64 {
-        self.aborted_measurements
+        self.scheduler.deferrals()
     }
 
     /// Takes one self-measurement at time `now` (advancing the device clock
@@ -309,11 +300,7 @@ impl Prover {
     /// task is running (Section 5). Returns the new due time if the
     /// schedule's lenient window allows it.
     pub fn defer_measurement(&mut self, now: SimTime) -> Option<SimTime> {
-        let deferred = self.scheduler.defer(now);
-        if deferred.is_some() {
-            self.aborted_measurements += 1;
-        }
-        deferred
+        self.scheduler.defer(now)
     }
 
     /// Serves an ERASMUS collection request (Figure 2): read the latest `k`
@@ -357,7 +344,6 @@ impl Prover {
     ) -> Result<OnDemandResponse, Error> {
         self.mcu.advance_time_to(now);
         let now = self.mcu.rroc_now();
-        let alg = self.config.mac_algorithm();
 
         // Freshness: the request timestamp must be recent and strictly newer
         // than any previously accepted request (anti-replay).
@@ -397,7 +383,7 @@ impl Prover {
         })?;
         // The prover pays for the request check whether or not it succeeds.
         let cost = self.mcu.cost_model();
-        let mut prover_time = cost.verify_request(alg);
+        let mut prover_time = cost.verify_request(self.keyed.algorithm());
         if !request_ok {
             self.busy_time += prover_time;
             return Err(Error::RequestRejected {
@@ -450,6 +436,11 @@ mod tests {
         .expect("provisioning succeeds")
     }
 
+    /// An on-demand request tagged under `key` with HMAC-SHA256.
+    fn request(key: &[u8], treq: SimTime, k: usize) -> OnDemandRequest {
+        OnDemandRequest::new_keyed(&MacAlgorithm::HmacSha256.with_key(key), treq, k)
+    }
+
     fn default_prover() -> Prover {
         prover_with(
             ProverConfig::builder()
@@ -472,8 +463,9 @@ mod tests {
         assert_eq!(prover.now(), SimTime::from_secs(45));
         assert_eq!(prover.next_measurement_due(), SimTime::from_secs(50));
         // All stored measurements verify under the device key.
+        let keyed = MacAlgorithm::HmacSha256.with_key(&KEY_BYTES);
         for m in prover.buffer().all() {
-            assert!(m.verify(&KEY_BYTES, MacAlgorithm::HmacSha256));
+            assert!(m.verify_keyed(&keyed));
         }
     }
 
@@ -521,17 +513,14 @@ mod tests {
         prover
             .run_until(SimTime::from_secs(30))
             .expect("measurements");
-        let request = OnDemandRequest::new(
-            &KEY_BYTES,
-            MacAlgorithm::HmacSha256,
-            SimTime::from_secs(31),
-            2,
-        );
+        let request = request(&KEY_BYTES, SimTime::from_secs(31), 2);
         let response = prover
             .handle_on_demand(&request, SimTime::from_secs(31))
             .expect("request accepted");
         assert_eq!(response.fresh.timestamp(), SimTime::from_secs(31));
-        assert!(response.fresh.verify(&KEY_BYTES, MacAlgorithm::HmacSha256));
+        assert!(response
+            .fresh
+            .verify_keyed(&MacAlgorithm::HmacSha256.with_key(&KEY_BYTES)));
         assert_eq!(response.history.len(), 2);
         // History excludes the fresh measurement itself.
         assert!(response.history.iter().all(|m| m != &response.fresh));
@@ -545,48 +534,28 @@ mod tests {
             .expect("measurements");
 
         // Wrong key → MAC failure.
-        let forged = OnDemandRequest::new(
-            &[0u8; 32],
-            MacAlgorithm::HmacSha256,
-            SimTime::from_secs(101),
-            1,
-        );
+        let forged = request(&[0u8; 32], SimTime::from_secs(101), 1);
         assert!(matches!(
             prover.handle_on_demand(&forged, SimTime::from_secs(101)),
             Err(Error::RequestRejected { .. })
         ));
 
         // Stale timestamp.
-        let stale = OnDemandRequest::new(
-            &KEY_BYTES,
-            MacAlgorithm::HmacSha256,
-            SimTime::from_secs(10),
-            1,
-        );
+        let stale = request(&KEY_BYTES, SimTime::from_secs(10), 1);
         assert!(matches!(
             prover.handle_on_demand(&stale, SimTime::from_secs(101)),
             Err(Error::RequestRejected { .. })
         ));
 
         // Future timestamp beyond allowed skew.
-        let future = OnDemandRequest::new(
-            &KEY_BYTES,
-            MacAlgorithm::HmacSha256,
-            SimTime::from_secs(500),
-            1,
-        );
+        let future = request(&KEY_BYTES, SimTime::from_secs(500), 1);
         assert!(matches!(
             prover.handle_on_demand(&future, SimTime::from_secs(101)),
             Err(Error::RequestRejected { .. })
         ));
 
         // Valid request accepted once…
-        let good = OnDemandRequest::new(
-            &KEY_BYTES,
-            MacAlgorithm::HmacSha256,
-            SimTime::from_secs(101),
-            1,
-        );
+        let good = request(&KEY_BYTES, SimTime::from_secs(101), 1);
         prover
             .handle_on_demand(&good, SimTime::from_secs(101))
             .expect("accepted");
@@ -644,7 +613,6 @@ mod tests {
                 assert_eq!(a.total_busy_time(), b.total_busy_time());
                 assert_eq!(a.next_measurement_due(), b.next_measurement_due());
                 assert_eq!(a.buffer().len(), b.buffer().len());
-                assert_eq!(a.mcu().trusted_invocations(), b.mcu().trusted_invocations());
             }
         }
     }
@@ -654,13 +622,12 @@ mod tests {
         // `Prover::new` prices a measurement once; k measurements, scalar
         // or batched, must charge exactly k times the cost model's price.
         const K: u64 = 3;
-        for base in [
-            DeviceProfile::msp430_8mhz(0),
-            DeviceProfile::imx6_sabre_lite(0),
-        ] {
+        let profiles: [fn(usize) -> DeviceProfile; 2] =
+            [DeviceProfile::msp430_8mhz, DeviceProfile::imx6_sabre_lite];
+        for make_profile in profiles {
             for alg in MacAlgorithm::ALL {
                 for len in [0usize, 64, 1024, 10 * 1024] {
-                    let profile = base.with_app_memory(len);
+                    let profile = make_profile(len);
                     let price = CostModel::new(&profile).measurement(len, alg);
                     let config = ProverConfig::builder()
                         .measurement_interval(SimDuration::from_secs(10))
@@ -706,28 +673,26 @@ mod tests {
         assert_eq!(healthy.measurements_taken(), 0);
         assert_eq!(healthy.buffer().len(), 0);
         assert_eq!(healthy.total_busy_time(), SimDuration::ZERO);
-        assert_eq!(healthy.mcu().trusted_invocations(), 0);
     }
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn a_prover_fits_in_576_bytes_and_its_scheduler_in_96() {
+    fn a_prover_fits_in_464_bytes_and_its_scheduler_in_72() {
         use std::mem::size_of;
         let prover = size_of::<Prover>();
         let scheduler = size_of::<MeasurementScheduler>();
         assert!(
-            prover <= 576,
-            "a Prover grew to {prover} bytes (bound 576): Mcu {} B, ProverConfig {} B, \
+            prover <= 464,
+            "a Prover grew to {prover} bytes (bound 464): Mcu {} B, \
              MeasurementBuffer {} B, MeasurementScheduler {scheduler} B, KeyedMac {} B; \
              share or box what is the same on every device",
             size_of::<Mcu>(),
-            size_of::<ProverConfig>(),
             size_of::<MeasurementBuffer>(),
             size_of::<KeyedMac>(),
         );
         assert!(
-            scheduler <= 96,
-            "a MeasurementScheduler grew to {scheduler} bytes (bound 96): ScheduleKind {} B; \
+            scheduler <= 72,
+            "a MeasurementScheduler grew to {scheduler} bytes (bound 72): ScheduleKind {} B; \
              the irregular schedule's HmacDrbg must stay boxed",
             size_of::<ScheduleKind>(),
         );

@@ -78,8 +78,6 @@ pub enum AttestationVerdict {
     /// write access to the store interfered (Section 3.2: tampering is
     /// self-incriminating).
     TamperingDetected,
-    /// The response carried no evidence at all.
-    NoEvidence,
 }
 
 impl AttestationVerdict {
@@ -95,7 +93,6 @@ impl fmt::Display for AttestationVerdict {
             AttestationVerdict::AllHealthy => "all healthy",
             AttestationVerdict::CompromiseDetected => "compromise detected",
             AttestationVerdict::TamperingDetected => "tampering detected",
-            AttestationVerdict::NoEvidence => "no evidence",
         };
         f.write_str(text)
     }
@@ -195,14 +192,13 @@ impl fmt::Display for CollectionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use erasmus_crypto::MacAlgorithm;
+    use erasmus_crypto::{Digest, MacAlgorithm, Sha256};
 
     fn sample_measurement(secs: u64) -> Measurement {
-        Measurement::compute(
-            &[1u8; 32],
-            MacAlgorithm::HmacSha256,
+        Measurement::from_digest_keyed(
+            &MacAlgorithm::HmacSha256.with_key(&[1u8; 32]),
             SimTime::from_secs(secs),
-            b"m",
+            Sha256::digest(b"m"),
         )
     }
 
@@ -244,7 +240,6 @@ mod tests {
         assert!(!AttestationVerdict::AllHealthy.indicates_compromise());
         assert!(AttestationVerdict::CompromiseDetected.indicates_compromise());
         assert!(AttestationVerdict::TamperingDetected.indicates_compromise());
-        assert!(AttestationVerdict::NoEvidence.indicates_compromise());
         assert!(sample_report(AttestationVerdict::AllHealthy).all_valid());
     }
 

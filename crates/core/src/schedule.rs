@@ -85,7 +85,6 @@ pub struct MeasurementScheduler {
     /// `nominal_due + (w − 1)·T_M`.
     nominal_due: SimTime,
     deferrals: u64,
-    completed: u64,
 }
 
 impl MeasurementScheduler {
@@ -148,7 +147,6 @@ impl MeasurementScheduler {
             next_due,
             nominal_due: next_due,
             deferrals: 0,
-            completed: 0,
         }
     }
 
@@ -173,11 +171,6 @@ impl MeasurementScheduler {
         self.next_due
     }
 
-    /// Number of measurements whose completion has been recorded.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
     /// Number of deferrals granted (lenient schedules only).
     pub fn deferrals(&self) -> u64 {
         self.deferrals
@@ -186,7 +179,6 @@ impl MeasurementScheduler {
     /// Records that the measurement due at (or before) `now` has completed
     /// and computes the next due time.
     pub fn mark_completed(&mut self, now: SimTime) {
-        self.completed += 1;
         self.advance_past(now);
     }
 
@@ -279,7 +271,6 @@ mod tests {
         assert_eq!(s.next_due(), SimTime::from_secs(20));
         s.mark_completed(SimTime::from_secs(20));
         assert_eq!(s.next_due(), SimTime::from_secs(30));
-        assert_eq!(s.completed(), 2);
     }
 
     #[test]
@@ -469,7 +460,6 @@ mod tests {
         // Device offline until t = 47: due times 13/23/33/43 never happened.
         s.skip_until(SimTime::from_secs(47));
         assert_eq!(s.next_due(), SimTime::from_secs(53));
-        assert_eq!(s.completed(), 0);
         // A skip into the past (or to now before the due time) is a no-op.
         s.skip_until(SimTime::from_secs(10));
         assert_eq!(s.next_due(), SimTime::from_secs(53));

@@ -61,7 +61,6 @@ use crate::report::{
 /// ```
 #[derive(Debug, Clone)]
 pub struct Verifier {
-    alg: MacAlgorithm,
     /// Precomputed key schedule shared by every measurement check: one
     /// keyed state is derived per device and reused across whole collection
     /// responses instead of re-keying per measurement. The raw key is
@@ -76,20 +75,13 @@ pub struct Verifier {
 impl Verifier {
     /// Creates a verifier holding the shared key and MAC algorithm.
     pub fn new(key: DeviceKey, alg: MacAlgorithm) -> Self {
-        let keyed = alg.with_key(key.as_bytes());
         Self {
-            alg,
-            keyed,
+            keyed: alg.with_key(key.as_bytes()),
             reference_digest: None,
             expected_interval: None,
             last_collection: None,
             last_request_issued: SimTime::ZERO,
         }
-    }
-
-    /// The MAC algorithm this verifier checks against.
-    pub fn mac_algorithm(&self) -> MacAlgorithm {
-        self.alg
     }
 
     /// Registers the digest of the prover's known-good software image.
@@ -305,16 +297,10 @@ impl Verifier {
             });
         }
 
-        // Verify the history exactly like a plain collection, then fold the
-        // fresh measurement into the report.
-        let mut measurements = vec![response.fresh.clone()];
-        measurements.extend(response.history.iter().cloned());
-        let as_collection = CollectionResponse {
-            device: response.device,
-            measurements,
-            prover_time: response.prover_time,
-        };
-        self.verify_collection(&as_collection, now)
+        // Verify the fresh measurement and the history exactly like a plain
+        // collection, newest first.
+        let measurements = std::iter::once(&response.fresh).chain(&response.history);
+        self.verify_evidence(response.device, measurements.cloned(), now)
     }
 }
 
@@ -682,7 +668,7 @@ mod tests {
                     for fault in faults {
                         let tampered = match fault {
                             Fault::ForgedTag => {
-                                let mut tag = target.tag().into_bytes();
+                                let mut tag = target.tag().as_bytes().to_vec();
                                 tag[0] ^= 0x01;
                                 Measurement::from_parts(
                                     target.timestamp(),

@@ -16,7 +16,7 @@ use erasmus_core::{
     encode_collection_batch, CollectionReport, CollectionResponse, DeviceHistory, DeviceId,
     FrameIngest, HistoryEntry, HistoryMode, Measurement, MeasurementVerdict, Verifier, VerifierHub,
 };
-use erasmus_crypto::{KeyedMac, MacAlgorithm, MacTag};
+use erasmus_crypto::{Digest, KeyedMac, MacAlgorithm, MacTag, Sha256};
 use erasmus_hw::DeviceKey;
 use erasmus_sim::{SimDuration, SimTime};
 use proptest::collection::vec;
@@ -214,9 +214,11 @@ impl FrameFleet {
             .zip(verdicts.iter().cycle())
             .map(|(&tick, &verdict)| {
                 let at = SimTime::from_secs(10 * tick);
+                let measure =
+                    |image| Measurement::from_digest_keyed(&self.keyed, at, Sha256::digest(image));
                 match verdict % 8 {
-                    0..=4 => Measurement::compute_keyed(&self.keyed, at, HEALTHY_IMAGE),
-                    5 | 6 => Measurement::compute_keyed(&self.keyed, at, INFECTED_IMAGE),
+                    0..=4 => measure(HEALTHY_IMAGE),
+                    5 | 6 => measure(INFECTED_IMAGE),
                     _ => Measurement::from_parts(at, [0; 32], MacTag::new([0u8; 32])),
                 }
             })

@@ -168,7 +168,6 @@ fn lenient_window_overlapping_the_period_seam() {
     scheduler.mark_completed(SimTime::from_secs(24));
     assert_eq!(scheduler.next_due(), SimTime::from_secs(34));
     assert_eq!(scheduler.deferrals(), 1);
-    assert_eq!(scheduler.completed(), 1);
 }
 
 #[test]

@@ -164,8 +164,6 @@ impl Default for Blake2s {
 }
 
 impl Digest for Blake2s {
-    const OUTPUT_SIZE: usize = OUT_BYTES;
-
     type Output = [u8; 32];
 
     fn new() -> Self {

@@ -25,10 +25,7 @@
 /// assert_eq!(incremental, Sha256::digest(b"hello world"));
 /// ```
 pub trait Digest: Clone {
-    /// Size of the produced digest in bytes.
-    const OUTPUT_SIZE: usize;
-
-    /// The fixed-size digest array, `[u8; Self::OUTPUT_SIZE]`.
+    /// The fixed-size digest array.
     type Output: Copy + AsRef<[u8]> + PartialEq + Eq + std::fmt::Debug;
 
     /// Creates a fresh hasher state.

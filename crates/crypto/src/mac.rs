@@ -74,12 +74,6 @@ impl MacTag {
         &self.bytes[..self.len as usize]
     }
 
-    /// Copies the tag into a freshly allocated vector (convenience for
-    /// serialization code; the tag itself lives on the stack).
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.as_bytes().to_vec()
-    }
-
     /// Constant-time equality with another candidate tag.
     pub fn ct_eq(&self, other: &MacTag) -> bool {
         constant_time_eq(self.as_bytes(), other.as_bytes())
@@ -342,7 +336,7 @@ mod tests {
             assert!(keyed.verify(b"m", &tag), "{alg}");
             assert!(!keyed.verify(b"m2", &tag), "{alg}");
             assert!(!alg.with_key(b"k2").verify(b"m", &tag), "{alg}");
-            let mut flipped = tag.into_bytes();
+            let mut flipped = tag.as_bytes().to_vec();
             flipped[0] ^= 1;
             assert!(!keyed.verify(b"m", &MacTag::new(&flipped)), "{alg}");
             let truncated = MacTag::new(&tag.as_bytes()[..tag.len() - 1]);
@@ -419,7 +413,6 @@ mod tests {
         let tag = MacTag::from(bytes.clone());
         assert_eq!(tag.as_bytes(), &bytes[..]);
         assert_eq!(tag.as_ref(), &bytes[..]);
-        assert_eq!(tag.into_bytes(), bytes);
         assert!(tag.ct_eq(&MacTag::new(bytes)));
     }
 

@@ -118,8 +118,6 @@ impl<C: Core> Default for MdHasher<C> {
 }
 
 impl<C: Core> Digest for MdHasher<C> {
-    const OUTPUT_SIZE: usize = std::mem::size_of::<C::Output>();
-
     type Output = C::Output;
 
     fn new() -> Self {

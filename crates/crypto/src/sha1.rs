@@ -334,7 +334,7 @@ mod tests {
 
     #[test]
     fn output_size_is_twenty_bytes() {
+        assert_eq!(size_of::<<Sha1 as Digest>::Output>(), 20);
         assert_eq!(Sha1::digest(b"x").len(), 20);
-        assert_eq!(<Sha1 as Digest>::OUTPUT_SIZE, 20);
     }
 }

@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn output_size_is_thirty_two_bytes() {
-        assert_eq!(<Sha256 as Digest>::OUTPUT_SIZE, 32);
+        assert_eq!(size_of::<<Sha256 as Digest>::Output>(), 32);
         assert_eq!(Sha256::digest(b"x").len(), 32);
     }
 }

@@ -29,17 +29,16 @@ use crate::secure_boot::SecureBoot;
 /// [`Mcu::run_trusted`], which models entering the ROM-resident / PrAtt
 /// attestation code atomically.
 ///
-/// Inline, a device holds its key, clock, counters, MPU table and a copy
-/// of its profile. What is the same on every device is shared or derived:
+/// Inline, a device holds its key, clock, MPU table and a copy of its
+/// profile. What is the same on every device is shared or derived:
 /// the attestation image is one process-wide copy (see [`Rom`]), the
 /// memory map is rebuilt from the profile on request
 /// ([`Mcu::memory_map`]), and the application memory is an `Arc<[u8]>`
 /// that devices provisioned from one image share
 /// ([`Mcu::with_app_image`]) until they write it: the first write through
-/// [`Mcu::write_app_memory`] or [`Mcu::load_app_image`] gives the device
-/// its own copy, so no write is ever seen by another device. A cloned
-/// `Mcu` behaves the same way: it shares the bytes until either side
-/// writes.
+/// [`Mcu::write_app_memory`] gives the device its own copy, so no write is
+/// ever seen by another device. A cloned `Mcu` behaves the same way: it
+/// shares the bytes until either side writes.
 ///
 /// # Example
 ///
@@ -64,7 +63,6 @@ pub struct Mcu {
     /// Copy-on-write: shared with the devices built from the same image
     /// until this device writes it.
     app_memory: Arc<[u8]>,
-    trusted_invocations: u64,
 }
 
 /// Size of the measurement store in the memory map. Its exact size does not
@@ -124,7 +122,6 @@ impl Mcu {
             rom,
             rroc: Rroc::new(),
             secure_boot,
-            trusted_invocations: 0,
         })
     }
 
@@ -186,11 +183,6 @@ impl Mcu {
         &mut self.rroc
     }
 
-    /// Number of times the trusted attestation code has been invoked.
-    pub fn trusted_invocations(&self) -> u64 {
-        self.trusted_invocations
-    }
-
     /// Size of the application memory in bytes.
     pub fn app_memory_len(&self) -> usize {
         self.app_memory.len()
@@ -231,17 +223,6 @@ impl Mcu {
         Ok(())
     }
 
-    /// Fills application memory from an iterator of bytes, truncating or
-    /// zero-padding to the memory size. Used to install a "benign software
-    /// image" at the start of a scenario. Like
-    /// [`Mcu::write_app_memory`], it copies a shared image first.
-    pub fn load_app_image<I: IntoIterator<Item = u8>>(&mut self, image: I) {
-        let mut iter = image.into_iter();
-        for slot in Arc::make_mut(&mut self.app_memory).iter_mut() {
-            *slot = iter.next().unwrap_or(0);
-        }
-    }
-
     /// Runs `body` inside the trusted attestation context (ROM code on
     /// SMART+, the PrAtt process on HYDRA).
     ///
@@ -260,12 +241,11 @@ impl Mcu {
     /// Returns [`HwError::AccessViolation`] if the rule table does not allow
     /// the attestation code to read the key and application memory, or
     /// [`HwError::SecureBootFailure`] if the HYDRA image check fails.
-    pub fn run_trusted<F, R>(&mut self, body: F) -> Result<R, HwError>
+    pub fn run_trusted<F, R>(&self, body: F) -> Result<R, HwError>
     where
         F: FnOnce(&TrustedContext<'_>) -> R,
     {
-        self.check_trusted_entry()?;
-        self.trusted_invocations += 1;
+        self.trusted_entry_allowed()?;
         let ctx = TrustedContext {
             key: self.rom.key(),
             app_memory: &self.app_memory,
@@ -274,8 +254,15 @@ impl Mcu {
         Ok(body(&ctx))
     }
 
-    /// The MPU and secure-boot gate shared by every trusted entry point.
-    fn check_trusted_entry(&self) -> Result<(), HwError> {
+    /// Checks whether the trusted attestation context *could* be entered:
+    /// the MPU and secure-boot gate of [`Mcu::run_trusted`]. Multi-device
+    /// callers use this to make a batch of measurements all-or-nothing:
+    /// every device is gated before any device measures.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors of [`Mcu::run_trusted`].
+    pub fn trusted_entry_allowed(&self) -> Result<(), HwError> {
         self.mpu
             .check(Subject::AttestationCode, RegionKind::Key, AccessKind::Read)?;
         self.mpu.check(
@@ -292,18 +279,6 @@ impl Mcu {
             boot.verify(&self.rom)?;
         }
         Ok(())
-    }
-
-    /// Checks whether the trusted attestation context *could* be entered —
-    /// the [`Mcu::run_trusted`] gate without the invocation accounting.
-    /// Multi-device callers use this to make a batch of measurements
-    /// all-or-nothing: every device is gated before any device measures.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`Mcu::run_trusted`].
-    pub fn trusted_entry_allowed(&self) -> Result<(), HwError> {
-        self.check_trusted_entry()
     }
 
     /// Replaces the MPU configuration. Exists so tests can demonstrate what
@@ -389,8 +364,8 @@ mod tests {
         );
         assert!(std::ptr::eq(a.rom().code(), b.rom().code()));
         assert_eq!(a.rom().code_size(), crate::ATTESTATION_CODE_SIZE);
-        // The digest of `Rom::with_synthetic_code(_, 5 * 1024)`: the shared
-        // image holds exactly the bytes a device's own copy would.
+        // The digest of the 5 KiB synthetic image: a repeating counter
+        // modulo 251.
         let digest: String = a
             .rom()
             .code_digest()
@@ -427,26 +402,21 @@ mod tests {
             )
             .expect("the image fits")
         };
-        let (mut writer, mut loader, mut sibling) = (build(1), build(2), build(3));
+        let (mut writer, sibling) = (build(1), build(2));
         assert!(std::ptr::eq(writer.app_memory(), &image[..]));
-        assert!(std::ptr::eq(loader.app_memory(), &image[..]));
 
         writer.write_app_memory(0, b"implant").expect("write");
         assert_eq!(&writer.app_memory()[..7], b"implant");
         assert_eq!(&writer.app_memory()[7..], &pristine[7..]);
-        loader.load_app_image([0xbb; 10]);
-        assert_eq!(&loader.app_memory()[..10], &[0xbb; 10]);
-        assert!(loader.app_memory()[10..].iter().all(|&b| b == 0));
 
-        // The sibling and the image itself never see either write.
+        // The sibling and the image itself never see the write.
         assert_eq!(sibling.app_memory(), &pristine[..]);
         assert_eq!(&image[..], &pristine[..]);
         assert!(std::ptr::eq(sibling.app_memory(), &image[..]));
         // Each trusted measurement hashes its own device's bytes.
-        let digest = |mcu: &mut Mcu| mcu.run_trusted(|ctx| ctx.memory_digest()).expect("digest");
-        let clean = digest(&mut sibling);
-        assert_ne!(digest(&mut writer), clean);
-        assert_ne!(digest(&mut loader), clean);
+        let digest = |mcu: &Mcu| mcu.run_trusted(|ctx| ctx.memory_digest()).expect("digest");
+        let clean = digest(&sibling);
+        assert_ne!(digest(&writer), clean);
 
         // A device's own copy is written in place from then on.
         let own = writer.app_memory().as_ptr();
@@ -499,17 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn load_app_image_pads_and_truncates() {
-        let mut mcu = device();
-        mcu.load_app_image([0xaa; 10]);
-        assert_eq!(mcu.app_memory()[9], 0xaa);
-        assert_eq!(mcu.app_memory()[10], 0);
-        mcu.load_app_image(std::iter::repeat_n(0xbb, 5000));
-        assert_eq!(mcu.app_memory().len(), 1024);
-        assert!(mcu.app_memory().iter().all(|&b| b == 0xbb));
-    }
-
-    #[test]
     fn trusted_context_exposes_key_memory_and_clock() {
         let mut mcu = device();
         mcu.advance_time_to(SimTime::from_secs(42));
@@ -525,7 +484,6 @@ mod tests {
             .expect("trusted execution");
         assert_eq!(tag.len(), 32);
         assert_eq!(now, SimTime::from_secs(42));
-        assert_eq!(mcu.trusted_invocations(), 1);
     }
 
     #[test]
@@ -546,17 +504,18 @@ mod tests {
     }
 
     #[test]
-    fn trusted_entry_allowed_shares_the_run_trusted_gate_without_accounting() {
+    fn trusted_entry_allowed_is_the_run_trusted_gate() {
         let mut mcu = device();
         mcu.trusted_entry_allowed().expect("entry allowed");
-        assert_eq!(mcu.trusted_invocations(), 0);
         mcu.run_trusted(|_| ()).expect("closure entry allowed");
-        assert_eq!(mcu.trusted_invocations(), 1);
         // The check is gated by the same MPU rule table.
         mcu.set_mpu(MpuConfig::deny_all());
         let err = mcu.trusted_entry_allowed().unwrap_err();
         assert!(matches!(err, HwError::AccessViolation { .. }));
-        assert_eq!(mcu.trusted_invocations(), 1);
+        assert!(matches!(
+            mcu.run_trusted(|_| ()),
+            Err(HwError::AccessViolation { .. })
+        ));
     }
 
     #[test]
@@ -574,5 +533,23 @@ mod tests {
         let mcu = device();
         let cost = mcu.cost_model();
         assert_eq!(cost.profile().clock_hz(), 8_000_000);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_device_fits_in_232_bytes() {
+        use std::mem::size_of;
+        let mcu = size_of::<Mcu>();
+        assert!(
+            mcu <= 232,
+            "an Mcu grew to {mcu} bytes (bound 232): DeviceProfile {} B, MpuConfig {} B, \
+             Rom {} B, Rroc {} B, Option<SecureBoot> {} B; \
+             share what is the same on every device",
+            size_of::<DeviceProfile>(),
+            size_of::<MpuConfig>(),
+            size_of::<Rom>(),
+            size_of::<Rroc>(),
+            size_of::<Option<SecureBoot>>(),
+        );
     }
 }

@@ -138,15 +138,6 @@ impl DeviceProfile {
         }
     }
 
-    /// Returns a copy of the profile with a different measured-memory size
-    /// (used by the Figure 6/8 memory sweeps).
-    pub fn with_app_memory(&self, app_memory_bytes: usize) -> Self {
-        Self {
-            app_memory_bytes,
-            ..*self
-        }
-    }
-
     /// Human-readable platform name.
     pub fn name(&self) -> &str {
         self.name
@@ -245,15 +236,6 @@ mod tests {
         // The 1 GHz platform is orders of magnitude faster per byte.
         assert!(p.mac_cycles_per_byte(MacAlgorithm::HmacSha256) < 100.0);
         assert!(p.to_string().contains("i.MX6"));
-    }
-
-    #[test]
-    fn with_app_memory_only_changes_size() {
-        let base = DeviceProfile::msp430_8mhz(1024);
-        let bigger = base.with_app_memory(8192);
-        assert_eq!(bigger.app_memory_bytes(), 8192);
-        assert_eq!(bigger.clock_hz(), base.clock_hz());
-        assert_eq!(bigger.architecture(), base.architecture());
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl CodeImage {
     }
 }
 
-/// Deterministic, compressible-looking filler: a repeating counter.
-fn synthetic_code(code_size: usize) -> Box<[u8]> {
-    (0..code_size).map(|i| (i % 251) as u8).collect()
-}
-
 impl Rom {
     /// Creates a ROM image holding `key` and the attestation `code` bytes.
     pub fn new(key: DeviceKey, code: Vec<u8>) -> Self {
@@ -65,22 +60,19 @@ impl Rom {
         }
     }
 
-    /// Creates a ROM with a synthetic attestation-code image of `code_size`
-    /// bytes (used when only the *size* matters, e.g. for Table 1 models).
-    pub fn with_synthetic_code(key: DeviceKey, code_size: usize) -> Self {
-        Self {
-            key,
-            image: CodeImage::hashed(synthetic_code(code_size)),
-        }
-    }
-
-    /// The synthetic [`ATTESTATION_CODE_SIZE`]-byte image, holding `key`.
-    /// The image and its digest are built once per process and shared by
-    /// every ROM made here; the result equals
-    /// `Rom::with_synthetic_code(key, ATTESTATION_CODE_SIZE)`.
+    /// The synthetic [`ATTESTATION_CODE_SIZE`]-byte image, holding `key`:
+    /// deterministic, compressible-looking filler (a repeating counter),
+    /// since only its size matters. The image and its digest are built once
+    /// per process and shared by every ROM made here.
     pub(crate) fn attestation(key: DeviceKey) -> Self {
         static IMAGE: OnceLock<Arc<CodeImage>> = OnceLock::new();
-        let image = IMAGE.get_or_init(|| CodeImage::hashed(synthetic_code(ATTESTATION_CODE_SIZE)));
+        let image = IMAGE.get_or_init(|| {
+            CodeImage::hashed(
+                (0..ATTESTATION_CODE_SIZE)
+                    .map(|i| (i % 251) as u8)
+                    .collect(),
+            )
+        });
         Self {
             key,
             image: Arc::clone(image),
@@ -119,15 +111,6 @@ mod tests {
         assert_eq!(rom.code_digest(), &Sha256::digest(&[1, 2, 3])[..]);
         assert_eq!(rom.code(), &[1, 2, 3]);
         assert_eq!(rom.code_size(), 3);
-    }
-
-    #[test]
-    fn synthetic_code_has_requested_size() {
-        let rom = Rom::with_synthetic_code(DeviceKey::from_bytes([0; 32]), 4900);
-        assert_eq!(rom.code_size(), 4900);
-        // Deterministic: same size gives same digest.
-        let rom2 = Rom::with_synthetic_code(DeviceKey::from_bytes([0; 32]), 4900);
-        assert_eq!(rom.code_digest(), rom2.code_digest());
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! it as a 64-bit register incremented every cycle with its write-enable
 //! wire removed (Section 4.1). HYDRA builds the same property in software
 //! from the i.MX6 General Purpose Timer, with the attestation process owning
-//! the wrap-around handler (Section 4.2). ERASMUS relies on the RROC so that
-//! malware cannot influence *when* measurements are taken or back-date them
-//! (Section 3.4).
+//! the wrap-around handler (Section 4.2); the simulation models the result,
+//! a 64-bit nanosecond count, not the wraps. ERASMUS relies on the RROC so
+//! that malware cannot influence *when* measurements are taken or back-date
+//! them (Section 3.4).
 
 use erasmus_sim::{SimDuration, SimTime};
 
@@ -32,31 +33,18 @@ use erasmus_sim::{SimDuration, SimTime};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rroc {
     now: SimTime,
-    /// Number of counter wrap-arounds handled (HYDRA software-clock detail;
-    /// purely informational in the simulation).
-    wraps: u64,
 }
 
 impl Rroc {
-    /// Width of the short-term hardware counter the HYDRA software clock is
-    /// built on (the i.MX6 GPT is a 32-bit counter).
-    pub const HYDRA_COUNTER_BITS: u32 = 32;
-
     /// Creates a clock reading zero (device boot).
     pub fn new() -> Self {
-        Self {
-            now: SimTime::ZERO,
-            wraps: 0,
-        }
+        Self { now: SimTime::ZERO }
     }
 
     /// Creates a clock starting at an arbitrary instant (e.g. a device that
     /// has been running for a while before the scenario starts).
     pub fn starting_at(start: SimTime) -> Self {
-        Self {
-            now: start,
-            wraps: 0,
-        }
+        Self { now: start }
     }
 
     /// Current clock value.
@@ -69,12 +57,7 @@ impl Rroc {
     /// This models time passing, not a software write: there is no API to
     /// set the clock to an arbitrary value.
     pub fn advance(&mut self, elapsed: SimDuration) -> SimTime {
-        // Track how many 32-bit counter wraps the HYDRA software clock would
-        // have had to absorb for this advance (1 tick per nanosecond here).
-        let before = self.now.as_nanos() >> Self::HYDRA_COUNTER_BITS;
         self.now += elapsed;
-        let after = self.now.as_nanos() >> Self::HYDRA_COUNTER_BITS;
-        self.wraps += after - before;
         self.now
     }
 
@@ -86,11 +69,6 @@ impl Rroc {
             self.advance(delta);
         }
         self.now
-    }
-
-    /// Number of short-term counter wrap-arounds absorbed so far.
-    pub fn wrap_count(&self) -> u64 {
-        self.wraps
     }
 
     /// Models a **physical** clock-rollback attack.
@@ -131,16 +109,6 @@ mod tests {
         assert_eq!(rroc.now(), SimTime::from_secs(100));
         rroc.advance_to(SimTime::from_secs(150));
         assert_eq!(rroc.now(), SimTime::from_secs(150));
-    }
-
-    #[test]
-    fn wrap_counting_tracks_counter_overflow() {
-        let mut rroc = Rroc::new();
-        // 2^32 nanoseconds ≈ 4.29 s per wrap of the 32-bit counter.
-        rroc.advance(SimDuration::from_nanos(1 << 33));
-        assert_eq!(rroc.wrap_count(), 2);
-        rroc.advance(SimDuration::from_nanos(1));
-        assert_eq!(rroc.wrap_count(), 2);
     }
 
     #[test]

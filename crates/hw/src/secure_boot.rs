@@ -6,7 +6,7 @@
 //! boot as a digest check of the loaded image against a reference value
 //! burned into fuses at provisioning time.
 
-use erasmus_crypto::{constant_time_eq, Digest, Sha256};
+use erasmus_crypto::constant_time_eq;
 
 use crate::error::HwError;
 use crate::rom::Rom;
@@ -37,13 +37,6 @@ impl SecureBoot {
         }
     }
 
-    /// Creates a verifier from an already-known reference digest.
-    pub fn from_reference_digest(digest: [u8; 32]) -> Self {
-        Self {
-            reference_digest: digest,
-        }
-    }
-
     /// The provisioned reference digest.
     pub fn reference_digest(&self) -> &[u8; 32] {
         &self.reference_digest
@@ -63,21 +56,6 @@ impl SecureBoot {
             })
         }
     }
-
-    /// Verifies raw image bytes (e.g. a kernel image) against the reference.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HwError::SecureBootFailure`] when the digest does not match.
-    pub fn verify_bytes(&self, image: &[u8]) -> Result<(), HwError> {
-        if constant_time_eq(&Sha256::digest(image), &self.reference_digest) {
-            Ok(())
-        } else {
-            Err(HwError::SecureBootFailure {
-                reason: "image digest does not match provisioned reference".to_owned(),
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -94,7 +72,6 @@ mod tests {
         let trusted = rom(b"good image");
         let boot = SecureBoot::provision(&trusted);
         assert!(boot.verify(&trusted).is_ok());
-        assert!(boot.verify_bytes(b"good image").is_ok());
         assert_eq!(boot.reference_digest().len(), 32);
     }
 
@@ -105,13 +82,5 @@ mod tests {
         let tampered = rom(b"evil image");
         let err = boot.verify(&tampered).unwrap_err();
         assert!(matches!(err, HwError::SecureBootFailure { .. }));
-        assert!(boot.verify_bytes(b"evil image").is_err());
-    }
-
-    #[test]
-    fn from_reference_digest_roundtrip() {
-        let trusted = rom(b"image");
-        let boot = SecureBoot::from_reference_digest(*trusted.code_digest());
-        assert!(boot.verify(&trusted).is_ok());
     }
 }

@@ -8,10 +8,11 @@
 //! event machinery those experiments run on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time.
-//! * [`SimClock`] — a monotonically advancing clock handle.
-//! * [`Engine`] — a discrete-event scheduler running on an
-//!   [`EventQueue`], a binary heap delivering in `(time, sequence)` order.
-//!   Events own their payloads; the queue moves them in and out by value.
+//!   A device's clock is its `Rroc` in `erasmus-hw`; code that drives a
+//!   device by hand counts time in `SimTime`.
+//! * [`Engine`] — a discrete-event scheduler on a binary heap delivering
+//!   [`ScheduledEvent`]s in `(time, sequence)` order. Events own their
+//!   payloads; the heap moves them in and out by value.
 //! * [`Trace`] — an append-only record of what happened and when, used by
 //!   the scenario runner and by the `repro` harness to print timelines.
 //! * [`SimRng`] — a small deterministic RNG for workload generation
@@ -49,17 +50,13 @@
 )]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod engine;
-pub mod event;
 pub mod network;
 pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use clock::SimClock;
-pub use engine::Engine;
-pub use event::{EventQueue, QueueStats, ScheduledEvent};
+pub use engine::{Engine, QueueStats, ScheduledEvent};
 pub use network::{Corruption, Delivery, FaultDraw, NetworkConfig, NetworkModel};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

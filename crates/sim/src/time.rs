@@ -139,7 +139,7 @@ impl Sub<SimTime> for SimTime {
 /// let tm = SimDuration::from_secs(60);
 /// assert_eq!(tm / 2, SimDuration::from_secs(30));
 /// assert_eq!(tm * 3, SimDuration::from_secs(180));
-/// assert_eq!(tm.as_millis(), 60_000);
+/// assert_eq!(tm.as_millis_f64(), 60_000.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration {
@@ -194,21 +194,6 @@ impl SimDuration {
     /// Duration in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.nanos
-    }
-
-    /// Duration in whole microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.nanos / 1_000
-    }
-
-    /// Duration in whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.nanos / 1_000_000
-    }
-
-    /// Duration in whole seconds (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.nanos / 1_000_000_000
     }
 
     /// Duration in seconds as a float.
@@ -325,6 +310,7 @@ mod tests {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1_000));
         assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1_000));
         assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1_000));
+        assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimTime::from_secs(2), SimTime::from_nanos(2_000_000_000));
     }
 
@@ -397,14 +383,5 @@ mod tests {
         assert!(SimDuration::from_millis(999) < SimDuration::from_secs(1));
         assert!(!SimDuration::from_secs(1).is_zero());
         assert!(SimDuration::ZERO.is_zero());
-    }
-
-    #[test]
-    fn truncating_accessors() {
-        let d = SimDuration::from_nanos(1_234_567_890);
-        assert_eq!(d.as_secs(), 1);
-        assert_eq!(d.as_millis(), 1_234);
-        assert_eq!(d.as_micros(), 1_234_567);
-        assert_eq!(d.as_nanos(), 1_234_567_890);
     }
 }

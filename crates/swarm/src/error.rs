@@ -17,13 +17,6 @@ pub enum SwarmError {
         /// The swarm size.
         size: usize,
     },
-    /// The topology does not match the swarm size.
-    TopologyMismatch {
-        /// Nodes in the topology.
-        topology_nodes: usize,
-        /// Devices in the swarm.
-        swarm_size: usize,
-    },
     /// An error bubbled up from a single prover/verifier pair.
     Device {
         /// Which device failed.
@@ -40,13 +33,6 @@ impl fmt::Display for SwarmError {
             SwarmError::UnknownDevice { index, size } => {
                 write!(f, "device index {index} out of range for swarm of {size}")
             }
-            SwarmError::TopologyMismatch {
-                topology_nodes,
-                swarm_size,
-            } => write!(
-                f,
-                "topology has {topology_nodes} nodes but the swarm has {swarm_size} devices"
-            ),
             SwarmError::Device { index, source } => {
                 write!(f, "device {index} failed: {source}")
             }
@@ -73,12 +59,6 @@ mod tests {
         assert!(SwarmError::UnknownDevice { index: 9, size: 4 }
             .to_string()
             .contains("9"));
-        assert!(SwarmError::TopologyMismatch {
-            topology_nodes: 3,
-            swarm_size: 5
-        }
-        .to_string()
-        .contains("3"));
         let device = SwarmError::Device {
             index: 2,
             source: CoreError::NoMeasurements,

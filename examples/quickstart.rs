@@ -26,9 +26,8 @@ fn main() -> Result<(), erasmus::core::Error> {
 
     // 3. The device runs unattended for ten minutes, self-measuring every
     //    T_M. No verifier interaction happens during this phase.
-    let mut clock = SimClock::new();
-    clock.advance(SimDuration::from_secs(600));
-    let taken = prover.run_until(clock.now())?;
+    let now = SimTime::from_secs(600);
+    let taken = prover.run_until(now)?;
     println!(
         "prover took {} self-measurements while unattended",
         taken.len()
@@ -41,7 +40,7 @@ fn main() -> Result<(), erasmus::core::Error> {
     // 4. The verifier shows up and collects the last 10 measurements — the
     //    collection phase involves no cryptography on the prover.
     let request = CollectionRequest::latest(10);
-    let response = prover.handle_collection(&request, clock.now());
+    let response = prover.handle_collection(&request, now);
     println!(
         "collection served in {} of prover time ({} measurements, {} bytes)",
         response.prover_time,
@@ -51,7 +50,7 @@ fn main() -> Result<(), erasmus::core::Error> {
 
     // 5. Verify the history: every MAC is checked, gaps are detected, and
     //    the memory digests are compared against the known-good image.
-    let report = verifier.verify_collection(&response, clock.now())?;
+    let report = verifier.verify_collection(&response, now)?;
     println!("verdict: {}", report.verdict());
     println!("freshness of newest measurement: {}", report.freshness());
     for vm in report.measurements().iter().take(3) {

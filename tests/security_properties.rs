@@ -3,8 +3,7 @@
 
 use erasmus::core::{
     AttestationVerdict, CollectionRequest, DeviceId, DeviceKey, Malware, MalwareBehavior,
-    Measurement, MeasurementVerdict, OnDemandRequest, Prover, ProverConfig, TamperStrategy,
-    Verifier,
+    Measurement, MeasurementVerdict, Prover, ProverConfig, TamperStrategy, Verifier,
 };
 use std::sync::Arc;
 
@@ -182,19 +181,15 @@ fn on_demand_request_forgery_and_replay_are_rejected() {
         .expect("measurements");
 
     // Forged request under a guessed key.
-    let forged = OnDemandRequest::new(
-        DeviceKey::derive(b"attacker", 0).as_bytes(),
-        MacAlgorithm::HmacSha256,
-        SimTime::from_secs(101),
-        4,
-    );
+    let forged = Verifier::new(DeviceKey::derive(b"attacker", 0), MacAlgorithm::HmacSha256)
+        .make_on_demand_request(4, SimTime::from_secs(101));
     assert!(prover
         .handle_on_demand(&forged, SimTime::from_secs(101))
         .is_err());
 
     // Legitimate request works once…
     let request = verifier.make_on_demand_request(4, SimTime::from_secs(102));
-    assert!(request.verify(key.as_bytes(), MacAlgorithm::HmacSha256));
+    assert!(request.verify_keyed(&MacAlgorithm::HmacSha256.with_key(key.as_bytes())));
     prover
         .handle_on_demand(&request, SimTime::from_secs(102))
         .expect("accepted");

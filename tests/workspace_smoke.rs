@@ -20,13 +20,13 @@ fn prelude_quickstart_path_measure_collect_verify() -> Result<(), erasmus::core:
     let mut verifier = Verifier::new(key, MacAlgorithm::HmacSha256);
 
     // Let the device run for a minute, then collect and verify its history.
-    let mut clock = SimClock::new();
+    let mut now = SimTime::ZERO;
     for _ in 0..6 {
-        clock.advance(SimDuration::from_secs(10));
-        prover.self_measure(clock.now())?;
+        now += SimDuration::from_secs(10);
+        prover.self_measure(now)?;
     }
-    let response = prover.handle_collection(&CollectionRequest::latest(4), clock.now());
-    let report = verifier.verify_collection(&response, clock.now())?;
+    let response = prover.handle_collection(&CollectionRequest::latest(4), now);
+    let report = verifier.verify_collection(&response, now)?;
     assert!(report.all_valid());
     assert_eq!(report.measurements().len(), 4);
     Ok(())
