@@ -460,17 +460,6 @@ fn percentile(sorted: &[SimDuration], q: f64) -> SimDuration {
 
 pub(crate) const MEASUREMENT_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
-/// Single-threaded fleet run: [`run_threaded`] with one worker.
-///
-/// # Panics
-///
-/// Panics if a prover refuses a measurement or a verifier rejects a
-/// delivered collection response — both would be bugs in the reproduction,
-/// not load conditions.
-pub fn run(config: &FleetConfig) -> FleetReport {
-    run_threaded(config, 1)
-}
-
 /// Most devices one shard holds. Workers provision, run and drop one shard
 /// at a time, so live device state is bounded by `threads × SHARD_DEVICES`
 /// devices, not by the fleet. A device's live state (prover, verifier,
@@ -554,7 +543,7 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
                 return done;
             };
             let mut shard = Shard::provision(index, config, &schedule, range.clone(), &plan);
-            let report = shard.run(config);
+            let report = shard.run();
             done.push((report, AggregationTree::leaf_aggregates(&shard.hub)));
         }
     };
@@ -663,7 +652,7 @@ mod tests {
     #[test]
     fn fleet_run_counts_add_up() {
         let config = tiny(MacAlgorithm::HmacSha256);
-        let report = run(&config);
+        let report = run_threaded(&config, 1);
         assert_eq!(report.measurements_total, config.total_measurements());
         assert_eq!(report.measurements_total, 8 * 2 * 2);
         // Every measurement taken in a round is collected and verified.
@@ -710,7 +699,7 @@ mod tests {
     #[test]
     fn fleet_runs_for_every_algorithm() {
         for alg in MacAlgorithm::ALL {
-            let report = run(&tiny(alg));
+            let report = run_threaded(&tiny(alg), 1);
             assert!(report.all_healthy, "{alg}");
             assert_eq!(
                 report.verifications_total, report.measurements_total,
@@ -770,11 +759,11 @@ mod tests {
         // fire, resident state must cap at devices × capacity, and every
         // lifetime total — head digests included, hence the aggregation
         // root — must match the default ring, which never evicts here.
-        let covering = run(&tiny(MacAlgorithm::HmacSha256));
+        let covering = run_threaded(&tiny(MacAlgorithm::HmacSha256), 1);
         assert_eq!(covering.history_evictions, 0);
         let mut config = tiny(MacAlgorithm::HmacSha256);
         config.history = HistoryMode::Ring(2);
-        let ring = run(&config);
+        let ring = run_threaded(&config, 1);
 
         assert_eq!(ring.measurements_total, covering.measurements_total);
         assert_eq!(ring.verifications_total, covering.verifications_total);
@@ -851,7 +840,7 @@ mod tests {
             loss: 0.0,
             ..NetworkConfig::IDEAL
         };
-        let report = run(&config);
+        let report = run_threaded(&config, 1);
         assert_eq!(report.on_demand_attempted, 6);
         assert!(report.on_demand_completed > 0);
         assert!(report.on_demand_p50 >= SimDuration::from_millis(20)); // two legs
@@ -925,7 +914,7 @@ mod tests {
         for device in 0..config.provers {
             assert!(schedule.offset(device) < MEASUREMENT_INTERVAL);
         }
-        let report = run(&config);
+        let report = run_threaded(&config, 1);
         assert_eq!(report.measurements_total, config.total_measurements());
     }
 
@@ -940,7 +929,7 @@ mod tests {
         for device in 0..config.provers {
             assert!(schedule.offset(device) < MEASUREMENT_INTERVAL);
         }
-        let report = run(&config);
+        let report = run_threaded(&config, 1);
         assert_eq!(report.measurements_total, config.total_measurements());
         assert_eq!(report.verifications_total, report.measurements_total);
         assert!(report.all_healthy);
@@ -960,7 +949,7 @@ mod tests {
     #[test]
     fn hub_histories_are_per_device() {
         let config = tiny(MacAlgorithm::HmacSha256);
-        let report = run(&config);
+        let report = run_threaded(&config, 1);
         // Each device contributed measurements_per_round × rounds entries;
         // a cross-device leak would inflate one history and starve another.
         assert_eq!(

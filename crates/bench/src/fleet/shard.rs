@@ -12,6 +12,12 @@
 //! [`NetworkModel`], on-demand attestations racing the schedule, and
 //! devices leaving/rejoining the fleet (churn).
 //!
+//! A shard is one run. It owns everything that run touches: the engine,
+//! the network model, the retry policy, the ledger and the loop's buffers.
+//! [`Shard::provision`] schedules the initial timeline, and [`Shard::run`]
+//! hands each event the engine delivers to the shard's handler until the
+//! queue is empty; handlers schedule their follow-ups on the same engine.
+//!
 //! Devices keep their global fleet index for key derivation, for their
 //! [`StaggeredSchedule`] phase offset and for their network flows, which
 //! makes shard boundaries invisible to the simulated protocol: a device
@@ -243,49 +249,6 @@ struct OnDemandExchange {
     issued: SimTime,
 }
 
-/// Mutable per-run state threaded through the event loop as the
-/// [`Engine::run_with`] context: the shard's ledger plus the loop's
-/// scratch. Payloads in flight live in their events, not here.
-struct RunState {
-    /// Every counter of the run, filled in as events fire; [`Shard::run`]
-    /// adds the fields known only at the end.
-    report: ShardReport,
-    request: CollectionRequest,
-    /// Cohort ticks per collection round (`measurements_per_round`).
-    round_ticks: usize,
-    /// The run's final tick, `measurements_per_round × rounds`.
-    last_tick: usize,
-    /// ARQ retry policy shared by the collect and frame hops.
-    policy: RetryPolicy,
-    /// Raw collection responses of the current burst awaiting frame
-    /// encode + ingest.
-    pending_responses: Vec<CollectionResponse>,
-    pending_at: Option<SimTime>,
-    /// Reusable frame buffer, so steady-state encoding allocates nothing.
-    frame_buf: Vec<u8>,
-    /// Per-shard frame-link sequence counter.
-    frame_seq: u64,
-    /// Reusable due-member scratch for cohort fires (no per-fire alloc).
-    due_scratch: Vec<usize>,
-}
-
-impl RunState {
-    fn new(policy: RetryPolicy, config: &FleetConfig) -> Self {
-        Self {
-            report: ShardReport::new(policy.budget),
-            request: CollectionRequest::latest(config.measurements_per_round),
-            round_ticks: config.measurements_per_round,
-            last_tick: config.measurements_per_round * config.rounds,
-            policy,
-            pending_responses: Vec::new(),
-            pending_at: None,
-            frame_buf: Vec::new(),
-            frame_seq: 0,
-            due_scratch: Vec::new(),
-        }
-    }
-}
-
 /// One stagger cohort: the local devices sharing a phase offset, i.e.
 /// exactly the devices that are measured and collected at the same
 /// simulated instants. The queue holds one [`FleetEvent::CohortTick`] per
@@ -297,7 +260,8 @@ struct Cohort {
     members: Vec<usize>,
 }
 
-/// A contiguous slice of the fleet, driven by one worker at a time.
+/// A contiguous slice of the fleet, driven by one worker at a time: its
+/// devices, its hub, and everything its one run touches.
 pub(crate) struct Shard {
     index: usize,
     /// Global fleet index of the shard's first device: the range is
@@ -308,13 +272,32 @@ pub(crate) struct Shard {
     /// The shard's verifier-side histories. `run_threaded` reads their
     /// leaf aggregates when the run ends and drops the hub with the shard.
     pub(super) hub: VerifierHub,
+    /// The shard's timeline: [`Shard::provision`] schedules its initial
+    /// events, [`Shard::run`] drains it.
     engine: Engine<FleetEvent>,
-    /// `(local index, leave, rejoin)` churn plan, drawn per global device.
-    churn: Vec<(usize, SimTime, SimTime)>,
-    /// `(local index, issue instant)` on-demand plan, sorted by time.
-    on_demand: Vec<(usize, SimTime)>,
+    network: NetworkModel,
+    /// ARQ retry policy shared by the collect and frame hops.
+    policy: RetryPolicy,
+    request: CollectionRequest,
+    /// Cohort ticks per collection round (`measurements_per_round`).
+    round_ticks: usize,
+    /// The run's final tick, `measurements_per_round × rounds`.
+    last_tick: usize,
     /// Stagger cohorts (one per phase offset present in this shard).
     cohorts: Vec<Cohort>,
+    /// Every counter of the run, filled in as events fire; [`Shard::run`]
+    /// adds the fields known only at the end.
+    report: ShardReport,
+    /// Raw collection responses of the current burst awaiting frame
+    /// encode + ingest.
+    pending_responses: Vec<CollectionResponse>,
+    pending_at: Option<SimTime>,
+    /// Reusable frame buffer, so steady-state encoding allocates nothing.
+    frame_buf: Vec<u8>,
+    /// Per-shard frame-link sequence counter.
+    frame_seq: u64,
+    /// Reusable due-member scratch for cohort ticks (no per-tick alloc).
+    due_scratch: Vec<usize>,
 }
 
 /// What one shard contributed to a fleet run: the one declaration of every
@@ -517,14 +500,15 @@ impl Shard {
     /// Provisions the devices with global fleet indices `range`: per-device
     /// keys (from one key-derivation generator per shard, see
     /// [`DeviceKey::derive_range`]), precomputed MAC schedules, stagger
-    /// cohorts — plus the shard's slices of the deterministic churn and
-    /// on-demand plans.
+    /// cohorts — then schedules the shard's whole initial timeline.
     ///
     /// Every device boots the same blank application image, so the shard
     /// builds it once, hands every prover a clone of the `Arc` (copied on a
     /// device's first write, see [`Prover::with_app_image`]) and hashes it
     /// once for every verifier's reference digest.
     ///
+    /// The timeline holds the hub crashes, each cohort's first tick, the
+    /// shard's slice of the churn plan and its slice of the on-demand plan.
     /// `on_demand_plan` is the fleet-wide `(global device, issue instant)`
     /// plan (time-sorted); the shard keeps the entries that fall into its
     /// range. The churn plan is drawn here, from a per-device RNG keyed by
@@ -536,8 +520,9 @@ impl Shard {
         range: Range<usize>,
         on_demand_plan: &[(usize, SimTime)],
     ) -> Self {
+        let last_tick = config.measurements_per_round * config.rounds;
+        let span = MEASUREMENT_INTERVAL * last_tick as u64;
         let buffer_slots = config.measurements_per_round.max(1);
-        let span = MEASUREMENT_INTERVAL * (config.measurements_per_round * config.rounds) as u64;
         let mut devices = DeviceState::with_capacity(range.len());
         let profile = DeviceProfile::msp430_8mhz(config.memory_bytes);
         let image = Mcu::zeroed_image(&profile);
@@ -569,35 +554,6 @@ impl Shard {
             devices.push(prover, verifier);
         }
 
-        let churn = if config.churn > 0.0 {
-            range
-                .clone()
-                .filter_map(|i| {
-                    let mut rng = SimRng::seed_from(
-                        config.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ CHURN_STREAM,
-                    );
-                    if !rng.gen_bool(config.churn) {
-                        return None;
-                    }
-                    let leave = rng.gen_range(span.as_nanos() / 4, span.as_nanos() / 2);
-                    let dwell = rng.gen_range(span.as_nanos() / 8, span.as_nanos() / 4);
-                    Some((
-                        i - range.start,
-                        SimTime::from_nanos(leave),
-                        SimTime::from_nanos(leave + dwell),
-                    ))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        let on_demand = on_demand_plan
-            .iter()
-            .filter(|(device, _)| range.contains(device))
-            .map(|&(device, at)| (device - range.start, at))
-            .collect();
-
         // Group the shard's devices into stagger cohorts — one cohort per
         // phase offset, i.e. per set of devices measured and collected at
         // the same simulated instants: the queue holds one tick per
@@ -618,35 +574,26 @@ impl Shard {
             cohorts[cohort].members.push(global - range.start);
         }
 
-        Self {
+        let mut shard = Self {
             index,
             base: range.start,
             devices,
             hub: VerifierHub::with_history(config.history),
             engine: Engine::new(),
-            churn,
-            on_demand,
+            network: NetworkModel::new(config.network, config.seed),
+            policy: RetryPolicy::with_budget(config.retries),
+            request: CollectionRequest::latest(config.measurements_per_round),
+            round_ticks: config.measurements_per_round,
+            last_tick,
             cohorts,
-        }
-    }
-
-    /// Drives this shard's event loop to completion.
-    ///
-    /// A device with phase offset `o` measures at `o + k·T_M` and is
-    /// collected at its *own* staggered instants `o + r·round_span` — every
-    /// `measurements_per_round`-th tick of its cohort — so staggering shifts
-    /// whole timelines without changing how many measurements a round
-    /// yields: offsets stay strictly inside `T_M`, hence exactly
-    /// `measurements_per_round` measurements fall into every device's
-    /// collection window regardless of its group. Loss, latency,
-    /// churn and on-demand traffic perturb that timeline only through
-    /// deterministic per-device draws, keeping every total thread-count-
-    /// invariant.
-    pub(crate) fn run(&mut self, config: &FleetConfig) -> ShardReport {
-        let network = NetworkModel::new(config.network, config.seed);
-        let mut state = RunState::new(RetryPolicy::with_budget(config.retries), config);
-        let span = MEASUREMENT_INTERVAL * state.last_tick as u64;
-        let mut engine = std::mem::take(&mut self.engine);
+            report: ShardReport::new(config.retries),
+            pending_responses: Vec::new(),
+            pending_at: None,
+            frame_buf: Vec::new(),
+            frame_seq: 0,
+            due_scratch: Vec::new(),
+        };
+        let engine = &mut shard.engine;
 
         // Seed the timeline. Hub crashes go in FIRST: the engine breaks
         // time ties FIFO, so crash events scheduled before everything else
@@ -659,52 +606,94 @@ impl Shard {
                 );
             engine.schedule_at(at, FleetEvent::HubCrash);
         }
-        // Then each cohort's first tick (each tick schedules the next), the
-        // churn plan, and the on-demand plan (whose requests are built now,
-        // in issue order, so each device's `t_req` values are strictly
-        // increasing).
-        if state.last_tick > 0 {
-            for (cohort, entry) in self.cohorts.iter().enumerate() {
+        // Then each cohort's first tick (each tick schedules the next).
+        if last_tick > 0 {
+            for (cohort, entry) in shard.cohorts.iter().enumerate() {
                 engine.schedule_at(
                     SimTime::ZERO + MEASUREMENT_INTERVAL + entry.offset,
                     FleetEvent::CohortTick { cohort, tick: 1 },
                 );
             }
         }
-        for &(local, leave, rejoin) in &self.churn {
-            engine.schedule_at(leave, FleetEvent::DeviceLeave { device: local });
-            engine.schedule_at(rejoin, FleetEvent::DeviceJoin { device: local });
+        // Then the churn plan: each device leaves and rejoins at most once.
+        if config.churn > 0.0 {
+            for global in range.clone() {
+                let mut rng = SimRng::seed_from(
+                    config.seed
+                        ^ (global as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        ^ CHURN_STREAM,
+                );
+                if !rng.gen_bool(config.churn) {
+                    continue;
+                }
+                let leave = rng.gen_range(span.as_nanos() / 4, span.as_nanos() / 2);
+                let dwell = rng.gen_range(span.as_nanos() / 8, span.as_nanos() / 4);
+                let device = global - range.start;
+                engine.schedule_at(
+                    SimTime::from_nanos(leave),
+                    FleetEvent::DeviceLeave { device },
+                );
+                engine.schedule_at(
+                    SimTime::from_nanos(leave + dwell),
+                    FleetEvent::DeviceJoin { device },
+                );
+                shard.report.devices_churned += 1;
+            }
         }
-        let plan = std::mem::take(&mut self.on_demand);
-        for &(local, issued) in &plan {
-            let request = self.devices.verifiers[local]
+        // Then the on-demand plan, whose requests are built now, in the
+        // order they are sent, so each device's `t_req` values are strictly
+        // increasing.
+        for &(global, issued) in on_demand_plan
+            .iter()
+            .filter(|(global, _)| range.contains(global))
+        {
+            let device = global - range.start;
+            let request = shard.devices.verifiers[device]
                 .make_on_demand_request(config.measurements_per_round, issued);
-            state.report.on_demand_attempted += 1;
-            let seq = self.devices.od_request_seqs[local];
-            self.devices.od_request_seqs[local] += 1;
-            let global = (self.base + local) as u64;
-            if let Delivery::Delivered(latency) =
-                network.sample(flow(global, CHANNEL_OD_REQUEST), seq)
+            shard.report.on_demand_attempted += 1;
+            let seq = shard.devices.od_request_seqs[device];
+            shard.devices.od_request_seqs[device] += 1;
+            if let Delivery::Delivered(latency) = shard
+                .network
+                .sample(flow(global as u64, CHANNEL_OD_REQUEST), seq)
             {
                 engine.schedule_at(
                     issued + latency,
                     FleetEvent::OnDemand {
-                        device: local,
+                        device,
                         request,
                         issued,
                     },
                 );
             }
         }
-        self.on_demand = plan;
+        shard
+    }
 
-        engine.run_with(&mut state, |engine, state, event| {
-            self.handle(engine, state, &network, event);
-            true
-        });
-        self.flush_batch(&mut state, &network);
-        let queue = engine.queue_stats();
-        self.engine = engine;
+    /// Drives this shard's timeline to completion: every scheduled event,
+    /// in time order, until the queue is empty. Then it reads the hub's
+    /// counts into the run's report.
+    ///
+    /// A device with phase offset `o` measures at `o + k·T_M` and is
+    /// collected at its *own* staggered instants `o + r·round_span` — every
+    /// `measurements_per_round`-th tick of its cohort — so staggering shifts
+    /// whole timelines without changing how many measurements a round
+    /// yields: offsets stay strictly inside `T_M`, hence exactly
+    /// `measurements_per_round` measurements fall into every device's
+    /// collection window regardless of its group. Loss, latency,
+    /// churn and on-demand traffic perturb that timeline only through
+    /// deterministic per-device draws, keeping every total thread-count-
+    /// invariant.
+    pub(crate) fn run(&mut self) -> ShardReport {
+        while let Some(event) = self.engine.next_event() {
+            self.handle(event);
+        }
+        self.flush_batch();
+        // The loop's buffers go with the run, not with the shard, so none
+        // is resident while the worker reads the hub's leaf aggregates.
+        self.pending_responses = Vec::new();
+        self.frame_buf = Vec::new();
+        self.due_scratch = Vec::new();
 
         let simulated_busy = self
             .devices
@@ -730,26 +719,19 @@ impl Shard {
             hub_duplicates: hub.duplicates(),
             hub_rejected: hub.rejected(),
             compromised_devices: hub.compromised_devices().len() as u64,
-            devices_churned: self.churn.len() as u64,
-            queue,
-            ..state.report
+            queue: self.engine.queue_stats(),
+            ..std::mem::take(&mut self.report)
         }
     }
 
     /// One event of the shard timeline.
-    fn handle(
-        &mut self,
-        engine: &mut Engine<FleetEvent>,
-        state: &mut RunState,
-        network: &NetworkModel,
-        event: ScheduledEvent<FleetEvent>,
-    ) {
+    fn handle(&mut self, event: ScheduledEvent<FleetEvent>) {
         let now = event.time;
         match event.payload {
             FleetEvent::CohortTick { cohort, tick } => {
-                self.measure_cohort(state, cohort, now);
-                if tick < state.last_tick {
-                    engine.schedule_at(
+                self.measure_cohort(cohort, now);
+                if tick < self.last_tick {
+                    self.engine.schedule_at(
                         now + MEASUREMENT_INTERVAL,
                         FleetEvent::CohortTick {
                             cohort,
@@ -757,10 +739,10 @@ impl Shard {
                         },
                     );
                 }
-                if tick % state.round_ticks == 0 {
+                if tick % self.round_ticks == 0 {
                     for index in 0..self.cohorts[cohort].members.len() {
                         let device = self.cohorts[cohort].members[index];
-                        self.collect(engine, state, network, device, now);
+                        self.collect(device, now);
                     }
                 }
             }
@@ -775,22 +757,20 @@ impl Shard {
                     // The device churned mid-backoff: the buffered copy is
                     // stale evidence and must not be replayed; it is
                     // dropped with its event.
-                    state.report.collections_dropped += 1;
-                    state.report.stale_retries += 1;
+                    self.report.collections_dropped += 1;
+                    self.report.stale_retries += 1;
                     return;
                 }
-                state.report.collect_retransmits += 1;
-                self.dispatch_collection(
-                    engine, state, network, device, response, seq, attempt, epoch, now,
-                );
+                self.report.collect_retransmits += 1;
+                self.dispatch_collection(device, response, seq, attempt, epoch, now);
             }
             FleetEvent::CollectDeliver { response, attempt } => {
-                state.report.collections_delivered += 1;
-                state.report.retry_histogram[attempt as usize] += 1;
+                self.report.collections_delivered += 1;
+                self.report.retry_histogram[attempt as usize] += 1;
                 // The response joins the current burst as-is; the whole
                 // burst is frame-encoded, decoded and verified off the bytes
                 // when it seals (`flush_batch`).
-                self.push_response(state, network, now, response);
+                self.push_response(now, response);
             }
             FleetEvent::OnDemand {
                 device,
@@ -804,18 +784,18 @@ impl Shard {
                 // request, so the exchange is timed as measurement work.
                 let started = Instant::now();
                 let outcome = self.devices.provers[device].handle_on_demand(&request, now);
-                state.report.measure_wall += started.elapsed();
+                self.report.measure_wall += started.elapsed();
                 // Rejected requests (e.g. reordered arrivals tripping the
                 // anti-replay check) fail the exchange, not the run.
                 if let Ok(response) = outcome {
-                    state.report.measurements += 1; // the fresh M_0
+                    self.report.measurements += 1; // the fresh M_0
                     let seq = self.devices.od_response_seqs[device];
                     self.devices.od_response_seqs[device] += 1;
                     let global = (self.base + device) as u64;
                     if let Delivery::Delivered(latency) =
-                        network.sample(flow(global, CHANNEL_OD_RESPONSE), seq)
+                        self.network.sample(flow(global, CHANNEL_OD_RESPONSE), seq)
                     {
-                        engine.schedule_at(
+                        self.engine.schedule_at(
                             now + latency,
                             FleetEvent::OnDemandDeliver(Box::new(OnDemandExchange {
                                 device,
@@ -833,7 +813,7 @@ impl Shard {
                 // report reaches the hub first sets `collected_at` on the
                 // entries both carry, and a burst only seals on a later
                 // delivery, which depends on the shard's other traffic.
-                self.flush_batch(state, network);
+                self.flush_batch();
                 let device = exchange.device;
                 let started = Instant::now();
                 let verified = self.devices.verifiers[device].verify_on_demand(
@@ -841,14 +821,13 @@ impl Shard {
                     &exchange.response,
                     now,
                 );
-                state.report.verify_wall += started.elapsed();
+                self.report.verify_wall += started.elapsed();
                 if let Ok(report) = verified {
-                    state.report.on_demand_completed += 1;
-                    state
-                        .report
+                    self.report.on_demand_completed += 1;
+                    self.report
                         .on_demand_latencies
                         .push(now.saturating_duration_since(exchange.issued));
-                    state.report.verifications += report.measurements().len() as u64;
+                    self.report.verifications += report.measurements().len() as u64;
                     // A refused report is counted in `VerifierHub::rejected`,
                     // which the shard report reads off the hub at the end.
                     self.hub.ingest(&report);
@@ -861,12 +840,12 @@ impl Shard {
                 // dropped, and rebuilt from the snapshot bytes alone.
                 // `hub_crashes_recover_bit_identically` pins the rebuilt
                 // hub to a never-crashed one.
-                self.flush_batch(state, network);
+                self.flush_batch();
                 let snapshot = encode_hub_snapshot(&self.hub);
                 drop(std::mem::take(&mut self.hub));
                 self.hub = decode_hub_snapshot(&snapshot).expect("hub snapshot round-trips");
-                state.report.hub_crashes += 1;
-                state.report.snapshot_bytes += snapshot.len() as u64;
+                self.report.hub_crashes += 1;
+                self.report.snapshot_bytes += snapshot.len() as u64;
             }
             FleetEvent::DeviceLeave { device } => {
                 if self.devices.active[device] {
@@ -890,25 +869,18 @@ impl Shard {
     /// Serves the verifier's collection request at `device` on its cohort's
     /// round-ending tick and puts the response on the wire. An absent
     /// device answers nothing: the attempt is lost to churn.
-    fn collect(
-        &mut self,
-        engine: &mut Engine<FleetEvent>,
-        state: &mut RunState,
-        network: &NetworkModel,
-        device: usize,
-        now: SimTime,
-    ) {
-        state.report.collections_attempted += 1;
+    fn collect(&mut self, device: usize, now: SimTime) {
+        self.report.collections_attempted += 1;
         if !self.devices.active[device] {
-            state.report.collections_dropped += 1;
-            state.report.churn_losses += 1;
+            self.report.collections_dropped += 1;
+            self.report.churn_losses += 1;
             return;
         }
-        let response = self.devices.provers[device].handle_collection(&state.request, now);
+        let response = self.devices.provers[device].handle_collection(&self.request, now);
         let seq = self.devices.collect_seqs[device];
         self.devices.collect_seqs[device] += 1;
         let epoch = self.devices.epochs[device];
-        self.dispatch_collection(engine, state, network, device, response, seq, 0, epoch, now);
+        self.dispatch_collection(device, response, seq, 0, epoch, now);
     }
 
     /// Puts one copy of a collection response on the wire (first send or
@@ -922,15 +894,8 @@ impl Shard {
     /// stretches the copy's in-flight latency, letting later sends
     /// genuinely overtake it; a drop either arms the backoff timer or,
     /// with the budget spent, loses the response for good.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "engine, run state and network are the event loop's; the rest names one copy"
-    )]
     fn dispatch_collection(
         &mut self,
-        engine: &mut Engine<FleetEvent>,
-        state: &mut RunState,
-        network: &NetworkModel,
         device: usize,
         response: CollectionResponse,
         seq: u64,
@@ -944,22 +909,22 @@ impl Shard {
         } else {
             (flow(global, CHANNEL_RETRY), (seq << 8) | attempt as u64)
         };
-        match network.sample(fault_flow, fault_seq) {
+        match self.network.sample(fault_flow, fault_seq) {
             Delivery::Delivered(latency) => {
                 let mut latency = latency;
-                if let Some(extra) = network.sample_faults(fault_flow, fault_seq).reorder {
+                if let Some(extra) = self.network.sample_faults(fault_flow, fault_seq).reorder {
                     latency += extra;
-                    state.report.reorders += 1;
+                    self.report.reorders += 1;
                 }
-                engine.schedule_at(
+                self.engine.schedule_at(
                     now + latency,
                     FleetEvent::CollectDeliver { response, attempt },
                 );
             }
             Delivery::Dropped => {
-                if state.policy.allows_retry(attempt) {
-                    engine.schedule_at(
-                        now + state.policy.backoff(attempt),
+                if self.policy.allows_retry(attempt) {
+                    self.engine.schedule_at(
+                        now + self.policy.backoff(attempt),
                         FleetEvent::CollectRetry {
                             device,
                             response,
@@ -969,8 +934,8 @@ impl Shard {
                         },
                     );
                 } else {
-                    state.report.collections_dropped += 1;
-                    state.report.exhausted_retries += 1;
+                    self.report.collections_dropped += 1;
+                    self.report.exhausted_retries += 1;
                 }
             }
         }
@@ -978,9 +943,9 @@ impl Shard {
 
     /// Fires every due measurement of a stagger cohort at `now`, one
     /// device at a time in ascending local order.
-    fn measure_cohort(&mut self, state: &mut RunState, cohort: usize, now: SimTime) {
+    fn measure_cohort(&mut self, cohort: usize, now: SimTime) {
         // One scratch vec is reused across ticks.
-        let mut due = std::mem::take(&mut state.due_scratch);
+        let due = &mut self.due_scratch;
         due.clear();
         for &local in &self.cohorts[cohort].members {
             if !self.devices.active[local] {
@@ -998,36 +963,28 @@ impl Shard {
 
         if !due.is_empty() {
             // Coalescing ledger: these measurements ride ONE tick.
-            state.report.events_scheduled += due.len() as u64;
-            state.report.singleton_events += 1;
-            state.report.coalesced_events += due.len() as u64 - 1;
+            self.report.events_scheduled += due.len() as u64;
+            self.report.singleton_events += 1;
+            self.report.coalesced_events += due.len() as u64 - 1;
             let started = Instant::now();
-            for &local in &due {
+            for &local in due.iter() {
                 self.devices.provers[local]
                     .self_measure(now)
                     .expect("fleet measurement");
             }
-            state.report.measurements += due.len() as u64;
-            state.report.measure_wall += started.elapsed();
+            self.report.measurements += due.len() as u64;
+            self.report.measure_wall += started.elapsed();
         }
-        due.clear();
-        state.due_scratch = due;
     }
 
     /// Buffers a raw collection response into the current delivery burst;
     /// a new arrival instant seals the previous burst into the hub.
-    fn push_response(
-        &mut self,
-        state: &mut RunState,
-        network: &NetworkModel,
-        at: SimTime,
-        response: CollectionResponse,
-    ) {
-        if state.pending_at != Some(at) {
-            self.flush_batch(state, network);
-            state.pending_at = Some(at);
+    fn push_response(&mut self, at: SimTime, response: CollectionResponse) {
+        if self.pending_at != Some(at) {
+            self.flush_batch();
+            self.pending_at = Some(at);
         }
-        state.pending_responses.push(response);
+        self.pending_responses.push(response);
     }
 
     /// Seals the buffered collection burst into the shard hub.
@@ -1040,32 +997,32 @@ impl Shard {
     /// device's own verifier. However many frames it takes, a burst counts
     /// as *one* hub batch. Encoding is timed separately (`encode_wall`);
     /// the ingest span lands in both `wire_ingest_wall` and `verify_wall`.
-    fn flush_batch(&mut self, state: &mut RunState, network: &NetworkModel) {
-        let Some(at) = state.pending_at.take() else {
+    fn flush_batch(&mut self) {
+        let Some(at) = self.pending_at.take() else {
             return;
         };
-        let mut responses = std::mem::take(&mut state.pending_responses);
-        let mut frame = std::mem::take(&mut state.frame_buf);
+        let mut responses = std::mem::take(&mut self.pending_responses);
+        let mut frame = std::mem::take(&mut self.frame_buf);
         let frame_flow = FRAME_STREAM ^ self.base as u64;
         for chunk in responses.chunks(MAX_BATCH_RESPONSES) {
             frame.clear();
             let started = Instant::now();
             encode_collection_batch_into(&mut frame, chunk);
-            state.report.encode_wall += started.elapsed();
+            self.report.encode_wall += started.elapsed();
             // First-send accounting: however many times the ARQ loop below
             // re-carries this frame, it counts once here, so the wire
             // totals stay comparable across fault settings.
-            state.report.wire_frames += 1;
-            state.report.wire_bytes += frame.len() as u64;
-            let frame_seq = state.frame_seq;
-            state.frame_seq += 1;
-            self.deliver_frame(state, network, frame_flow, frame_seq, &frame, chunk, at);
+            self.report.wire_frames += 1;
+            self.report.wire_bytes += frame.len() as u64;
+            let frame_seq = self.frame_seq;
+            self.frame_seq += 1;
+            self.deliver_frame(frame_flow, frame_seq, &frame, chunk, at);
         }
-        state.report.hub_batches += 1;
-        state.report.largest_batch = state.report.largest_batch.max(responses.len() as u64);
+        self.report.hub_batches += 1;
+        self.report.largest_batch = self.report.largest_batch.max(responses.len() as u64);
         responses.clear();
-        state.pending_responses = responses;
-        state.frame_buf = frame;
+        self.pending_responses = responses;
+        self.frame_buf = frame;
     }
 
     /// Carries one encoded batch frame across the collector → hub link
@@ -1083,14 +1040,8 @@ impl Shard {
     /// does not lose frames (the collector and hub are co-located; loss
     /// lives on the device radio hop), so only corruption consumes
     /// retries here.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "run state and network are the event loop's; the rest names one frame copy"
-    )]
     fn deliver_frame(
         &mut self,
-        state: &mut RunState,
-        network: &NetworkModel,
         frame_flow: u64,
         frame_seq: u64,
         frame: &[u8],
@@ -1100,16 +1051,18 @@ impl Shard {
         let base = self.base as u64;
         let mut attempt: u32 = 0;
         loop {
-            let draw = network.sample_faults(frame_flow, (frame_seq << 8) | attempt as u64);
+            let draw = self
+                .network
+                .sample_faults(frame_flow, (frame_seq << 8) | attempt as u64);
             if let Some(corruption) = draw.corrupt {
-                self.deliver_corrupt_copy(state, frame, chunk, corruption, at);
-                if state.policy.allows_retry(attempt) {
-                    state.report.frame_retransmits += 1;
+                self.deliver_corrupt_copy(frame, chunk, corruption, at);
+                if self.policy.allows_retry(attempt) {
+                    self.report.frame_retransmits += 1;
                     attempt += 1;
                     continue;
                 }
-                state.report.frames_exhausted += 1;
-                state.report.frame_lost_responses += chunk.len() as u64;
+                self.report.frames_exhausted += 1;
+                self.report.frame_lost_responses += chunk.len() as u64;
                 return;
             }
             let verifiers = &mut self.devices.verifiers;
@@ -1121,16 +1074,16 @@ impl Shard {
                     let report = verifiers[local]
                         .verify_frame_response(&view, at)
                         .expect("fleet collection verifies");
-                    state.report.verifications += report.measurements().len() as u64;
+                    self.report.verifications += report.measurements().len() as u64;
                     Some(report)
                 })
                 .expect("shard-encoded frame decodes")
                 .expect("first acceptance of a fresh sequence");
             let elapsed = started.elapsed();
-            state.report.wire_ingest_wall += elapsed;
-            state.report.verify_wall += elapsed;
-            state.report.wire_responses += outcome.responses;
-            state.report.wire_accepted += outcome.accepted;
+            self.report.wire_ingest_wall += elapsed;
+            self.report.verify_wall += elapsed;
+            self.report.wire_responses += outcome.responses;
+            self.report.wire_accepted += outcome.accepted;
             if draw.duplicate.is_some() {
                 // The link re-delivers the acked copy; the dedup window
                 // must drop the echo without running any verification.
@@ -1141,7 +1094,7 @@ impl Shard {
                     })
                     .expect("duplicate copy still decodes");
                 assert!(echo.is_none(), "hub dedup window drops the echo");
-                state.report.frame_duplicates += 1;
+                self.report.frame_duplicates += 1;
             }
             return;
         }
@@ -1161,7 +1114,6 @@ impl Shard {
     /// not move the live coverage window).
     fn deliver_corrupt_copy(
         &mut self,
-        state: &mut RunState,
         frame: &[u8],
         chunk: &[CollectionResponse],
         corruption: Corruption,
@@ -1199,7 +1151,7 @@ impl Shard {
                     AttestationVerdict::TamperingDetected,
                     "flipped digest byte must surface as tampering"
                 );
-                state.report.corrupt_tamper_drops += 1;
+                self.report.corrupt_tamper_drops += 1;
             }
             _ => {
                 // Flip a count-header byte: the decoder must reject the
@@ -1215,12 +1167,12 @@ impl Shard {
                         |_| unreachable!("structurally corrupt frames fail decode"),
                     )
                     .expect_err("damaged count header fails the strict decoder");
-                state.report.corrupt_decode_drops += 1;
+                self.report.corrupt_decode_drops += 1;
             }
         }
         let elapsed = started.elapsed();
-        state.report.wire_ingest_wall += elapsed;
-        state.report.verify_wall += elapsed;
+        self.report.wire_ingest_wall += elapsed;
+        self.report.verify_wall += elapsed;
     }
 }
 
@@ -1257,7 +1209,7 @@ mod tests {
     fn shard_drives_only_its_range() {
         let config = config();
         let mut shard = shard_for(&config, 2..5, 1);
-        let report = shard.run(&config);
+        let report = shard.run();
         assert_eq!(report.shard, 1);
         assert_eq!(report.provers, 3);
         assert_eq!(report.measurements, 3 * 3 * 2);
@@ -1287,7 +1239,7 @@ mod tests {
         let config = config(); // 6 devices, 3 stagger groups over T_M = 10 s
         let schedule = config.schedule();
         let mut shard = shard_for(&config, 0..3, 0);
-        shard.run(&config);
+        shard.run();
         let hub = &shard.hub;
         // Devices 0/1/2 sit in groups 0/1/2: their k-th measurements fire at
         // 10k, 10k + 3.33…, 10k + 6.66… seconds — never the same instant.
@@ -1315,7 +1267,7 @@ mod tests {
         // one burst.
         let config = FleetConfig::new(4, 2, 3, 128, 1, MacAlgorithm::KeyedBlake2s);
         let mut shard = shard_for(&config, 0..4, 0);
-        let report = shard.run(&config);
+        let report = shard.run();
         assert_eq!(report.hub_batches, config.rounds as u64);
         assert_eq!(report.largest_batch, config.provers as u64);
     }
@@ -1331,7 +1283,7 @@ mod tests {
         };
         config.seed = 7;
         let mut shard = shard_for(&config, 0..6, 0);
-        let report = shard.run(&config);
+        let report = shard.run();
         assert_eq!(
             report.collections_delivered + report.collections_dropped,
             report.collections_attempted
@@ -1345,7 +1297,7 @@ mod tests {
 
         // Determinism: the identical shard sees the identical fates.
         let mut again = shard_for(&config, 0..6, 0);
-        let rerun = again.run(&config);
+        let rerun = again.run();
         assert_eq!(rerun.collections_delivered, report.collections_delivered);
         assert_eq!(rerun.verifications, report.verifications);
     }
@@ -1356,7 +1308,7 @@ mod tests {
         config.churn = 0.9;
         config.seed = 11;
         let mut shard = shard_for(&config, 0..8, 0);
-        let report = shard.run(&config);
+        let report = shard.run();
         assert!(report.devices_churned > 0, "plan drew no churners");
         // Absent devices measure less and miss collections.
         assert!(report.measurements < config.total_measurements());
@@ -1370,7 +1322,7 @@ mod tests {
 
         // Identical simulated outcome on a re-run (wall clocks aside).
         let mut again = shard_for(&config, 0..8, 0);
-        let rerun = again.run(&config);
+        let rerun = again.run();
         assert_eq!(rerun.measurements, report.measurements);
         assert_eq!(rerun.verifications, report.verifications);
         assert_eq!(rerun.collections_delivered, report.collections_delivered);
@@ -1392,7 +1344,7 @@ mod tests {
             ..NetworkConfig::IDEAL
         };
         let mut shard = shard_for(&config, 0..6, 0);
-        let report = shard.run(&config);
+        let report = shard.run();
         assert_eq!(report.collections_delivered, report.collections_attempted);
         assert_eq!(report.collections_dropped, 0);
         // Latency gaps must not read as compromise.
@@ -1410,14 +1362,14 @@ mod tests {
             .mcu_mut()
             .write_app_memory(0, b"implant")
             .expect("infect");
-        let report = infected.run(&config);
+        let report = infected.run();
         assert_eq!(report.compromised_devices, 1);
         assert_eq!(report.hub_rejected, 0);
         assert_eq!(infected.hub.compromised_devices(), vec![DeviceId::new(1)]);
 
         // Folded with a healthy shard's report, the count stays 1: the
         // fleet reads unhealthy.
-        let healthy = shard_for(&config, 3..6, 1).run(&config);
+        let healthy = shard_for(&config, 3..6, 1).run();
         assert_eq!(healthy.compromised_devices, 0);
         let mut total = ShardReport::new(config.retries);
         total.absorb(&report);
@@ -1431,7 +1383,7 @@ mod tests {
         let mut config = config();
         config.on_demand = 5;
         let mut shard = shard_for(&config, 0..6, 0);
-        let report = shard.run(&config);
+        let report = shard.run();
         assert_eq!(report.on_demand_attempted, 5);
         assert_eq!(report.on_demand_completed, 5);
         assert_eq!(report.on_demand_latencies.len(), 5);
@@ -1448,7 +1400,7 @@ mod tests {
         let config = FleetConfig::new(1100, 1, 1, 64, 1, MacAlgorithm::HmacSha256);
         assert!(config.provers > MAX_BATCH_RESPONSES);
         let mut shard = shard_for(&config, 0..1100, 0);
-        let report = shard.run(&config);
+        let report = shard.run();
         assert_eq!(report.largest_batch, 1100);
         assert_eq!(report.hub_batches, 1);
         assert_eq!(report.wire_frames, 2);
@@ -1488,7 +1440,7 @@ mod tests {
     fn empty_shard_is_a_no_op() {
         let config = config();
         let mut shard = shard_for(&config, 0..0, 0);
-        let report = shard.run(&config);
+        let report = shard.run();
         assert_eq!(report.provers, 0);
         assert_eq!(report.measurements, 0);
         assert_hub_healthy(&shard.hub);
@@ -1516,7 +1468,7 @@ mod tests {
     fn retries_recover_every_report_under_faults() {
         let config = faulty_config();
         let mut shard = shard_for(&config, 0..24, 0);
-        let report = shard.run(&config);
+        let report = shard.run();
 
         // Conservation: every attempt is delivered, lost to churn, lost to
         // a stale retry, or exhausted — and with this budget, nothing
@@ -1566,9 +1518,9 @@ mod tests {
         lossless.retries = 0;
 
         let mut faulty_shard = shard_for(&faulty, 0..24, 0);
-        let faulty_report = faulty_shard.run(&faulty);
+        let faulty_report = faulty_shard.run();
         let mut lossless_shard = shard_for(&lossless, 0..24, 0);
-        let lossless_report = lossless_shard.run(&lossless);
+        let lossless_report = lossless_shard.run();
 
         assert_eq!(
             faulty_report.collections_delivered,
@@ -1595,9 +1547,9 @@ mod tests {
         };
 
         let mut crashed_shard = shard_for(&crashing, 0..24, 0);
-        let crashed_report = crashed_shard.run(&crashing);
+        let crashed_report = crashed_shard.run();
         let mut smooth_shard = shard_for(&smooth, 0..24, 0);
-        let smooth_report = smooth_shard.run(&smooth);
+        let smooth_report = smooth_shard.run();
 
         assert_eq!(crashed_report.hub_crashes, 3);
         assert!(crashed_report.snapshot_bytes > 0);
@@ -1609,6 +1561,43 @@ mod tests {
         // The crash/restore cycles must leave no trace: the recovered hub
         // equals the never-crashed one bit for bit.
         assert_eq!(crashed_shard.hub, smooth_shard.hub);
+    }
+
+    #[test]
+    fn a_retry_from_before_a_leave_and_rejoin_is_stale() {
+        // The device is back when its retransmission timer fires, so only
+        // the churn epoch the retry carries marks it stale. The test
+        // schedules the three events itself instead of waiting for a seeded
+        // run to line them up.
+        let mut config = config();
+        config.retries = 1;
+        let mut shard = shard_for(&config, 0..1, 0);
+        let response = CollectionResponse {
+            device: DeviceId::new(0),
+            measurements: Vec::new(),
+            prover_time: SimDuration::ZERO,
+        };
+        let epoch = shard.devices.epochs[0];
+        let engine = &mut shard.engine;
+        engine.schedule_at(SimTime::from_secs(1), FleetEvent::DeviceLeave { device: 0 });
+        engine.schedule_at(SimTime::from_secs(2), FleetEvent::DeviceJoin { device: 0 });
+        engine.schedule_at(
+            SimTime::from_secs(3),
+            FleetEvent::CollectRetry {
+                device: 0,
+                response,
+                seq: 0,
+                attempt: 1,
+                epoch,
+            },
+        );
+        let report = shard.run();
+        assert_eq!(report.stale_retries, 1);
+        assert_eq!(report.collect_retransmits, 0);
+        // The scheduled collections are untouched: both rounds deliver.
+        assert_eq!(report.collections_attempted, 2);
+        assert_eq!(report.collections_delivered, 2);
+        assert_eq!(shard.hub.ingested(), 2);
     }
 
     #[test]
@@ -1626,7 +1615,7 @@ mod tests {
         config.churn = 0.6;
         config.seed = 13;
         let mut shard = shard_for(&config, 0..32, 0);
-        let report = shard.run(&config);
+        let report = shard.run();
 
         assert!(report.devices_churned > 0, "churn plan must trigger");
         assert_eq!(

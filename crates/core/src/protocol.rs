@@ -136,44 +136,27 @@ impl OnDemandResponse {
 /// ERASMUS evidence is produced on a schedule whether or not the network
 /// cooperates (Section 3), so a lost collection report is pure information
 /// loss. Senders that hold evidence therefore retransmit un-acknowledged
-/// transmissions: attempt `n` waits `base_backoff << n` (plus caller-drawn
-/// jitter) before retrying, and gives up for good once `budget` retries are
-/// exhausted. The policy itself is deterministic — all jitter comes from the
-/// caller's seeded network model, which keeps fleet simulations
-/// thread-count-invariant.
+/// transmissions: attempt `n` waits [`RetryPolicy::DEFAULT_BACKOFF`]` << n`
+/// (plus caller-drawn jitter) before retrying, and gives up for good once
+/// `budget` retries are exhausted. The policy itself is deterministic — all
+/// jitter comes from the caller's seeded network model, which keeps fleet
+/// simulations thread-count-invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum number of *re*transmissions after the initial attempt. Zero
     /// disables ARQ entirely.
     pub budget: u32,
-    /// Backoff before the first retransmission; doubles on every further
-    /// attempt.
-    pub base_backoff: SimDuration,
 }
 
 impl RetryPolicy {
-    /// Default backoff before the first retransmission (100 ms — an order of
+    /// Backoff before the first retransmission (100 ms — an order of
     /// magnitude above typical link latency, two below the measurement
-    /// interval).
+    /// interval); it doubles on every further attempt.
     pub const DEFAULT_BACKOFF: SimDuration = SimDuration::from_millis(100);
 
-    /// ARQ disabled: transmissions are attempted exactly once.
-    pub const DISABLED: RetryPolicy = RetryPolicy {
-        budget: 0,
-        base_backoff: Self::DEFAULT_BACKOFF,
-    };
-
-    /// A policy allowing `budget` retransmissions with the default backoff.
+    /// A policy allowing `budget` retransmissions.
     pub fn with_budget(budget: u32) -> Self {
-        Self {
-            budget,
-            base_backoff: Self::DEFAULT_BACKOFF,
-        }
-    }
-
-    /// Whether any retransmission is allowed at all.
-    pub fn enabled(&self) -> bool {
-        self.budget > 0
+        Self { budget }
     }
 
     /// Whether a transmission that already failed `attempt + 1` times may be
@@ -187,13 +170,7 @@ impl RetryPolicy {
     /// overflow.
     pub fn backoff(&self, attempt: u32) -> SimDuration {
         let shift = attempt.min(16);
-        SimDuration::from_nanos(self.base_backoff.as_nanos().saturating_mul(1 << shift))
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self::DISABLED
+        SimDuration::from_nanos(Self::DEFAULT_BACKOFF.as_nanos().saturating_mul(1 << shift))
     }
 }
 
@@ -281,7 +258,6 @@ mod tests {
     #[test]
     fn retry_policy_backoff_is_exponential_and_bounded() {
         let policy = RetryPolicy::with_budget(3);
-        assert!(policy.enabled());
         assert!(policy.allows_retry(0));
         assert!(policy.allows_retry(2));
         assert!(!policy.allows_retry(3));
@@ -290,9 +266,8 @@ mod tests {
         assert_eq!(policy.backoff(3), RetryPolicy::DEFAULT_BACKOFF * 8);
         // The shift saturates instead of overflowing on absurd attempts.
         assert_eq!(policy.backoff(200), policy.backoff(16));
-        assert!(!RetryPolicy::DISABLED.enabled());
-        assert!(!RetryPolicy::DISABLED.allows_retry(0));
-        assert_eq!(RetryPolicy::default(), RetryPolicy::DISABLED);
+        // A zero budget sends once and never retries.
+        assert!(!RetryPolicy::with_budget(0).allows_retry(0));
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl Prover {
         config: ProverConfig,
         image: Arc<[u8]>,
     ) -> Result<Self, Error> {
-        let scheduler = MeasurementScheduler::new_with_phase(
+        let scheduler = MeasurementScheduler::new(
             config.schedule().clone(),
             config.measurement_interval(),
             key.as_bytes(),

@@ -165,14 +165,6 @@ impl CollectionReport {
     pub fn collected_at(&self) -> SimTime {
         self.collected_at
     }
-
-    /// Iterator over measurements with a given verdict.
-    pub fn with_verdict(
-        &self,
-        verdict: MeasurementVerdict,
-    ) -> impl Iterator<Item = &VerifiedMeasurement> {
-        self.verified.iter().filter(move |vm| vm.verdict == verdict)
-    }
 }
 
 impl fmt::Display for CollectionReport {
@@ -231,8 +223,11 @@ mod tests {
         assert_eq!(report.freshness(), SimDuration::from_secs(5));
         assert_eq!(report.collected_at(), SimTime::from_secs(25));
         assert!(!report.all_valid());
-        assert_eq!(report.with_verdict(MeasurementVerdict::Healthy).count(), 1);
-        assert_eq!(report.with_verdict(MeasurementVerdict::Forged).count(), 0);
+        let verdicts: Vec<_> = report.measurements().iter().map(|vm| vm.verdict).collect();
+        assert_eq!(
+            verdicts,
+            [MeasurementVerdict::Healthy, MeasurementVerdict::Compromised]
+        );
     }
 
     #[test]

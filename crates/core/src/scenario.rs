@@ -226,8 +226,14 @@ impl Scenario {
         let mut collections = 0u64;
         let mut alarms = 0u64;
 
-        while let Some(event) = engine.next_event_before(end) {
+        while let Some(event) = engine.next_event() {
             let now = event.time;
+            // The run ends at `duration`: an event after it (an infection
+            // that starts too late) neither fires nor lets the prover
+            // measure past the end.
+            if now > end {
+                break;
+            }
             // Every event first lets the prover catch up on scheduled
             // measurements, recording them in the trace.
             let run_and_trace =
@@ -555,6 +561,21 @@ mod tests {
             .measurement_interval(SimDuration::ZERO)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn events_after_the_duration_never_fire() {
+        // T_M = 10 s over 300 s: the last measurement due is at 300 s. An
+        // infection entering at 400 s lies past the end of the run.
+        let outcome = Scenario::builder()
+            .duration(SimDuration::from_secs(300))
+            .infection(InfectionSpec::persistent(SimTime::from_secs(400)))
+            .run()
+            .expect("scenario runs");
+        assert!(!outcome.infections[0].detected);
+        assert_eq!(outcome.trace.of_kind("infection").count(), 0);
+        assert_eq!(outcome.measurements_taken, 30);
+        assert_eq!(outcome.collections, 5);
     }
 
     #[test]

@@ -62,6 +62,7 @@ impl fmt::Display for ScheduleKind {
 ///     ScheduleKind::Regular,
 ///     SimDuration::from_secs(10),
 ///     &[0u8; 32],
+///     SimDuration::ZERO,
 /// );
 /// assert_eq!(scheduler.next_due(), SimTime::from_secs(10));
 /// scheduler.mark_completed(SimTime::from_secs(10));
@@ -88,7 +89,10 @@ pub struct MeasurementScheduler {
 }
 
 impl MeasurementScheduler {
-    /// Creates a scheduler.
+    /// Creates a scheduler whose due times are all shifted by `phase` within
+    /// `T_M`: the first regular measurement fires at `T_M + phase` and every
+    /// subsequent one `T_M` later, so devices with distinct phases never
+    /// measure at the same simulated instant.
     ///
     /// `key` seeds the CSPRNG used by irregular schedules (the paper seeds it
     /// with the device key so the timer values are unpredictable to malware);
@@ -96,29 +100,12 @@ impl MeasurementScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `interval` is zero, if an irregular schedule has
-    /// `lower >= upper`, or if a lenient schedule has `window_factor < 1`.
-    /// Use [`crate::ProverConfig`] for error-returning validation.
-    pub fn new(kind: ScheduleKind, interval: SimDuration, key: &[u8]) -> Self {
-        Self::new_with_phase(kind, interval, key, SimDuration::ZERO)
-    }
-
-    /// Creates a scheduler whose due times are all shifted by `phase` within
-    /// `T_M`: the first regular measurement fires at `T_M + phase` and every
-    /// subsequent one `T_M` later, so devices with distinct phases never
-    /// measure at the same simulated instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`MeasurementScheduler::new`], and additionally if
-    /// `phase >= interval` — a phase of a full interval or more would skip
-    /// measurement windows instead of staggering them.
-    pub fn new_with_phase(
-        kind: ScheduleKind,
-        interval: SimDuration,
-        key: &[u8],
-        phase: SimDuration,
-    ) -> Self {
+    /// Panics if `interval` is zero, if `phase >= interval` (a phase of a
+    /// full interval or more would skip measurement windows instead of
+    /// staggering them), if an irregular schedule has `lower >= upper`, or
+    /// if a lenient schedule has `window_factor < 1`. Use
+    /// [`crate::ProverConfig`] for error-returning validation.
+    pub fn new(kind: ScheduleKind, interval: SimDuration, key: &[u8], phase: SimDuration) -> Self {
         assert!(!interval.is_zero(), "measurement interval must be non-zero");
         assert!(phase < interval, "phase offset must lie within T_M");
         if let ScheduleKind::Irregular { lower, upper } = &kind {
@@ -160,8 +147,7 @@ impl MeasurementScheduler {
         self.interval
     }
 
-    /// The phase offset within `T_M` (zero unless built with
-    /// [`MeasurementScheduler::new_with_phase`]).
+    /// The phase offset within `T_M`.
     pub fn phase(&self) -> SimDuration {
         self.phase
     }
@@ -265,7 +251,7 @@ mod tests {
 
     #[test]
     fn regular_schedule_fires_every_interval() {
-        let mut s = MeasurementScheduler::new(ScheduleKind::Regular, TM, &KEY);
+        let mut s = MeasurementScheduler::new(ScheduleKind::Regular, TM, &KEY, SimDuration::ZERO);
         assert_eq!(s.next_due(), SimTime::from_secs(10));
         s.mark_completed(SimTime::from_secs(10));
         assert_eq!(s.next_due(), SimTime::from_secs(20));
@@ -276,7 +262,7 @@ mod tests {
     #[test]
     fn phase_offset_staggers_regular_schedule() {
         let phase = SimDuration::from_secs(3);
-        let mut s = MeasurementScheduler::new_with_phase(ScheduleKind::Regular, TM, &KEY, phase);
+        let mut s = MeasurementScheduler::new(ScheduleKind::Regular, TM, &KEY, phase);
         assert_eq!(s.phase(), phase);
         assert_eq!(s.next_due(), SimTime::from_secs(13));
         s.mark_completed(SimTime::from_secs(13));
@@ -289,7 +275,7 @@ mod tests {
     #[test]
     fn phase_offset_staggers_lenient_schedule() {
         let phase = SimDuration::from_secs(4);
-        let mut s = MeasurementScheduler::new_with_phase(
+        let mut s = MeasurementScheduler::new(
             ScheduleKind::Lenient { window_factor: 2.0 },
             TM,
             &KEY,
@@ -303,31 +289,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_phase_is_the_plain_schedule() {
-        let mut plain = MeasurementScheduler::new(ScheduleKind::Regular, TM, &KEY);
-        let mut phased = MeasurementScheduler::new_with_phase(
-            ScheduleKind::Regular,
-            TM,
-            &KEY,
-            SimDuration::ZERO,
-        );
-        for _ in 0..5 {
-            assert_eq!(plain.next_due(), phased.next_due());
-            let due = plain.next_due();
-            plain.mark_completed(due);
-            phased.mark_completed(due);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "phase offset must lie within T_M")]
     fn phase_of_a_full_interval_panics() {
-        let _ = MeasurementScheduler::new_with_phase(ScheduleKind::Regular, TM, &KEY, TM);
+        let _ = MeasurementScheduler::new(ScheduleKind::Regular, TM, &KEY, TM);
     }
 
     #[test]
     fn regular_schedule_catches_up_after_stall() {
-        let mut s = MeasurementScheduler::new(ScheduleKind::Regular, TM, &KEY);
+        let mut s = MeasurementScheduler::new(ScheduleKind::Regular, TM, &KEY, SimDuration::ZERO);
         // Prover was busy and only completes the measurement at t = 47 s.
         s.mark_completed(SimTime::from_secs(47));
         assert_eq!(s.next_due(), SimTime::from_secs(50));
@@ -338,9 +307,9 @@ mod tests {
         let lower = SimDuration::from_secs(5);
         let upper = SimDuration::from_secs(15);
         let kind = ScheduleKind::Irregular { lower, upper };
-        let mut a = MeasurementScheduler::new(kind.clone(), TM, &KEY);
-        let mut b = MeasurementScheduler::new(kind.clone(), TM, &KEY);
-        let mut c = MeasurementScheduler::new(kind, TM, &[7u8; 32]);
+        let mut a = MeasurementScheduler::new(kind.clone(), TM, &KEY, SimDuration::ZERO);
+        let mut b = MeasurementScheduler::new(kind.clone(), TM, &KEY, SimDuration::ZERO);
+        let mut c = MeasurementScheduler::new(kind, TM, &[7u8; 32], SimDuration::ZERO);
 
         let mut now = SimTime::ZERO;
         let mut a_intervals = Vec::new();
@@ -382,12 +351,8 @@ mod tests {
             lower: SimDuration::from_secs(5),
             upper: SimDuration::from_secs(15),
         };
-        let mut s = MeasurementScheduler::new_with_phase(
-            kind,
-            TM,
-            &[0x5a; 32],
-            SimDuration::from_millis(1500),
-        );
+        let mut s =
+            MeasurementScheduler::new(kind, TM, &[0x5a; 32], SimDuration::from_millis(1500));
         let step = |s: &mut MeasurementScheduler, index: usize| {
             if index == 3 {
                 let at = s.next_due() + SimDuration::from_secs(40);
@@ -420,7 +385,7 @@ mod tests {
             lower: SimDuration::from_secs(5),
             upper: SimDuration::from_secs(15),
         };
-        let mut s = MeasurementScheduler::new(kind, TM, &KEY);
+        let mut s = MeasurementScheduler::new(kind, TM, &KEY, SimDuration::ZERO);
         let mut gaps = Vec::new();
         let mut prev = SimTime::ZERO;
         for _ in 0..20 {
@@ -438,8 +403,12 @@ mod tests {
 
     #[test]
     fn lenient_schedule_defers_to_window_end() {
-        let mut s =
-            MeasurementScheduler::new(ScheduleKind::Lenient { window_factor: 3.0 }, TM, &KEY);
+        let mut s = MeasurementScheduler::new(
+            ScheduleKind::Lenient { window_factor: 3.0 },
+            TM,
+            &KEY,
+            SimDuration::ZERO,
+        );
         assert_eq!(s.next_due(), SimTime::from_secs(10));
         // The device is busy at t = 10; defer to the end of the 3×T_M window.
         let deferred = s.defer(SimTime::from_secs(10)).expect("deferral granted");
@@ -455,7 +424,7 @@ mod tests {
     #[test]
     fn skip_until_fast_forwards_without_completions() {
         let phase = SimDuration::from_secs(3);
-        let mut s = MeasurementScheduler::new_with_phase(ScheduleKind::Regular, TM, &KEY, phase);
+        let mut s = MeasurementScheduler::new(ScheduleKind::Regular, TM, &KEY, phase);
         assert_eq!(s.next_due(), SimTime::from_secs(13));
         // Device offline until t = 47: due times 13/23/33/43 never happened.
         s.skip_until(SimTime::from_secs(47));
@@ -468,7 +437,7 @@ mod tests {
     #[test]
     fn skip_until_keeps_lenient_windows_phase_aligned() {
         let phase = SimDuration::from_secs(4);
-        let mut s = MeasurementScheduler::new_with_phase(
+        let mut s = MeasurementScheduler::new(
             ScheduleKind::Lenient { window_factor: 2.0 },
             TM,
             &KEY,
@@ -485,7 +454,12 @@ mod tests {
     fn skip_until_redraws_irregular_intervals_in_bounds() {
         let lower = SimDuration::from_secs(5);
         let upper = SimDuration::from_secs(15);
-        let mut s = MeasurementScheduler::new(ScheduleKind::Irregular { lower, upper }, TM, &KEY);
+        let mut s = MeasurementScheduler::new(
+            ScheduleKind::Irregular { lower, upper },
+            TM,
+            &KEY,
+            SimDuration::ZERO,
+        );
         s.skip_until(SimTime::from_secs(100));
         let gap = s
             .next_due()
@@ -495,7 +469,8 @@ mod tests {
 
     #[test]
     fn regular_and_irregular_do_not_defer() {
-        let mut regular = MeasurementScheduler::new(ScheduleKind::Regular, TM, &KEY);
+        let mut regular =
+            MeasurementScheduler::new(ScheduleKind::Regular, TM, &KEY, SimDuration::ZERO);
         assert!(regular.defer(SimTime::from_secs(1)).is_none());
         let mut irregular = MeasurementScheduler::new(
             ScheduleKind::Irregular {
@@ -504,6 +479,7 @@ mod tests {
             },
             TM,
             &KEY,
+            SimDuration::ZERO,
         );
         assert!(irregular.defer(SimTime::from_secs(1)).is_none());
     }
@@ -531,12 +507,18 @@ mod tests {
             },
             TM,
             &KEY,
+            SimDuration::ZERO,
         );
     }
 
     #[test]
     #[should_panic(expected = "window factor")]
     fn invalid_window_factor_panics() {
-        let _ = MeasurementScheduler::new(ScheduleKind::Lenient { window_factor: 0.5 }, TM, &KEY);
+        let _ = MeasurementScheduler::new(
+            ScheduleKind::Lenient { window_factor: 0.5 },
+            TM,
+            &KEY,
+            SimDuration::ZERO,
+        );
     }
 }

@@ -378,11 +378,11 @@ mod tests {
             .verify_collection(&response, SimTime::from_secs(40))
             .expect("report");
         assert_eq!(report.verdict(), AttestationVerdict::CompromiseDetected);
-        assert_eq!(
-            report.with_verdict(MeasurementVerdict::Compromised).count(),
-            2
-        );
-        assert_eq!(report.with_verdict(MeasurementVerdict::Healthy).count(), 2);
+        // Newest first: the two measurements after the infection, then the
+        // two before it.
+        let verdicts: Vec<_> = report.measurements().iter().map(|vm| vm.verdict).collect();
+        use MeasurementVerdict::{Compromised, Healthy};
+        assert_eq!(verdicts, [Compromised, Compromised, Healthy, Healthy]);
     }
 
     #[test]
@@ -405,7 +405,11 @@ mod tests {
             .verify_collection(&response, SimTime::from_secs(40))
             .expect("report");
         assert_eq!(report.verdict(), AttestationVerdict::TamperingDetected);
-        assert_eq!(report.with_verdict(MeasurementVerdict::Forged).count(), 1);
+        let forged = report
+            .measurements()
+            .iter()
+            .filter(|vm| vm.verdict == MeasurementVerdict::Forged);
+        assert_eq!(forged.count(), 1);
     }
 
     #[test]

@@ -19,8 +19,7 @@ const MAX_OFFSET: SimDuration = SimDuration::from_nanos(10_000_000_000 - 1);
 
 #[test]
 fn offset_one_tick_below_interval_is_accepted_and_aligned() {
-    let mut scheduler =
-        MeasurementScheduler::new_with_phase(ScheduleKind::Regular, TM, &KEY, MAX_OFFSET);
+    let mut scheduler = MeasurementScheduler::new(ScheduleKind::Regular, TM, &KEY, MAX_OFFSET);
     // First due: T_M + (T_M − 1 ns) = one tick before 2·T_M.
     let first = SimTime::ZERO + TM + MAX_OFFSET;
     assert_eq!(scheduler.next_due(), first);
@@ -152,7 +151,7 @@ fn lenient_window_overlapping_the_period_seam() {
     // eat the following window: completing at 24 s moves the schedule to
     // 34 s, still phase-aligned.
     let phase = SimDuration::from_secs(4);
-    let mut scheduler = MeasurementScheduler::new_with_phase(
+    let mut scheduler = MeasurementScheduler::new(
         ScheduleKind::Lenient { window_factor: 2.0 },
         TM,
         &KEY,
@@ -175,7 +174,7 @@ fn lenient_seam_overlap_with_late_completion_mid_window() {
     // Completing *inside* the overlapped window (not at its end) must also
     // resume on the next nominal tick after the completion instant.
     let phase = SimDuration::from_secs(4);
-    let mut scheduler = MeasurementScheduler::new_with_phase(
+    let mut scheduler = MeasurementScheduler::new(
         ScheduleKind::Lenient { window_factor: 3.0 },
         TM,
         &KEY,
@@ -197,7 +196,7 @@ fn lenient_seam_overlap_with_late_completion_mid_window() {
 fn max_offset_interacts_with_lenient_windows() {
     // The extreme offset combined with a deferral window: nominal due at
     // T_M + (T_M − 1 ns); window end at 2·T_M + (T_M − 1 ns).
-    let mut scheduler = MeasurementScheduler::new_with_phase(
+    let mut scheduler = MeasurementScheduler::new(
         ScheduleKind::Lenient { window_factor: 2.0 },
         TM,
         &KEY,

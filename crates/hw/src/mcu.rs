@@ -363,7 +363,7 @@ mod tests {
             DeviceKey::from_bytes([8; 32]),
         );
         assert!(std::ptr::eq(a.rom().code(), b.rom().code()));
-        assert_eq!(a.rom().code_size(), crate::ATTESTATION_CODE_SIZE);
+        assert_eq!(a.rom().code().len(), crate::ATTESTATION_CODE_SIZE);
         // The digest of the 5 KiB synthetic image: a repeating counter
         // modulo 251.
         let digest: String = a

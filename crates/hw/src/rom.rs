@@ -94,11 +94,6 @@ impl Rom {
     pub fn code_digest(&self) -> &[u8; 32] {
         &self.image.digest
     }
-
-    /// Size of the attestation code in bytes.
-    pub fn code_size(&self) -> usize {
-        self.image.code.len()
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +105,7 @@ mod tests {
         let rom = Rom::new(DeviceKey::from_bytes([0; 32]), vec![1, 2, 3]);
         assert_eq!(rom.code_digest(), &Sha256::digest(&[1, 2, 3])[..]);
         assert_eq!(rom.code(), &[1, 2, 3]);
-        assert_eq!(rom.code_size(), 3);
+        assert_eq!(rom.code().len(), 3);
     }
 
     #[test]

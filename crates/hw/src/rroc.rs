@@ -41,12 +41,6 @@ impl Rroc {
         Self { now: SimTime::ZERO }
     }
 
-    /// Creates a clock starting at an arbitrary instant (e.g. a device that
-    /// has been running for a while before the scenario starts).
-    pub fn starting_at(start: SimTime) -> Self {
-        Self { now: start }
-    }
-
     /// Current clock value.
     pub fn now(&self) -> SimTime {
         self.now
@@ -104,7 +98,8 @@ mod tests {
 
     #[test]
     fn advance_to_never_goes_backwards() {
-        let mut rroc = Rroc::starting_at(SimTime::from_secs(100));
+        let mut rroc = Rroc::new();
+        rroc.advance(SimDuration::from_secs(100));
         rroc.advance_to(SimTime::from_secs(50));
         assert_eq!(rroc.now(), SimTime::from_secs(100));
         rroc.advance_to(SimTime::from_secs(150));
@@ -113,7 +108,8 @@ mod tests {
 
     #[test]
     fn physical_rollback_is_possible_but_explicit() {
-        let mut rroc = Rroc::starting_at(SimTime::from_secs(1000));
+        let mut rroc = Rroc::new();
+        rroc.advance(SimDuration::from_secs(1000));
         rroc.physical_rollback(SimTime::from_secs(10));
         assert_eq!(rroc.now(), SimTime::from_secs(10));
     }

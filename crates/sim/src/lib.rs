@@ -31,10 +31,9 @@
 //! engine.schedule_at(SimTime::from_secs(5), "measurement");
 //! engine.schedule_at(SimTime::from_secs(2), "boot");
 //! let mut order = Vec::new();
-//! engine.run_with(&mut order, |_, order, event| {
+//! while let Some(event) = engine.next_event() {
 //!     order.push((event.time.as_secs_f64(), event.payload));
-//!     true
-//! });
+//! }
 //! assert_eq!(order, vec![(2.0, "boot"), (5.0, "measurement")]);
 //! ```
 

@@ -184,14 +184,16 @@ fn infection_between_collections_is_attributed_to_the_right_window() {
         .expect("report");
     assert_eq!(report.verdict(), AttestationVerdict::CompromiseDetected);
     // Measurements at 70 are healthy; 80..120 show the implant.
-    let healthy: Vec<u64> = report
-        .with_verdict(MeasurementVerdict::Healthy)
-        .map(|vm| vm.measurement.timestamp().as_secs_f64() as u64)
-        .collect();
-    let compromised: Vec<u64> = report
-        .with_verdict(MeasurementVerdict::Compromised)
-        .map(|vm| vm.measurement.timestamp().as_secs_f64() as u64)
-        .collect();
+    let seconds_at = |verdict| -> Vec<u64> {
+        report
+            .measurements()
+            .iter()
+            .filter(|vm| vm.verdict == verdict)
+            .map(|vm| vm.measurement.timestamp().as_secs_f64() as u64)
+            .collect()
+    };
+    let healthy = seconds_at(MeasurementVerdict::Healthy);
+    let compromised = seconds_at(MeasurementVerdict::Compromised);
     assert_eq!(healthy, vec![70]);
     assert_eq!(compromised, vec![120, 110, 100, 90, 80]);
 }
