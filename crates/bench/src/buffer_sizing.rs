@@ -27,7 +27,7 @@ pub fn sweep(buffer_sizes: &[usize]) -> Vec<BufferSizingPoint> {
     buffer_sizes
         .iter()
         .map(|&n| {
-            let outcome = Scenario::builder()
+            let outcome = Scenario::new()
                 .measurement_interval(t_m)
                 .collection_interval(t_c)
                 .buffer_slots(n)
@@ -38,8 +38,8 @@ pub fn sweep(buffer_sizes: &[usize]) -> Vec<BufferSizingPoint> {
             BufferSizingPoint {
                 buffer_slots: n,
                 rule_predicts_loss: qoa.loses_measurements_with(n),
-                alarms: outcome.alarms,
-                measurements: outcome.measurements_taken,
+                alarms: outcome.alarms(),
+                measurements: outcome.measurements_taken(),
             }
         })
         .collect()

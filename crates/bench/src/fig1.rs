@@ -12,7 +12,7 @@ use erasmus_sim::{SimDuration, SimTime};
 /// * infection 2: persistent, enters at `t = 95 s` — measured at 100 s and
 ///   detected at the collection at 120 s.
 pub fn run() -> ScenarioOutcome {
-    Scenario::builder()
+    Scenario::new()
         .measurement_interval(SimDuration::from_secs(10))
         .collection_interval(SimDuration::from_secs(60))
         .duration(SimDuration::from_secs(300))
@@ -33,7 +33,9 @@ pub fn render() -> String {
          infection 1: mobile,   enters t=12 s, leaves t=15 s\n\
          infection 2: persistent, enters t=95 s\n\n",
     );
-    out.push_str(&outcome.trace.to_string());
+    for entry in &outcome.timeline {
+        out.push_str(&format!("{entry}\n"));
+    }
     out.push('\n');
     for (index, infection) in outcome.infections.iter().enumerate() {
         match infection.detected_at {
@@ -55,9 +57,9 @@ mod tests {
     #[test]
     fn reproduces_figure1_outcomes() {
         let outcome = run();
-        assert!(!outcome.infections[0].detected, "infection 1 must escape");
+        assert!(!outcome.infections[0].detected(), "infection 1 must escape");
         assert!(
-            outcome.infections[1].detected,
+            outcome.infections[1].detected(),
             "infection 2 must be detected"
         );
         assert_eq!(

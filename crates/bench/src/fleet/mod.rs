@@ -58,7 +58,7 @@
 //! deliveries pick up extra in-flight delay, corrupted frames hit the
 //! strict decoder's and the MAC verifier's live rejection paths, and — with
 //! [`FleetConfig::retries`] > 0 — every drop is retransmitted under an
-//! exponential-backoff ARQ loop ([`erasmus_core::RetryPolicy`]). Scheduled
+//! exponential-backoff ARQ loop (100 ms, doubling per attempt). Scheduled
 //! [`FleetConfig::hub_crashes`] serialize each shard hub to its wire-format
 //! snapshot ([`erasmus_core::encode_hub_snapshot`]), drop it and restore
 //! it from the bytes mid-run.
@@ -141,8 +141,8 @@ pub struct FleetConfig {
     pub churn: f64,
     /// ARQ retransmission budget per collection response and per batch
     /// frame: a dropped or corrupted transmission is retried up to this
-    /// many times with exponential backoff
-    /// ([`erasmus_core::RetryPolicy`]). 0 disables retransmission.
+    /// many times, after a backoff of 100 ms that doubles per attempt. 0
+    /// disables retransmission.
     pub retries: u32,
     /// Scheduled verifier-hub crash/restart cycles: at each of these
     /// instants, spread evenly over the run, every shard's hub state is

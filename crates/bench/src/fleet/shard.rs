@@ -13,7 +13,7 @@
 //! devices leaving/rejoining the fleet (churn).
 //!
 //! A shard is one run. It owns everything that run touches: the engine,
-//! the network model, the retry policy, the ledger and the loop's buffers.
+//! the network model, the retry budget, the ledger and the loop's buffers.
 //! [`Shard::provision`] schedules the initial timeline, and [`Shard::run`]
 //! hands each event the engine delivers to the shard's handler until the
 //! queue is empty; handlers schedule their follow-ups on the same engine.
@@ -53,9 +53,9 @@
 //!   drops and delays responses as before; *reorder* faults add a
 //!   deterministic extra delay so late packets genuinely overtake earlier
 //!   ones. With [`FleetConfig::retries`] > 0, a dropped response is
-//!   retransmitted after an exponential [`RetryPolicy`] backoff. Retry
-//!   events carry the device's churn `epoch`: a device that left the fleet
-//!   mid-backoff never replays stale evidence.
+//!   retransmitted after an exponential backoff (100 ms, doubling per
+//!   attempt). Retry events carry the device's churn `epoch`: a device that
+//!   left the fleet mid-backoff never replays stale evidence.
 //! * **Frame hop** (collector → hub, synchronous): each encoded batch
 //!   frame is numbered on a per-shard flow and ingested through
 //!   [`VerifierHub::ingest_sequenced_frame`], whose `Ok(Some(_))` return
@@ -107,8 +107,7 @@ use std::time::{Duration, Instant};
 use erasmus_core::{
     decode_hub_snapshot, encode_collection_batch_into, encode_hub_snapshot, AttestationVerdict,
     CollectionRequest, CollectionResponse, DeviceId, FrameView, Measurement, OnDemandRequest,
-    OnDemandResponse, Prover, ProverConfig, RetryPolicy, Verifier, VerifierHub,
-    MAX_BATCH_RESPONSES,
+    OnDemandResponse, Prover, ProverConfig, Verifier, VerifierHub, MAX_BATCH_RESPONSES,
 };
 use erasmus_crypto::{Digest, Sha256};
 use erasmus_hw::{DeviceKey, DeviceProfile, Mcu};
@@ -140,6 +139,14 @@ const FRAME_STREAM: u64 = 0x6672_616d_6521_7331;
 
 fn flow(global: u64, channel: u64) -> u64 {
     global * CHANNELS + channel
+}
+
+/// ARQ backoff before retransmission number `attempt + 1`: 100 ms (an
+/// order of magnitude above typical link latency, two below the
+/// measurement interval), doubling per attempt, with the shift saturated at
+/// 16 so that no retry budget can overflow it.
+fn backoff(attempt: u32) -> SimDuration {
+    SimDuration::from_millis(100) * (1 << attempt.min(16))
 }
 
 /// The master seed every fleet device key derives from.
@@ -276,8 +283,9 @@ pub(crate) struct Shard {
     /// events, [`Shard::run`] drains it.
     engine: Engine<FleetEvent>,
     network: NetworkModel,
-    /// ARQ retry policy shared by the collect and frame hops.
-    policy: RetryPolicy,
+    /// ARQ budget of the collect and frame hops: a transmission that failed
+    /// `attempt + 1` times is retried while `attempt < retries`.
+    retries: u32,
     request: CollectionRequest,
     /// Cohort ticks per collection round (`measurements_per_round`).
     round_ticks: usize,
@@ -382,12 +390,6 @@ pub struct ShardReport {
     pub hub_crashes: u64,
     /// Total bytes of the recovery snapshots taken at those crashes.
     pub snapshot_bytes: u64,
-    /// Collection bursts sealed into the shard hub as batch frames (see
-    /// `Shard::flush_batch`); on-demand reports go in one by one and do not
-    /// count.
-    pub hub_batches: u64,
-    /// Largest single collection burst, in responses.
-    pub largest_batch: u64,
     /// Encoded collection batch frames this shard ingested.
     pub wire_frames: u64,
     /// Total bytes of those frames, count headers included.
@@ -474,8 +476,6 @@ impl ShardReport {
         self.compromised_devices += other.compromised_devices;
         self.hub_crashes += other.hub_crashes;
         self.snapshot_bytes += other.snapshot_bytes;
-        self.hub_batches += other.hub_batches;
-        self.largest_batch = self.largest_batch.max(other.largest_batch);
         self.wire_frames += other.wire_frames;
         self.wire_bytes += other.wire_bytes;
         self.wire_responses += other.wire_responses;
@@ -581,7 +581,7 @@ impl Shard {
             hub: VerifierHub::with_history(config.history),
             engine: Engine::new(),
             network: NetworkModel::new(config.network, config.seed),
-            policy: RetryPolicy::with_budget(config.retries),
+            retries: config.retries,
             request: CollectionRequest::latest(config.measurements_per_round),
             round_ticks: config.measurements_per_round,
             last_tick,
@@ -922,9 +922,9 @@ impl Shard {
                 );
             }
             Delivery::Dropped => {
-                if self.policy.allows_retry(attempt) {
+                if attempt < self.retries {
                     self.engine.schedule_at(
-                        now + self.policy.backoff(attempt),
+                        now + backoff(attempt),
                         FleetEvent::CollectRetry {
                             device,
                             response,
@@ -994,8 +994,9 @@ impl Shard {
     /// whole shard into one instant — and carried across the frame link by
     /// [`Shard::deliver_frame`]'s ARQ loop, which verifies each record
     /// zero-copy off the frame, at the burst's arrival instant, by the
-    /// device's own verifier. However many frames it takes, a burst counts
-    /// as *one* hub batch. Encoding is timed separately (`encode_wall`);
+    /// device's own verifier. Each frame counts in `wire_frames` and
+    /// `wire_bytes` once, however many times it is carried. Encoding is
+    /// timed separately (`encode_wall`);
     /// the ingest span lands in both `wire_ingest_wall` and `verify_wall`.
     fn flush_batch(&mut self) {
         let Some(at) = self.pending_at.take() else {
@@ -1018,8 +1019,6 @@ impl Shard {
             self.frame_seq += 1;
             self.deliver_frame(frame_flow, frame_seq, &frame, chunk, at);
         }
-        self.report.hub_batches += 1;
-        self.report.largest_batch = self.report.largest_batch.max(responses.len() as u64);
         responses.clear();
         self.pending_responses = responses;
         self.frame_buf = frame;
@@ -1056,7 +1055,7 @@ impl Shard {
                 .sample_faults(frame_flow, (frame_seq << 8) | attempt as u64);
             if let Some(corruption) = draw.corrupt {
                 self.deliver_corrupt_copy(frame, chunk, corruption, at);
-                if self.policy.allows_retry(attempt) {
+                if attempt < self.retries {
                     self.report.frame_retransmits += 1;
                     attempt += 1;
                     continue;
@@ -1218,8 +1217,7 @@ mod tests {
         assert_eq!(report.collections_attempted, 3 * 2);
         assert_eq!(report.collections_delivered, 3 * 2);
         assert_eq!(report.collections_dropped, 0);
-        assert!(report.hub_batches >= 1);
-        assert!(report.largest_batch >= 1);
+        assert!(report.wire_frames >= 1);
 
         // The hub tracks exactly the shard's devices, under their *global*
         // fleet ids, and every one of them is healthy.
@@ -1261,6 +1259,16 @@ mod tests {
     }
 
     #[test]
+    fn retry_backoff_doubles_from_100_ms_and_saturates() {
+        assert_eq!(backoff(0), SimDuration::from_millis(100));
+        assert_eq!(backoff(1), SimDuration::from_millis(200));
+        assert_eq!(backoff(3), SimDuration::from_millis(800));
+        // The shift saturates instead of overflowing on absurd attempts.
+        assert_eq!(backoff(200), backoff(16));
+        assert_eq!(backoff(16), SimDuration::from_millis(100 << 16));
+    }
+
+    #[test]
     fn same_instant_deliveries_form_one_batch() {
         // One stagger group: all devices collect — and, with an ideal
         // network, deliver — at the same instants, so each round is exactly
@@ -1268,8 +1276,11 @@ mod tests {
         let config = FleetConfig::new(4, 2, 3, 128, 1, MacAlgorithm::KeyedBlake2s);
         let mut shard = shard_for(&config, 0..4, 0);
         let report = shard.run();
-        assert_eq!(report.hub_batches, config.rounds as u64);
-        assert_eq!(report.largest_batch, config.provers as u64);
+        assert_eq!(report.wire_frames, config.rounds as u64);
+        assert_eq!(
+            report.wire_responses,
+            (config.provers * config.rounds) as u64
+        );
     }
 
     #[test]
@@ -1396,13 +1407,11 @@ mod tests {
     fn oversized_bursts_chunk_into_multiple_frames() {
         // One stagger group puts the whole fleet into a single burst;
         // 1100 responses exceed MAX_BATCH_RESPONSES (1024), so the burst
-        // must ship as two frames while still counting as one hub batch.
+        // must ship as two frames.
         let config = FleetConfig::new(1100, 1, 1, 64, 1, MacAlgorithm::HmacSha256);
         assert!(config.provers > MAX_BATCH_RESPONSES);
         let mut shard = shard_for(&config, 0..1100, 0);
         let report = shard.run();
-        assert_eq!(report.largest_batch, 1100);
-        assert_eq!(report.hub_batches, 1);
         assert_eq!(report.wire_frames, 2);
         assert_eq!(report.wire_responses, 1100);
         assert_eq!(report.wire_accepted, 1100);

@@ -41,14 +41,14 @@ pub fn sweep(
                 // first collection so the baseline is established.
                 let arrival =
                     collection_interval + rng.gen_duration(SimDuration::ZERO, collection_interval);
-                let outcome = Scenario::builder()
+                let outcome = Scenario::new()
                     .measurement_interval(measurement_interval)
                     .collection_interval(collection_interval)
                     .duration(duration)
                     .infection(InfectionSpec::mobile(SimTime::ZERO + arrival, dwell))
                     .run()
                     .expect("scenario runs");
-                if outcome.infections[0].detected {
+                if outcome.infections[0].detected() {
                     detected += 1;
                 }
             }

@@ -2,7 +2,7 @@
 //! collection versus an on-demand (SEDA-style) baseline.
 
 use erasmus_sim::{SimDuration, SimRng, SimTime};
-use erasmus_swarm::{MobilityModel, MobilitySimulator, Swarm, SwarmConfig, Topology};
+use erasmus_swarm::{MobilityModel, MobilitySimulator, Swarm, Topology};
 
 /// One point of the coverage-vs-mobility curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,8 +38,7 @@ pub fn sweep(size: usize, churn_probabilities: &[f64], seed: u64) -> Vec<Mobilit
             for rep in 0..REPETITIONS {
                 let mut rng = SimRng::seed_from(seed.wrapping_add(rep * 7919));
                 let topology = Topology::random_connected(size, 3.0, &mut rng);
-                let mut swarm = Swarm::new(SwarmConfig::default(), topology, b"mobility sweep")
-                    .expect("swarm builds");
+                let mut swarm = Swarm::new(topology, b"mobility sweep").expect("swarm builds");
                 swarm
                     .run_until(SimTime::from_secs(60))
                     .expect("self-measurements");

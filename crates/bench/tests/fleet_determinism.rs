@@ -847,20 +847,21 @@ fn hub_crash_recovery_is_invisible_in_the_totals() {
         assert_eq!(crashed.simulated_busy, baseline.simulated_busy, "{label}");
         assert_eq!(crashed.all_healthy, baseline.all_healthy, "{label}");
         assert!(crashed.all_healthy, "{label}");
-        // The restored hubs attest to the same fleet, and every shard
-        // folded the same delivery bursts.
+        // The restored hubs attest to the same fleet, and every shard sent
+        // the same frames: a crash that split a burst would add one frame
+        // and its 2-byte count header.
         assert_eq!(
             crashed.aggregation.root_digest, baseline.aggregation.root_digest,
             "{label}"
         );
-        let bursts = |report: &FleetReport| -> Vec<(u64, u64)> {
+        let frames = |report: &FleetReport| -> Vec<(u64, u64)> {
             report
                 .shards
                 .iter()
-                .map(|shard| (shard.hub_batches, shard.largest_batch))
+                .map(|shard| (shard.wire_frames, shard.wire_bytes))
                 .collect()
         };
-        assert_eq!(bursts(&crashed), bursts(&baseline), "{label}");
+        assert_eq!(frames(&crashed), frames(&baseline), "{label}");
     }
 }
 

@@ -114,13 +114,13 @@ pub use hub::{FrameIngest, VerifierHub, DEDUP_WINDOW};
 pub use ids::DeviceId;
 pub use malware::{Malware, MalwareBehavior, TamperStrategy};
 pub use measurement::{Measurement, MemoryDigest, DIGEST_LEN, MAC_INPUT_LEN};
-pub use protocol::{
-    CollectionRequest, CollectionResponse, OnDemandRequest, OnDemandResponse, RetryPolicy,
-};
+pub use protocol::{CollectionRequest, CollectionResponse, OnDemandRequest, OnDemandResponse};
 pub use prover::{MeasurementOutcome, Prover};
 pub use qoa::QoaParams;
 pub use report::{AttestationVerdict, CollectionReport, MeasurementVerdict, VerifiedMeasurement};
-pub use scenario::{InfectionOutcome, InfectionSpec, Scenario, ScenarioBuilder, ScenarioOutcome};
+pub use scenario::{
+    InfectionOutcome, InfectionSpec, Scenario, ScenarioOutcome, TimelineEntry, TimelineEvent,
+};
 pub use schedule::{MeasurementScheduler, ScheduleKind};
 pub use verifier::Verifier;
 

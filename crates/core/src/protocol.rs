@@ -1,6 +1,5 @@
-//! Protocol messages: ERASMUS collection (Figure 2), ERASMUS+OD (Figure 4),
-//! classic on-demand attestation, and the ARQ retry policy that keeps
-//! collection reports alive on faulty links.
+//! Protocol messages: ERASMUS collection (Figure 2), ERASMUS+OD (Figure 4)
+//! and classic on-demand attestation.
 
 #![deny(
     clippy::unwrap_used,
@@ -130,50 +129,6 @@ impl OnDemandResponse {
     }
 }
 
-/// ARQ retransmission policy: a bounded retry budget with exponential
-/// backoff.
-///
-/// ERASMUS evidence is produced on a schedule whether or not the network
-/// cooperates (Section 3), so a lost collection report is pure information
-/// loss. Senders that hold evidence therefore retransmit un-acknowledged
-/// transmissions: attempt `n` waits [`RetryPolicy::DEFAULT_BACKOFF`]` << n`
-/// (plus caller-drawn jitter) before retrying, and gives up for good once
-/// `budget` retries are exhausted. The policy itself is deterministic — all
-/// jitter comes from the caller's seeded network model, which keeps fleet
-/// simulations thread-count-invariant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum number of *re*transmissions after the initial attempt. Zero
-    /// disables ARQ entirely.
-    pub budget: u32,
-}
-
-impl RetryPolicy {
-    /// Backoff before the first retransmission (100 ms — an order of
-    /// magnitude above typical link latency, two below the measurement
-    /// interval); it doubles on every further attempt.
-    pub const DEFAULT_BACKOFF: SimDuration = SimDuration::from_millis(100);
-
-    /// A policy allowing `budget` retransmissions.
-    pub fn with_budget(budget: u32) -> Self {
-        Self { budget }
-    }
-
-    /// Whether a transmission that already failed `attempt + 1` times may be
-    /// retried (attempts are numbered from zero).
-    pub fn allows_retry(&self, attempt: u32) -> bool {
-        attempt < self.budget
-    }
-
-    /// Backoff before retransmission number `attempt + 1`: exponential in
-    /// the attempt index, with the shift saturated so absurd budgets cannot
-    /// overflow.
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
-        let shift = attempt.min(16);
-        SimDuration::from_nanos(Self::DEFAULT_BACKOFF.as_nanos().saturating_mul(1 << shift))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,21 +208,6 @@ mod tests {
             prover_time: SimDuration::from_millis(285),
         };
         assert_eq!(od.payload_bytes(), m1.wire_size() + m2.wire_size());
-    }
-
-    #[test]
-    fn retry_policy_backoff_is_exponential_and_bounded() {
-        let policy = RetryPolicy::with_budget(3);
-        assert!(policy.allows_retry(0));
-        assert!(policy.allows_retry(2));
-        assert!(!policy.allows_retry(3));
-        assert_eq!(policy.backoff(0), RetryPolicy::DEFAULT_BACKOFF);
-        assert_eq!(policy.backoff(1), RetryPolicy::DEFAULT_BACKOFF * 2);
-        assert_eq!(policy.backoff(3), RetryPolicy::DEFAULT_BACKOFF * 8);
-        // The shift saturates instead of overflowing on absurd attempts.
-        assert_eq!(policy.backoff(200), policy.backoff(16));
-        // A zero budget sends once and never retries.
-        assert!(!RetryPolicy::with_budget(0).allows_retry(0));
     }
 
     #[test]

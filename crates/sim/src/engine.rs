@@ -81,10 +81,9 @@ impl<T> Ord for HeapEntry<T> {
 ///
 /// A simulation runs by calling [`Engine::next_event`] in a loop: it handles
 /// each event with whatever state it owns and schedules follow-ups between
-/// pulls. `erasmus-core`'s `Scenario` runner interleaves
-/// self-measurements, collections and malware arrivals/departures that way
-/// on one timeline, and every `erasmus-bench` fleet shard runs its slice of
-/// the fleet on one.
+/// pulls. `erasmus-core`'s `Scenario` runner interleaves collections and
+/// malware arrivals/departures that way on one timeline, and every
+/// `erasmus-bench` fleet shard runs its slice of the fleet on one.
 ///
 /// # Example
 ///

@@ -13,8 +13,6 @@
 //! * [`Engine`] — a discrete-event scheduler on a binary heap delivering
 //!   [`ScheduledEvent`]s in `(time, sequence)` order. Events own their
 //!   payloads; the heap moves them in and out by value.
-//! * [`Trace`] — an append-only record of what happened and when, used by
-//!   the scenario runner and by the `repro` harness to print timelines.
 //! * [`SimRng`] — a small deterministic RNG for workload generation
 //!   (malware dwell times, mobility), so every experiment is reproducible
 //!   from a seed.
@@ -53,10 +51,8 @@ pub mod engine;
 pub mod network;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Engine, QueueStats, ScheduledEvent};
 pub use network::{Corruption, Delivery, FaultDraw, NetworkConfig, NetworkModel};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry};

@@ -14,10 +14,11 @@
 //!   connected, or hand-built).
 //! * [`MobilityModel`] / [`MobilitySimulator`] — link churn applied while a
 //!   protocol is in flight.
-//! * [`Swarm`] — a fleet of ERASMUS provers plus per-device keys, with two
+//! * [`Swarm`] — a fleet of identical ERASMUS provers (MSP430 @ 8 MHz with
+//!   4 KiB, HMAC-SHA256, `T_M` = 10 s) plus per-device keys, with two
 //!   collective protocols: [`Swarm::erasmus_collection`] (self-measurements
 //!   relayed LISA-α style) and [`Swarm::on_demand_attestation`] (SEDA-style
-//!   on-demand baseline).
+//!   on-demand baseline), each returning a [`SwarmRound`].
 //! * [`QosaLevel`] / [`SwarmReport`] — Quality of Swarm Attestation
 //!   summaries, the spatial counterpart of QoA.
 //! * [`StaggeredSchedule`] — measurement phase offsets that guarantee only a
@@ -30,12 +31,12 @@
 //! # Example
 //!
 //! ```
-//! use erasmus_swarm::{Swarm, SwarmConfig, Topology};
+//! use erasmus_swarm::{Swarm, Topology};
 //! use erasmus_sim::{SimDuration, SimTime};
 //!
 //! # fn main() -> Result<(), erasmus_swarm::SwarmError> {
 //! let topology = Topology::ring(8);
-//! let mut swarm = Swarm::new(SwarmConfig::default(), topology, b"fleet seed")?;
+//! let mut swarm = Swarm::new(topology, b"fleet seed")?;
 //! swarm.run_until(SimTime::from_secs(120))?;
 //! let outcome = swarm.erasmus_collection(0, SimTime::from_secs(120), 4)?;
 //! assert_eq!(outcome.coverage(), 1.0);
@@ -68,5 +69,5 @@ pub use error::SwarmError;
 pub use mobility::{MobilityModel, MobilitySimulator};
 pub use qosa::{DeviceStatus, QosaLevel, SwarmReport};
 pub use schedule::StaggeredSchedule;
-pub use swarm::{Swarm, SwarmCollectionOutcome, SwarmConfig, SwarmOnDemandOutcome};
+pub use swarm::{Swarm, SwarmRound};
 pub use topology::Topology;

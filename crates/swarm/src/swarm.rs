@@ -5,79 +5,46 @@ use std::collections::BTreeSet;
 use erasmus_core::{CollectionRequest, DeviceId, DeviceKey, Prover, ProverConfig, Verifier};
 use erasmus_crypto::MacAlgorithm;
 use erasmus_hw::DeviceProfile;
-use erasmus_sim::{SimDuration, SimRng, SimTime};
+use erasmus_sim::{SimDuration, SimTime};
 
 use crate::error::SwarmError;
-use crate::mobility::{MobilityModel, MobilitySimulator};
+use crate::mobility::MobilitySimulator;
 use crate::qosa::{DeviceStatus, SwarmReport};
 use crate::topology::Topology;
 
-/// Configuration shared by every device in the swarm.
-#[derive(Debug, Clone)]
-pub struct SwarmConfig {
-    /// Device hardware profile (the same for every swarm member).
-    pub profile: DeviceProfile,
-    /// MAC algorithm used for measurements.
-    pub mac_algorithm: MacAlgorithm,
-    /// Measurement interval `T_M`.
-    pub measurement_interval: SimDuration,
-    /// Rolling-buffer slots per device.
-    pub buffer_slots: usize,
-    /// Per-hop relay latency of the collection protocol (LISA-α style
-    /// forwarding of stored measurements).
-    pub hop_latency: SimDuration,
-}
+/// Application memory of every swarm member, in bytes (an MSP430 @ 8 MHz
+/// with 4 KiB).
+const MEMORY_BYTES: usize = 4 * 1024;
+/// The MAC every swarm measurement is keyed with.
+const MAC: MacAlgorithm = MacAlgorithm::HmacSha256;
+/// Measurement interval `T_M` of every device.
+const MEASUREMENT_INTERVAL: SimDuration = SimDuration::from_secs(10);
+/// Rolling-buffer slots per device.
+const BUFFER_SLOTS: usize = 16;
+/// Per-hop relay latency of the collection protocol (LISA-α style
+/// forwarding of stored measurements).
+const HOP_LATENCY: SimDuration = SimDuration::from_millis(5);
 
-impl Default for SwarmConfig {
-    fn default() -> Self {
-        Self {
-            profile: DeviceProfile::msp430_8mhz(4 * 1024),
-            mac_algorithm: MacAlgorithm::HmacSha256,
-            measurement_interval: SimDuration::from_secs(10),
-            buffer_slots: 16,
-            hop_latency: SimDuration::from_millis(5),
-        }
-    }
-}
-
-/// Outcome of an ERASMUS swarm collection (LISA-α style relay of stored
-/// measurements).
+/// Outcome of one collective attestation round: an ERASMUS collection or
+/// an on-demand round.
 #[derive(Debug, Clone)]
-pub struct SwarmCollectionOutcome {
+pub struct SwarmRound {
     /// Per-device report.
     pub report: SwarmReport,
-    /// Total wall-clock duration of the collection round.
+    /// Total wall-clock duration of the round: relaying for an ERASMUS
+    /// collection, dominated by the per-device measurement computation for
+    /// an on-demand round.
     pub duration: SimDuration,
-    /// Total prover-side computation across the swarm (negligible for
-    /// ERASMUS: no cryptography in the collection phase).
+    /// Total prover-side computation across the swarm (negligible for an
+    /// ERASMUS collection: no cryptography in the collection phase).
     pub total_prover_time: SimDuration,
-    /// Devices that were unreachable when the collection ran.
+    /// Devices whose response never reached the verifier: unreachable when
+    /// the round started or, on demand, disconnected by mobility before it
+    /// finished.
     pub unreachable: BTreeSet<usize>,
 }
 
-impl SwarmCollectionOutcome {
-    /// Fraction of the swarm successfully attested.
-    pub fn coverage(&self) -> f64 {
-        self.report.coverage()
-    }
-}
-
-/// Outcome of an on-demand (SEDA-style) swarm attestation round.
-#[derive(Debug, Clone)]
-pub struct SwarmOnDemandOutcome {
-    /// Per-device report.
-    pub report: SwarmReport,
-    /// Total wall-clock duration of the round — dominated by per-device
-    /// measurement computation.
-    pub duration: SimDuration,
-    /// Total prover-side computation across the swarm.
-    pub total_prover_time: SimDuration,
-    /// Devices whose response never reached the verifier (disconnected by
-    /// mobility before the protocol finished, or unreachable to begin with).
-    pub unreachable: BTreeSet<usize>,
-}
-
-impl SwarmOnDemandOutcome {
+impl SwarmRound {
     /// Fraction of the swarm successfully attested.
     pub fn coverage(&self) -> f64 {
         self.report.coverage()
@@ -89,10 +56,12 @@ impl SwarmOnDemandOutcome {
 /// Device `0..n` map to topology nodes `0..n`; the verifier is assumed to be
 /// attached to one node (the *root* of each collection). Each device has its
 /// own key derived from a deployment master seed, and the verifier holds all
-/// of them — the same trust model as SEDA/LISA.
+/// of them — the same trust model as SEDA/LISA. Every device is an MSP430
+/// @ 8 MHz with 4 KiB of application memory, measuring with HMAC-SHA256
+/// every `T_M` = 10 s into a 16-slot buffer; the collection relay costs
+/// 5 ms per hop.
 #[derive(Debug)]
 pub struct Swarm {
-    config: SwarmConfig,
     topology: Topology,
     provers: Vec<Prover>,
     verifiers: Vec<Verifier>,
@@ -106,11 +75,7 @@ impl Swarm {
     ///
     /// Returns [`SwarmError::EmptySwarm`] for an empty topology and
     /// propagates per-device provisioning errors.
-    pub fn new(
-        config: SwarmConfig,
-        topology: Topology,
-        master_seed: &[u8],
-    ) -> Result<Self, SwarmError> {
+    pub fn new(topology: Topology, master_seed: &[u8]) -> Result<Self, SwarmError> {
         if topology.is_empty() {
             return Err(SwarmError::EmptySwarm);
         }
@@ -119,26 +84,25 @@ impl Swarm {
         for index in 0..topology.len() {
             let key = DeviceKey::derive(master_seed, index as u64);
             let prover_config = ProverConfig::builder()
-                .mac_algorithm(config.mac_algorithm)
-                .measurement_interval(config.measurement_interval)
-                .buffer_slots(config.buffer_slots)
+                .mac_algorithm(MAC)
+                .measurement_interval(MEASUREMENT_INTERVAL)
+                .buffer_slots(BUFFER_SLOTS)
                 .build()
                 .map_err(|source| SwarmError::Device { index, source })?;
             let prover = Prover::new(
                 DeviceId::new(index as u64),
-                config.profile,
+                DeviceProfile::msp430_8mhz(MEMORY_BYTES),
                 key.clone(),
                 prover_config,
             )
             .map_err(|source| SwarmError::Device { index, source })?;
-            let mut verifier = Verifier::new(key, config.mac_algorithm);
+            let mut verifier = Verifier::new(key, MAC);
             verifier.learn_reference_image(prover.mcu().app_memory());
-            verifier.set_expected_interval(config.measurement_interval);
+            verifier.set_expected_interval(MEASUREMENT_INTERVAL);
             provers.push(prover);
             verifiers.push(verifier);
         }
         Ok(Self {
-            config,
             topology,
             provers,
             verifiers,
@@ -153,11 +117,6 @@ impl Swarm {
     /// Whether the swarm has no devices (never true after construction).
     pub fn is_empty(&self) -> bool {
         self.provers.is_empty()
-    }
-
-    /// The shared configuration.
-    pub fn config(&self) -> &SwarmConfig {
-        &self.config
     }
 
     /// The current topology.
@@ -211,7 +170,7 @@ impl Swarm {
         root: usize,
         now: SimTime,
         k: usize,
-    ) -> Result<SwarmCollectionOutcome, SwarmError> {
+    ) -> Result<SwarmRound, SwarmError> {
         if root >= self.provers.len() {
             return Err(SwarmError::UnknownDevice {
                 index: root,
@@ -245,8 +204,8 @@ impl Swarm {
         // The round finishes once the farthest response has been relayed
         // back: two traversals of the deepest path plus the (tiny) per-device
         // serving time.
-        let duration = self.config.hop_latency * (2 * max_hops) as u64 + total_prover_time;
-        Ok(SwarmCollectionOutcome {
+        let duration = HOP_LATENCY * (2 * max_hops) as u64 + total_prover_time;
+        Ok(SwarmRound {
             report: SwarmReport::from_statuses(statuses),
             duration,
             total_prover_time,
@@ -270,7 +229,7 @@ impl Swarm {
         root: usize,
         now: SimTime,
         mobility: &mut MobilitySimulator,
-    ) -> Result<SwarmOnDemandOutcome, SwarmError> {
+    ) -> Result<SwarmRound, SwarmError> {
         if root >= self.provers.len() {
             return Err(SwarmError::UnknownDevice {
                 index: root,
@@ -305,12 +264,11 @@ impl Swarm {
         // acting during that window. SEDA-style protocols need the tree to
         // stay intact, so a device only delivers its report if it remains
         // connected to the root through every mobility epoch of the round.
-        let measured_bytes = self.config.profile.app_memory_bytes();
         let measurement_time = self.provers[root]
             .mcu()
             .cost_model()
-            .measurement(measured_bytes, self.config.mac_algorithm);
-        let duration = measurement_time + self.config.hop_latency * (2 * max_hops) as u64;
+            .measurement(MEMORY_BYTES, MAC);
+        let duration = measurement_time + HOP_LATENCY * (2 * max_hops) as u64;
         let mut connected_throughout = reachable_at_request.clone();
         for _ in 0..mobility.model().epochs_during(duration) {
             mobility.step(&mut self.topology);
@@ -332,7 +290,7 @@ impl Swarm {
             }
         }
 
-        Ok(SwarmOnDemandOutcome {
+        Ok(SwarmRound {
             report: SwarmReport::from_statuses(statuses),
             duration,
             total_prover_time,
@@ -363,18 +321,14 @@ impl Swarm {
     }
 }
 
-/// Builds a deterministic mobility simulator for experiments.
-pub fn mobility_for_experiment(model: MobilityModel, seed: u64) -> MobilitySimulator {
-    MobilitySimulator::new(model, SimRng::seed_from(seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mobility::MobilityModel;
+    use erasmus_sim::SimRng;
 
     fn swarm(nodes: usize) -> Swarm {
-        Swarm::new(SwarmConfig::default(), Topology::ring(nodes), b"test fleet")
-            .expect("swarm builds")
+        Swarm::new(Topology::ring(nodes), b"test fleet").expect("swarm builds")
     }
 
     #[test]
@@ -385,13 +339,13 @@ mod tests {
         assert!(swarm.prover(0).is_ok());
         assert!(swarm.prover(6).is_err());
         assert_eq!(swarm.topology().len(), 6);
-        assert_eq!(swarm.config().buffer_slots, 16);
+        assert_eq!(swarm.prover(0).expect("device").buffer().capacity(), 16);
     }
 
     #[test]
     fn empty_topology_rejected() {
         assert!(matches!(
-            Swarm::new(SwarmConfig::default(), Topology::new(0), b"seed"),
+            Swarm::new(Topology::new(0), b"seed"),
             Err(SwarmError::EmptySwarm)
         ));
     }
@@ -475,7 +429,7 @@ mod tests {
         let erasmus = swarm
             .erasmus_collection(0, SimTime::from_secs(60), 4)
             .expect("collection");
-        let mut mobility = mobility_for_experiment(MobilityModel::Static, 1);
+        let mut mobility = MobilitySimulator::new(MobilityModel::Static, SimRng::seed_from(1));
         let on_demand = swarm
             .on_demand_attestation(0, SimTime::from_secs(61), &mut mobility)
             .expect("attestation");
@@ -488,15 +442,14 @@ mod tests {
 
     #[test]
     fn mobility_hurts_on_demand_but_not_erasmus_collection() {
-        let config = SwarmConfig::default();
         let mut rng = SimRng::seed_from(42);
         let topology = Topology::random_connected(24, 3.0, &mut rng);
-        let mut swarm = Swarm::new(config, topology, b"mobile fleet").expect("swarm builds");
+        let mut swarm = Swarm::new(topology, b"mobile fleet").expect("swarm builds");
         swarm.run_until(SimTime::from_secs(60)).expect("run");
 
         // High churn: every device rewires every 100 ms on average.
         let model = MobilityModel::churn(SimDuration::from_millis(100), 0.6);
-        let mut mobility = mobility_for_experiment(model, 7);
+        let mut mobility = MobilitySimulator::new(model, SimRng::seed_from(7));
 
         let erasmus = swarm
             .erasmus_collection(0, SimTime::from_secs(60), 6)

@@ -13,13 +13,14 @@
 //! Run with: `cargo run --example swarm_attestation`
 
 use erasmus::sim::{SimDuration, SimRng, SimTime};
-use erasmus::swarm::swarm::mobility_for_experiment;
-use erasmus::swarm::{MobilityModel, QosaLevel, StaggeredSchedule, Swarm, SwarmConfig, Topology};
+use erasmus::swarm::{
+    MobilityModel, MobilitySimulator, QosaLevel, StaggeredSchedule, Swarm, Topology,
+};
 
 fn main() -> Result<(), erasmus::swarm::SwarmError> {
     let mut rng = SimRng::seed_from(2024);
     let topology = Topology::random_connected(24, 3.0, &mut rng);
-    let mut swarm = Swarm::new(SwarmConfig::default(), topology, b"example fleet")?;
+    let mut swarm = Swarm::new(topology, b"example fleet")?;
 
     // Let the fleet run unattended; every device self-measures on its own
     // T_M = 10 s schedule. Half-way through, one device gets compromised —
@@ -44,7 +45,7 @@ fn main() -> Result<(), erasmus::swarm::SwarmError> {
 
     // --- on-demand (SEDA-style) baseline under high mobility ---------------
     let model = MobilityModel::churn(SimDuration::from_millis(100), 0.6);
-    let mut mobility = mobility_for_experiment(model, 7);
+    let mut mobility = MobilitySimulator::new(model, SimRng::seed_from(7));
     let on_demand = swarm.on_demand_attestation(0, SimTime::from_secs(61), &mut mobility)?;
     println!("\n=== on-demand swarm round (high mobility) ===");
     println!("round duration: {}", on_demand.duration);

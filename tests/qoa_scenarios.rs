@@ -1,13 +1,15 @@
 //! QoA integration tests: the analytical formulas of Section 3.1 against the
 //! discrete-event scenario runner, and the Figure 1 timeline.
 
-use erasmus::core::{InfectionSpec, QoaParams, Scenario, TamperStrategy};
+use erasmus::core::{
+    InfectionSpec, MeasurementVerdict, QoaParams, Scenario, TamperStrategy, TimelineEvent,
+};
 use erasmus::sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
 #[test]
 fn figure1_timeline_is_reproduced() {
-    let outcome = Scenario::builder()
+    let outcome = Scenario::new()
         .measurement_interval(SimDuration::from_secs(10))
         .collection_interval(SimDuration::from_secs(60))
         .duration(SimDuration::from_secs(300))
@@ -20,19 +22,51 @@ fn figure1_timeline_is_reproduced() {
         .expect("scenario runs");
 
     // Infection 1 (mobile, between measurements): undetected.
-    assert!(!outcome.infections[0].detected);
+    assert!(!outcome.infections[0].detected());
     // Infection 2 (persistent): measured at t = 100, collected at t = 120.
-    assert!(outcome.infections[1].detected);
+    assert!(outcome.infections[1].detected());
     assert_eq!(
         outcome.infections[1].detected_at,
         Some(SimTime::from_secs(120))
     );
 
     // The timeline contains the expected event kinds.
-    assert!(outcome.trace.of_kind("infection").count() == 2);
-    assert!(outcome.trace.of_kind("departure").count() == 1);
-    assert!(outcome.trace.of_kind("collection").count() >= 4);
-    assert!(outcome.trace.of_kind("measurement").count() >= 29);
+    let count = |kind: fn(&TimelineEvent) -> bool| {
+        outcome
+            .timeline
+            .iter()
+            .filter(|entry| kind(&entry.event))
+            .count()
+    };
+    assert_eq!(count(|e| matches!(e, TimelineEvent::Infection(_))), 2);
+    assert_eq!(count(|e| matches!(e, TimelineEvent::Departure(_))), 1);
+    assert!(count(|e| matches!(e, TimelineEvent::Collection(_))) >= 4);
+    assert!(count(|e| matches!(e, TimelineEvent::Measurement { .. })) >= 29);
+
+    // The collection at 120 s carries the evidence: the measurements at
+    // 100, 110 and 120 s saw the persistent payload.
+    let report = outcome
+        .timeline
+        .iter()
+        .find_map(|entry| match &entry.event {
+            TimelineEvent::Collection(Some(report)) if entry.time == SimTime::from_secs(120) => {
+                Some(report)
+            }
+            _ => None,
+        })
+        .expect("a report at 120 s");
+    for secs in [100, 110, 120] {
+        let measured = report
+            .measurements()
+            .iter()
+            .find(|vm| vm.measurement.timestamp() == SimTime::from_secs(secs))
+            .expect("measurement in the report");
+        assert_eq!(
+            measured.verdict,
+            MeasurementVerdict::Compromised,
+            "t = {secs} s"
+        );
+    }
 }
 
 #[test]
@@ -46,7 +80,7 @@ fn detection_latency_is_bounded_by_tm_plus_tc_for_persistent_malware() {
     for _ in 0..10 {
         let start = SimTime::ZERO
             + rng.gen_duration(SimDuration::from_secs(60), SimDuration::from_secs(150));
-        let outcome = Scenario::builder()
+        let outcome = Scenario::new()
             .measurement_interval(t_m)
             .collection_interval(t_c)
             .duration(SimDuration::from_secs(400))
@@ -55,7 +89,7 @@ fn detection_latency_is_bounded_by_tm_plus_tc_for_persistent_malware() {
             .expect("scenario runs");
         let infection = &outcome.infections[0];
         assert!(
-            infection.detected,
+            infection.detected(),
             "persistent malware starting at {start} must be detected"
         );
         let latency = infection.detection_latency().expect("latency");
@@ -70,7 +104,7 @@ fn detection_latency_is_bounded_by_tm_plus_tc_for_persistent_malware() {
 fn short_dwell_malware_is_missed_long_dwell_is_caught() {
     // Dwell much shorter than T_M and placed between measurement instants:
     // escapes. Dwell longer than T_M: always caught.
-    let base = Scenario::builder()
+    let base = Scenario::new()
         .measurement_interval(SimDuration::from_secs(10))
         .collection_interval(SimDuration::from_secs(60))
         .duration(SimDuration::from_secs(240));
@@ -83,7 +117,7 @@ fn short_dwell_malware_is_missed_long_dwell_is_caught() {
         ))
         .run()
         .expect("scenario runs");
-    assert!(!escaped.infections[0].detected);
+    assert!(!escaped.infections[0].detected());
 
     let caught = base
         .infection(InfectionSpec::mobile(
@@ -92,7 +126,7 @@ fn short_dwell_malware_is_missed_long_dwell_is_caught() {
         ))
         .run()
         .expect("scenario runs");
-    assert!(caught.infections[0].detected);
+    assert!(caught.infections[0].detected());
 }
 
 #[test]
@@ -106,7 +140,7 @@ fn qoa_buffer_sizing_rule_matches_scenario_behaviour() {
     assert!(qoa.loses_measurements_with(4));
 
     // A clean scenario with enough slots raises no alarm…
-    let ok = Scenario::builder()
+    let ok = Scenario::new()
         .measurement_interval(t_m)
         .collection_interval(t_c)
         .buffer_slots(8)
@@ -114,11 +148,11 @@ fn qoa_buffer_sizing_rule_matches_scenario_behaviour() {
         .duration(SimDuration::from_secs(400))
         .run()
         .expect("scenario runs");
-    assert_eq!(ok.alarms, 0);
+    assert_eq!(ok.alarms(), 0);
 
     // …while an undersized buffer loses history, which surfaces as alarms
     // even though no malware is present (a deployment error, not an attack).
-    let lossy = Scenario::builder()
+    let lossy = Scenario::new()
         .measurement_interval(t_m)
         .collection_interval(t_c)
         .buffer_slots(4)
@@ -126,14 +160,14 @@ fn qoa_buffer_sizing_rule_matches_scenario_behaviour() {
         .duration(SimDuration::from_secs(400))
         .run()
         .expect("scenario runs");
-    assert!(lossy.alarms > 0);
+    assert!(lossy.alarms() > 0);
 }
 
 #[test]
 fn buffer_wiping_malware_is_always_detected_even_with_tiny_dwell() {
     // Hit-and-run malware that also wipes the store: the dwell is too short
     // to be measured, but the wipe itself is self-incriminating.
-    let outcome = Scenario::builder()
+    let outcome = Scenario::new()
         .measurement_interval(SimDuration::from_secs(10))
         .collection_interval(SimDuration::from_secs(60))
         .duration(SimDuration::from_secs(240))
@@ -143,7 +177,7 @@ fn buffer_wiping_malware_is_always_detected_even_with_tiny_dwell() {
         )
         .run()
         .expect("scenario runs");
-    assert!(outcome.infections[0].detected);
+    assert!(outcome.infections[0].detected());
 }
 
 proptest! {
@@ -159,7 +193,7 @@ proptest! {
         dwell_secs in 1u64..25,
     ) {
         let t_m = 10u64;
-        let outcome = Scenario::builder()
+        let outcome = Scenario::new()
             .measurement_interval(SimDuration::from_secs(t_m))
             .collection_interval(SimDuration::from_secs(60))
             .duration(SimDuration::from_secs(300))
@@ -181,7 +215,7 @@ proptest! {
         let covers_a_measurement =
             first_measurement_strictly_after_start <= start_secs + dwell_secs;
         prop_assert_eq!(
-            outcome.infections[0].detected,
+            outcome.infections[0].detected(),
             covers_a_measurement,
             "start {} dwell {}",
             start_secs,

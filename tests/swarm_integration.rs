@@ -2,15 +2,14 @@
 //! and mobility substrate and the QoSA reporting (Section 6).
 
 use erasmus::sim::{SimDuration, SimRng, SimTime};
-use erasmus::swarm::swarm::mobility_for_experiment;
 use erasmus::swarm::{
-    DeviceStatus, MobilityModel, QosaLevel, StaggeredSchedule, Swarm, SwarmConfig, SwarmError,
-    Topology,
+    DeviceStatus, MobilityModel, MobilitySimulator, QosaLevel, StaggeredSchedule, Swarm,
+    SwarmError, Topology,
 };
 use proptest::prelude::*;
 
 fn fleet(topology: Topology) -> Swarm {
-    Swarm::new(SwarmConfig::default(), topology, b"integration fleet").expect("swarm builds")
+    Swarm::new(topology, b"integration fleet").expect("swarm builds")
 }
 
 #[test]
@@ -68,7 +67,7 @@ fn erasmus_collection_tolerates_mobility_better_than_on_demand() {
         .expect("collection");
 
     let model = MobilityModel::churn(SimDuration::from_millis(100), 0.7);
-    let mut mobility = mobility_for_experiment(model, 13);
+    let mut mobility = MobilitySimulator::new(model, SimRng::seed_from(13));
     let on_demand = swarm
         .on_demand_attestation(0, SimTime::from_secs(61), &mut mobility)
         .expect("attestation");
